@@ -13,6 +13,12 @@ the ``t × m`` SVD) only every ``refresh_interval`` arrivals.  Between
 refreshes, each arrival costs one matrix-vector product, exactly the
 online regime the paper describes.
 
+A refresh is lazy: it snapshots the covariance and the eigensolve (and
+Q-limit) runs on the first read of the model, so a fold-only caller
+such as the service's drift telemetry pays for no eigensolve it never
+reads.  Every read sees exactly the model an eager refresh would have
+produced at the same point, since the solve runs on the snapshot.
+
 :func:`principal_angles` quantifies subspace drift — the paper's
 stability claim ("reasonably stable from week to week") in degrees.
 """
@@ -65,6 +71,8 @@ class IncrementalSubspaceTracker:
         Arrivals between eigendecomposition refreshes (1 = every sample,
         ``None`` = never refresh automatically — the model stays at its
         warm-up basis until a block fold asks for a refresh explicitly).
+        A refresh snapshots the covariance; its eigensolve runs on the
+        next read of the model (see the module docstring).
     confidence:
         Confidence level for the Q-statistic limit.
     """
@@ -93,11 +101,14 @@ class IncrementalSubspaceTracker:
 
         self._mean: np.ndarray | None = None
         self._cov: np.ndarray | None = None
+        # Covariance at the last refresh point, until its eigensolve runs.
+        self._pending: np.ndarray | None = None
         self._basis: np.ndarray | None = None  # (m, r) normal basis
         self._eigenvalues: np.ndarray | None = None  # descending, length m
         self._threshold: float = 0.0
         self._since_refresh = 0
         self._arrivals = 0
+        self._eigensolves = 0
 
     # ------------------------------------------------------------------
     def warm_up(self, measurements: np.ndarray) -> "IncrementalSubspaceTracker":
@@ -146,7 +157,13 @@ class IncrementalSubspaceTracker:
         return self
 
     def _refresh(self) -> None:
-        eigenvalues, eigenvectors = np.linalg.eigh(self._cov)
+        """Mark a refresh point; the eigensolve waits for the next read."""
+        self._pending = self._cov.copy()
+        self._since_refresh = 0
+
+    def _solve(self) -> None:
+        """Eigendecompose the pending snapshot into basis and Q-limit."""
+        eigenvalues, eigenvectors = np.linalg.eigh(self._pending)
         order = np.argsort(eigenvalues)[::-1]
         eigenvalues = np.maximum(eigenvalues[order], 0.0)
         eigenvectors = eigenvectors[:, order]
@@ -155,12 +172,19 @@ class IncrementalSubspaceTracker:
         self._threshold = q_threshold(
             eigenvalues[self.normal_rank :], confidence=self.confidence
         )
-        self._since_refresh = 0
+        self._pending = None
+        self._eigensolves += 1
 
     # ------------------------------------------------------------------
     def _require_ready(self) -> None:
-        if self._basis is None:
+        if self._mean is None:
             raise NotFittedError("warm_up must be called before streaming")
+
+    def _require_model(self) -> None:
+        """Ready check plus the eigensolve of a pending refresh point."""
+        self._require_ready()
+        if self._pending is not None:
+            self._solve()
 
     @property
     def mean(self) -> np.ndarray:
@@ -171,26 +195,31 @@ class IncrementalSubspaceTracker:
     @property
     def normal_basis(self) -> np.ndarray:
         """Current normal-subspace basis ``P`` (``(m, r)``)."""
-        self._require_ready()
+        self._require_model()
         return self._basis.copy()
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """Current covariance eigenvalues, descending."""
-        self._require_ready()
+        self._require_model()
         return self._eigenvalues.copy()
 
     @property
     def threshold(self) -> float:
         """Current SPE limit ``δ²_α``."""
-        self._require_ready()
+        self._require_model()
         return self._threshold
 
     @property
     def since_refresh(self) -> int:
-        """Arrivals folded since the eigendecomposition last refreshed."""
+        """Arrivals folded since the last refresh point."""
         self._require_ready()
         return self._since_refresh
+
+    @property
+    def eigensolves(self) -> int:
+        """Eigensolves run so far; a refresh point never read costs none."""
+        return self._eigensolves
 
     def _refresh_due(self) -> bool:
         return (
@@ -201,7 +230,7 @@ class IncrementalSubspaceTracker:
     # ------------------------------------------------------------------
     def spe(self, measurement: np.ndarray) -> float:
         """SPE of one vector under the current model (no state update)."""
-        self._require_ready()
+        self._require_model()
         measurement = np.asarray(measurement, dtype=np.float64)
         if measurement.shape != self._mean.shape:
             raise ModelError(
@@ -247,7 +276,17 @@ class IncrementalSubspaceTracker:
         temporary materializes, at the cost of last-ulp differences
         (BLAS GEMM is not row-decomposable).
         """
-        self._require_ready()
+        self._require_model()
+        measurements = self._as_block(measurements)
+        if self.normal_rank == self._mean.shape[0]:
+            # Full normal subspace: the residual is exactly 0, not the
+            # numerical dust of the projection arithmetic.
+            return np.zeros(measurements.shape[0])
+        return score_block(
+            measurements, self._mean, basis=self._basis
+        ).spe
+
+    def _as_block(self, measurements: np.ndarray) -> np.ndarray:
         measurements = ensure_matrix(
             measurements, name="block", error=ModelError,
             check_finite=False,
@@ -257,35 +296,18 @@ class IncrementalSubspaceTracker:
                 f"block must be (t, {self._mean.shape[0]}), got shape "
                 f"{measurements.shape}"
             )
-        if self.normal_rank == self._mean.shape[0]:
-            # Full normal subspace: the residual is exactly 0, not the
-            # numerical dust of the projection arithmetic.
-            return np.zeros(measurements.shape[0])
-        return score_block(
-            measurements, self._mean, basis=self._basis
-        ).spe
+        return measurements
 
     def update_block(
         self, measurements: np.ndarray, refresh: bool = True
     ) -> tuple[np.ndarray, np.ndarray]:
         """Score a window against the current model, then fold it in.
 
-        The exponential recursions ``μ_j = (1−η)μ_{j−1} + η y_j`` and
-        ``Σ_j = (1−η)Σ_{j−1} + η d_j d_jᵀ`` (``d_j = y_j − μ_j``) unroll in
-        closed form over a block of ``k`` arrivals:
-
-            μ_k = (1−η)^k μ₀ + η Σ_j (1−η)^{k−j} y_j
-            Σ_k = (1−η)^k Σ₀ + Dᵀ diag(η (1−η)^{k−j}) D
-
-        so the fold costs one cumulative filter plus one weighted Gram
-        product instead of ``k`` rank-one updates.  The resulting moments
-        match the sequential :meth:`update` loop to rounding.
-
-        Unlike the per-arrival loop — whose running mean drifts between
-        samples — every row is scored against the model as of the start
-        of the block; with windows much shorter than ``1/forgetting`` the
-        difference is negligible, and it is what lets the scoring itself
-        vectorize.
+        Every row is scored against the model as of the start of the
+        block — unlike the per-arrival loop, whose running mean drifts
+        between samples; with windows much shorter than ``1/forgetting``
+        the difference is negligible, and it is what lets the scoring
+        itself vectorize.  The fold is :meth:`fold_block`'s.
 
         Parameters
         ----------
@@ -302,17 +324,37 @@ class IncrementalSubspaceTracker:
             Per-row SPE under the pre-window model and the boolean
             anomaly indicators ``spe > threshold``.
         """
-        self._require_ready()
         spe = self.spe_block(measurements)
         flags = spe > self._threshold
+        self._fold(np.asarray(measurements, dtype=np.float64), refresh)
+        return spe, flags
 
-        measurements = np.asarray(measurements, dtype=np.float64)
+    def fold_block(self, measurements: np.ndarray) -> None:
+        """Fold a window into the running statistics without scoring it.
+
+        The exponential recursions ``μ_j = (1−η)μ_{j−1} + η y_j`` and
+        ``Σ_j = (1−η)Σ_{j−1} + η d_j d_jᵀ`` (``d_j = y_j − μ_j``) unroll in
+        closed form over a block of ``k`` arrivals:
+
+            μ_k = (1−η)^k μ₀ + η Σ_j (1−η)^{k−j} y_j
+            Σ_k = (1−η)^k Σ₀ + Dᵀ diag(η (1−η)^{k−j}) D
+
+        so the fold costs one cumulative filter plus one weighted Gram
+        product instead of ``k`` rank-one updates.  The resulting moments
+        match the sequential :meth:`update` loop to rounding.  Refreshes
+        keep their ``refresh_interval`` cadence; the model itself is not
+        touched until something reads it.
+        """
+        self._require_ready()
+        self._fold(self._as_block(measurements), refresh=False)
+
+    def _fold(self, measurements: np.ndarray, refresh: bool) -> None:
         if measurements.shape[0] == 0:
             # A zero-row window folds nothing, so it must not refresh:
             # the default path used to re-run the eigensolver on the
             # unchanged covariance and reset the refresh cadence, which
             # silently postponed the next scheduled refresh.
-            return spe, flags
+            return
         eta = self.forgetting
         decay = 1.0 - eta
         k_total = measurements.shape[0]
@@ -339,10 +381,9 @@ class IncrementalSubspaceTracker:
 
         if refresh or self._refresh_due():
             self._refresh()
-        return spe, flags
 
     def drift_from(self, reference_basis: np.ndarray) -> float:
         """Largest principal angle (radians) to a reference normal basis."""
-        self._require_ready()
+        self._require_model()
         angles = principal_angles(self._basis, reference_basis)
         return float(angles.max()) if angles.size else 0.0

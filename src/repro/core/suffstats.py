@@ -88,6 +88,11 @@ class _Fragment:
     start: int
     rows: np.ndarray  # (k, m), C-contiguous float64
 
+    @property
+    def end(self) -> int:
+        """One past the last absolute row."""
+        return self.start + self.rows.shape[0]
+
 
 def _tile_stat(rows: np.ndarray) -> _TileStat:
     """The canonical per-tile kernel.
@@ -103,6 +108,30 @@ def _tile_stat(rows: np.ndarray) -> _TileStat:
         total=total,
         m2=deviations.T @ deviations,
     )
+
+
+def _merge_parts(
+    k: int, left: tuple[_Fragment, ...], right: tuple[_Fragment, ...]
+) -> tuple[_Fragment, ...]:
+    """Ordered union of two sorted, disjoint fragment runs of tile ``k``.
+
+    When ``right`` starts at or after the end of ``left`` — every append
+    to a growing history — only the seam is checked and the tuples are
+    concatenated; otherwise the union is sorted and every neighbour
+    pair checked.  Both routes return the same tuple.
+    """
+    if not left or not right:
+        return left or right
+    if left[-1].end <= right[0].start:
+        return left + right
+    parts = sorted(left + right, key=lambda fragment: fragment.start)
+    for first, second in zip(parts, parts[1:]):
+        if first.end > second.start:
+            raise ModelError(
+                f"row ranges overlap inside tile {k}: fragment at "
+                f"{first.start} reaches past {second.start}"
+            )
+    return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -305,17 +334,9 @@ class SufficientStats:
                     f"row ranges overlap: tile {k} is complete in one "
                     "statistic and fragmented in the other"
                 )
-            parts = sorted(
-                self._fragments.get(k, ()) + other._fragments.get(k, ()),
-                key=lambda fragment: fragment.start,
+            merged._fragments[k] = _merge_parts(
+                k, self._fragments.get(k, ()), other._fragments.get(k, ())
             )
-            for left, right in zip(parts, parts[1:]):
-                if left.start + left.rows.shape[0] > right.start:
-                    raise ModelError(
-                        f"row ranges overlap inside tile {k}: fragment at "
-                        f"{left.start} reaches past {right.start}"
-                    )
-            merged._fragments[k] = tuple(parts)
         merged._complete_tiles()
         return merged
 
@@ -323,14 +344,15 @@ class SufficientStats:
         """Reduce any fragment set that now covers a whole tile."""
         for k in list(self._fragments):
             parts = self._fragments[k]
-            start = parts[0].start
-            length = sum(fragment.rows.shape[0] for fragment in parts)
-            if start != k * self.tile_rows or length != self.tile_rows:
-                continue
-            if any(
-                left.start + left.rows.shape[0] != right.start
-                for left, right in zip(parts, parts[1:])
+            # An open tile fails on its first or last row, so only a
+            # run spanning the whole tile pays for the length walk.
+            if (
+                parts[0].start != k * self.tile_rows
+                or parts[-1].end != (k + 1) * self.tile_rows
             ):
+                continue
+            length = sum(fragment.rows.shape[0] for fragment in parts)
+            if length != self.tile_rows:
                 continue  # interior gap: stays fragmented until filled
             self._tiles[k] = _tile_stat(self._stitch(parts))
             del self._fragments[k]

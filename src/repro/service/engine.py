@@ -28,7 +28,9 @@ The exponentially weighted :class:`~repro.core.incremental.\
 IncrementalSubspaceTracker` is deliberately *not* on the scoring path:
 it folds every arrival to expose drift telemetry (its own adaptive
 threshold, the principal angle to the active version's subspace) that
-tells operators when the refit cadence is too slow.
+tells operators when the refit cadence is too slow.  Ingest only folds;
+the tracker's eigensolve and the principal-angle SVD run when the
+gauges are computed, at exposition time.
 """
 
 from __future__ import annotations
@@ -244,7 +246,7 @@ class DetectionService:
         self._refit_thread: threading.Thread | None = None
         self._last_refit_error: str | None = None
         self._build_metrics()
-        self._tracker = self._seed_tracker(lifecycle.current)
+        self._seed_tracker(lifecycle.current)
         self._refresh_model_gauges()
         self.events.emit(
             "service_start",
@@ -384,32 +386,41 @@ class DetectionService:
             "accepted or rejected.",
         )
 
-    def _seed_tracker(
-        self, version: ModelVersion
-    ) -> IncrementalSubspaceTracker:
+    def _seed_tracker(self, version: ModelVersion) -> None:
         pca = version.detector.model.pca
         covariance = (pca.components * pca.eigenvalues()) @ pca.components.T
-        return IncrementalSubspaceTracker(
+        self._tracker = IncrementalSubspaceTracker(
             normal_rank=version.normal_rank,
             forgetting=self.config.forgetting,
             confidence=self.config.confidence,
             refresh_interval=self.config.tracker_refresh_interval,
         ).warm_up_from_moments(pca.mean, covariance)
+        # (tracker eigensolves, model version) the drift gauge holds.
+        self._drift_key: tuple[int, int] | None = None
 
     def _reference_basis(self, version: ModelVersion) -> np.ndarray:
         pca = version.detector.model.pca
         return pca.components[:, : version.normal_rank]
 
     def _refresh_model_gauges(self) -> None:
+        """Set every model gauge; the only place tracker gauges are set.
+
+        Reading the tracker runs the eigensolve of its last refresh
+        point, if one is pending.  The drift SVD reruns only when that
+        solve or the active version changed since the last call.
+        """
         version = self.lifecycle.current
         self._g_threshold.set(version.threshold)
         self._g_rank.set(version.normal_rank)
         self._g_version.set(version.version)
         self._g_refresh_age.set(self.lifecycle.rows - version.trained_rows)
         self._g_tracker_threshold.set(self._tracker.threshold)
-        self._g_drift.set(
-            self._tracker.drift_from(self._reference_basis(version))
-        )
+        key = (self._tracker.eigensolves, version.version)
+        if key != self._drift_key:
+            self._g_drift.set(
+                self._tracker.drift_from(self._reference_basis(version))
+            )
+            self._drift_key = key
 
     # ------------------------------------------------------------------
     @property
@@ -528,14 +539,10 @@ class DetectionService:
             if flag:
                 self._m_alarms.inc()
                 self.events.emit("alarm", **outcome.to_json())
-            self._tracker.update_block(values[None, :], refresh=False)
+            self._tracker.fold_block(values[None, :])
             self.lifecycle.append_rows(values[None, :])
             self._g_refresh_age.set(
                 self.lifecycle.rows - version.trained_rows
-            )
-            self._g_tracker_threshold.set(self._tracker.threshold)
-            self._g_drift.set(
-                self._tracker.drift_from(self._reference_basis(version))
             )
             due = (
                 self.config.refit_interval is not None
@@ -789,14 +796,10 @@ SubspaceModel.score_block` kernel the per-row path runs — one call per
             self._g_spe.set(float(scored.spe[take - 1]))
             if flagged:
                 self._m_alarms.inc(float(flagged))
-            self._tracker.update_block(chunk, refresh=False)
+            self._tracker.fold_block(chunk)
             self.lifecycle.append_rows(chunk)
             self._g_refresh_age.set(
                 self.lifecycle.rows - version.trained_rows
-            )
-            self._g_tracker_threshold.set(self._tracker.threshold)
-            self._g_drift.set(
-                self._tracker.drift_from(self._reference_basis(version))
             )
             position += take
             due = (
@@ -871,7 +874,7 @@ SubspaceModel.score_block` kernel the per-row path runs — one call per
             self.events.emit("refit_failed", error=str(err))
             raise ServiceError(f"refit failed: {err}") from err
         with self._lock:
-            self._tracker = self._seed_tracker(version)
+            self._seed_tracker(version)
             self._last_refit_error = None
             self._m_refits.inc()
             self._m_swaps.inc()

@@ -410,17 +410,19 @@ class ModelLifecycleManager:
         components bitwise).
 
         A file that cannot be read or unpickled — truncated, scribbled,
-        missing — raises :class:`~repro.exceptions.CheckpointError`; a
-        readable payload from an incompatible schema raises
-        :class:`~repro.exceptions.ServiceError`.
+        missing — raises :class:`~repro.exceptions.CheckpointError`,
+        whatever the unpickler tripped on (damaged bytes surface as
+        ``OverflowError``, ``TypeError`` and more besides the usual
+        ``UnpicklingError``); a readable payload from an incompatible
+        schema raises :class:`~repro.exceptions.ServiceError`.
         """
         try:
             with Path(path).open("rb") as handle:
                 payload = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, MemoryError, ValueError) as err:
+        except Exception as err:  # noqa: BLE001 - any damage mode
             raise CheckpointError(
-                f"unreadable service checkpoint {path}: {err}"
+                f"unreadable service checkpoint {path}: "
+                f"{type(err).__name__}: {err}"
             ) from err
         if not isinstance(payload, dict):
             raise CheckpointError(

@@ -224,3 +224,66 @@ class TestFitFromStats:
             fitted.captured_variance()[5:]
             <= 1e-12 * fitted.captured_variance()[0]
         )
+
+class TestAppendSeam:
+    """Appends to a growing history take the merge's seam-only path."""
+
+    TILE = 8
+
+    def stats(self, rows, start):
+        return SufficientStats.from_block(
+            rows, start_row=start, tile_rows=self.TILE
+        )
+
+    def test_duplicate_and_overlapping_appends_raise(self, block):
+        rows = block[:30]
+        history = self.stats(rows[:5], 0).merge(self.stats(rows[5:6], 5))
+        for start, stop in ((5, 6), (0, 5), (4, 7), (5, 9), (0, 30)):
+            with pytest.raises(ModelError, match="overlap"):
+                history.merge(self.stats(rows[start:stop], start))
+        # An append that starts exactly at the seam is accepted.
+        assert history.merge(self.stats(rows[6:7], 6)).count == 7
+        # Overlap with a tile that one-row appends already completed.
+        complete = history
+        for i in range(6, 10):
+            complete = complete.merge(self.stats(rows[i : i + 1], i))
+        assert complete.num_complete_tiles == 1
+        for start, stop in ((7, 8), (6, 12), (9, 10)):
+            with pytest.raises(ModelError, match="overlap"):
+                complete.merge(self.stats(rows[start:stop], start))
+
+    def test_one_row_appends_match_from_block(self, block):
+        """Across tile boundaries and completions, one-row appends hold
+        the rows from_block holds — same tiles to the bit, fragments
+        from the same first row — and finalize to the same bits; the
+        general (sorting) merge order builds the identical state."""
+        rows = block[:29]
+        history = self.stats(rows[:3], 0)
+        backward = history
+        for i in range(3, rows.shape[0]):
+            chunk = self.stats(rows[i : i + 1], i)
+            history = history.merge(chunk)
+            backward = chunk.merge(backward)
+            reference = self.stats(rows[: i + 1], 0)
+            assert history._tiles.keys() == reference._tiles.keys()
+            for k, tile in reference._tiles.items():
+                assert history._tiles[k].count == tile.count
+                assert np.array_equal(history._tiles[k].total, tile.total)
+                assert np.array_equal(history._tiles[k].m2, tile.m2)
+            assert history._fragments.keys() == reference._fragments.keys()
+            for k, (fragment,) in reference._fragments.items():
+                parts = history._fragments[k]
+                assert parts[0].start == fragment.start
+                assert parts[-1].end == fragment.end
+                assert np.array_equal(
+                    np.concatenate([part.rows for part in parts]),
+                    fragment.rows,
+                )
+                mirrored = backward._fragments[k]
+                assert len(parts) == len(mirrored)
+                assert all(p is q for p, q in zip(parts, mirrored))
+            a, b = history.finalize(), reference.finalize()
+            assert a.count == b.count
+            assert np.array_equal(a.total, b.total)
+            assert np.array_equal(a.m2, b.m2)
+        assert history.num_complete_tiles == 3

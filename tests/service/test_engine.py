@@ -3,9 +3,66 @@
 import numpy as np
 import pytest
 
+from repro.core import IncrementalSubspaceTracker
 from repro.exceptions import IngestError, ServiceError
 from repro.pipeline import DetectionPipeline
 from repro.service import ServiceConfig
+
+
+def exposed(text: str, name: str) -> float:
+    """The sample value of an unlabeled metric in an exposition."""
+    for line in text.splitlines():
+        if line.startswith(name + " "):
+            return float(line.rsplit(" ", 1)[1])
+    raise AssertionError(f"{name} is not exposed")
+
+
+class TrackerReplay:
+    """The engine's drift telemetry, replayed on the eager schedule.
+
+    Seeded from the active version the way the engine seeds its tracker
+    and fed the same blocks through ``update_block(refresh=False)``,
+    then read after every block, so each refresh point is solved the
+    moment it is crossed.
+    """
+
+    def __init__(self, service) -> None:
+        self.service = service
+        self.reseed()
+
+    def reseed(self) -> None:
+        config = self.service.config
+        self.version = self.service.lifecycle.current
+        pca = self.version.detector.model.pca
+        covariance = (pca.components * pca.eigenvalues()) @ pca.components.T
+        self.tracker = IncrementalSubspaceTracker(
+            normal_rank=self.version.normal_rank,
+            forgetting=config.forgetting,
+            confidence=config.confidence,
+            refresh_interval=config.tracker_refresh_interval,
+        ).warm_up_from_moments(pca.mean, covariance)
+        self.tracker.threshold  # eager: solve the seed at once
+
+    def fold(self, block) -> None:
+        """Replay one engine fold; reseed if it ended in a hot-swap."""
+        self.tracker.update_block(np.atleast_2d(block), refresh=False)
+        self.tracker.threshold  # eager: solve any crossing at once
+        lifecycle = self.service.lifecycle
+        if lifecycle.current is not self.version:
+            # The replay folds whole blocks: a swap must end one.
+            assert lifecycle.current.activated_at_row == lifecycle.rows
+            self.reseed()
+
+    def assert_matches(self, text: str) -> None:
+        reference = self.version.detector.model.pca.components[
+            :, : self.version.normal_rank
+        ]
+        assert exposed(text, "repro_tracker_threshold") == (
+            self.tracker.threshold
+        )
+        assert exposed(text, "repro_tracker_drift_radians") == (
+            self.tracker.drift_from(reference)
+        )
 
 
 class TestIngestScoring:
@@ -274,19 +331,25 @@ class TestObservability:
     def test_drift_tracker_follows_but_never_scores(
         self, service_split, make_service
     ):
-        """The tracker folds every arrival (telemetry moves) while the
+        """The tracker folds every arrival — its gauges, read through
+        the exposition, move and match an eager replay — while the
         scoring threshold stays pinned to the active version."""
         dataset, warmup = service_split
         service = make_service(
             config=ServiceConfig(forgetting=1.0 / 36.0)
         )
+        replay = TrackerReplay(service)
         version = service.lifecycle.current
+        seeded = exposed(service.metrics_text(), "repro_tracker_threshold")
         thresholds = set()
         for row in dataset.link_traffic[warmup : warmup + 40]:
             thresholds.add(service.ingest_row(row).threshold)
+            replay.fold(row)
         assert thresholds == {version.threshold}  # scoring never drifted
-        tracker_threshold = service.metrics["repro_tracker_threshold"].value()
-        assert tracker_threshold != version.threshold  # telemetry did
+        text = service.metrics_text()
+        replay.assert_matches(text)
+        # The refresh at row 36 moved the telemetry off its seed.
+        assert exposed(text, "repro_tracker_threshold") != seeded
 
     def test_close_emits_stop_event(self, service_split, make_service):
         dataset, warmup = service_split
@@ -298,3 +361,94 @@ class TestObservability:
         ]
         assert len(stop) == 1
         assert stop[0]["rows_ingested"] == 1
+
+
+class TestTrackerTelemetry:
+    """Ingest only folds the drift tracker; exposition computes its gauges."""
+
+    @pytest.mark.parametrize("refresh_interval", [1, 36, None])
+    def test_gauges_match_an_eager_replay_at_every_scrape(
+        self, service_split, make_service, refresh_interval
+    ):
+        dataset, warmup = service_split
+        service = make_service(
+            config=ServiceConfig(
+                forgetting=1.0 / 36.0,
+                tracker_refresh_interval=refresh_interval,
+                refit_interval=60,
+                synchronous_refit=True,
+            )
+        )
+        replay = TrackerReplay(service)
+        stream = dataset.link_traffic[warmup:]
+        stream = np.vstack([stream, stream[::-1] * 1.01, stream * 0.99])
+        # Block ends land on every synchronous refit (60 rows after the
+        # last swap), so each swap falls between two folds of the replay.
+        sizes = [7, 0, 13, 40, 1, 1, 18, 40, 10, 20, 25, 35, 3, 2, 15]
+        scrape_after = {1, 3, 4, 7, 8, 11, 14}
+        position = 0
+        for step, size in enumerate(sizes):
+            block = stream[position : position + size]
+            position += size
+            if size == 1:
+                service.ingest_row(block[0])
+            else:
+                assert service.ingest_block(block).accepted == size
+            replay.fold(block)
+            if step == 9:
+                service.refit()  # a manual hot-swap between folds
+                replay.reseed()
+            if step in scrape_after:
+                replay.assert_matches(service.metrics_text())
+        assert service.lifecycle.current.version >= 4
+        replay.assert_matches(service.metrics_text())
+
+    def test_drift_follows_a_swap_made_behind_the_engine(
+        self, service_split, make_service
+    ):
+        """A version activated on the lifecycle directly keeps the
+        engine's tracker but moves the drift reference: the next scrape
+        recomputes the drift although no new eigensolve ran."""
+        dataset, warmup = service_split
+        service = make_service()
+        replay = TrackerReplay(service)
+        block = dataset.link_traffic[warmup : warmup + 40]
+        service.ingest_block(block)
+        replay.fold(block)
+        replay.assert_matches(service.metrics_text())
+        service.lifecycle.refit()
+        replay.version = service.lifecycle.current
+        replay.assert_matches(service.metrics_text())
+
+    def test_ingest_runs_no_eigensolve_until_the_scrape(
+        self, service_split, make_service, monkeypatch
+    ):
+        """A repeatable count, independent of host speed: 1000 rows of
+        block ingest run no eigensolve and no principal-angle SVD; the
+        next scrape runs one of each, and a scrape with no new rows
+        runs none."""
+        dataset, warmup = service_split
+        service = make_service()
+        service.metrics_text()
+        counts = {"eigh": 0, "svd": 0}
+
+        def counted(name):
+            real = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, wrapper)
+
+        counted("eigh")
+        counted("svd")
+        stream = np.tile(dataset.link_traffic[warmup:], (12, 1))[:1000]
+        for start in range(0, 1000, 50):
+            assert service.ingest_block(stream[start : start + 50]).accepted
+        assert service.rows_ingested == 1000
+        assert counts == {"eigh": 0, "svd": 0}
+        service.metrics_text()
+        assert counts == {"eigh": 1, "svd": 1}
+        service.metrics_text()
+        assert counts == {"eigh": 1, "svd": 1}

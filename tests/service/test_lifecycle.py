@@ -227,17 +227,31 @@ class TestAtomicCheckpoint:
             ModelLifecycleManager.restore(path)
 
     def test_scribbled_file_raises_checkpoint_error(self, manager, tmp_path):
-        import os
-
+        """A seeded sweep of damaged files: 2000 head scribbles (the
+        fault injector's ``scribble`` mode, 64 garbage bytes over the
+        head) and 500 whole-file garbage bodies.  Every one must fail
+        as a typed CheckpointError, whatever the unpickler raised."""
         from repro.exceptions import CheckpointError
 
         _, _, lifecycle = manager
         path = tmp_path / "state.pkl"
         lifecycle.checkpoint(path)
-        size = path.stat().st_size
-        path.write_bytes(os.urandom(size))
-        with pytest.raises(CheckpointError):
-            ModelLifecycleManager.restore(path)
+        original = path.read_bytes()
+        rng = np.random.default_rng(20041030)
+        damaged = [rng.bytes(64) + original[64:] for _ in range(2000)]
+        damaged += [rng.bytes(len(original)) for _ in range(500)]
+        escaped = []
+        for trial, body in enumerate(damaged):
+            path.write_bytes(body)
+            try:
+                ModelLifecycleManager.restore(path)
+            except CheckpointError:
+                continue
+            except Exception as err:  # noqa: BLE001 - recorded, asserted below
+                escaped.append((trial, type(err).__name__))
+            else:
+                escaped.append((trial, "restored"))
+        assert escaped == []
 
     def test_missing_file_raises_checkpoint_error(self, tmp_path):
         from repro.exceptions import CheckpointError
