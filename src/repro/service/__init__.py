@@ -23,7 +23,9 @@ assembled matrix, including across hot-swap boundaries.  See
 
 from repro.service.engine import (
     ERROR_REASONS,
+    MAX_LINK_COUNT,
     BlockResult,
+    BlockSegment,
     DetectionService,
     RowOutcome,
     ServiceConfig,
@@ -48,7 +50,9 @@ __all__ = [
     "ServiceConfig",
     "RowOutcome",
     "BlockResult",
+    "BlockSegment",
     "ERROR_REASONS",
+    "MAX_LINK_COUNT",
     "ModelLifecycleManager",
     "ModelVersion",
     "CHECKPOINT_SCHEMA_VERSION",

@@ -39,6 +39,7 @@ import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -54,8 +55,10 @@ __all__ = [
     "ServiceConfig",
     "DetectionService",
     "RowOutcome",
+    "BlockSegment",
     "BlockResult",
     "ERROR_REASONS",
+    "MAX_LINK_COUNT",
 ]
 
 #: Every reason the error counter may carry, transport reasons included.
@@ -65,6 +68,7 @@ ERROR_REASONS = (
     "bad_payload",
     "wrong_width",
     "non_finite",
+    "out_of_range",
     "duplicate_bin",
     "out_of_order_bin",
     "too_many_rows",
@@ -75,6 +79,25 @@ ERROR_REASONS = (
     "refit_failed",
     "checkpoint_failed",
 )
+
+#: Largest link count magnitude ingest accepts (2**53, the largest
+#: integer a float64 holds exactly, ~9 PB per bin).  Rows beyond it are
+#: rejected as ``out_of_range`` before anything folds them.  The bound
+#: keeps every derived quantity finite for any history: link variances
+#: stay below 2**106, so the Q-limit's fourth-power moments of the
+#: residual spectrum stay far inside float64 (folded rows from about
+#: 1e75 up could overflow them, and refits, ingests and scrapes then
+#: raised ``OverflowError``), and float32 scoring, whose SPE is at most
+#: ``4 m MAX_LINK_COUNT**2``, stays finite for any network under about
+#: a million links.
+MAX_LINK_COUNT = float(2**53)
+
+
+def _out_of_range() -> IngestError:
+    return IngestError(
+        f"row contains a link count of magnitude above {MAX_LINK_COUNT:.0f}",
+        reason="out_of_range",
+    )
 
 
 @dataclass(frozen=True)
@@ -175,12 +198,62 @@ class RowOutcome:
         return payload
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class BlockSegment:
+    """One model-version run of an ingested block, as the kernel left it.
+
+    Rows ``start_bin .. start_bin + len(spe) - 1`` were scored against
+    ``threshold`` by version ``model_version``; ``spe`` and ``flags``
+    are the fused kernel's arrays.  ``alarms`` holds one
+    :class:`RowOutcome` per flagged row, in bin order, identified when
+    the service has a routing matrix — the only rows that need one.
+    """
+
+    start_bin: int
+    spe: np.ndarray
+    flags: np.ndarray
+    threshold: float
+    model_version: int
+    alarms: tuple[RowOutcome, ...] = ()
+
+    @classmethod
+    def of_row(cls, outcome: RowOutcome) -> "BlockSegment":
+        """The one-row segment of a per-row outcome."""
+        return cls(
+            start_bin=outcome.bin,
+            spe=np.array([outcome.spe]),
+            flags=np.array([outcome.flag]),
+            threshold=outcome.threshold,
+            model_version=outcome.model_version,
+            alarms=(outcome,) if outcome.flag else (),
+        )
+
+    def outcomes(self) -> list[RowOutcome]:
+        """The segment's rows as :class:`RowOutcome` objects, in order."""
+        alarms = iter(self.alarms)
+        start, threshold, version = (
+            self.start_bin,
+            self.threshold,
+            self.model_version,
+        )
+        return [
+            next(alarms)
+            if flag
+            else RowOutcome(start + offset, spe, threshold, False, version)
+            for offset, (spe, flag) in enumerate(
+                zip(self.spe.tolist(), self.flags.tolist())
+            )
+        ]
+
+
+@dataclass(frozen=True, eq=False)
 class BlockResult:
     """Outcome of one :meth:`DetectionService.ingest_block` call.
 
-    ``outcomes`` covers the accepted prefix (possibly the whole block).
-    On a mid-block rejection ``rejected`` carries the same
+    ``segments`` covers the accepted prefix (possibly the whole block),
+    one :class:`BlockSegment` per model-version run; ``outcomes`` is the
+    same prefix as per-row :class:`RowOutcome` objects, built on first
+    read.  On a mid-block rejection ``rejected`` carries the same
     :class:`~repro.exceptions.IngestError` the per-row path would have
     raised for that row, and ``rejected_index`` its position in the
     submitted block — the split point is exactly where a per-row replay
@@ -188,19 +261,27 @@ class BlockResult:
     when the result is returned.
     """
 
-    outcomes: tuple[RowOutcome, ...]
+    segments: tuple[BlockSegment, ...] = ()
     rejected: IngestError | None = None
     rejected_index: int | None = None
 
     @property
     def accepted(self) -> int:
         """Rows ingested by this call (length of the accepted prefix)."""
-        return len(self.outcomes)
+        return sum(segment.spe.shape[0] for segment in self.segments)
 
     @property
     def alarms(self) -> int:
         """Accepted rows whose SPE exceeded the threshold."""
-        return sum(1 for outcome in self.outcomes if outcome.flag)
+        return sum(len(segment.alarms) for segment in self.segments)
+
+    @cached_property
+    def outcomes(self) -> tuple[RowOutcome, ...]:
+        """Every accepted row's :class:`RowOutcome`, in bin order."""
+        outcomes: list[RowOutcome] = []
+        for segment in self.segments:
+            outcomes.extend(segment.outcomes())
+        return tuple(outcomes)
 
 
 class DetectionService:
@@ -472,11 +553,14 @@ class DetectionService:
                 f"{self._num_links}",
                 reason="wrong_width",
             )
-        if not np.all(np.isfinite(values)):
-            raise IngestError(
-                "row contains NaN or infinite link counts",
-                reason="non_finite",
-            )
+        # NaN fails the comparison too: one check admits a good row.
+        if not np.abs(values).max() <= MAX_LINK_COUNT:
+            if not np.all(np.isfinite(values)):
+                raise IngestError(
+                    "row contains NaN or infinite link counts",
+                    reason="non_finite",
+                )
+            raise _out_of_range()
         if bin_id is not None:
             expected = self._stream_rows
             if bin_id < expected:
@@ -629,10 +713,10 @@ SubspaceModel.score_block` kernel the per-row path runs — one call per
                     return self._ingest_block_fallback(rows, bins)
                 values, bins_arr = coerced
                 if values.shape[0] == 0:
-                    return BlockResult(outcomes=())
+                    return BlockResult()
                 before = self._stream_rows
                 split, reject = self._validate_block(values, bins, bins_arr)
-                outcomes = self._ingest_accepted(values[:split], pending)
+                segments = self._ingest_accepted(values[:split], pending)
                 interval = self.config.checkpoint_interval
                 checkpoint_due = (
                     self.config.checkpoint_path is not None
@@ -662,7 +746,7 @@ SubspaceModel.score_block` kernel the per-row path runs — one call per
                     >= self.config.refit_interval
                 )
                 result = BlockResult(
-                    outcomes=tuple(outcomes),
+                    segments=segments,
                     rejected=reject,
                     rejected_index=None if reject is None else split,
                 )
@@ -711,8 +795,8 @@ SubspaceModel.score_block` kernel the per-row path runs — one call per
                 f"{self._num_links}",
                 reason="wrong_width",
             )
-        finite = np.isfinite(values).all(axis=1)
-        bad = ~finite
+        # One pass covers both value checks: NaN fails the comparison.
+        bad = ~(np.abs(values) <= MAX_LINK_COUNT).all(axis=1)
         if bins_arr is not None:
             expected = self._stream_rows + np.arange(n)
             # Mirror the per-row comparisons exactly: a NaN bin fails
@@ -722,11 +806,13 @@ SubspaceModel.score_block` kernel the per-row path runs — one call per
         if not bad.any():
             return n, None
         split = int(np.argmax(bad))
-        if not finite[split]:
+        if not np.isfinite(values[split]).all():
             return split, IngestError(
                 "row contains NaN or infinite link counts",
                 reason="non_finite",
             )
+        if not (np.abs(values[split]) <= MAX_LINK_COUNT).all():
+            return split, _out_of_range()
         expected_bin = self._stream_rows + split
         bin_value = bins[split]
         if bin_value < expected_bin:
@@ -743,19 +829,21 @@ SubspaceModel.score_block` kernel the per-row path runs — one call per
 
     def _ingest_accepted(
         self, accepted: np.ndarray, pending: list
-    ) -> list[RowOutcome]:
+    ) -> tuple[BlockSegment, ...]:
         """Score and fold an accepted run, splitting at refit boundaries.
 
         Each sub-run is every row up to the next synchronous-refit due
         point: one fused ``score_block`` call, one suffstats fold, one
         tracker fold — then the refit (if due) swaps the version exactly
-        where the per-row loop would have swapped it.  Flagged rows are
+        where the per-row loop would have swapped it.  Each sub-run
+        becomes one :class:`BlockSegment` holding the kernel's arrays;
+        only flagged rows build a :class:`RowOutcome`.  They are
         identified one at a time with the same single-row call the
         per-row path makes, so identification stays bitwise identical
         (BLAS matmuls are not row-decomposable; alarms are rare enough
         that this costs nothing measurable).
         """
-        outcomes: list[RowOutcome] = []
+        segments: list[BlockSegment] = []
         position = 0
         total = accepted.shape[0]
         while position < total:
@@ -776,26 +864,34 @@ SubspaceModel.score_block` kernel the per-row path runs — one call per
                 chunk, threshold=threshold
             )
             start_bin = self._stream_rows
-            for i in range(take):
-                flag = bool(scored.flags[i])
+            alarms = []
+            for i in np.flatnonzero(scored.flags).tolist():
                 outcome = RowOutcome(
                     bin=start_bin + i,
                     spe=float(scored.spe[i]),
                     threshold=threshold,
-                    flag=flag,
+                    flag=True,
                     model_version=version.version,
                 )
-                if flag:
-                    if self._directions is not None:
-                        outcome = self._identify(outcome, chunk[i], version)
-                    pending.append(("alarm", outcome.to_json()))
-                outcomes.append(outcome)
-            flagged = int(np.count_nonzero(scored.flags))
+                if self._directions is not None:
+                    outcome = self._identify(outcome, chunk[i], version)
+                pending.append(("alarm", outcome.to_json()))
+                alarms.append(outcome)
+            segments.append(
+                BlockSegment(
+                    start_bin=start_bin,
+                    spe=scored.spe,
+                    flags=scored.flags,
+                    threshold=threshold,
+                    model_version=version.version,
+                    alarms=tuple(alarms),
+                )
+            )
             self._stream_rows += take
             self._m_rows.inc(float(take))
             self._g_spe.set(float(scored.spe[take - 1]))
-            if flagged:
-                self._m_alarms.inc(float(flagged))
+            if alarms:
+                self._m_alarms.inc(float(len(alarms)))
             self._tracker.fold_block(chunk)
             self.lifecycle.append_rows(chunk)
             self._g_refresh_age.set(
@@ -810,22 +906,23 @@ SubspaceModel.score_block` kernel the per-row path runs — one call per
             if due and synchronous:
                 self._drain_events(pending)
                 self._do_refit()
-        return outcomes
+        return tuple(segments)
 
     def _ingest_block_fallback(self, rows, bins) -> BlockResult:
         """Per-row loop for payloads the array path cannot represent."""
-        outcomes: list[RowOutcome] = []
+        segments: list[BlockSegment] = []
         for index, row in enumerate(rows):
             bin_id = None if bins is None else bins[index]
             try:
-                outcomes.append(self._ingest_row(row, bin_id))
+                outcome = self._ingest_row(row, bin_id)
             except IngestError as err:
                 return BlockResult(
-                    outcomes=tuple(outcomes),
+                    segments=tuple(segments),
                     rejected=err,
                     rejected_index=index,
                 )
-        return BlockResult(outcomes=tuple(outcomes))
+            segments.append(BlockSegment.of_row(outcome))
+        return BlockResult(segments=tuple(segments))
 
     def _drain_events(self, pending: list) -> None:
         if pending:

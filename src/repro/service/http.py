@@ -28,17 +28,31 @@ Transport faults never reach the engine as crashes: oversized bodies,
 stalled reads, malformed framing, and mid-request disconnects each map
 to one reason token on the service's error counter, and the connection
 handler survives to serve the next client.
+
+Every read of a request (its line, each header line, the body) runs
+under its own ``read_timeout`` deadline; a read whose bytes are already
+buffered returns without an event-loop iteration, so after each
+response the connection yields once to let other connections in.
+
+The 200 body of an ingest is formatted straight from the engine's
+:class:`~repro.service.engine.BlockSegment` arrays by
+:func:`encode_ingest_response`, byte-identical to ``json.dumps(...,
+sort_keys=True)`` of the per-row payload; every other body goes
+through ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+from urllib.parse import unquote
+
+import numpy as np
 
 from repro.exceptions import ServiceError
-from repro.service.engine import DetectionService
+from repro.service.engine import BlockResult, DetectionService
 
-__all__ = ["ServiceHTTPServer", "serve"]
+__all__ = ["ServiceHTTPServer", "serve", "encode_ingest_response"]
 
 _MAX_HEADER_LINES = 100
 _MAX_REQUEST_LINE = 8192
@@ -66,6 +80,64 @@ _STATUS_TEXT = {
 }
 
 
+def encode_ingest_response(result: BlockResult) -> str:
+    """The 200 body of an ingest, formatted from the block's segments.
+
+    Byte-identical to ``json.dumps(payload, sort_keys=True)`` of the
+    per-row payload ``{"accepted", "alarms", "alarm_bins", "results"}``
+    with one ``RowOutcome.to_json()`` dict per accepted row.  Each
+    segment's threshold and model version are formatted once, and each
+    SPE with ``float.__repr__`` (what ``json.dumps`` writes for a finite
+    float); flagged rows, which carry the identification, go through
+    ``json.dumps`` on their dict.
+    """
+    results: list[str] = []
+    alarm_bins: list[int] = []
+    for segment in result.segments:
+        row = (
+            '{"bin": %d, "flag": false, "model_version": '
+            + json.dumps(segment.model_version)
+            + ', "spe": %s, "threshold": '
+            + json.dumps(segment.threshold)
+            + "}"
+        )
+        # json.dumps spells non-finite floats NaN/Infinity; repr does not.
+        spe_text = (
+            float.__repr__ if np.isfinite(segment.spe).all() else json.dumps
+        )
+        bins = range(segment.start_bin, segment.start_bin + len(segment.spe))
+        texts = map(spe_text, segment.spe.tolist())
+        if not segment.alarms:
+            results.extend(map(row.__mod__, zip(bins, texts)))
+            continue
+        alarms = iter(segment.alarms)
+        for bin_id, text, flag in zip(bins, texts, segment.flags.tolist()):
+            if flag:
+                results.append(
+                    json.dumps(next(alarms).to_json(), sort_keys=True)
+                )
+            else:
+                results.append(row % (bin_id, text))
+        alarm_bins.extend(alarm.bin for alarm in segment.alarms)
+    return '{"accepted": %d, "alarm_bins": [%s], "alarms": %d, "results": [%s]}' % (
+        len(results),
+        ", ".join(map(str, alarm_bins)),
+        len(alarm_bins),
+        ", ".join(results),
+    )
+
+
+async def _read_line(
+    reader: asyncio.StreamReader, timeout: float, what: str
+) -> bytes:
+    """One line under its own deadline; over-long lines are a 400."""
+    try:
+        async with asyncio.timeout(timeout):
+            return await reader.readline()
+    except ValueError as err:  # the line overran the reader's buffer
+        raise _HTTPError(400, "bad_request", f"{what} too long") from err
+
+
 class ServiceHTTPServer:
     """One engine, one listening socket, many keep-alive connections.
 
@@ -90,6 +162,15 @@ class ServiceHTTPServer:
         self.tenants = tenants
         self._server: asyncio.Server | None = None
         self.shutdown_event = asyncio.Event()
+        self._routes = {
+            "/ingest": ("POST", self._route_ingest),
+            "/metrics": ("GET", self._route_metrics),
+            "/health": ("GET", self._route_health),
+            "/version": ("GET", self._route_version),
+            "/refit": ("POST", self._route_refit),
+            "/checkpoint": ("POST", self._route_checkpoint),
+            "/shutdown": ("POST", self._route_shutdown),
+        }
 
     @classmethod
     def for_tenants(
@@ -171,6 +252,9 @@ class ServiceHTTPServer:
                 if path == "/shutdown" and status == 200:
                     self.shutdown_event.set()
                     return
+                # Pipelined requests are already buffered and their reads
+                # never suspend: yield so other connections get a turn.
+                await asyncio.sleep(0)
         finally:
             try:
                 writer.close()
@@ -181,7 +265,7 @@ class ServiceHTTPServer:
     async def _read_request(
         self, reader: asyncio.StreamReader, timeout: float
     ) -> tuple[str, str, bytes] | None:
-        line = await asyncio.wait_for(reader.readline(), timeout)
+        line = await _read_line(reader, timeout, "request line")
         if not line:
             return None
         if len(line) > _MAX_REQUEST_LINE:
@@ -194,14 +278,19 @@ class ServiceHTTPServer:
         method, target, _version = parts
         headers: dict[str, str] = {}
         for _ in range(_MAX_HEADER_LINES):
-            header = await asyncio.wait_for(reader.readline(), timeout)
+            header = await _read_line(reader, timeout, "header line")
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _, value = header.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         else:
             raise _HTTPError(400, "bad_request", "too many headers")
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _HTTPError(
+                400, "bad_request", f"invalid Content-Length {declared!r}"
+            )
+        length = int(declared)
         if length > self.service.config.max_body_bytes:
             raise _HTTPError(
                 413,
@@ -211,22 +300,14 @@ class ServiceHTTPServer:
             )
         body = b""
         if length > 0:
-            body = await asyncio.wait_for(reader.readexactly(length), timeout)
+            async with asyncio.timeout(timeout):
+                body = await reader.readexactly(length)
         return method, target.split("?", 1)[0], body
 
     # ------------------------------------------------------------------
     def _dispatch(
         self, method: str, path: str, body: bytes
     ) -> tuple[int, object, str]:
-        routes = {
-            "/ingest": ("POST", self._route_ingest),
-            "/metrics": ("GET", self._route_metrics),
-            "/health": ("GET", self._route_health),
-            "/version": ("GET", self._route_version),
-            "/refit": ("POST", self._route_refit),
-            "/checkpoint": ("POST", self._route_checkpoint),
-            "/shutdown": ("POST", self._route_shutdown),
-        }
         if path.startswith("/ingest/") and self.tenants is not None:
             if method != "POST":
                 return (
@@ -234,14 +315,12 @@ class ServiceHTTPServer:
                     {"error": f"{path} expects POST, got {method}"},
                     "application/json",
                 )
-            from urllib.parse import unquote
-
             return self._route_ingest_tenant(
                 unquote(path[len("/ingest/") :]), body
             )
-        if path not in routes:
+        if path not in self._routes:
             return 404, {"error": f"unknown path {path}"}, "application/json"
-        expected, handler = routes[path]
+        expected, handler = self._routes[path]
         if method != expected:
             return (
                 405,
@@ -380,17 +459,7 @@ class ServiceHTTPServer:
                 },
                 "application/json",
             )
-        alarms = [outcome for outcome in result.outcomes if outcome.flag]
-        return (
-            200,
-            {
-                "accepted": result.accepted,
-                "alarms": len(alarms),
-                "alarm_bins": [outcome.bin for outcome in alarms],
-                "results": [outcome.to_json() for outcome in result.outcomes],
-            },
-            "application/json",
-        )
+        return 200, encode_ingest_response(result), "application/json"
 
     def _route_metrics(self, body: bytes) -> tuple[int, object, str]:
         text = self.service.metrics_text()

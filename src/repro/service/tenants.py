@@ -178,7 +178,8 @@ class MultiTenantService:
         does the batched scoring (bit-identical to per-row routing),
         and the fleet counters fold the block's accepted/alarm/reject
         totals in one increment each — the counter values match a
-        per-row replay exactly.
+        per-row replay exactly.  The totals are read off the result's
+        segments, so routing builds no per-row outcome.
         """
         service = self.service(tenant_id)
         result = service.ingest_block(rows, bins=bins)

@@ -6,8 +6,9 @@ reject never advances the stream.  This module drives each of the
 service's typed error reasons through the block path and pins those
 fields against a literal per-row replay:
 
-* the five row-level reasons (``bad_payload``, ``wrong_width``,
-  ``non_finite``, ``duplicate_bin``, ``out_of_order_bin``) are asserted
+* the six row-level reasons (``bad_payload``, ``wrong_width``,
+  ``non_finite``, ``out_of_range``, ``duplicate_bin``,
+  ``out_of_order_bin``) are asserted
   field-by-field against ``ingest_row`` on a twin service;
 * the lifecycle reasons (``refit_failed``, ``checkpoint_failed``) are
   triggered *mid-block* and must account and propagate exactly as the
@@ -33,6 +34,7 @@ ROW_REASONS = (
     "bad_payload",
     "wrong_width",
     "non_finite",
+    "out_of_range",
     "duplicate_bin",
     "out_of_order_bin",
 )
@@ -64,6 +66,9 @@ def build_block(dataset, warmup, reason):
     elif reason == "non_finite":
         rows[3] = stream[3].copy()
         rows[3][0] = np.nan
+    elif reason == "out_of_range":
+        rows[3] = stream[3].copy()
+        rows[3][0] = 1e300
     elif reason == "duplicate_bin":
         bins = [0, 1, 2, 2, 4, 5]
     elif reason == "out_of_order_bin":

@@ -6,7 +6,7 @@ import pytest
 from repro.core import IncrementalSubspaceTracker
 from repro.exceptions import IngestError, ServiceError
 from repro.pipeline import DetectionPipeline
-from repro.service import ServiceConfig
+from repro.service import MAX_LINK_COUNT, ServiceConfig
 
 
 def exposed(text: str, name: str) -> float:
@@ -163,6 +163,26 @@ class TestIngestValidation:
         with pytest.raises(IngestError) as excinfo:
             service.ingest_row(row)
         assert excinfo.value.reason == "non_finite"
+
+    def test_link_count_bound_is_inclusive(self, service_split, make_service):
+        """±MAX_LINK_COUNT is admitted, the next double out is not, and
+        a row that is both non-finite and out of range is non_finite."""
+        dataset, warmup = service_split
+        service = make_service()
+        row = dataset.link_traffic[warmup].copy()
+        for value in (MAX_LINK_COUNT, -MAX_LINK_COUNT):
+            row[0] = value
+            service.ingest_row(row)
+        for value in (np.nextafter(MAX_LINK_COUNT, np.inf), -1e300):
+            row[0] = value
+            with pytest.raises(IngestError) as excinfo:
+                service.ingest_row(row)
+            assert excinfo.value.reason == "out_of_range"
+        row[1] = np.inf
+        with pytest.raises(IngestError) as excinfo:
+            service.ingest_row(row)
+        assert excinfo.value.reason == "non_finite"
+        assert service.rows_ingested == 2
 
     def test_bin_sequencing(self, service_split, make_service):
         dataset, warmup = service_split

@@ -1,12 +1,14 @@
 """Fault injection: every abuse leaves the daemon serving.
 
-The satellite contract: malformed JSON, wrong-width rows, duplicate and
-out-of-order bin ids, a refit that explodes mid-hot-swap, an abrupt
-client disconnect, a stalled request, and an oversized body each end in
-exactly one incremented error counter, a green ``/health``, and a daemon
-that still ingests — never a crash.
+The satellite contract: malformed JSON, wrong-width rows, link counts
+in overflow range, duplicate and out-of-order bin ids, a refit that
+explodes mid-hot-swap, an abrupt client disconnect, a stalled request,
+malformed framing, and an oversized body each end in exactly one
+incremented error counter, a green ``/health``, and a daemon that still
+ingests — never a crash.
 """
 
+import json
 import socket
 
 import pytest
@@ -37,6 +39,14 @@ def assert_still_serving(server, service_split):
 @pytest.fixture
 def server(make_service, run_server):
     return run_server(make_service())
+
+
+def read_until_closed(raw: socket.socket) -> bytes:
+    """Everything the server sends before it closes the connection."""
+    chunks = []
+    while chunk := raw.recv(65536):
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 class TestPayloadFaults:
@@ -85,6 +95,44 @@ class TestPayloadFaults:
         assert status == 400 and body["reason"] == "out_of_order_bin"
         assert error_count(server, "duplicate_bin") == 1
         assert error_count(server, "out_of_order_bin") == 1
+        assert_still_serving(server, service_split)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ServiceConfig(),
+            ServiceConfig(refit_interval=4, synchronous_refit=True),
+        ],
+        ids=["manual_refit", "synchronous_refit"],
+    )
+    def test_overflow_range_rows_are_rejected_before_folding(
+        self, service_split, make_service, run_server, config
+    ):
+        """A finite 1e300 used to be accepted and folded, and the
+        overflowed statistics broke later scrapes, refits and (with
+        synchronous refits) ingests.  The rows after the reject cross
+        a drift-tracker refresh, so the scrape runs an eigensolve."""
+        dataset, warmup = service_split
+        server = run_server(make_service(config=config))
+        stream = dataset.link_traffic[warmup:]
+        row = stream[0].tolist()
+        row[5] = 1e300
+        status, body = server.post_json(
+            "/ingest", {"rows": [stream[0].tolist(), row]}
+        )
+        assert status == 400
+        assert body["reason"] == "out_of_range"
+        assert body["accepted"] == 1
+        assert error_count(server, "out_of_range") == 1
+        status, body = server.post_json(
+            "/ingest", {"rows": stream[1:41].tolist()}
+        )
+        assert status == 200 and body["accepted"] == 40
+        status, text = server.get("/metrics")
+        assert status == 200
+        assert "repro_rows_ingested_total 41" in text.splitlines()
+        status, body = server.post_json("/refit", {"wait": True})
+        assert status == 200 and body["refit"] == "done"
         assert_still_serving(server, service_split)
 
     def test_too_many_rows(
@@ -156,6 +204,70 @@ class TestTransportFaults:
         assert b"400" in response.split(b"\r\n", 1)[0]
         raw.close()
         assert error_count(server, "bad_request") == 1
+        assert_still_serving(server, service_split)
+
+
+class TestFramingFaults:
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"POST /ingest HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+            b"POST /ingest HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            # Past the StreamReader's 64 KiB line limit, not just ours.
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+            b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+        ],
+        ids=[
+            "non_numeric_length",
+            "negative_length",
+            "request_line_over_reader_limit",
+            "header_line_over_reader_limit",
+        ],
+    )
+    def test_malformed_framing_is_one_counted_400(
+        self, server, service_split, request_bytes
+    ):
+        raw = socket.create_connection(
+            (server.host, server.port), timeout=10
+        )
+        raw.sendall(request_bytes)
+        response = read_until_closed(raw)
+        raw.close()
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0] == b"HTTP/1.1 400 Bad Request"
+        assert b"Connection: close" in head.split(b"\r\n")
+        assert json.loads(body)["reason"] == "bad_request"
+        errors = server.service.metrics["repro_ingest_errors_total"]
+        assert errors.value("bad_request") == 1
+        assert errors.total() == 1
+        assert_still_serving(server, service_split)
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"POST /ingest HTTP/1.1\r\n",
+            b"POST /ingest HTTP/1.1\r\nContent-Length: 50\r\n",
+        ],
+        ids=["after_request_line", "between_header_lines"],
+    )
+    def test_stall_inside_the_head_times_out(
+        self, service_split, make_service, run_server, head
+    ):
+        """Every read has its own deadline, not just the body's."""
+        config = ServiceConfig(read_timeout=0.2)
+        server = run_server(make_service(config=config))
+        raw = socket.create_connection(
+            (server.host, server.port), timeout=10
+        )
+        raw.sendall(head)
+        response = read_until_closed(raw)
+        raw.close()
+        assert response.split(b"\r\n", 1)[0] == (
+            b"HTTP/1.1 408 Request Timeout"
+        )
+        errors = server.service.metrics["repro_ingest_errors_total"]
+        assert errors.value("read_timeout") == 1
+        assert errors.total() == 1
         assert_still_serving(server, service_split)
 
 

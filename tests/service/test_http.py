@@ -1,6 +1,7 @@
 """The asyncio HTTP front end over a real loopback socket."""
 
 import json
+import socket
 
 import numpy as np
 
@@ -51,6 +52,142 @@ class TestIngestRoute:
         assert body["accepted"] == 1
         status, health = server.get_json("/health")
         assert health["rows_ingested"] == 1
+
+
+def read_response(stream) -> tuple[int, bytes]:
+    """One HTTP/1.1 response off a socket file: (status, raw body)."""
+    status = int(stream.readline().split()[1])
+    length = 0
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        if name.strip().lower() == "content-length":
+            length = int(value)
+    return status, stream.read(length)
+
+
+def ingest_request(row, line_end: bytes = b"\r\n") -> bytes:
+    body = json.dumps({"row": row.tolist()}).encode("utf-8")
+    head = [b"POST /ingest HTTP/1.1", b"Content-Length: %d" % len(body)]
+    return line_end.join(head) + line_end * 2 + body
+
+
+class TestResponseBytes:
+    def test_ingest_body_is_sorted_json_of_the_per_row_outcomes(
+        self, service_split, make_service, run_server
+    ):
+        """On the wire, across a hot-swap and an identified alarm, the
+        body is ``json.dumps(..., sort_keys=True)`` of the per-row
+        payload a twin engine's ``BlockResult.outcomes`` give."""
+        dataset, warmup = service_split
+        config = ServiceConfig(refit_interval=12, synchronous_refit=True)
+        server = run_server(make_service(config=config))
+        twin = make_service(config=config)
+        flow = dataset.routing.od_index("lon", "zur")
+        block = dataset.link_traffic[warmup : warmup + 30].copy()
+        block[20] += 5.0e8 * dataset.routing.column(flow)
+        body = json.dumps({"rows": block.tolist()}).encode("utf-8")
+        raw = socket.create_connection(
+            (server.host, server.port), timeout=10
+        )
+        with raw, raw.makefile("rb") as stream:
+            raw.sendall(
+                b"POST /ingest HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % len(body)
+                + body
+            )
+            status, served = read_response(stream)
+        result = twin.ingest_block(block)
+        assert len({outcome.threshold for outcome in result.outcomes}) == 3
+        alarms = [outcome for outcome in result.outcomes if outcome.flag]
+        assert 20 in [outcome.bin for outcome in alarms]
+        legacy = {
+            "accepted": result.accepted,
+            "alarms": len(alarms),
+            "alarm_bins": [outcome.bin for outcome in alarms],
+            "results": [outcome.to_json() for outcome in result.outcomes],
+        }
+        assert status == 200
+        assert served == json.dumps(legacy, sort_keys=True).encode("utf-8")
+
+
+class TestFraming:
+    def test_pipelined_requests_are_answered_in_order(
+        self, service_split, make_service, run_server
+    ):
+        dataset, warmup = service_split
+        server = run_server(make_service())
+        rows = dataset.link_traffic[warmup : warmup + 2]
+        health = b"GET /health HTTP/1.1\r\n\r\n"
+        raw = socket.create_connection(
+            (server.host, server.port), timeout=10
+        )
+        with raw, raw.makefile("rb") as stream:
+            raw.sendall(
+                ingest_request(rows[0])
+                + health
+                + ingest_request(rows[1])
+                + health
+            )
+            answers = [read_response(stream) for _ in range(4)]
+        assert [status for status, _ in answers] == [200] * 4
+        bodies = [json.loads(body) for _, body in answers]
+        assert bodies[0]["results"][0]["bin"] == 0
+        assert bodies[1]["rows_ingested"] == 1
+        assert bodies[2]["results"][0]["bin"] == 1
+        assert bodies[3]["rows_ingested"] == 2
+
+    def test_bare_newline_line_endings_parse(
+        self, service_split, make_service, run_server
+    ):
+        dataset, warmup = service_split
+        server = run_server(make_service())
+        raw = socket.create_connection(
+            (server.host, server.port), timeout=10
+        )
+        with raw, raw.makefile("rb") as stream:
+            raw.sendall(
+                ingest_request(dataset.link_traffic[warmup], b"\n")
+                + b"GET /health HTTP/1.1\n\n"
+            )
+            ingest_status, ingest_body = read_response(stream)
+            health_status, health_body = read_response(stream)
+        assert ingest_status == 200
+        assert json.loads(ingest_body)["accepted"] == 1
+        assert health_status == 200
+        assert json.loads(health_body)["rows_ingested"] == 1
+
+    def test_a_pipelined_burst_does_not_starve_other_connections(
+        self, service_split, make_service, run_server
+    ):
+        """Buffered reads never suspend, so without a yield after each
+        response one connection's pipeline would hold the event loop
+        until it drained.  ``/health`` reports how many rows were
+        ingested when it was answered."""
+        dataset, warmup = service_split
+        server = run_server(make_service())
+        health = b"GET /health HTTP/1.1\r\n\r\n"
+        probe = socket.create_connection(
+            (server.host, server.port), timeout=10
+        )
+        burst = socket.create_connection(
+            (server.host, server.port), timeout=10
+        )
+        with probe, burst, probe.makefile("rb") as probe_stream, (
+            burst.makefile("rb")
+        ) as burst_stream:
+            probe.sendall(health)  # the probe's handler is now waiting
+            assert read_response(probe_stream)[0] == 200
+            burst.sendall(
+                ingest_request(dataset.link_traffic[warmup]) * 60
+            )
+            probe.sendall(health)
+            status, body = read_response(probe_stream)
+            answers = [read_response(burst_stream) for _ in range(60)]
+        assert status == 200
+        assert json.loads(body)["rows_ingested"] < 60
+        assert [json.loads(body)["results"][0]["bin"] for _, body in answers] == (
+            list(range(60))
+        )
 
 
 class TestObservabilityRoutes:

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import IngestError
 from repro.pipeline import DetectionPipeline
-from repro.service import DetectionService, ServiceConfig
+from repro.service import MAX_LINK_COUNT, DetectionService, ServiceConfig
 
 
 @st.composite
@@ -146,14 +146,26 @@ def test_parity_survives_hot_swaps_mid_stream(data, refit_interval):
 def test_block_ingest_matches_per_row_bitwise(data, refit_interval, seed):
     """``ingest_block`` == an ``ingest_row`` replay, bit for bit — under
     random chunkings, across the synchronous hot-swap boundaries the
-    chunks straddle, and through mid-block rejects (poisoned NaN rows):
-    same SPE/flag/threshold per accepted row, same model-swap history,
-    same reject reasons at the same stream positions."""
+    chunks straddle, and through mid-block rejects (poisoned NaN rows
+    and link counts past ``MAX_LINK_COUNT``): same SPE/flag/threshold
+    per accepted row, same model-swap history, same reject reasons at
+    the same stream positions.  Rows at exactly ``±MAX_LINK_COUNT`` are
+    admitted and folded into the refits."""
     warmup, stream = data
     rng = np.random.default_rng(seed)
     stream = stream.copy()
-    for _ in range(int(rng.integers(0, 3))):
-        stream[int(rng.integers(0, stream.shape[0])), 0] = np.nan
+    poisons = (
+        np.nan,
+        np.inf,
+        1e300,
+        -np.nextafter(MAX_LINK_COUNT, np.inf),
+        MAX_LINK_COUNT,
+        -MAX_LINK_COUNT,
+    )
+    for _ in range(int(rng.integers(0, 4))):
+        row = int(rng.integers(0, stream.shape[0]))
+        link = int(rng.integers(0, stream.shape[1]))
+        stream[row, link] = poisons[int(rng.integers(0, len(poisons)))]
     config = ServiceConfig(
         refit_interval=refit_interval, synchronous_refit=True
     )
