@@ -2,8 +2,9 @@
 
 Measures rows/second through four paths on a sprint-like dataset:
 
-* the bare engine (``ingest_row`` in-process, no transport) — the
-  scoring + fold + accounting cost per arrival;
+* the bare engine one row at a time (``ingest_row`` in-process, no
+  transport) — each call is a one-row ``ingest_block``, so this is the
+  scoring + fold + accounting cost of an arrival that travels alone;
 * the engine block path (``ingest_block``) — one fused kernel pass,
   one suffstats fold, and one buffered event write per chunk, with
   per-block p50/p99 latency recorded;
@@ -19,12 +20,12 @@ Two floors are enforced:
   arrival rate (one row per 5-minute bin — even a thousand parallel
   networks need only ~3 rows/s), so the service can never be the
   bottleneck of a deployment;
-* the block path beats the per-row engine rate by
-  **>= MIN_BLOCK_SPEEDUP** — the batched fast path exists to amortize
-  the per-arrival control plane, and this floor fails the bench if a
-  regression quietly re-serializes it.  (Measured locally the block
-  path clears ``TARGET_BLOCK_ROWS_PER_SEC``; the floor is relative so
-  slow CI machines don't flake.)
+* ``CHUNK``-row blocks beat the one-row rate by
+  **>= MIN_BLOCK_SPEEDUP** — blocks exist to amortize the per-arrival
+  control plane, and this floor fails the bench if a regression
+  quietly re-serializes it.  (Measured locally the block path clears
+  ``TARGET_BLOCK_ROWS_PER_SEC``; the floor is relative so slow CI
+  machines don't flake.)
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.service import DetectionService, ServiceConfig
 #: rows/second the bare engine must sustain (measured ~10k+ locally).
 MIN_ENGINE_ROWS_PER_SEC = 500.0
 
-#: the block path must beat the per-row engine rate by this factor.
+#: CHUNK-row blocks must beat the one-row engine rate by this factor.
 MIN_BLOCK_SPEEDUP = 5.0
 
 #: aspirational absolute rate for the block path (recorded, not enforced).

@@ -208,38 +208,36 @@ class _TenantState:
 
 
 class _PlanGroup:
-    """One dispatch group of a precomputed score plan.
+    """One stacked dispatch group of a score plan.
 
-    A stacked group carries the cached parameter stacks plus a
-    preallocated ``(g, t, m)`` input buffer the tenant blocks are
-    copied into (no per-call allocation, same C layout ``np.stack``
-    would produce — so the stacked kernel's bits are unchanged).  A
-    serial group (singleton shape) pins the model/version directly.
+    Carries the cached parameter stacks plus a preallocated
+    ``(g, t, m)`` input buffer the tenant blocks are copied into (no
+    per-call allocation, same C layout ``np.stack`` would produce — so
+    the stacked kernel's bits are unchanged).
     """
 
-    __slots__ = ("members", "stacked", "dtype", "means", "projectors",
-                 "thresholds", "threshold_list", "version_ids", "models",
-                 "buffer")
+    __slots__ = ("members", "dtype", "means", "projectors", "thresholds",
+                 "threshold_list", "version_ids", "buffer")
 
-    def __init__(self, *, members, stacked, dtype, means=None,
-                 projectors=None, thresholds=None, threshold_list=(),
-                 version_ids=(), models=None, buffer=None) -> None:
+    def __init__(self, *, members, dtype, means, projectors, thresholds,
+                 threshold_list, version_ids, buffer) -> None:
         self.members = members
-        self.stacked = stacked
         self.dtype = dtype
         self.means = means
         self.projectors = projectors
         self.thresholds = thresholds
         self.threshold_list = threshold_list
         self.version_ids = version_ids
-        self.models = models
         self.buffer = buffer
 
 
 class _ScorePlan:
-    """A full precomputed dispatch for one recurring score-call shape.
+    """The precomputed dispatch of one score-call shape.
 
-    Valid while the fleet's model epoch is unchanged — any
+    ``groups`` holds, in dispatch order, a :class:`_PlanGroup` per
+    stacked group and a tuple of ``(tenant, model, threshold,
+    version)`` entries per group of serially scored tenants.  A cached
+    plan is valid while the fleet's model epoch is unchanged — any
     :meth:`FleetManager.fit` install or tenant add bumps the epoch and
     retires every plan, which is exactly the "version change or tenant
     add/remove" invalidation contract.
@@ -615,35 +613,40 @@ class FleetManager:
         the stacked kernel's contract, so the returned alarms never
         depend on the batching decision.
 
-        Repeated batched calls with the same tenant set and block
-        shapes ride a **precomputed dispatch plan**: group discovery,
-        per-tenant state lookups, and cache-key construction happen
-        once, and the stacked inputs land in preallocated buffers.  The
-        plan is invalidated only by a model install
-        (:meth:`fit`) or a tenant add — mutating a tenant's lifecycle
-        behind the manager's back is outside the fast path's contract
-        (call :meth:`invalidate_score_plans` after doing so).
+        Every call runs a **dispatch plan**: group discovery, per-tenant
+        state lookups, and parameter stacks resolved up front, with the
+        stacked inputs landing in preallocated buffers.  A call that
+        finds no cached plan validates its blocks and builds one;
+        batched calls of two or more tenants with ndarray blocks cache
+        it under their tenant set and block shapes, so repeated calls
+        skip straight to execution.  A cached plan is invalidated only
+        by a model install (:meth:`fit`) or a tenant add — mutating a
+        tenant's lifecycle behind the manager's back is outside the
+        cache's contract (call :meth:`invalidate_score_plans` after
+        doing so).
         """
-        if batch:
-            key = self._plan_key(blocks)
-            if key is not None:
-                plan = self._plan_cache.get(key)
-                if plan is not None and plan.epoch == self._model_epoch:
-                    self._plan_cache.move_to_end(key)
-                    return self._score_planned(plan, blocks)
-        else:
-            key = None
-        return self._score_direct(blocks, batch=batch, plan_key=key)
+        key = self._plan_key(blocks) if batch else None
+        if key is not None:
+            plan = self._plan_cache.get(key)
+            if plan is not None and plan.epoch == self._model_epoch:
+                self._plan_cache.move_to_end(key)
+                return self._run_plan(plan, blocks, planned=True)
+        blocks, plan = self._build_plan(blocks, batch=batch)
+        if key is not None:
+            while len(self._plan_cache) >= _PLAN_CACHE_ENTRIES:
+                self._plan_cache.popitem(last=False)
+            self._plan_cache[key] = plan
+        return self._run_plan(plan, blocks, planned=False)
 
     def invalidate_score_plans(self) -> None:
         """Retire every cached score plan (out-of-band model changes)."""
         self._model_epoch += 1
 
     def _plan_key(self, blocks: Mapping[str, np.ndarray]):
-        """Cache key of a batched call, or None when not plannable.
+        """Cache key of a batched call, or None when not cacheable.
 
-        Single-tenant calls are never planned: there is nothing to
-        stack, the validating path is already one state lookup, and a
+        Single-tenant calls are never cached: there is nothing to
+        stack, building their plan is already one state lookup, and a
         fleet cycling through tenants one at a time would otherwise
         churn the bounded plan cache with entries that are evicted
         before they can ever be reused.
@@ -653,14 +656,60 @@ class FleetManager:
         try:
             shapes = tuple(block.shape for block in blocks.values())
         except AttributeError:
-            return None  # non-ndarray payloads take the validating path
+            return None  # non-ndarray payloads are validated every call
         if any(len(shape) != 2 for shape in shapes):
             return None
         return (tuple(blocks), shapes)
 
-    def _stack_params(
-        self, members: list[str], prepared: dict, shape, dtype
-    ) -> tuple:
+    def _build_plan(
+        self, blocks: Mapping[str, np.ndarray], *, batch: bool
+    ) -> tuple[dict[str, np.ndarray], _ScorePlan]:
+        """Validate a call's blocks and plan its dispatch."""
+        order = [(_validate_tenant_id(t), b) for t, b in blocks.items()]
+        validated: dict[str, np.ndarray] = {}
+        groups: dict[tuple, list[tuple]] = {}
+        for tenant_id, block in order:
+            state = self._state(tenant_id)
+            if state.lifecycle is None:
+                raise FleetError(
+                    f"tenant {tenant_id!r} has no fitted model yet"
+                )
+            block = ensure_matrix(
+                block, name="measurements", error=FleetError,
+                check_finite=False,
+            )
+            version = state.lifecycle.current
+            model = version.detector.model
+            if block.shape[1] != model.num_links:
+                raise FleetError(
+                    f"tenant {tenant_id!r}: block has {block.shape[1]} "
+                    f"links, model expects {model.num_links}"
+                )
+            validated[tenant_id] = block
+            groups.setdefault((block.shape, model.dtype), []).append(
+                (tenant_id, model, float(version.threshold), version.version)
+            )
+        plan_groups = []
+        for (shape, dtype), entries in groups.items():
+            if batch and len(entries) > 1:
+                means, projectors, thresholds = self._stack_params(
+                    entries, shape, dtype
+                )
+                plan_groups.append(_PlanGroup(
+                    members=tuple(entry[0] for entry in entries),
+                    dtype=dtype,
+                    means=means,
+                    projectors=projectors,
+                    thresholds=thresholds,
+                    threshold_list=tuple(entry[2] for entry in entries),
+                    version_ids=tuple(entry[3] for entry in entries),
+                    buffer=np.empty((len(entries),) + shape),
+                ))
+            else:
+                plan_groups.append(tuple(entries))
+        return validated, _ScorePlan(self._model_epoch, tuple(plan_groups))
+
+    def _stack_params(self, entries: list[tuple], shape, dtype) -> tuple:
         """Stacked means/projectors/thresholds of one tenant group.
 
         Model parameters change only on refit, so the stacks are cached
@@ -672,17 +721,17 @@ class FleetManager:
         cycles the coldest entry instead of thrashing the whole cache.
         """
         cache_key = (
-            tuple(members),
-            tuple(prepared[t][1].version for t in members),
+            tuple(entry[0] for entry in entries),
+            tuple(entry[3] for entry in entries),
             shape[1],
             dtype,
         )
         cached = self._stack_cache.get(cache_key)
         if cached is None:
             cached = (
-                np.stack([prepared[t][2]._mean for t in members]),
-                np.stack([prepared[t][2]._c_tilde for t in members]),
-                np.asarray([prepared[t][1].threshold for t in members]),
+                np.stack([entry[1]._mean for entry in entries]),
+                np.stack([entry[1]._c_tilde for entry in entries]),
+                np.asarray([entry[2] for entry in entries]),
             )
             while len(self._stack_cache) >= _STACK_CACHE_ENTRIES:
                 self._stack_cache.popitem(last=False)
@@ -691,23 +740,28 @@ class FleetManager:
             self._stack_cache.move_to_end(cache_key)
         return cached
 
-    def _score_planned(
-        self, plan: _ScorePlan, blocks: Mapping[str, np.ndarray]
+    def _run_plan(
+        self,
+        plan: _ScorePlan,
+        blocks: Mapping[str, np.ndarray],
+        *,
+        planned: bool,
     ) -> dict[str, TenantAlarms]:
-        """Execute a cached dispatch plan (the batched fast path).
+        """Execute a dispatch plan; ``planned`` marks a cache hit.
 
-        Per group: copy the tenant blocks into the plan's preallocated
-        C-contiguous stack (the layout ``np.stack`` would produce, so
-        the kernel's reduction order — and hence every output bit — is
-        unchanged) and run one stacked kernel call.
+        Per stacked group: copy the tenant blocks into the plan's
+        preallocated C-contiguous stack (the layout ``np.stack`` would
+        produce, so the kernel's reduction order — and hence every
+        output bit — is unchanged) and run one stacked kernel call.
+        Serial entries run the tenant's own kernel.
         """
         alarms: dict[str, TenantAlarms] = {}
         account = {
             "batched_tenants": 0, "serial_tenants": 0, "groups": [],
-            "planned": True,
+            "planned": planned,
         }
         for group in plan.groups:
-            if group.stacked:
+            if isinstance(group, _PlanGroup):
                 buffer = group.buffer
                 for i, tenant_id in enumerate(group.members):
                     np.copyto(buffer[i], blocks[tenant_id], casting="unsafe")
@@ -732,10 +786,9 @@ class FleetManager:
                     {"shape": list(buffer.shape[1:]),
                      "tenants": len(group.members), "mode": "stacked"}
                 )
-            else:
-                tenant_id = group.members[0]
-                threshold = group.threshold_list[0]
-                result = group.models[0].score_block(
+                continue
+            for tenant_id, model, threshold, version_id in group:
+                result = model.score_block(
                     blocks[tenant_id],
                     threshold=threshold,
                     chunk_rows=self.chunk_rows,
@@ -745,148 +798,15 @@ class FleetManager:
                     spe=result.spe,
                     threshold=threshold,
                     flags=result.flags,
-                    model_version=group.version_ids[0],
+                    model_version=version_id,
                 )
-                account["serial_tenants"] += 1
-                account["groups"].append(
-                    {"shape": list(blocks[tenant_id].shape), "tenants": 1,
-                     "mode": "serial"}
-                )
+            account["serial_tenants"] += len(group)
+            account["groups"].append(
+                {"shape": list(blocks[group[0][0]].shape),
+                 "tenants": len(group), "mode": "serial"}
+            )
         self.last_score_plan = account
         return alarms
-
-    def _score_direct(
-        self,
-        blocks: Mapping[str, np.ndarray],
-        *,
-        batch: bool,
-        plan_key=None,
-    ) -> dict[str, TenantAlarms]:
-        """The validating scoring path; builds a plan as a side effect."""
-        order = [( _validate_tenant_id(t), b) for t, b in blocks.items()]
-        prepared: dict[str, tuple] = {}
-        groups: dict[tuple, list[str]] = {}
-        for tenant_id, block in order:
-            state = self._state(tenant_id)
-            if state.lifecycle is None:
-                raise FleetError(
-                    f"tenant {tenant_id!r} has no fitted model yet"
-                )
-            block = ensure_matrix(
-                block, name="measurements", error=FleetError,
-                check_finite=False,
-            )
-            version = state.lifecycle.current
-            model = version.detector.model
-            if block.shape[1] != model.num_links:
-                raise FleetError(
-                    f"tenant {tenant_id!r}: block has {block.shape[1]} "
-                    f"links, model expects {model.num_links}"
-                )
-            prepared[tenant_id] = (block, version, model)
-            groups.setdefault(
-                (block.shape, model.dtype), []
-            ).append(tenant_id)
-
-        alarms: dict[str, TenantAlarms] = {}
-        plan = {
-            "batched_tenants": 0, "serial_tenants": 0, "groups": [],
-            "planned": False,
-        }
-        for (shape, dtype), members in groups.items():
-            if batch and len(members) > 1:
-                stacked = np.stack([prepared[t][0] for t in members])
-                means, projectors, thresholds = self._stack_params(
-                    members, prepared, shape, dtype
-                )
-                result = score_block_stacked(
-                    stacked,
-                    means,
-                    projectors=projectors,
-                    thresholds=thresholds,
-                    dtype=dtype,
-                    chunk_rows=self.chunk_rows,
-                )
-                for i, tenant_id in enumerate(members):
-                    version = prepared[tenant_id][1]
-                    alarms[tenant_id] = TenantAlarms(
-                        tenant=tenant_id,
-                        spe=result.spe[i],
-                        threshold=float(version.threshold),
-                        flags=result.flags[i],
-                        model_version=version.version,
-                    )
-                plan["batched_tenants"] += len(members)
-                plan["groups"].append(
-                    {"shape": list(shape), "tenants": len(members),
-                     "mode": "stacked"}
-                )
-            else:
-                for tenant_id in members:
-                    block, version, model = prepared[tenant_id]
-                    result = model.score_block(
-                        block,
-                        threshold=float(version.threshold),
-                        chunk_rows=self.chunk_rows,
-                    )
-                    alarms[tenant_id] = TenantAlarms(
-                        tenant=tenant_id,
-                        spe=result.spe,
-                        threshold=float(version.threshold),
-                        flags=result.flags,
-                        model_version=version.version,
-                    )
-                plan["serial_tenants"] += len(members)
-                plan["groups"].append(
-                    {"shape": list(shape), "tenants": len(members),
-                     "mode": "serial"}
-                )
-        self.last_score_plan = plan
-        if plan_key is not None:
-            self._store_plan(plan_key, groups, prepared)
-        return alarms
-
-    def _store_plan(
-        self, key, groups: dict[tuple, list[str]], prepared: dict
-    ) -> None:
-        plan_groups = []
-        for (shape, dtype), members in groups.items():
-            if len(members) > 1:
-                means, projectors, thresholds = self._stack_params(
-                    members, prepared, shape, dtype
-                )
-                plan_groups.append(_PlanGroup(
-                    members=tuple(members),
-                    stacked=True,
-                    dtype=dtype,
-                    means=means,
-                    projectors=projectors,
-                    thresholds=thresholds,
-                    threshold_list=tuple(
-                        float(prepared[t][1].threshold) for t in members
-                    ),
-                    version_ids=tuple(
-                        prepared[t][1].version for t in members
-                    ),
-                    buffer=np.empty((len(members),) + shape),
-                ))
-            else:
-                tenant_id = members[0]
-                plan_groups.append(_PlanGroup(
-                    members=(tenant_id,),
-                    stacked=False,
-                    dtype=dtype,
-                    threshold_list=(
-                        float(prepared[tenant_id][1].threshold),
-                    ),
-                    version_ids=(prepared[tenant_id][1].version,),
-                    models=(prepared[tenant_id][2],),
-                ))
-        while len(self._plan_cache) >= _PLAN_CACHE_ENTRIES:
-            self._plan_cache.popitem(last=False)
-        self._plan_cache[key] = _ScorePlan(
-            epoch=self._model_epoch, groups=tuple(plan_groups)
-        )
 
     # ------------------------------------------------------------------
     def checkpoint(self, root: str | Path | None = None) -> dict[str, dict]:

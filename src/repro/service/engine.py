@@ -35,6 +35,7 @@ gauges are computed, at exposition time.
 
 from __future__ import annotations
 
+import numbers
 import threading
 import time
 from collections.abc import Callable
@@ -93,10 +94,39 @@ ERROR_REASONS = (
 MAX_LINK_COUNT = float(2**53)
 
 
-def _out_of_range() -> IngestError:
+def _value_reject(values: np.ndarray) -> IngestError | None:
+    """A row's value reject, if any: ``non_finite`` before ``out_of_range``."""
+    # NaN fails the comparison too: one check admits a good row.
+    if (np.abs(values) <= MAX_LINK_COUNT).all():
+        return None
+    if not np.isfinite(values).all():
+        return IngestError(
+            "row contains NaN or infinite link counts", reason="non_finite"
+        )
     return IngestError(
         f"row contains a link count of magnitude above {MAX_LINK_COUNT:.0f}",
         reason="out_of_range",
+    )
+
+
+def _bin_reject(bin_value, expected: int) -> IngestError:
+    """The reject of a bin that is not the next expected one."""
+    if bin_value != bin_value:
+        return _not_a_number(bin_value)
+    if bin_value < expected:
+        return IngestError(
+            f"bin {bin_value} was already ingested (next is {expected})",
+            reason="duplicate_bin",
+        )
+    return IngestError(
+        f"bin {bin_value} arrived out of order (next is {expected})",
+        reason="out_of_order_bin",
+    )
+
+
+def _not_a_number(bin_value) -> IngestError:
+    return IngestError(
+        f"bin {bin_value!r} is not a number", reason="bad_payload"
     )
 
 
@@ -216,18 +246,6 @@ class BlockSegment:
     model_version: int
     alarms: tuple[RowOutcome, ...] = ()
 
-    @classmethod
-    def of_row(cls, outcome: RowOutcome) -> "BlockSegment":
-        """The one-row segment of a per-row outcome."""
-        return cls(
-            start_bin=outcome.bin,
-            spe=np.array([outcome.spe]),
-            flags=np.array([outcome.flag]),
-            threshold=outcome.threshold,
-            model_version=outcome.model_version,
-            alarms=(outcome,) if outcome.flag else (),
-        )
-
     def outcomes(self) -> list[RowOutcome]:
         """The segment's rows as :class:`RowOutcome` objects, in order."""
         alarms = iter(self.alarms)
@@ -253,12 +271,12 @@ class BlockResult:
     ``segments`` covers the accepted prefix (possibly the whole block),
     one :class:`BlockSegment` per model-version run; ``outcomes`` is the
     same prefix as per-row :class:`RowOutcome` objects, built on first
-    read.  On a mid-block rejection ``rejected`` carries the same
-    :class:`~repro.exceptions.IngestError` the per-row path would have
-    raised for that row, and ``rejected_index`` its position in the
-    submitted block — the split point is exactly where a per-row replay
-    would stop, and the error counter/event log are already updated
-    when the result is returned.
+    read.  On a mid-block rejection ``rejected`` carries the
+    :class:`~repro.exceptions.IngestError` of the first bad row, and
+    ``rejected_index`` its position in the submitted block — the split
+    point is exactly where a row-by-row replay would stop, and the
+    error counter/event log are already updated when the result is
+    returned.
     """
 
     segments: tuple[BlockSegment, ...] = ()
@@ -285,12 +303,13 @@ class BlockResult:
 
 
 class DetectionService:
-    """Score → diagnose → fold → account, one row at a time.
+    """Score → diagnose → fold → account, for every arriving row.
 
     Build via :meth:`from_warmup`.  All entry points are thread-safe;
     rows are serialized through one lock so stream bins are assigned in
-    arrival order.  :meth:`ingest_block` is the batched fast path: the
-    same contract per row, amortized control-plane work per block.
+    arrival order.  :meth:`ingest_block` is the one ingest path: the
+    per-row contract, with control-plane work paid once per block;
+    :meth:`ingest_row` is a one-row block.
     """
 
     def __init__(
@@ -533,123 +552,29 @@ class DetectionService:
         self._m_errors.inc(label_value=reason)
         self.events.emit("ingest_error", reason=reason, detail=detail)
 
-    def _validate_row(
-        self, row, bin_id: int | None
-    ) -> np.ndarray:
-        try:
-            values = np.asarray(row, dtype=np.float64)
-        except (TypeError, ValueError) as err:
-            raise IngestError(
-                f"row is not numeric: {err}", reason="bad_payload"
-            ) from err
-        if values.ndim != 1:
-            raise IngestError(
-                f"a row must be one-dimensional, got shape {values.shape}",
-                reason="bad_payload",
-            )
-        if values.shape[0] != self._num_links:
-            raise IngestError(
-                f"row has {values.shape[0]} links, expected "
-                f"{self._num_links}",
-                reason="wrong_width",
-            )
-        # NaN fails the comparison too: one check admits a good row.
-        if not np.abs(values).max() <= MAX_LINK_COUNT:
-            if not np.all(np.isfinite(values)):
-                raise IngestError(
-                    "row contains NaN or infinite link counts",
-                    reason="non_finite",
-                )
-            raise _out_of_range()
-        if bin_id is not None:
-            expected = self._stream_rows
-            if bin_id < expected:
-                raise IngestError(
-                    f"bin {bin_id} was already ingested (next is "
-                    f"{expected})",
-                    reason="duplicate_bin",
-                )
-            if bin_id > expected:
-                raise IngestError(
-                    f"bin {bin_id} arrived out of order (next is "
-                    f"{expected})",
-                    reason="out_of_order_bin",
-                )
-        return values
-
     def ingest_row(self, row, bin_id: int | None = None) -> RowOutcome:
         """Validate, score, diagnose, and fold one arriving row.
 
-        Raises :class:`~repro.exceptions.IngestError` on rejection — the
-        error counter and event log are already updated when it leaves,
-        and the service state is untouched (the stream position does not
+        A one-row :meth:`ingest_block`.  Raises
+        :class:`~repro.exceptions.IngestError` on rejection — the error
+        counter and event log are already updated when it leaves, and
+        the service state is untouched (the stream position does not
         advance).  The latency histogram observes *every* row, accepted
         or rejected — rejections consume wall-clock too, and a flood of
         malformed traffic must not vanish from the latency telemetry.
+        The event log is flushed before the call returns.
         """
-        begin = self._latency_clock()
         try:
-            return self._ingest_row(row, bin_id)
+            result = self.ingest_block(
+                [row], bins=None if bin_id is None else [bin_id]
+            )
         finally:
-            self._h_latency.observe(self._latency_clock() - begin)
-
-    def _ingest_row(self, row, bin_id: int | None = None) -> RowOutcome:
-        with self._lock:
-            try:
-                values = self._validate_row(row, bin_id)
-            except IngestError as err:
-                self.record_error(err.reason, detail=str(err))
-                raise
-            version = self.lifecycle.current
-            # One fused kernel pass scores the row and compares it to
-            # the threshold (bit-identical to detector.spe + compare).
-            scored = version.detector.model.score_block(
-                values[None, :], threshold=float(version.threshold)
-            )
-            spe = float(scored.spe[0])
-            flag = bool(scored.flags[0])
-            outcome = RowOutcome(
-                bin=self._stream_rows,
-                spe=spe,
-                threshold=float(version.threshold),
-                flag=flag,
-                model_version=version.version,
-            )
-            if flag and self._directions is not None:
-                outcome = self._identify(outcome, values, version)
-            self._stream_rows += 1
-            self._m_rows.inc()
-            self._g_spe.set(spe)
-            if flag:
-                self._m_alarms.inc()
-                self.events.emit("alarm", **outcome.to_json())
-            self._tracker.fold_block(values[None, :])
-            self.lifecycle.append_rows(values[None, :])
-            self._g_refresh_age.set(
-                self.lifecycle.rows - version.trained_rows
-            )
-            due = (
-                self.config.refit_interval is not None
-                and self.lifecycle.rows - version.trained_rows
-                >= self.config.refit_interval
-            )
-            if due and self.config.synchronous_refit:
-                self._do_refit()
-            checkpoint_due = (
-                self.config.checkpoint_path is not None
-                and self.config.checkpoint_interval is not None
-                and self._stream_rows % self.config.checkpoint_interval == 0
-            )
-            if checkpoint_due:
-                # Auto-checkpoints are fail-soft: a sick disk is counted
-                # under ``checkpoint_failed`` and serving continues.
-                try:
-                    self.checkpoint()
-                except ServiceError:
-                    pass
-        if due and not self.config.synchronous_refit:
-            self.request_refit()
-        return outcome
+            # Blocks buffer their events; a lone row is its own
+            # durability point, as a per-event ``emit`` would be.
+            self.events.flush()
+        if result.rejected is not None:
+            raise result.rejected
+        return result.outcomes[0]
 
     def ingest_rows(
         self, rows, bins=None
@@ -657,42 +582,42 @@ class DetectionService:
         """Ingest a batch in order; stops at (and re-raises) the first
         rejection, leaving earlier rows ingested.
 
-        Delegates to :meth:`ingest_block` — the outcomes (and every
-        model swap boundary) are bit-identical to looping
-        :meth:`ingest_row`, with the control-plane cost paid once per
-        block instead of once per row.
+        Delegates to :meth:`ingest_block` and returns the accepted rows
+        as :class:`RowOutcome` objects.
         """
         result = self.ingest_block(rows, bins=bins)
         if result.rejected is not None:
             raise result.rejected
         return list(result.outcomes)
 
-    # -- batched fast path ---------------------------------------------
+    # -- the ingest path -----------------------------------------------
     def ingest_block(self, rows, bins=None) -> BlockResult:
         """Validate, score, diagnose, and fold a block of rows at once.
 
         **Exact by construction.**  The accepted rows are scored through
-        the same row-decomposable :meth:`~repro.core.subspace.\
-SubspaceModel.score_block` kernel the per-row path runs — one call per
-        contiguous run under one model version instead of one call per
-        row — so every SPE, flag, and identification is bit-identical
-        to ingesting the rows one at a time, including across
-        synchronous hot-swap boundaries (the run splits exactly where a
-        refit would fall due row-by-row).  Validation is vectorized
-        (masks over the ``(n, m)`` block) but reproduces the per-row
-        reject contract exactly: same reason, same message, same split
-        index, and rejects never advance the stream.
+        the row-decomposable :meth:`~repro.core.subspace.\
+SubspaceModel.score_block` kernel — one call per contiguous run under
+        one model version — so every SPE, flag, and identification is
+        bit-identical to ingesting the rows one at a time, including
+        across synchronous hot-swap boundaries (the run splits exactly
+        where a refit would fall due row-by-row).  Validation is
+        vectorized (masks over the ``(n, m)`` block) but keeps the
+        per-row reject contract: rows are checked in order, each for
+        structure, then values, then its bin; the first bad row splits
+        the block, and rejects never advance the stream.  A payload that
+        is not one ``(n, m)`` array with numeric bins is read row by
+        row up to its first structurally bad row (or non-numeric bin),
+        and the rows before it are validated as a block.
 
-        Unlike :meth:`ingest_rows` a rejection does not raise: the
-        returned :class:`BlockResult` carries the accepted prefix plus
-        the would-be :class:`~repro.exceptions.IngestError`, so
-        transports can report both without re-scoring.  Accounting is
-        amortized — one latency-histogram observation and one buffered
-        event-log write per block (flushed on checkpoint and close);
-        counter totals and final gauge values match the per-row path.
-        Auto-checkpoints are evaluated once per block: crossing one or
-        more ``checkpoint_interval`` multiples inside a block writes a
-        single checkpoint at the block boundary.
+        A rejection does not raise: the returned :class:`BlockResult`
+        carries the accepted prefix plus the
+        :class:`~repro.exceptions.IngestError`, so transports can report
+        both without re-scoring.  Accounting is amortized — one
+        latency-histogram observation and one buffered event-log write
+        per block (flushed on checkpoint and close).  Auto-checkpoints
+        are evaluated once per block: crossing one or more
+        ``checkpoint_interval`` multiples inside a block writes a single
+        checkpoint at the block boundary.
         """
         begin = self._latency_clock()
         try:
@@ -705,17 +630,15 @@ SubspaceModel.score_block` kernel the per-row path runs — one call per
         due_async = False
         with self._lock:
             try:
-                coerced = self._coerce_block(rows, bins)
-                if coerced is None:
-                    # Ragged / non-numeric payloads cannot be validated
-                    # as one array; the per-row loop finds the exact
-                    # split the contract promises.
-                    return self._ingest_block_fallback(rows, bins)
-                values, bins_arr = coerced
-                if values.shape[0] == 0:
+                values, bins, bins_arr, stop = self._coerce_block(rows, bins)
+                if values.shape[0] == 0 and stop is None:
                     return BlockResult()
                 before = self._stream_rows
                 split, reject = self._validate_block(values, bins, bins_arr)
+                if reject is None:
+                    # The row the scan stopped at follows every scanned
+                    # row, so it is rejected at index ``split``.
+                    reject = stop
                 segments = self._ingest_accepted(values[:split], pending)
                 interval = self.config.checkpoint_interval
                 checkpoint_due = (
@@ -725,7 +648,8 @@ SubspaceModel.score_block` kernel the per-row path runs — one call per
                 )
                 if checkpoint_due:
                     self._drain_events(pending)
-                    # Fail-soft, like per-row auto-checkpoints.
+                    # Fail-soft: a sick disk is counted under
+                    # ``checkpoint_failed`` and serving continues.
                     try:
                         self.checkpoint()
                     except ServiceError:
@@ -757,26 +681,72 @@ SubspaceModel.score_block` kernel the per-row path runs — one call per
         return result
 
     def _coerce_block(self, rows, bins):
-        """``(values, bins_array)`` for the vectorized path, else None."""
+        """``(values, bins, bins_array, stop)`` of a submitted block.
+
+        A payload that forms one ``(n, m)`` array with numeric bins is
+        taken whole.  Otherwise the rows are read one at a time, up to
+        the first that is not numeric, not one-dimensional or not ``m``
+        wide, or whose bin is not a number: ``values`` stacks the rows
+        before it and ``stop`` is that row's
+        :class:`~repro.exceptions.IngestError` (for a bad bin, the
+        row's value reject if it has one), else None.
+        """
         try:
             values = np.asarray(rows, dtype=np.float64)
         except (TypeError, ValueError):
-            return None
-        if values.ndim != 2:
-            return None
-        bins_arr = None
-        if bins is not None:
+            values = None
+        if values is not None and values.ndim == 2:
+            if bins is None:
+                return values, None, None, None
             try:
                 bins_arr = np.asarray(bins)
             except (TypeError, ValueError):
-                return None
+                bins_arr = None
             if (
-                bins_arr.ndim != 1
-                or bins_arr.shape[0] != values.shape[0]
-                or bins_arr.dtype.kind not in "iufb"
+                bins_arr is not None
+                and bins_arr.ndim == 1
+                and bins_arr.shape[0] == values.shape[0]
+                and bins_arr.dtype.kind in "iufb"
             ):
-                return None
-        return values, bins_arr
+                return values, bins, bins_arr, None
+        scanned, scanned_bins, stop = [], [], None
+        for index, row in enumerate(rows):
+            try:
+                row_values = np.asarray(row, dtype=np.float64)
+            except (TypeError, ValueError) as err:
+                stop = IngestError(
+                    f"row is not numeric: {err}", reason="bad_payload"
+                )
+                break
+            if row_values.ndim != 1:
+                stop = IngestError(
+                    "a row must be one-dimensional, got shape "
+                    f"{row_values.shape}",
+                    reason="bad_payload",
+                )
+                break
+            if row_values.shape[0] != self._num_links:
+                stop = self._wrong_width(row_values.shape[0])
+                break
+            if bins is not None:
+                bin_value = bins[index]
+                if not isinstance(bin_value, numbers.Real):
+                    stop = _value_reject(row_values) or _not_a_number(
+                        bin_value
+                    )
+                    break
+                scanned_bins.append(bin_value)
+            scanned.append(row_values)
+        values = np.array(scanned).reshape(len(scanned), self._num_links)
+        if bins is None:
+            return values, None, None, stop
+        return values, scanned_bins, np.asarray(scanned_bins), stop
+
+    def _wrong_width(self, links: int) -> IngestError:
+        return IngestError(
+            f"row has {links} links, expected {self._num_links}",
+            reason="wrong_width",
+        )
 
     def _validate_block(
         self, values: np.ndarray, bins, bins_arr
@@ -784,48 +754,25 @@ SubspaceModel.score_block` kernel the per-row path runs — one call per
         """First-bad split of a rectangular block, per-row semantics.
 
         Returns ``(split, error)``: rows ``[:split]`` are exactly the
-        rows a per-row loop would accept, and ``error`` (None when the
-        whole block passes) is the :class:`IngestError` the loop would
-        raise at row ``split`` — same reason, same message.
+        rows a row-by-row check would accept, and ``error`` (None when
+        the whole block passes) is the :class:`IngestError` of row
+        ``split`` — its value reject, else its bin's.
         """
         n = values.shape[0]
         if values.shape[1] != self._num_links:
-            return 0, IngestError(
-                f"row has {values.shape[1]} links, expected "
-                f"{self._num_links}",
-                reason="wrong_width",
-            )
+            return 0, self._wrong_width(values.shape[1])
         # One pass covers both value checks: NaN fails the comparison.
         bad = ~(np.abs(values) <= MAX_LINK_COUNT).all(axis=1)
         if bins_arr is not None:
-            expected = self._stream_rows + np.arange(n)
-            # Mirror the per-row comparisons exactly: a NaN bin fails
-            # both orderings and is therefore *accepted*, as it is by
-            # ``_validate_row``.
-            bad |= (bins_arr < expected) | (bins_arr > expected)
+            # A NaN bin is unequal to every expected bin.
+            bad |= bins_arr != self._stream_rows + np.arange(n)
         if not bad.any():
             return n, None
         split = int(np.argmax(bad))
-        if not np.isfinite(values[split]).all():
-            return split, IngestError(
-                "row contains NaN or infinite link counts",
-                reason="non_finite",
-            )
-        if not (np.abs(values[split]) <= MAX_LINK_COUNT).all():
-            return split, _out_of_range()
-        expected_bin = self._stream_rows + split
-        bin_value = bins[split]
-        if bin_value < expected_bin:
-            return split, IngestError(
-                f"bin {bin_value} was already ingested (next is "
-                f"{expected_bin})",
-                reason="duplicate_bin",
-            )
-        return split, IngestError(
-            f"bin {bin_value} arrived out of order (next is "
-            f"{expected_bin})",
-            reason="out_of_order_bin",
-        )
+        reject = _value_reject(values[split])
+        if reject is None:
+            reject = _bin_reject(bins[split], self._stream_rows + split)
+        return split, reject
 
     def _ingest_accepted(
         self, accepted: np.ndarray, pending: list
@@ -835,13 +782,13 @@ SubspaceModel.score_block` kernel the per-row path runs — one call per
         Each sub-run is every row up to the next synchronous-refit due
         point: one fused ``score_block`` call, one suffstats fold, one
         tracker fold — then the refit (if due) swaps the version exactly
-        where the per-row loop would have swapped it.  Each sub-run
+        where a row-by-row replay would have swapped it.  Each sub-run
         becomes one :class:`BlockSegment` holding the kernel's arrays;
         only flagged rows build a :class:`RowOutcome`.  They are
-        identified one at a time with the same single-row call the
-        per-row path makes, so identification stays bitwise identical
-        (BLAS matmuls are not row-decomposable; alarms are rare enough
-        that this costs nothing measurable).
+        identified one at a time with a single-row call, so
+        identification does not depend on the block's size (BLAS
+        matmuls are not row-decomposable; alarms are rare enough that
+        this costs nothing measurable).
         """
         segments: list[BlockSegment] = []
         position = 0
@@ -907,22 +854,6 @@ SubspaceModel.score_block` kernel the per-row path runs — one call per
                 self._drain_events(pending)
                 self._do_refit()
         return tuple(segments)
-
-    def _ingest_block_fallback(self, rows, bins) -> BlockResult:
-        """Per-row loop for payloads the array path cannot represent."""
-        segments: list[BlockSegment] = []
-        for index, row in enumerate(rows):
-            bin_id = None if bins is None else bins[index]
-            try:
-                outcome = self._ingest_row(row, bin_id)
-            except IngestError as err:
-                return BlockResult(
-                    segments=tuple(segments),
-                    rejected=err,
-                    rejected_index=index,
-                )
-            segments.append(BlockSegment.of_row(outcome))
-        return BlockResult(segments=tuple(segments))
 
     def _drain_events(self, pending: list) -> None:
         if pending:

@@ -29,7 +29,7 @@ from urllib.parse import unquote
 
 import numpy as np
 
-from repro.exceptions import IngestError, ServiceError
+from repro.exceptions import ServiceError
 from repro.pipeline.fleet import (
     _CHECKPOINT_SUFFIX,
     _validate_tenant_id,
@@ -155,31 +155,35 @@ class MultiTenantService:
     def ingest_row(
         self, tenant_id: str, row, bin_id: int | None = None
     ) -> RowOutcome:
-        """Route one row to its tenant; account it under its label."""
-        service = self.service(tenant_id)
+        """Route one row to its tenant: a one-row :meth:`ingest_block`.
+
+        Raises the row's :class:`~repro.exceptions.IngestError` on
+        rejection, and flushes the tenant's event log before it returns,
+        like :meth:`DetectionService.ingest_row`.
+        """
+        events = self.service(tenant_id).events
         try:
-            outcome = service.ingest_row(row, bin_id=bin_id)
-        except IngestError:
-            self._m_errors.inc(label_value=tenant_id)
-            raise
-        self._m_rows.inc(label_value=tenant_id)
-        if outcome.flag:
-            self._m_alarms.inc(label_value=tenant_id)
-        return outcome
+            result = self.ingest_block(
+                tenant_id, [row], bins=None if bin_id is None else [bin_id]
+            )
+        finally:
+            events.flush()
+        if result.rejected is not None:
+            raise result.rejected
+        return result.outcomes[0]
 
     def ingest_block(
         self, tenant_id: str, rows, bins=None
     ) -> BlockResult:
         """Route one block to its tenant in a single pass.
 
-        One engine lookup and one labeled-counter update per block
-        instead of per row: the tenant's
+        One engine lookup and one labeled-counter update per block: the
+        tenant's
         :meth:`~repro.service.engine.DetectionService.ingest_block`
-        does the batched scoring (bit-identical to per-row routing),
-        and the fleet counters fold the block's accepted/alarm/reject
-        totals in one increment each — the counter values match a
-        per-row replay exactly.  The totals are read off the result's
-        segments, so routing builds no per-row outcome.
+        does the scoring, and the fleet counters fold the block's
+        accepted/alarm/reject totals in one increment each — the only
+        place the tenant counters change.  The totals are read off the
+        result's segments, so routing builds no per-row outcome.
         """
         service = self.service(tenant_id)
         result = service.ingest_block(rows, bins=bins)

@@ -8,8 +8,10 @@ fields against a literal per-row replay:
 
 * the six row-level reasons (``bad_payload``, ``wrong_width``,
   ``non_finite``, ``out_of_range``, ``duplicate_bin``,
-  ``out_of_order_bin``) are asserted
-  field-by-field against ``ingest_row`` on a twin service;
+  ``out_of_order_bin``) are asserted field-by-field, literal message
+  included, against an ``ingest_row`` replay on a twin service — for
+  rectangular blocks and for blocks that must be read row by row (a
+  short row, a non-numeric bin);
 * the lifecycle reasons (``refit_failed``, ``checkpoint_failed``) are
   triggered *mid-block* and must account and propagate exactly as the
   per-row path does;
@@ -30,18 +32,52 @@ import pytest
 from repro.exceptions import IngestError, ServiceError
 from repro.service import ServiceConfig
 
-ROW_REASONS = (
-    "bad_payload",
-    "wrong_width",
-    "non_finite",
-    "out_of_range",
-    "duplicate_bin",
-    "out_of_order_bin",
-)
+#: Each case: (reason, index of the first bad row, its exact message).
+#: The blocks of ``bad_payload``, ``ragged_width``, ``non_numeric_bin``
+#: and ``values_before_bin`` cannot form one array with numeric bins, so
+#: they are read row by row; the one-row replay of the short row is a
+#: rectangular ``(1, 48)`` block.  A row whose values and bin are both
+#: bad is rejected for its values.
+REJECT_CASES = {
+    "bad_payload": (
+        "bad_payload",
+        3,
+        "row is not numeric: could not convert string to float: "
+        "'not a row'",
+    ),
+    "wrong_width": ("wrong_width", 0, "row has 48 links, expected 49"),
+    "non_finite": (
+        "non_finite",
+        3,
+        "row contains NaN or infinite link counts",
+    ),
+    "out_of_range": (
+        "out_of_range",
+        3,
+        "row contains a link count of magnitude above 9007199254740992",
+    ),
+    "duplicate_bin": (
+        "duplicate_bin",
+        3,
+        "bin 2 was already ingested (next is 3)",
+    ),
+    "out_of_order_bin": (
+        "out_of_order_bin",
+        3,
+        "bin 9 arrived out of order (next is 3)",
+    ),
+    "ragged_width": ("wrong_width", 3, "row has 48 links, expected 49"),
+    "non_numeric_bin": ("bad_payload", 3, "bin '3' is not a number"),
+    "values_before_bin": (
+        "non_finite",
+        3,
+        "row contains NaN or infinite link counts",
+    ),
+}
 
 
 def replay_rows(service, rows, bins=None):
-    """The per-row reference: ingest until the first rejection."""
+    """The row-by-row reference: ingest until the first rejection."""
     outcomes = []
     for index, row in enumerate(rows):
         bin_id = None if bins is None else bins[index]
@@ -52,50 +88,57 @@ def replay_rows(service, rows, bins=None):
     return outcomes, None, None
 
 
-def build_block(dataset, warmup, reason):
-    """A six-row block whose first bad row carries ``reason``."""
+def build_block(dataset, warmup, case):
+    """A six-row block whose first bad row is the ``case`` reject."""
     stream = dataset.link_traffic[warmup:]
     rows = [stream[i] for i in range(6)]
     bins = None
-    bad_index = 3
-    if reason == "bad_payload":
+    if case == "bad_payload":
         rows[3] = "not a row"
-    elif reason == "wrong_width":
+    elif case == "wrong_width":
         rows = [row[:-1] for row in rows]  # rectangular, narrow
-        bad_index = 0
-    elif reason == "non_finite":
+    elif case == "non_finite":
         rows[3] = stream[3].copy()
         rows[3][0] = np.nan
-    elif reason == "out_of_range":
+    elif case == "out_of_range":
         rows[3] = stream[3].copy()
         rows[3][0] = 1e300
-    elif reason == "duplicate_bin":
+    elif case == "duplicate_bin":
         bins = [0, 1, 2, 2, 4, 5]
-    elif reason == "out_of_order_bin":
+    elif case == "out_of_order_bin":
         bins = [0, 1, 2, 9, 4, 5]
+    elif case == "ragged_width":
+        rows[3] = stream[3][:-1]
+    elif case == "non_numeric_bin":
+        bins = [0, 1, 2, "3", 4, 5]
+    elif case == "values_before_bin":
+        rows[3] = stream[3].copy()
+        rows[3][0] = np.nan
+        bins = [0, 1, 2, "3", 4, 5]
     else:  # pragma: no cover - parametrization guards this
-        raise AssertionError(reason)
-    return rows, bins, bad_index
+        raise AssertionError(case)
+    return rows, bins
 
 
 class TestRowRejectParity:
-    @pytest.mark.parametrize("reason", ROW_REASONS)
+    @pytest.mark.parametrize("case", REJECT_CASES)
     def test_reason_index_position_and_message_match_per_row(
-        self, service_split, make_service, reason
+        self, service_split, make_service, case
     ):
         dataset, warmup = service_split
+        reason, bad_index, message = REJECT_CASES[case]
         block_service = make_service(routing=False)
         row_service = make_service(routing=False)
-        rows, bins, bad_index = build_block(dataset, warmup, reason)
+        rows, bins = build_block(dataset, warmup, case)
 
         result = block_service.ingest_block(rows, bins=bins)
         expected, err, err_index = replay_rows(row_service, rows, bins)
 
         assert err is not None and result.rejected is not None
         assert result.rejected.reason == reason == err.reason
-        assert str(result.rejected) == str(err)
+        assert str(result.rejected) == message == str(err)
         assert result.rejected_index == err_index == bad_index
-        assert result.accepted == len(expected)
+        assert result.accepted == len(expected) == bad_index
         assert [o.spe for o in result.outcomes] == [o.spe for o in expected]
         assert [o.bin for o in result.outcomes] == [o.bin for o in expected]
         assert block_service.rows_ingested == row_service.rows_ingested
@@ -108,15 +151,16 @@ class TestRowRejectParity:
                 if e["kind"] == "ingest_error"
             ]
             assert len(tail) == 1 and tail[0]["reason"] == reason
+            assert tail[0]["detail"] == message
 
-    @pytest.mark.parametrize("reason", ROW_REASONS)
+    @pytest.mark.parametrize("case", REJECT_CASES)
     def test_reject_never_advances_the_stream(
-        self, service_split, make_service, reason
+        self, service_split, make_service, case
     ):
         """The next good row lands exactly where the reject happened."""
         dataset, warmup = service_split
         service = make_service(routing=False)
-        rows, bins, _ = build_block(dataset, warmup, reason)
+        rows, bins = build_block(dataset, warmup, case)
         result = service.ingest_block(rows, bins=bins)
         follow = service.ingest_row(
             dataset.link_traffic[warmup + 10], bin_id=result.accepted

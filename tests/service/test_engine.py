@@ -6,7 +6,7 @@ import pytest
 from repro.core import IncrementalSubspaceTracker
 from repro.exceptions import IngestError, ServiceError
 from repro.pipeline import DetectionPipeline
-from repro.service import MAX_LINK_COUNT, ServiceConfig
+from repro.service import MAX_LINK_COUNT, EventLog, ServiceConfig
 
 
 def exposed(text: str, name: str) -> float:
@@ -134,6 +134,27 @@ class TestIngestScoring:
         assert len(alarms) == 1
         assert alarms[0]["bin"] == 1
         assert alarms[0]["model_version"] == 1
+
+    def test_ingest_row_events_are_on_disk_when_it_returns(
+        self, tmp_path, service_split, make_service
+    ):
+        """``ingest_row`` is a one-row block, whose events are buffered;
+        it flushes them before returning or raising, so a reader of the
+        log file sees every event of the row."""
+        dataset, warmup = service_split
+        path = tmp_path / "events.jsonl"
+        service = make_service(event_log=EventLog(path))
+        flow = dataset.routing.od_index("lon", "zur")
+        spike = dataset.link_traffic[warmup] + 5.0e8 * dataset.routing.column(
+            flow
+        )
+        service.ingest_row(spike)
+        kinds = [e["kind"] for e in EventLog.read_jsonl(path)]
+        assert kinds == ["service_start", "alarm"]
+        with pytest.raises(IngestError):
+            service.ingest_row([1.0, 2.0])
+        kinds = [e["kind"] for e in EventLog.read_jsonl(path)]
+        assert kinds == ["service_start", "alarm", "ingest_error"]
 
 
 class TestIngestValidation:

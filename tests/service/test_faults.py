@@ -1,7 +1,8 @@
 """Fault injection: every abuse leaves the daemon serving.
 
 The satellite contract: malformed JSON, wrong-width rows, link counts
-in overflow range, duplicate and out-of-order bin ids, a refit that
+in overflow range, duplicate, out-of-order and non-numeric bin ids, a
+refit that
 explodes mid-hot-swap, an abrupt client disconnect, a stalled request,
 malformed framing, and an oversized body each end in exactly one
 incremented error counter, a green ``/health``, and a daemon that still
@@ -95,6 +96,33 @@ class TestPayloadFaults:
         assert status == 400 and body["reason"] == "out_of_order_bin"
         assert error_count(server, "duplicate_bin") == 1
         assert error_count(server, "out_of_order_bin") == 1
+        assert_still_serving(server, service_split)
+
+    @pytest.mark.parametrize(
+        "bin_value",
+        ["x", [0], {}, None, float("nan")],
+        ids=["string", "list", "object", "null", "nan"],
+    )
+    def test_bin_that_is_not_a_number(
+        self, server, service_split, bin_value
+    ):
+        """A bin must be a real, non-NaN number: a string, list or
+        object is a counted 400, not an exception out of the
+        connection handler, and ``null`` or ``NaN`` must not skip the
+        sequence check."""
+        dataset, warmup = service_split
+        row = dataset.link_traffic[warmup].tolist()
+        status, body = server.post_json(
+            "/ingest", {"row": row, "bin": bin_value}
+        )
+        assert status == 400
+        assert body["reason"] == "bad_payload"
+        assert body["error"] == f"bin {bin_value!r} is not a number"
+        assert body["accepted"] == 0
+        assert error_count(server, "bad_payload") == 1
+        errors = server.service.metrics["repro_ingest_errors_total"]
+        assert errors.total() == 1
+        assert server.service.rows_ingested == 0
         assert_still_serving(server, service_split)
 
     @pytest.mark.parametrize(

@@ -150,7 +150,15 @@ def test_block_ingest_matches_per_row_bitwise(data, refit_interval, seed):
     and link counts past ``MAX_LINK_COUNT``): same SPE/flag/threshold
     per accepted row, same model-swap history, same reject reasons at
     the same stream positions.  Rows at exactly ``±MAX_LINK_COUNT`` are
-    admitted and folded into the refits."""
+    admitted and folded into the refits.
+
+    Some rows are replaced by a short row (which may also hold a bad
+    value), a string or a 2-D row, and some bins by a non-numeric entry.
+    A multi-row block holding one cannot form one array, so it is read
+    row by row, while the one-row replay of a short row is a
+    rectangular block: the property compares the row scan's check
+    order (structure, then values, then the bin) with the rectangular
+    validator's."""
     warmup, stream = data
     rng = np.random.default_rng(seed)
     stream = stream.copy()
@@ -166,6 +174,30 @@ def test_block_ingest_matches_per_row_bitwise(data, refit_interval, seed):
         row = int(rng.integers(0, stream.shape[0]))
         link = int(rng.integers(0, stream.shape[1]))
         stream[row, link] = poisons[int(rng.integers(0, len(poisons)))]
+    rows = list(stream)
+    for _ in range(int(rng.integers(0, 4))):
+        index = int(rng.integers(0, len(rows)))
+        kind = int(rng.integers(0, 4))
+        if kind < 2:
+            short = stream[index][:-1].copy()
+            if rng.random() < 0.5:
+                link = int(rng.integers(0, short.shape[0]))
+                short[link] = poisons[int(rng.integers(0, len(poisons)))]
+            rows[index] = short
+        elif kind == 2:
+            rows[index] = "not a row"
+        else:
+            rows[index] = stream[index][None, :]
+    # Non-numeric bins, ``None`` left out: ``ingest_row`` reads it as
+    # "no bin".  Every other row carries the next expected bin.
+    bad_bins = {}
+    use_bins = rng.random() < 0.5
+    if use_bins:
+        for _ in range(int(rng.integers(0, 3))):
+            index = int(rng.integers(0, len(rows)))
+            bad_bins[index] = ("x", [0], {}, float("nan"))[
+                int(rng.integers(0, 4))
+            ]
     config = ServiceConfig(
         refit_interval=refit_interval, synchronous_refit=True
     )
@@ -173,18 +205,24 @@ def test_block_ingest_matches_per_row_bitwise(data, refit_interval, seed):
     block_service = DetectionService.from_warmup(warmup, config=config)
 
     row_outcomes, row_rejects = [], []
-    for index, row in enumerate(stream):
+    bins = [] if use_bins else None
+    for index, row in enumerate(rows):
+        bin_id = None
+        if use_bins:
+            bin_id = bad_bins.get(index, row_service.rows_ingested)
+            bins.append(bin_id)
         try:
-            row_outcomes.append(row_service.ingest_row(row))
+            row_outcomes.append(row_service.ingest_row(row, bin_id=bin_id))
         except IngestError as err:
             row_rejects.append((index, err.reason, str(err)))
 
     block_outcomes, block_rejects = [], []
     position = 0
-    while position < stream.shape[0]:
+    while position < len(rows):
         size = int(rng.integers(1, 9))
         result = block_service.ingest_block(
-            stream[position : position + size]
+            rows[position : position + size],
+            bins=None if bins is None else bins[position : position + size],
         )
         block_outcomes.extend(result.outcomes)
         if result.rejected is not None:

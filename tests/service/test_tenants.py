@@ -116,6 +116,25 @@ class TestHTTPRoutes:
         assert front.service("acme").rows_ingested == 4
         assert front.service("umbrella/eu").rows_ingested == 2
 
+    def test_non_numeric_bin_is_a_counted_400(self, run_server, front):
+        """A ``bins`` entry that is not a number rejects its row; the
+        rows before it stay ingested and the tenant counts one error."""
+        server = run_server(
+            front.service(front.tenants[0]), tenants=front
+        )
+        status, body = server.post_json(
+            "/ingest/acme",
+            {"rows": fresh_rows("acme", 3).tolist(), "bins": [0, 1, "2"]},
+        )
+        assert status == 400
+        assert body["reason"] == "bad_payload"
+        assert body["error"] == "bin '2' is not a number"
+        assert body["accepted"] == 2
+        assert front.service("acme").rows_ingested == 2
+        text = front.metrics_text()
+        assert 'repro_tenant_ingest_errors_total{tenant="acme"} 1' in text
+        assert 'repro_tenant_rows_ingested_total{tenant="acme"} 2' in text
+
     def test_unknown_tenant_404_with_reason(self, run_server, front):
         server = run_server(
             front.service(front.tenants[0]), tenants=front
