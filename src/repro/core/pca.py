@@ -337,6 +337,12 @@ class PCA:
         """Map measurements onto the principal axes (scores ``Y v_i``)."""
         self._require_fitted()
         measurements = np.asarray(measurements, dtype=np.float64)
+        width = measurements.shape[-1] if measurements.ndim else 0
+        if width != self._mean.shape[0]:
+            raise ModelError(
+                f"measurements have {width} links, the model covers "
+                f"{self._mean.shape[0]}"
+            )
         centered = measurements - self._mean
         return centered @ self._components
 

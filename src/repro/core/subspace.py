@@ -14,12 +14,14 @@ decomposition ``y = ŷ + ỹ`` of §5.1.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro._util import ensure_matrix
 from repro.core.pca import PCA
+from repro.core.suffstats import DEFAULT_TILE_ROWS, canonical_units
 from repro.exceptions import ModelError
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "SeparationResult",
     "SubspaceModel",
     "float32_spe_band",
+    "fold_moments",
     "score_block",
     "score_block_stacked",
     "score_moments",
@@ -80,6 +83,13 @@ def separate_axes(
 ) -> SeparationResult:
     """Apply the paper's threshold separation to fitted PCA axes.
 
+    The projections are never materialized: :func:`score_moments` runs
+    once per canonical tile of ``measurements`` (``DEFAULT_TILE_ROWS``
+    rows, the tiles of the gram fit's statistics), the tile moments are
+    folded left to right, and :func:`separate_axes_from_moments`
+    applies the rule.  Every fit route folds the same tiles in the same
+    order, so the result is bit-identical across them.
+
     Parameters
     ----------
     pca:
@@ -95,54 +105,26 @@ def separate_axes(
         ``r = 0`` case (an empty normal subspace turns SPE into plain
         traffic volume).  Set ``min_normal_rank=0`` for strict fidelity.
     """
-    if threshold_sigma <= 0:
-        raise ModelError(f"threshold_sigma must be positive, got {threshold_sigma}")
-    m = pca.num_components
-    if max_normal_rank is None:
-        max_normal_rank = m
-    if not 0 <= min_normal_rank <= max_normal_rank <= m:
-        raise ModelError(
-            f"invalid rank clamps: 0 <= {min_normal_rank} <= "
-            f"{max_normal_rank} <= {m} violated"
-        )
-
-    # Vectorized over all m axes at once: normalize every projection
-    # column, then measure each column's worst deviation in units of its
-    # own standard deviation.  Zero-variance axes (projection identically
-    # zero) and zero-spread axes can never trip the rule and score 0.
-    scores = pca.transform(measurements)
-    captured = pca.captured_variance()
-    norms = np.linalg.norm(scores, axis=0)
-    live = (captured > 0) & (norms > 0)
-    safe_norms = np.where(live, norms, 1.0)
-    u = scores / safe_norms
-    stds = u.std(axis=0)
-    live &= stds > 0
-    peaks = np.max(np.abs(u - u.mean(axis=0)), axis=0)
-    deviations = np.where(live, peaks / np.where(stds > 0, stds, 1.0), 0.0)
-
-    return _separation_from_deviations(
-        deviations, m, threshold_sigma, min_normal_rank, max_normal_rank
+    measurements = ensure_matrix(
+        measurements, name="measurements", error=ModelError,
+        check_finite=False,
     )
-
-
-def _separation_from_deviations(
-    deviations: np.ndarray,
-    m: int,
-    threshold_sigma: float,
-    min_normal_rank: int,
-    max_normal_rank: int,
-) -> SeparationResult:
-    """Apply the trip rule and rank clamps to per-axis deviations."""
-    tripped = np.nonzero(deviations >= threshold_sigma)[0]
-    first_anomalous: int | None = int(tripped[0]) if tripped.size else None
-
-    rank = m if first_anomalous is None else first_anomalous
-    rank = int(np.clip(rank, min_normal_rank, max_normal_rank))
-    return SeparationResult(
-        normal_rank=rank,
-        first_anomalous_axis=first_anomalous,
-        max_deviations=deviations,
+    mean, components = pca.mean, pca.components
+    moments = fold_moments(
+        (
+            score_moments(measurements[lo:hi], mean, components)
+            for lo, hi in canonical_units(
+                [(0, measurements.shape[0])], DEFAULT_TILE_ROWS
+            )
+        ),
+        pca.num_components,
+    )
+    return separate_axes_from_moments(
+        pca,
+        moments,
+        threshold_sigma=threshold_sigma,
+        min_normal_rank=min_normal_rank,
+        max_normal_rank=max_normal_rank,
     )
 
 
@@ -150,12 +132,11 @@ def _separation_from_deviations(
 class ScoreMoments:
     """Mergeable per-axis moments of the projection scores ``s = (Y−μ)V``.
 
-    The four aggregates are everything the 3σ separation rule needs, and
-    each is mergeable across row chunks: sums add, extrema take
-    elementwise min/max.  Workers of the sharded engine compute one
-    :class:`ScoreMoments` per time chunk; the coordinator folds them in
-    chunk order and applies :func:`separate_axes_from_moments` — no
-    worker ever holds the whole score matrix.
+    The four aggregates are everything the 3σ separation rule needs:
+    sums add, extrema take elementwise min/max.  Every fit computes one
+    :class:`ScoreMoments` per canonical unit (see
+    :func:`~repro.core.suffstats.canonical_units`) and folds them with
+    :func:`fold_moments` — no caller ever holds the whole score matrix.
     """
 
     count: int
@@ -186,6 +167,21 @@ def _moments_identity(num_axes: int) -> ScoreMoments:
     )
 
 
+def fold_moments(
+    parts: Iterable[ScoreMoments], num_axes: int
+) -> ScoreMoments:
+    """Fold per-unit moments from the identity, left to right.
+
+    Floating-point addition is not associative: callers pass the units
+    in ascending row order and never pre-merge a subset, so the folded
+    bits depend only on the rows.
+    """
+    folded = _moments_identity(num_axes)
+    for part in parts:
+        folded = folded.merge(part)
+    return folded
+
+
 def _fold_scores(scores: np.ndarray) -> ScoreMoments:
     """The four mergeable aggregates of one chunk's score matrix."""
     return ScoreMoments(
@@ -200,12 +196,23 @@ def _fold_scores(scores: np.ndarray) -> ScoreMoments:
 def score_moments(
     measurements: np.ndarray, mean: np.ndarray, components: np.ndarray
 ) -> ScoreMoments:
-    """Per-axis score moments of one row chunk under a fitted basis."""
+    """Per-axis score moments of one row chunk under a fitted basis.
+
+    The chunk is read as one C-contiguous block, so equal rows give
+    equal bits whatever array they were sliced from.
+    """
     measurements = ensure_matrix(
         measurements, name="measurements", error=ModelError,
         check_finite=False,
     )
-    return _fold_scores((measurements - mean) @ components)
+    if measurements.shape[1] != components.shape[0]:
+        raise ModelError(
+            f"measurements have {measurements.shape[1]} links, the basis "
+            f"covers {components.shape[0]}"
+        )
+    return _fold_scores(
+        (np.ascontiguousarray(measurements) - mean) @ components
+    )
 
 
 @dataclass(frozen=True)
@@ -469,16 +476,14 @@ def separate_axes_from_moments(
     min_normal_rank: int = 1,
     max_normal_rank: int | None = None,
 ) -> SeparationResult:
-    """The 3σ separation rule evaluated from distributed score moments.
+    """The 3σ separation rule evaluated from folded score moments.
 
-    Mathematically identical to :func:`separate_axes` on the full
-    matrix: with ``u = s/‖s‖`` the rule needs only ``ū``, the standard
+    With ``u = s/‖s‖`` the rule needs only ``ū``, the standard
     deviation ``√(E[u²] − ū²)`` (with ``E[u²] = 1/t`` exactly) and the
     peak ``max(max u − ū, ū − min u)`` — all functions of the four
-    mergeable aggregates.  The variance is taken in moment form rather
-    than numpy's two-pass form, so deviations can differ from
-    :func:`separate_axes` in the last few ulps; the resulting integer
-    rank agrees unless an axis sits within rounding of the 3σ boundary.
+    mergeable aggregates.  This is the only place the rule is
+    evaluated; equal moments give equal bits on every fit route.
+    Zero-variance and zero-spread axes never trip the rule and score 0.
     """
     if threshold_sigma <= 0:
         raise ModelError(f"threshold_sigma must be positive, got {threshold_sigma}")
@@ -496,6 +501,8 @@ def separate_axes_from_moments(
         )
 
     t = moments.count
+    if t < 1:
+        raise ModelError("the 3σ separation needs at least one row")
     captured = pca.captured_variance()
     norms = np.sqrt(moments.squares)
     live = (captured > 0) & (norms > 0)
@@ -511,8 +518,13 @@ def separate_axes_from_moments(
     deviations = np.where(
         live, peaks / np.where(stds > 0, stds, 1.0), 0.0
     )
-    return _separation_from_deviations(
-        deviations, m, threshold_sigma, min_normal_rank, max_normal_rank
+    tripped = np.nonzero(deviations >= threshold_sigma)[0]
+    first_anomalous: int | None = int(tripped[0]) if tripped.size else None
+    rank = m if first_anomalous is None else first_anomalous
+    return SeparationResult(
+        normal_rank=int(np.clip(rank, min_normal_rank, max_normal_rank)),
+        first_anomalous_axis=first_anomalous,
+        max_deviations=deviations,
     )
 
 

@@ -42,6 +42,11 @@ Gram block per complete tile plus raw rows for boundary fragments
 is ``O((t / tile_rows) · m²)`` — tune ``tile_rows`` up for very long
 histories.  All participants of a merge must share ``tile_rows``.
 
+**Histories.**  :class:`RowStore` keeps an append-only history packed
+into the same tiles: each tile's statistics are computed once, when it
+fills, and a :class:`HistorySnapshot` hands a fit the statistics and
+the tiles together — the rows the 3σ separation pass replays.
+
 **Precision.**  Each tile stores its second moment centered at its own
 tile mean (the parallel Welford / Chan et al. form), and
 :meth:`finalize` folds tiles with the rank-one cross-mean correction
@@ -52,13 +57,21 @@ even on mean-dominated traffic data.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.exceptions import ModelError
 
-__all__ = ["SufficientStats", "FinalizedStats", "DEFAULT_TILE_ROWS"]
+__all__ = [
+    "DEFAULT_TILE_ROWS",
+    "FinalizedStats",
+    "HistorySnapshot",
+    "RowStore",
+    "SufficientStats",
+    "canonical_units",
+]
 
 #: Canonical tile height.  Part of a statistic's identity: only stats
 #: with equal ``tile_rows`` merge, and changing the default changes the
@@ -92,6 +105,26 @@ class _Fragment:
     def end(self) -> int:
         """One past the last absolute row."""
         return self.start + self.rows.shape[0]
+
+
+def canonical_units(
+    runs: Iterable[tuple[int, int]], tile_rows: int
+) -> list[tuple[int, int]]:
+    """The canonical units of a set of covered rows, in ascending order.
+
+    A unit is a maximal run of covered rows inside one canonical tile
+    ``[k·tile_rows, (k+1)·tile_rows)``.  With no rows missing every unit
+    is a whole tile (the last one what is left over); a gap cuts the
+    tile it falls in, exactly as :meth:`SufficientStats.finalize`
+    (``allow_gaps=True``) cuts its fragment runs.  ``runs`` are the
+    maximal covered ``[start, stop)`` ranges, ascending — a merged
+    coverage ledger; this only splits them at tile edges.
+    """
+    return [
+        (max(start, k * tile_rows), min(stop, (k + 1) * tile_rows))
+        for start, stop in runs
+        for k in range(start // tile_rows, -(-stop // tile_rows))
+    ]
 
 
 def _tile_stat(rows: np.ndarray) -> _TileStat:
@@ -434,3 +467,98 @@ class SufficientStats:
         return FinalizedStats(
             count=count, total=total, m2=m2, start_row=spans[0][0]
         )
+
+
+@dataclass(frozen=True)
+class HistorySnapshot:
+    """An immutable view of the first rows of a :class:`RowStore`.
+
+    ``tiles`` are the rows in canonical units: one ``(tile_rows, m)``
+    block per whole tile, then the rows of the open tile; ``stats``
+    covers exactly those rows (``stats.count`` of them).  A fit replays
+    ``tiles`` for the separation pass, so each tile is one
+    :func:`~repro.core.subspace.score_moments` call.
+    """
+
+    stats: SufficientStats
+    tiles: tuple[np.ndarray, ...]
+
+
+class RowStore:
+    """Append-only history rows, packed into canonical tiles.
+
+    Rows are copied into a preallocated ``(tile_rows, m)`` tail.  When
+    the tail fills it freezes as a tile, its statistics are computed
+    once, and a fresh tail is allocated.  A tail buffer is never
+    reused, so a :class:`HistorySnapshot` — frozen tiles plus a view of
+    the tail rows filled so far — stays valid while appends continue.
+    Appending holds no lock; the owner serializes appends.
+    """
+
+    def __init__(
+        self, num_columns: int, tile_rows: int = DEFAULT_TILE_ROWS
+    ) -> None:
+        if num_columns < 1:
+            raise ModelError(f"num_columns must be >= 1, got {num_columns}")
+        if tile_rows < 1:
+            raise ModelError(f"tile_rows must be >= 1, got {tile_rows}")
+        self.num_columns = int(num_columns)
+        self.tile_rows = int(tile_rows)
+        self._tiles: list[np.ndarray] = []
+        self._tile_stats: list[_TileStat] = []
+        self._tail = np.empty((self.tile_rows, self.num_columns))
+        self._filled = 0
+
+    @property
+    def rows(self) -> int:
+        """Rows appended so far."""
+        return len(self._tiles) * self.tile_rows + self._filled
+
+    def append(self, block: np.ndarray) -> None:
+        """Copy a ``(k, m)`` block of finite rows onto the end of the
+        history; a bad block raises and leaves the history unchanged."""
+        if block.ndim != 2 or block.shape[1] != self.num_columns:
+            raise ModelError(
+                f"rows of shape {block.shape} do not fit a history of "
+                f"{self.num_columns} columns"
+            )
+        if not np.isfinite(block).all():
+            raise ModelError("rows contain non-finite values")
+        position = 0
+        while position < block.shape[0]:
+            take = min(
+                self.tile_rows - self._filled, block.shape[0] - position
+            )
+            self._tail[self._filled : self._filled + take] = block[
+                position : position + take
+            ]
+            self._filled += take
+            position += take
+            if self._filled == self.tile_rows:
+                self._tiles.append(self._tail)
+                self._tile_stats.append(_tile_stat(self._tail))
+                self._tail = np.empty((self.tile_rows, self.num_columns))
+                self._filled = 0
+
+    def snapshot(self, rows: int | None = None) -> HistorySnapshot:
+        """The first ``rows`` rows (default: all) as a :class:`HistorySnapshot`."""
+        total = self.rows
+        rows = total if rows is None else int(rows)
+        if not 0 < rows <= total:
+            raise ModelError(
+                f"cannot snapshot {rows} rows of a {total}-row history"
+            )
+        whole, partial = divmod(rows, self.tile_rows)
+        stats = SufficientStats(
+            num_columns=self.num_columns, tile_rows=self.tile_rows
+        )
+        stats._tiles.update(enumerate(self._tile_stats[:whole]))
+        tiles = self._tiles[:whole]
+        if partial:
+            source = self._tiles[whole] if whole < len(self._tiles) else self._tail
+            rest = source[:partial]
+            stats._fragments[whole] = (
+                _Fragment(start=whole * self.tile_rows, rows=rest),
+            )
+            tiles = tiles + [rest]
+        return HistorySnapshot(stats=stats, tiles=tuple(tiles))

@@ -50,15 +50,14 @@ import numpy as np
 
 from repro._util import ensure_matrix
 from repro.core.subspace import DEFAULT_CHUNK_ROWS, score_block_stacked
-from repro.core.suffstats import DEFAULT_TILE_ROWS, SufficientStats
+from repro.core.suffstats import DEFAULT_TILE_ROWS, RowStore
 from repro.exceptions import FleetError
-from repro.pipeline.sharded import TemporalCoordinator
 from repro.pipeline.supervision import (
     FaultReport,
     SupervisedPool,
     resolve_policy,
 )
-from repro.service.lifecycle import ModelLifecycleManager
+from repro.service.lifecycle import ModelLifecycleManager, fit_history
 
 __all__ = [
     "FleetFitReport",
@@ -104,18 +103,10 @@ def _validate_tenant_id(tenant_id) -> str:
 
 
 def _fit_tenant_task(payload):
-    """Pool task: fit one tenant's detector from its history snapshot.
-
-    Module-level (picklable) and identical to the fit path
-    :meth:`~repro.service.lifecycle.ModelLifecycleManager.fit_candidate`
-    runs in-process — same coordinator, same statistics — so a pooled
-    fit, an in-process fit, and a post-restore refit of the same
-    history all produce the same detector bit for bit.
-    """
-    config, stats, blocks = payload
-    coordinator = TemporalCoordinator(workers=1, **config)
-    fit = coordinator.fit_from_stats(stats, lambda: iter(blocks))
-    return fit.detector
+    """Pool task: :func:`~repro.service.lifecycle.fit_history` of one
+    tenant's ``(config, snapshot)`` — the fit an in-process refit and a
+    restore run, so all three give the same detector bit for bit."""
+    return fit_history(*payload)
 
 
 @dataclass(frozen=True)
@@ -194,16 +185,20 @@ class FleetFitReport:
 
 
 class _TenantState:
-    """One tenant's model, policy, and pending (pre-fit) history."""
+    """One tenant's model, policy, and history.
 
-    __slots__ = ("tenant_id", "fault_policy", "lifecycle", "pending",
+    Before the first fit the history lives here; the fit hands it to the
+    tenant's lifecycle manager, which owns it from then on.
+    """
+
+    __slots__ = ("tenant_id", "fault_policy", "lifecycle", "history",
                  "last_error")
 
     def __init__(self, tenant_id: str, fault_policy: str | None) -> None:
         self.tenant_id = tenant_id
         self.fault_policy = fault_policy
         self.lifecycle: ModelLifecycleManager | None = None
-        self.pending: list[np.ndarray] = []
+        self.history: RowStore | None = None
         self.last_error: str | None = None
 
 
@@ -368,8 +363,8 @@ class FleetManager:
     ) -> None:
         """Register a tenant, optionally with its warmup history.
 
-        The warmup is folded into pending history; the model fits on
-        the next :meth:`fit` round (fits are pooled, never eager).
+        The warmup is appended to the tenant's history; the model fits
+        on the next :meth:`fit` round (fits are pooled, never eager).
         """
         tenant_id = _validate_tenant_id(tenant_id)
         if tenant_id in self._tenants:
@@ -390,13 +385,15 @@ class FleetManager:
         state = self._state(tenant_id)
         if state.lifecycle is not None:
             state.lifecycle.append_rows(block)
-        else:
-            if state.pending and block.shape[1] != state.pending[0].shape[1]:
-                raise FleetError(
-                    f"tenant {tenant_id!r}: row width {block.shape[1]} != "
-                    f"pending width {state.pending[0].shape[1]}"
-                )
-            state.pending.append(block)
+            return
+        if state.history is None:
+            state.history = RowStore(block.shape[1], self.tile_rows)
+        if block.shape[1] != state.history.num_columns:
+            raise FleetError(
+                f"tenant {tenant_id!r}: row width {block.shape[1]} != "
+                f"pending width {state.history.num_columns}"
+            )
+        state.history.append(block)
 
     # ------------------------------------------------------------------
     def _tenant_config(self, state: _TenantState) -> dict:
@@ -406,17 +403,8 @@ class FleetManager:
         restored fleet refits with the checkpointed configuration, not
         the current fleet defaults), else from the fleet defaults.
         """
-        lifecycle = state.lifecycle
-        if lifecycle is not None:
-            return {
-                "confidence": lifecycle.confidence,
-                "threshold_sigma": lifecycle.threshold_sigma,
-                "normal_rank": lifecycle.requested_rank,
-                "min_normal_rank": lifecycle.min_normal_rank,
-                "max_normal_rank": lifecycle.max_normal_rank,
-                "tile_rows": lifecycle.tile_rows,
-                "dtype": lifecycle.dtype,
-            }
+        if state.lifecycle is not None:
+            return state.lifecycle.fit_config()
         return {
             "confidence": self.confidence,
             "threshold_sigma": self.threshold_sigma,
@@ -426,24 +414,6 @@ class FleetManager:
             "tile_rows": self.tile_rows,
             "dtype": self.dtype,
         }
-
-    def _pending_snapshot(
-        self, state: _TenantState
-    ) -> tuple[SufficientStats, tuple[np.ndarray, ...], int]:
-        stats: SufficientStats | None = None
-        offset = 0
-        for block in state.pending:
-            chunk = SufficientStats.from_block(
-                block, start_row=offset, tile_rows=self.tile_rows
-            )
-            stats = chunk if stats is None else stats.merge(chunk)
-            offset += block.shape[0]
-        if stats is None or offset < 2:
-            raise FleetError(
-                f"tenant {state.tenant_id!r} needs >= 2 warmup rows "
-                f"before it can fit, has {offset}"
-            )
-        return stats, tuple(state.pending), offset
 
     def _resolve_workers(self, tasks: int) -> int:
         workers = self.workers
@@ -485,9 +455,14 @@ class FleetManager:
             if state.lifecycle is not None:
                 snapshot = state.lifecycle.history_snapshot()
             else:
-                snapshot = self._pending_snapshot(state)
-            stats, blocks, rows = snapshot
-            payloads.append((self._tenant_config(state), stats, blocks))
+                rows = 0 if state.history is None else state.history.rows
+                if rows < 2:
+                    raise FleetError(
+                        f"tenant {state.tenant_id!r} needs >= 2 warmup rows "
+                        f"before it can fit, has {rows}"
+                    )
+                snapshot = state.history.snapshot()
+            payloads.append((self._tenant_config(state), snapshot))
             snapshots.append(snapshot)
             policies.append(
                 resolve_policy(
@@ -552,13 +527,13 @@ class FleetManager:
                     )
                 )
                 continue
-            stats, blocks, rows = snapshots[task]
+            rows = snapshots[task].stats.count
             if state.lifecycle is None:
                 state.lifecycle = ModelLifecycleManager.from_fitted(
-                    detector, stats, blocks, rows,
+                    detector, state.history, rows,
                     **self._tenant_config(state),
                 )
-                state.pending = []
+                state.history = None
             else:
                 state.lifecycle.activate(detector, rows)
             state.last_error = None
@@ -890,7 +865,7 @@ class FleetManager:
                 entry.update(state.lifecycle.current.summary())
                 entry["rows"] = state.lifecycle.rows
             else:
-                entry["rows"] = sum(b.shape[0] for b in state.pending)
+                entry["rows"] = 0 if state.history is None else state.history.rows
             rows.append(entry)
         return rows
 

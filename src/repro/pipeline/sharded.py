@@ -13,8 +13,10 @@ and the coordinator merges the statistics and fits **once**.  Because
 the statistics merge exactly (canonical tiles; see the suffstats module
 docs), the fitted PCA is *bit-identical* to the monolithic
 ``PCA(method="gram")`` fit for any shard layout, worker count, or merge
-order; the 3σ separation runs as a second distributed pass over
-mergeable score moments.  The same machinery drives
+order.  The 3σ separation runs as a second distributed pass on the same
+canonical tiles: one :func:`~repro.core.subspace.score_moments` call per
+tile, folded in ascending tile order, so it too is bit-identical to the
+monolithic fit on every route.  The same machinery drives
 :meth:`TemporalCoordinator.fit_stream`, an out-of-core fit over a chunk
 iterator for matrices that never fully materialize.
 
@@ -53,8 +55,10 @@ from __future__ import annotations
 import math
 import random
 import time
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,10 +71,15 @@ from repro.core.subspace import (
     ScoreMoments,
     SeparationResult,
     SubspaceModel,
+    fold_moments,
     score_moments,
     separate_axes_from_moments,
 )
-from repro.core.suffstats import DEFAULT_TILE_ROWS, SufficientStats
+from repro.core.suffstats import (
+    DEFAULT_TILE_ROWS,
+    SufficientStats,
+    canonical_units,
+)
 from repro.exceptions import (
     CheckpointError,
     ModelError,
@@ -82,6 +91,7 @@ from repro.pipeline.compare import _attach_array, _share_array, _SharedArray
 from repro.pipeline.supervision import (
     FAULT_POLICIES,
     FaultReport,
+    PoolRun,
     SupervisedPool,
     TaskFault,
     raise_if_lost,
@@ -146,10 +156,11 @@ class ShardReport:
     is a pure function of the inputs.  ``coverage`` is the fraction of
     the input (rows for temporal, links for spatial) the fitted model
     actually saw — 1.0 except under the ``partial`` fault policy with
-    permanently lost work; ``fault`` is the supervised pool's
-    :class:`~repro.pipeline.supervision.FaultReport` (``None`` on
-    serial paths, and omitted from the JSON payload when clean so
-    fault-free payloads stay byte-stable across layouts).
+    permanently lost work; ``fault`` is the task runs'
+    :class:`~repro.pipeline.supervision.FaultReport` (clean on the
+    in-process path, ``None`` where no fault accounting ran, and
+    omitted from the JSON payload when clean so fault-free payloads
+    stay byte-stable across layouts).
     """
 
     mode: str  # "temporal" | "spatial"
@@ -248,7 +259,7 @@ class TemporalShardFit:
 
 @dataclass(frozen=True)
 class _StatsTask:
-    traffic: "_SharedArray | None"  # None: fork-inherited (see below)
+    traffic: "np.ndarray | _SharedArray | None"  # see _resolve_traffic
     start: int
     stop: int
     tile_rows: int
@@ -256,9 +267,8 @@ class _StatsTask:
 
 @dataclass(frozen=True)
 class _MomentsTask:
-    traffic: "_SharedArray | None"
-    start: int
-    stop: int
+    traffic: "np.ndarray | _SharedArray | None"
+    units: tuple[tuple[int, int], ...]
     mean: np.ndarray
     components: np.ndarray
 
@@ -272,7 +282,11 @@ class _MomentsTask:
 _INHERITED_TRAFFIC: np.ndarray | None = None
 
 
-def _resolve_traffic(ref: "_SharedArray | None") -> np.ndarray:
+def _resolve_traffic(ref: "np.ndarray | _SharedArray | None") -> np.ndarray:
+    """The matrix a task reads: its own (in-process), a shared-memory
+    segment, or the fork-inherited matrix (``None``)."""
+    if isinstance(ref, np.ndarray):
+        return ref
     if ref is not None:
         return _attach_array(ref)
     if _INHERITED_TRAFFIC is None:  # pragma: no cover - defensive
@@ -283,37 +297,95 @@ def _resolve_traffic(ref: "_SharedArray | None") -> np.ndarray:
     return _INHERITED_TRAFFIC
 
 
+def _worker_count(requested: int | None, tasks: int) -> int:
+    """The request (default: one per CPU), at most one worker per task."""
+    import os
+
+    return min(tasks, requested or os.cpu_count() or 1)
+
+
 def _fork_start() -> bool:
     import multiprocessing
 
     return multiprocessing.get_start_method() == "fork"
 
 
-def _chunk_stats(
-    block: np.ndarray, start: int, tile_rows: int
-) -> SufficientStats:
-    """Pass-1 kernel: sufficient statistics of one time chunk."""
-    return SufficientStats.from_block(
-        block, start_row=start, tile_rows=tile_rows
-    )
+@contextmanager
+def _task_runner(
+    coordinator, measurements: np.ndarray, workers: int, policy: str
+) -> Iterator[tuple[object, Callable[..., PoolRun]]]:
+    """``(traffic, run)`` for fanning tasks out over ``measurements``.
+
+    One worker runs the tasks in-process on the matrix itself.  More
+    start a :class:`SupervisedPool` under the coordinator's fault knobs,
+    whose workers read the matrix without a copy: fork-inherited
+    (``traffic`` is ``None``) or from a shared-memory segment.
+    ``run(fn, tasks, stage)`` returns a :class:`PoolRun`.
+    """
+    global _INHERITED_TRAFFIC
+
+    if workers <= 1:
+
+        def run_here(fn, tasks, stage):
+            return PoolRun(
+                results=[fn(task) for task in tasks],
+                report=FaultReport(tasks=len(tasks), attempts=len(tasks)),
+            )
+
+        yield measurements, run_here
+        return
+    segments: list = []
+    try:
+        if _fork_start():
+            traffic = None
+            _INHERITED_TRAFFIC = measurements
+        else:  # pragma: no cover - non-fork platforms
+            traffic = _share_array(measurements, segments)
+        with SupervisedPool(
+            workers,
+            deadline=coordinator.task_deadline,
+            max_retries=(
+                0 if policy == "fail-fast" else coordinator.max_retries
+            ),
+            backoff_base=coordinator.backoff_base,
+            backoff_max=coordinator.backoff_max,
+            seed=coordinator.fault_seed,
+            fault_plan=coordinator.fault_plan,
+        ) as pool:
+            yield traffic, pool.run
+    finally:
+        _INHERITED_TRAFFIC = None
+        for segment in segments:
+            segment.close()
+            try:
+                segment.unlink()
+            except FileNotFoundError:  # pragma: no cover - already gone
+                pass
 
 
 def _run_stats_task(task: _StatsTask) -> tuple[SufficientStats, float]:
+    """Pass-1 kernel: sufficient statistics of one time chunk."""
     begin = time.perf_counter()
     traffic = _resolve_traffic(task.traffic)
-    stats = _chunk_stats(
-        traffic[task.start : task.stop], task.start, task.tile_rows
+    stats = SufficientStats.from_block(
+        traffic[task.start : task.stop],
+        start_row=task.start,
+        tile_rows=task.tile_rows,
     )
     return stats, time.perf_counter() - begin
 
 
-def _run_moments_task(task: _MomentsTask) -> tuple[ScoreMoments, float]:
+def _run_moments_task(
+    task: _MomentsTask,
+) -> tuple[list[ScoreMoments], float]:
+    """Pass-2 kernel: one :func:`score_moments` call per canonical unit."""
     begin = time.perf_counter()
     traffic = _resolve_traffic(task.traffic)
-    moments = score_moments(
-        traffic[task.start : task.stop], task.mean, task.components
-    )
-    return moments, time.perf_counter() - begin
+    parts = [
+        score_moments(traffic[lo:hi], task.mean, task.components)
+        for lo, hi in task.units
+    ]
+    return parts, time.perf_counter() - begin
 
 
 def _shard_bounds(num_rows: int, num_shards: int) -> list[tuple[int, int]]:
@@ -377,15 +449,6 @@ class _CoverageLedger:
             out.append((cursor, stop))
         return out
 
-    def covered_within(self, start: int, stop: int) -> list[tuple[int, int]]:
-        """Covered sub-intervals of ``[start, stop)``."""
-        out: list[tuple[int, int]] = []
-        for a, b in self._intervals:
-            lo, hi = max(a, start), min(b, stop)
-            if lo < hi:
-                out.append((lo, hi))
-        return out
-
     @property
     def covered_rows(self) -> int:
         return sum(b - a for a, b in self._intervals)
@@ -396,6 +459,92 @@ class _CoverageLedger:
 
     def intervals(self) -> tuple[tuple[int, int], ...]:
         return tuple((int(a), int(b)) for a, b in self._intervals)
+
+
+class _UnitReplay:
+    """The separation pass of a replayed source, one canonical unit at a time.
+
+    Incoming rows are stitched into the canonical units of pass 1's
+    coverage; a unit is scored by :func:`score_moments` once all of its
+    rows have arrived — straight from the chunk when one chunk holds the
+    whole unit, else from a buffer the pieces are copied into.  Rows
+    already received are skipped, so duplicated, re-delivered and
+    out-of-order chunks score each unit exactly once, from the same
+    contiguous rows an in-memory fit reads.  A sequential source keeps
+    at most one unit open.
+    """
+
+    def __init__(
+        self,
+        units: list[tuple[int, int]],
+        mean: np.ndarray,
+        components: np.ndarray,
+    ) -> None:
+        self._units = units
+        self._starts = [lo for lo, _ in units]
+        self._mean = mean
+        self._components = components
+        self._received = _CoverageLedger()
+        self._buffers: dict[int, np.ndarray] = {}
+        self._done: dict[int, ScoreMoments] = {}
+        self._pass_rows = self._pass_strays = 0
+
+    def add(self, start: int, chunk: np.ndarray) -> None:
+        """Take one replayed chunk; rows outside pass 1's coverage are
+        counted as strays."""
+        # Checked here, not only by the kernel: a narrower chunk would
+        # broadcast into a unit buffer.
+        width = self._components.shape[0]
+        if chunk.shape[1] != width:
+            raise ModelError(
+                f"replayed chunk has {chunk.shape[1]} links, the fitted "
+                f"model covers {width}"
+            )
+        stop = start + chunk.shape[0]
+        self._pass_rows += chunk.shape[0]
+        self._pass_strays += chunk.shape[0]
+        first = max(0, bisect_right(self._starts, start) - 1)
+        for index in range(first, bisect_left(self._starts, stop)):
+            lo, hi = self._units[index]
+            a, b = max(lo, start), min(hi, stop)
+            if a >= b:
+                continue
+            self._pass_strays -= b - a
+            missing = self._received.uncovered(a, b)
+            if not missing:
+                continue  # a duplicate: these rows were received before
+            if (a, b) == (lo, hi):
+                rows = chunk[a - start : b - start]
+            else:
+                rows = self._buffers.setdefault(
+                    index, np.empty((hi - lo, width))
+                )
+                for x, y in missing:
+                    rows[x - lo : y - lo] = chunk[x - start : y - start]
+            for x, y in missing:
+                self._received.add(x, y)
+            if not self._received.uncovered(lo, hi):
+                self._done[index] = score_moments(
+                    rows, self._mean, self._components
+                )
+                self._buffers.pop(index, None)
+
+    def end_pass(self) -> str | None:
+        """Close one pass: ``None`` when every unit is scored and no row
+        strayed, else what went wrong.  Resets the per-pass counts."""
+        rows, strays = self._pass_rows, self._pass_strays
+        self._pass_rows = self._pass_strays = 0
+        if strays == 0 and len(self._done) == len(self._units):
+            return None
+        return (
+            f"saw {rows} rows ({strays} outside the statistics), the "
+            f"moments cover {self._received.covered_rows} of "
+            f"{sum(hi - lo for lo, hi in self._units)}"
+        )
+
+    def moments(self) -> list[ScoreMoments]:
+        """Moments of the completed units, in ascending row order."""
+        return [self._done[index] for index in sorted(self._done)]
 
 
 def _stream_item(item, position: int) -> tuple[int, np.ndarray]:
@@ -441,7 +590,7 @@ class TemporalCoordinator:
         Model parameters, as for
         :class:`~repro.core.detection.SPEDetector`.  With
         ``normal_rank=None`` the 3σ separation runs as a second
-        distributed pass over mergeable score moments.
+        distributed pass, one score-moments call per canonical tile.
     tile_rows:
         Canonical tile height of the sufficient statistics.
     dtype:
@@ -534,49 +683,105 @@ class TemporalCoordinator:
             # one flat buffer; only a non-contiguous layout forces a copy.
             measurements = np.ascontiguousarray(measurements)
         bounds = _shard_bounds(measurements.shape[0], self.num_shards)
-        workers = self.workers
-        if workers is None:
-            import os
+        workers = _worker_count(self.workers, len(bounds))
 
-            workers = min(len(bounds), os.cpu_count() or 1)
-        workers = min(workers, len(bounds))
-
-        if workers <= 1:
-            outcome = self._fit_serial(measurements, bounds)
-        else:
-            outcome = self._fit_parallel(
-                measurements, bounds, workers, policy
+        with _task_runner(self, measurements, workers, policy) as (
+            traffic,
+            run,
+        ):
+            stats_run = run(
+                _run_stats_task,
+                [
+                    _StatsTask(traffic, start, stop, self.tile_rows)
+                    for start, stop in bounds
+                ],
+                stage="stats",
             )
-        (
-            detector,
-            separation,
-            timings,
-            merge_s,
-            fit_s,
-            sep_s,
-            coverage,
-            fault,
-        ) = outcome
-        report = ShardReport(
-            mode="temporal",
+            raise_if_lost(stats_run, "temporal stats pass", policy)
+            reports = [stats_run.report]
+            surviving = [
+                index
+                for index, result in enumerate(stats_run.results)
+                if result is not None
+            ]
+            if not surviving:
+                raise SupervisionError(
+                    "every statistics chunk was lost; nothing survives "
+                    "to fit",
+                    report=stats_run.report,
+                )
+            live_bounds = [bounds[index] for index in surviving]
+            covered = sum(b - a for a, b in live_bounds)
+            coverage = covered / measurements.shape[0]
+            timings = [
+                WorkerTiming(
+                    worker=index,
+                    start=bounds[index][0],
+                    size=bounds[index][1] - bounds[index][0],
+                    stats_seconds=stats_run.results[index][1],
+                )
+                for index in surviving
+            ]
+            pca, merge_s, fit_s = self._fit_merged(
+                [stats_run.results[index][0] for index in surviving],
+                allow_gaps=coverage < 1.0,
+            )
+            unit_moments: list[ScoreMoments] | None = None
+            sep_begin = time.perf_counter()
+            if self.normal_rank is None:
+                # A shard folds the canonical units that start inside it,
+                # reading past its stop to finish its last tile, so the
+                # units — and the bits — never depend on the shard bounds.
+                units = canonical_units(
+                    _CoverageLedger(live_bounds).intervals(), self.tile_rows
+                )
+                starts = [lo for lo, _ in units]
+                cuts = [bisect_left(starts, a) for a, _ in live_bounds]
+                cuts.append(len(units))
+                moments_run = run(
+                    _run_moments_task,
+                    [
+                        _MomentsTask(
+                            traffic, tuple(units[i:j]), pca.mean,
+                            pca.components,
+                        )
+                        for i, j in zip(cuts, cuts[1:])
+                    ],
+                    stage="moments",
+                )
+                raise_if_lost(moments_run, "temporal moments pass", policy)
+                reports.append(moments_run.report)
+                unit_moments = []
+                for slot, output in enumerate(moments_run.results):
+                    if output is None:
+                        continue  # partial: lost moments chunk
+                    parts, seconds = output
+                    timings[slot] = replace(
+                        timings[slot], moments_seconds=seconds
+                    )
+                    unit_moments.extend(parts)
+                if not unit_moments:
+                    raise SupervisionError(
+                        "every score-moments chunk was lost; the 3σ "
+                        "separation cannot run",
+                        report=moments_run.report,
+                    )
+        fault = reports[0]
+        for extra in reports[1:]:
+            fault = fault.merge(extra)
+        return self._finish(
+            pca,
+            unit_moments,
+            begin,
+            sep_begin,
             num_shards=len(bounds),
             workers=workers,
             num_rows=measurements.shape[0],
-            num_links=measurements.shape[1],
-            confidence=self.confidence,
-            normal_rank=detector.normal_rank,
-            threshold=float(detector.threshold),
-            tile_rows=self.tile_rows,
             coverage=coverage,
             fault=fault,
             merge_seconds=merge_s,
             fit_seconds=fit_s,
-            separation_seconds=sep_s,
-            elapsed_seconds=time.perf_counter() - begin,
-            worker_timings=timings,
-        )
-        return TemporalShardFit(
-            detector=detector, separation=separation, report=report
+            worker_timings=tuple(timings),
         )
 
     def fit_stream(
@@ -596,9 +801,10 @@ class TemporalCoordinator:
         (the resilient indexed protocol for sources that may deliver
         chunks late, twice, or out of order).  The matrix is never
         materialized.  One pass accumulates sufficient statistics; when
-        the separation rule is needed, a second pass folds score
-        moments.  Statistics are exact, so the result matches
-        :meth:`fit` on the concatenated chunks bit for bit.
+        the separation rule is needed, a second pass stitches the rows
+        into canonical tiles and scores each tile once.  Both passes
+        are exact, so the result matches :meth:`fit` on the
+        concatenated chunks bit for bit.
 
         A coverage ledger slices every incoming chunk to its not-yet-
         covered rows before folding, so duplicated, re-delivered and
@@ -641,7 +847,6 @@ class TemporalCoordinator:
         timings: list[WorkerTiming] = []
         merge_s = 0.0
         stream_faults: list[TaskFault] = []
-        retries = 0
 
         if path is not None and resume and path.exists():
             try:
@@ -666,7 +871,9 @@ class TemporalCoordinator:
             for lo, hi in ledger.uncovered(start, start + chunk.shape[0]):
                 piece = chunk[lo - start : hi - start]
                 pass_begin = time.perf_counter()
-                piece_stats = _chunk_stats(piece, lo, self.tile_rows)
+                piece_stats = SufficientStats.from_block(
+                    piece, start_row=lo, tile_rows=self.tile_rows
+                )
                 stats_s = time.perf_counter() - pass_begin
                 merge_begin = time.perf_counter()
                 stats = (
@@ -691,88 +898,37 @@ class TemporalCoordinator:
                     )
                     folds[0] = 0
 
-        allowed_retries = 0 if policy == "fail-fast" else self.max_retries
-        backoff_rng = random.Random(self.fault_seed)
-        attempt = 0
-        while True:
-            attempt += 1
-            source_error: Exception | None = None
-            position = 0
-            try:
-                for item in chunk_source():
-                    # Zero-copy for conforming chunks: memmap slices
-                    # stream straight into the statistics kernel.
-                    start, chunk = _stream_item(item, position)
-                    position = start + chunk.shape[0]
-                    if chunk.shape[0] == 0:
-                        continue  # an empty shard contributes nothing
-                    fold(start, chunk)
-            except ReproError:
-                raise  # our own validation errors are never retried
-            except Exception as err:  # noqa: BLE001 - source fault
-                source_error = err
-
+        def gap() -> str | None:
             expected = (
                 ledger.max_stop if expected_rows is None else expected_rows
             )
             intervals = ledger.intervals()
-            complete = (
-                source_error is None
-                and stats is not None
+            if (
+                stats is not None
                 and len(intervals) == 1
                 and intervals[0] == (0, max(expected, intervals[0][1]))
+            ):
+                return None
+            return (
+                f"covered {ledger.covered_rows} of {expected} rows "
+                f"in {len(intervals)} interval(s)"
             )
-            if complete:
-                break
-            detail = (
-                f"{type(source_error).__name__}: {source_error}"
-                if source_error is not None
-                else (
-                    f"covered {ledger.covered_rows} of {expected} rows "
-                    f"in {len(intervals)} interval(s)"
-                )
-            )
-            kind = "stream_error" if source_error else "stream_gap"
-            if attempt <= allowed_retries:
-                retries += 1
-                stream_faults.append(
-                    TaskFault(
-                        task=-1,
-                        attempt=attempt,
-                        kind=kind,
-                        worker=-1,
-                        detail=detail,
-                    )
-                )
-                delay = min(
-                    self.backoff_max,
-                    self.backoff_base * (2 ** (attempt - 1)),
-                )
-                time.sleep(delay * (1.0 + 0.25 * backoff_rng.random()))
-                continue
-            if policy != "partial":
-                if source_error is not None:
-                    raise source_error
-                if stats is None:
-                    raise ModelError("chunk source yielded no chunks")
-                raise SupervisionError(
-                    f"stream coverage is incomplete after {attempt} "
-                    f"pass(es): {detail}"
-                )
-            stream_faults.append(
-                TaskFault(
-                    task=-1,
-                    attempt=attempt,
-                    kind=kind,
-                    worker=-1,
-                    detail=detail,
-                )
-            )
+
+        attempts, faults, detail = self._drive(
+            chunk_source, fold, gap, policy, self.fault_seed
+        )
+        stream_faults.extend(faults)
+        if detail is not None and policy != "partial":
             if stats is None:
-                raise SupervisionError(
-                    "no chunks survived the faulty stream; nothing to fit"
-                )
-            break
+                raise ModelError("chunk source yielded no chunks")
+            raise SupervisionError(
+                f"stream coverage is incomplete after {attempts} "
+                f"pass(es): {detail}"
+            )
+        if stats is None:
+            raise SupervisionError(
+                "no chunks survived the faulty stream; nothing to fit"
+            )
 
         if path is not None and folds[0] > 0:
             self._write_stream_checkpoint(
@@ -787,11 +943,11 @@ class TemporalCoordinator:
             min(1.0, ledger.covered_rows / expected) if expected else 1.0
         )
         fault: FaultReport | None = None
-        if stream_faults or retries:
+        if stream_faults:
             fault = FaultReport(
                 tasks=len(timings),
-                attempts=attempt,
-                retries=retries,
+                attempts=attempts,
+                retries=attempts - 1,
                 faults=tuple(stream_faults),
             )
         return self._fit_accumulated(
@@ -874,13 +1030,13 @@ class TemporalCoordinator:
         """Fit from *already accumulated* sufficient statistics.
 
         This is the refit entry point of the always-on service
-        (:mod:`repro.service`): the ingestion loop merges one
-        :class:`~repro.core.suffstats.SufficientStats` per arrival, so
-        by refit time pass 1 of :meth:`fit_stream` has effectively
-        already run.  ``chunk_source`` must replay exactly the rows the
-        statistics cover and is only consulted when the 3σ separation
-        rule needs its score-moments pass (``normal_rank=None``); with
-        an explicit rank the fit is a pure function of ``stats``.
+        (:mod:`repro.service`): its tile-packed history computes each
+        tile's statistics once as the tile fills, so by refit time
+        pass 1 of :meth:`fit_stream` has effectively already run.
+        ``chunk_source`` must replay exactly the rows the statistics
+        cover and is only consulted when the 3σ separation rule needs
+        its score-moments pass (``normal_rank=None``); with an explicit
+        rank the fit is a pure function of ``stats``.
 
         The result is bit-identical to :meth:`fit` /
         :meth:`fit_stream` on the same rows, by the sufficient-statistics
@@ -919,192 +1075,137 @@ class TemporalCoordinator:
         """Shared tail of the streaming/accumulated fit routes.
 
         ``ledger`` is pass 1's coverage (absolute row intervals the
-        statistics fold); the score-moments pass folds exactly those
-        rows, exactly once, so a faulty source replayed for pass 2 still
-        yields the clean-run moments.  ``None`` means the statistics
-        cover ``[0, num_samples)`` contiguously (the accumulated route).
+        statistics fold); the separation pass scores the canonical units
+        of exactly those rows, each once, so a faulty source replayed
+        for pass 2 still yields the clean-run moments.  ``None`` means
+        the statistics cover ``[0, num_samples)`` contiguously (the
+        accumulated route).
         """
         policy = resolve_policy(policy, self.fault_policy)
-        fit_begin = time.perf_counter()
-        finalized = (
-            stats.finalize(allow_gaps=True) if coverage < 1.0 else stats
-        )
-        pca = PCA(method="gram", dtype=self.dtype).fit_from_stats(finalized)
-        fit_s = time.perf_counter() - fit_begin
+        pca, _, fit_s = self._fit_merged([stats], allow_gaps=coverage < 1.0)
 
-        separation: SeparationResult | None = None
-        sep_s = 0.0
+        unit_moments: list[ScoreMoments] | None = None
+        sep_begin = time.perf_counter()
         if self.normal_rank is None:
-            sep_begin = time.perf_counter()
-            mean, components = pca.mean, pca.components
-            pass1 = (
-                ledger
+            covered = (
+                ledger.intervals()
                 if ledger is not None
-                else _CoverageLedger([(0, pca.num_samples)])
+                else [(0, pca.num_samples)]
             )
-            folded: ScoreMoments | None = None
-            seen = _CoverageLedger()
-            sep_faults: list[TaskFault] = []
-            sep_retries = 0
-            allowed_retries = 0 if policy == "fail-fast" else self.max_retries
-            backoff_rng = random.Random(self.fault_seed + 1)
-            attempt = 0
-            while True:
-                attempt += 1
-                source_error: Exception | None = None
-                raw_rows = 0
-                stray_rows = 0
-                position = 0
-                try:
-                    for item in chunk_source():
-                        start, chunk = _stream_item(item, position)
-                        position = start + chunk.shape[0]
-                        raw_rows += chunk.shape[0]
-                        if chunk.shape[0] == 0:
-                            continue  # mirror the stats pass
-                        stop = start + chunk.shape[0]
-                        inside = 0
-                        for lo, hi in seen.uncovered(start, stop):
-                            for a, b in pass1.covered_within(lo, hi):
-                                moments = score_moments(
-                                    chunk[a - start : b - start],
-                                    mean,
-                                    components,
-                                )
-                                folded = (
-                                    moments
-                                    if folded is None
-                                    else folded.merge(moments)
-                                )
-                                seen.add(a, b)
-                        for a, b in pass1.covered_within(start, stop):
-                            inside += b - a
-                        stray_rows += (stop - start) - inside
-                except ReproError:
-                    raise
-                except Exception as err:  # noqa: BLE001 - source fault
-                    source_error = err
-                complete = (
-                    source_error is None
-                    and stray_rows == 0
-                    and seen.covered_rows == pca.num_samples
+            replay = _UnitReplay(
+                canonical_units(covered, self.tile_rows),
+                pca.mean,
+                pca.components,
+            )
+            attempts, faults, detail = self._drive(
+                chunk_source, replay.add, replay.end_pass, policy,
+                self.fault_seed + 1,
+            )
+            if detail is not None and policy != "partial":
+                raise ModelError(
+                    f"chunk source changed between passes: {detail}"
                 )
-                if complete:
-                    break
-                if attempt <= allowed_retries:
-                    sep_retries += 1
-                    detail = (
-                        f"{type(source_error).__name__}: {source_error}"
-                        if source_error is not None
-                        else (
-                            f"moments cover {seen.covered_rows} of "
-                            f"{pca.num_samples} rows "
-                            f"({stray_rows} stray row(s))"
-                        )
-                    )
-                    sep_faults.append(
-                        TaskFault(
-                            task=-1,
-                            attempt=attempt,
-                            kind=(
-                                "stream_error"
-                                if source_error
-                                else "stream_gap"
-                            ),
-                            worker=-1,
-                            detail=detail,
-                        )
-                    )
-                    delay = min(
-                        self.backoff_max,
-                        self.backoff_base * (2 ** (attempt - 1)),
-                    )
-                    time.sleep(
-                        delay * (1.0 + 0.25 * backoff_rng.random())
-                    )
-                    continue
-                if policy != "partial":
-                    if source_error is not None:
-                        raise source_error
-                    raise ModelError(
-                        f"chunk source changed between passes: saw "
-                        f"{raw_rows} rows, statistics cover "
-                        f"{pca.num_samples}"
-                    )
-                sep_faults.append(
-                    TaskFault(
-                        task=-1,
-                        attempt=attempt,
-                        kind=(
-                            "stream_error" if source_error else "stream_gap"
-                        ),
-                        worker=-1,
-                        detail=(
-                            f"separation pass incomplete: covered "
-                            f"{seen.covered_rows} of {pca.num_samples} rows"
-                        ),
-                    )
-                )
-                break
-            if folded is None:
+            unit_moments = replay.moments()
+            if not unit_moments:
                 raise SupervisionError(
                     "no score moments survived the faulty stream; the 3σ "
                     "separation cannot run (set an explicit normal_rank "
                     "to fit without it)"
                 )
-            if sep_faults or sep_retries:
+            if faults:
                 extra = FaultReport(
-                    attempts=attempt,
-                    retries=sep_retries,
-                    faults=tuple(sep_faults),
+                    attempts=attempts,
+                    retries=attempts - 1,
+                    faults=tuple(faults),
                 )
                 fault = extra if fault is None else fault.merge(extra)
-            separation = separate_axes_from_moments(
-                pca,
-                folded,
-                threshold_sigma=self.threshold_sigma,
-                min_normal_rank=self.min_normal_rank,
-                max_normal_rank=self.max_normal_rank,
-            )
-            rank = separation.normal_rank
-            sep_s = time.perf_counter() - sep_begin
-        else:
-            rank = self.normal_rank
-
-        model = SubspaceModel.with_rank(pca, rank)
-        if separation is not None:
-            model.separation = separation
-        detector = self._package(model)
-        report = ShardReport(
-            mode="temporal",
+        return self._finish(
+            pca,
+            unit_moments,
+            begin,
+            sep_begin,
             num_shards=len(timings),
             workers=1,
             num_rows=pca.num_samples,
-            num_links=pca.num_components,
-            confidence=self.confidence,
-            normal_rank=detector.normal_rank,
-            threshold=float(detector.threshold),
-            tile_rows=self.tile_rows,
             coverage=coverage,
             fault=fault,
             merge_seconds=merge_s,
             fit_seconds=fit_s,
-            separation_seconds=sep_s,
-            elapsed_seconds=time.perf_counter() - begin,
             worker_timings=tuple(timings),
         )
-        return TemporalShardFit(
-            detector=detector, separation=separation, report=report
-        )
+
+    def _drive(
+        self,
+        chunk_source: Callable[[], Iterable],
+        fold: Callable[[int, np.ndarray], None],
+        gap: Callable[[], str | None],
+        policy: str,
+        seed: int,
+    ) -> tuple[int, list[TaskFault], str | None]:
+        """Run passes over a re-iterable source until a pass is complete.
+
+        Each pass feeds every non-empty ``(start_row, chunk)`` to
+        ``fold``; ``gap()`` is called once after every pass and returns
+        ``None`` when nothing is missing, else what is.  A source that
+        raises, or a pass with a gap, is a fault, and the source is
+        re-iterated up to ``max_retries`` times (none under
+        ``fail-fast``) with jittered exponential backoff.  Returns the
+        passes made, the faults, and the last pass's unresolved fault
+        (``None`` when it completed).  A source error that exhausts the
+        retries is re-raised unless the policy is ``partial``.
+        """
+        allowed = 0 if policy == "fail-fast" else self.max_retries
+        backoff_rng = random.Random(seed)
+        faults: list[TaskFault] = []
+        attempt = 0
+        while True:
+            attempt += 1
+            source_error: Exception | None = None
+            position = 0
+            try:
+                for item in chunk_source():
+                    # Zero-copy for conforming chunks: memmap slices
+                    # stream straight into the kernels.
+                    start, chunk = _stream_item(item, position)
+                    position = start + chunk.shape[0]
+                    if chunk.shape[0]:  # an empty shard contributes nothing
+                        fold(start, chunk)
+            except ReproError:
+                raise  # our own validation errors are never retried
+            except Exception as err:  # noqa: BLE001 - source fault
+                source_error = err
+            missing = gap()
+            if source_error is not None:
+                missing = f"{type(source_error).__name__}: {source_error}"
+            if missing is None:
+                return attempt, faults, None
+            faults.append(
+                TaskFault(
+                    task=-1,
+                    attempt=attempt,
+                    kind=(
+                        "stream_gap" if source_error is None else "stream_error"
+                    ),
+                    worker=-1,
+                    detail=missing,
+                )
+            )
+            if attempt <= allowed:
+                delay = min(
+                    self.backoff_max,
+                    self.backoff_base * (2 ** (attempt - 1)),
+                )
+                time.sleep(delay * (1.0 + 0.25 * backoff_rng.random()))
+                continue
+            if source_error is not None and policy != "partial":
+                raise source_error
+            return attempt, faults, missing
 
     # ------------------------------------------------------------------
-    def _finish(
-        self,
-        stats_parts: Sequence[SufficientStats],
-        moments_for: Callable[[np.ndarray, np.ndarray], list[ScoreMoments]],
-        allow_gaps: bool = False,
-    ):
-        """Merge statistics, fit, and (optionally) separate.
+    def _fit_merged(
+        self, stats_parts: Sequence[SufficientStats], allow_gaps: bool = False
+    ) -> tuple[PCA, float, float]:
+        """Merge per-chunk statistics and fit the PCA once.
 
         ``allow_gaps`` finalizes the merged statistics tolerating
         interior coverage gaps — the ``partial`` policy's path when
@@ -1119,43 +1220,43 @@ class TemporalCoordinator:
         fit_begin = time.perf_counter()
         source = merged.finalize(allow_gaps=True) if allow_gaps else merged
         pca = PCA(method="gram", dtype=self.dtype).fit_from_stats(source)
-        fit_s = time.perf_counter() - fit_begin
+        return pca, merge_s, time.perf_counter() - fit_begin
 
+    def _finish(
+        self,
+        pca: PCA,
+        unit_moments: list[ScoreMoments] | None,
+        begin: float,
+        sep_begin: float,
+        **report,
+    ) -> TemporalShardFit:
+        """Separate (from the per-unit moments, in row order), package
+        and report.
+
+        ``unit_moments`` is ``None`` when the coordinator has an
+        explicit rank and the separation rule does not run.  The
+        detector records the *requested* parameters (rank None when the
+        separation rule ran, the coordinator's sigma and clamps), so an
+        equivalence checker refitting from them reproduces the full
+        monolithic procedure instead of pinning the computed rank.
+        ``report`` holds the route's own :class:`ShardReport` fields.
+        """
         separation: SeparationResult | None = None
-        sep_s = 0.0
-        if self.normal_rank is None:
-            sep_begin = time.perf_counter()
-            parts = moments_for(pca.mean, pca.components)
-            folded = parts[0]
-            for part in parts[1:]:
-                folded = folded.merge(part)
+        rank = self.normal_rank
+        if unit_moments is not None:
             separation = separate_axes_from_moments(
                 pca,
-                folded,
+                fold_moments(unit_moments, pca.num_components),
                 threshold_sigma=self.threshold_sigma,
                 min_normal_rank=self.min_normal_rank,
                 max_normal_rank=self.max_normal_rank,
             )
             rank = separation.normal_rank
-            sep_s = time.perf_counter() - sep_begin
-        else:
-            rank = self.normal_rank
-
+        sep_s = 0.0 if separation is None else time.perf_counter() - sep_begin
         model = SubspaceModel.with_rank(pca, rank)
         if separation is not None:
             model.separation = separation
-        detector = self._package(model)
-        return detector, separation, merge_s, fit_s, sep_s
-
-    def _package(self, model: SubspaceModel) -> SPEDetector:
-        """Wrap the fitted model with this coordinator's configuration.
-
-        The detector records the *requested* parameters (rank None when
-        the separation rule ran, the coordinator's sigma and clamps), so
-        an equivalence checker refitting from them reproduces the full
-        monolithic procedure instead of pinning the computed rank.
-        """
-        return SPEDetector.from_model(
+        detector = SPEDetector.from_model(
             model,
             confidence=self.confidence,
             threshold_sigma=self.threshold_sigma,
@@ -1164,177 +1265,21 @@ class TemporalCoordinator:
             max_normal_rank=self.max_normal_rank,
             dtype=self.dtype,
         )
-
-    def _fit_serial(self, measurements: np.ndarray, bounds):
-        timings: list[WorkerTiming] = []
-        stats_parts: list[SufficientStats] = []
-        for index, (start, stop) in enumerate(bounds):
-            begin = time.perf_counter()
-            stats_parts.append(
-                _chunk_stats(
-                    measurements[start:stop], start, self.tile_rows
-                )
-            )
-            timings.append(
-                WorkerTiming(
-                    worker=index,
-                    start=start,
-                    size=stop - start,
-                    stats_seconds=time.perf_counter() - begin,
-                )
-            )
-
-        def moments_for(mean, components):
-            parts = []
-            for index, (start, stop) in enumerate(bounds):
-                begin = time.perf_counter()
-                parts.append(
-                    score_moments(
-                        measurements[start:stop], mean, components
-                    )
-                )
-                timings[index] = WorkerTiming(
-                    worker=index,
-                    start=start,
-                    size=stop - start,
-                    stats_seconds=timings[index].stats_seconds,
-                    moments_seconds=time.perf_counter() - begin,
-                )
-            return parts
-
-        detector, separation, merge_s, fit_s, sep_s = self._finish(
-            stats_parts, moments_for
+        return TemporalShardFit(
+            detector=detector,
+            separation=separation,
+            report=ShardReport(
+                mode="temporal",
+                num_links=pca.num_components,
+                confidence=self.confidence,
+                normal_rank=detector.normal_rank,
+                threshold=float(detector.threshold),
+                tile_rows=self.tile_rows,
+                separation_seconds=sep_s,
+                elapsed_seconds=time.perf_counter() - begin,
+                **report,
+            ),
         )
-        return (
-            detector,
-            separation,
-            tuple(timings),
-            merge_s,
-            fit_s,
-            sep_s,
-            1.0,
-            None,
-        )
-
-    def _fit_parallel(
-        self, measurements: np.ndarray, bounds, workers: int, policy: str
-    ):
-        global _INHERITED_TRAFFIC
-
-        segments: list = []
-        inherited = _fork_start()
-        try:
-            if inherited:
-                shared = None
-                _INHERITED_TRAFFIC = measurements
-            else:  # pragma: no cover - non-fork platforms
-                shared = _share_array(measurements, segments)
-            max_retries = 0 if policy == "fail-fast" else self.max_retries
-            with SupervisedPool(
-                workers,
-                deadline=self.task_deadline,
-                max_retries=max_retries,
-                backoff_base=self.backoff_base,
-                backoff_max=self.backoff_max,
-                seed=self.fault_seed,
-                fault_plan=self.fault_plan,
-            ) as pool:
-                stats_tasks = [
-                    _StatsTask(shared, start, stop, self.tile_rows)
-                    for start, stop in bounds
-                ]
-                stats_run = pool.run(
-                    _run_stats_task, stats_tasks, stage="stats"
-                )
-                raise_if_lost(stats_run, "temporal stats pass", policy)
-                reports = [stats_run.report]
-                surviving = [
-                    index
-                    for index, result in enumerate(stats_run.results)
-                    if result is not None
-                ]
-                if not surviving:
-                    raise SupervisionError(
-                        "every statistics chunk was lost; nothing "
-                        "survives to fit",
-                        report=stats_run.report,
-                    )
-                live_bounds = [bounds[index] for index in surviving]
-                stats_parts = [
-                    stats_run.results[index][0] for index in surviving
-                ]
-                total_rows = sum(stop - start for start, stop in bounds)
-                covered_rows = sum(
-                    stop - start for start, stop in live_bounds
-                )
-                coverage = covered_rows / total_rows
-                timings = [
-                    WorkerTiming(
-                        worker=index,
-                        start=bounds[index][0],
-                        size=bounds[index][1] - bounds[index][0],
-                        stats_seconds=stats_run.results[index][1],
-                    )
-                    for index in surviving
-                ]
-
-                def moments_for(mean, components):
-                    tasks = [
-                        _MomentsTask(shared, start, stop, mean, components)
-                        for start, stop in live_bounds
-                    ]
-                    run = pool.run(
-                        _run_moments_task, tasks, stage="moments"
-                    )
-                    raise_if_lost(run, "temporal moments pass", policy)
-                    reports.append(run.report)
-                    parts = []
-                    for slot, output in enumerate(run.results):
-                        if output is None:
-                            continue  # partial: lost moments chunk
-                        moments, seconds = output
-                        timings[slot] = WorkerTiming(
-                            worker=timings[slot].worker,
-                            start=timings[slot].start,
-                            size=timings[slot].size,
-                            stats_seconds=timings[slot].stats_seconds,
-                            moments_seconds=seconds,
-                        )
-                        parts.append(moments)
-                    if not parts:
-                        raise SupervisionError(
-                            "every score-moments chunk was lost; the 3σ "
-                            "separation cannot run",
-                            report=run.report,
-                        )
-                    return parts
-
-                detector, separation, merge_s, fit_s, sep_s = self._finish(
-                    stats_parts,
-                    moments_for,
-                    allow_gaps=coverage < 1.0,
-                )
-            fault = reports[0]
-            for extra in reports[1:]:
-                fault = fault.merge(extra)
-            return (
-                detector,
-                separation,
-                tuple(timings),
-                merge_s,
-                fit_s,
-                sep_s,
-                coverage,
-                fault,
-            )
-        finally:
-            _INHERITED_TRAFFIC = None
-            for segment in segments:
-                segment.close()
-                try:
-                    segment.unlink()
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
 
 
 def temporal_fit_matches_monolithic(
@@ -1342,17 +1287,16 @@ def temporal_fit_matches_monolithic(
 ) -> bool:
     """Is a sharded fit bit-identical to the monolithic gram fit?
 
-    Compares mean, components, singular values, separation rank and the
+    Compares mean, components, singular values, the separation's
+    per-axis deviations and first anomalous axis, the rank and the
     Q-statistic threshold against a fresh in-process
     ``SPEDetector(svd_method="gram")`` fit built from the sharded
     detector's *requested* configuration — rank ``None`` when the
     separation rule chose it, so the reference genuinely re-runs the
-    monolithic 3σ procedure rather than pinning the computed rank.  The
-    PCA comparison is exact by the sufficient-statistics construction
-    (``t >= m``); the rank is computed from distributed score moments
-    and can in principle differ on exact 3σ boundary ties — any
-    mismatch returns False rather than raising, so callers can gate on
-    it.
+    monolithic 3σ procedure rather than pinning the computed rank.
+    Every comparison is exact: both fits fold the same canonical tiles
+    (``t >= m``).  Any mismatch returns False rather than raising, so
+    callers can gate on it.
     """
     reference = SPEDetector(
         confidence=fit.detector.confidence,
@@ -1364,6 +1308,15 @@ def temporal_fit_matches_monolithic(
         dtype=fit.detector.dtype,
     ).fit(measurements)
     ours, theirs = fit.detector.model, reference.model
+    ours_sep = getattr(ours, "separation", None)
+    theirs_sep = getattr(theirs, "separation", None)
+    if (ours_sep is None) != (theirs_sep is None):
+        return False
+    if ours_sep is not None and not (
+        np.array_equal(ours_sep.max_deviations, theirs_sep.max_deviations)
+        and ours_sep.first_anomalous_axis == theirs_sep.first_anomalous_axis
+    ):
+        return False
     return (
         np.array_equal(ours.pca.mean, theirs.pca.mean)
         and np.array_equal(ours.pca.components, theirs.pca.components)
@@ -1675,30 +1628,22 @@ class SpatialShardFit:
 
 @dataclass(frozen=True)
 class _ZoneFitTask:
-    traffic: "_SharedArray | None"
+    traffic: "np.ndarray | _SharedArray | None"
     links: np.ndarray
     confidence: float
     threshold_sigma: float
     normal_rank: int | None
 
 
-def _fit_zone(
-    traffic: np.ndarray, task: "_ZoneFitTask"
-) -> SPEDetector:
-    return SPEDetector(
+def _run_zone_task(task: _ZoneFitTask) -> tuple[SPEDetector, float]:
+    begin = time.perf_counter()
+    traffic = _resolve_traffic(task.traffic)
+    detector = SPEDetector(
         confidence=task.confidence,
         threshold_sigma=task.threshold_sigma,
         normal_rank=task.normal_rank,
     ).fit(np.ascontiguousarray(traffic[:, task.links]))
-
-
-def _run_zone_task(task: _ZoneFitTask) -> tuple[bytes, float]:
-    import pickle
-
-    begin = time.perf_counter()
-    detector = _fit_zone(_resolve_traffic(task.traffic), task)
-    blob = pickle.dumps(detector, protocol=pickle.HIGHEST_PROTOCOL)
-    return blob, time.perf_counter() - begin
+    return detector, time.perf_counter() - begin
 
 
 class SpatialCoordinator:
@@ -1798,39 +1743,11 @@ class SpatialCoordinator:
             raise ValidationError(
                 f"votes={votes} exceeds the {len(zones)} zones"
             )
-        workers = self.workers
-        if workers is None:
-            import os
+        workers = _worker_count(self.workers, len(zones))
 
-            workers = min(len(zones), os.cpu_count() or 1)
-        workers = min(workers, len(zones))
-
-        fault: FaultReport | None = None
-        if workers <= 1:
-            fitted: dict[int, SPEDetector] = {}
-            timings: list[WorkerTiming] = []
-            for index, zone in enumerate(zones):
-                zone_begin = time.perf_counter()
-                task = _ZoneFitTask(
-                    traffic=None,
-                    links=zone,
-                    confidence=self.confidence,
-                    threshold_sigma=self.threshold_sigma,
-                    normal_rank=self.normal_rank,
-                )
-                fitted[index] = _fit_zone(measurements, task)
-                timings.append(
-                    WorkerTiming(
-                        worker=index,
-                        start=int(zone[0]),
-                        size=int(zone.size),
-                        stats_seconds=time.perf_counter() - zone_begin,
-                    )
-                )
-        else:
-            fitted, timings, fault = self._fit_parallel(
-                measurements, zones, workers, policy
-            )
+        fitted, timings, fault = self._fit_zones(
+            measurements, zones, workers, policy
+        )
 
         alive = sorted(fitted)
         dead = tuple(
@@ -1890,22 +1807,14 @@ class SpatialCoordinator:
         )
         return SpatialShardFit(model=model, report=report)
 
-    def _fit_parallel(self, measurements, zones, workers, policy):
-        import pickle
-
-        global _INHERITED_TRAFFIC
-
-        segments: list = []
-        inherited = _fork_start()
-        try:
-            if inherited:
-                shared = None
-                _INHERITED_TRAFFIC = measurements
-            else:  # pragma: no cover - non-fork platforms
-                shared = _share_array(measurements, segments)
+    def _fit_zones(self, measurements, zones, workers, policy):
+        with _task_runner(self, measurements, workers, policy) as (
+            traffic,
+            run_tasks,
+        ):
             tasks = [
                 _ZoneFitTask(
-                    traffic=shared,
+                    traffic=traffic,
                     links=zone,
                     confidence=self.confidence,
                     threshold_sigma=self.threshold_sigma,
@@ -1913,44 +1822,25 @@ class SpatialCoordinator:
                 )
                 for zone in zones
             ]
-            max_retries = 0 if policy == "fail-fast" else self.max_retries
-            with SupervisedPool(
-                workers,
-                deadline=self.task_deadline,
-                max_retries=max_retries,
-                backoff_base=self.backoff_base,
-                backoff_max=self.backoff_max,
-                seed=self.fault_seed,
-                fault_plan=self.fault_plan,
-            ) as pool:
-                run = pool.run(_run_zone_task, tasks, stage="zones")
-            raise_if_lost(run, "spatial zone fits", policy)
-            fitted: dict[int, SPEDetector] = {}
-            timings: list[WorkerTiming] = []
-            for index, output in enumerate(run.results):
-                if output is None:
-                    continue  # partial: permanently lost zone
-                blob, seconds = output
-                fitted[index] = pickle.loads(blob)
-                timings.append(
-                    WorkerTiming(
-                        worker=index,
-                        start=int(zones[index][0]),
-                        size=int(zones[index].size),
-                        stats_seconds=seconds,
-                    )
+            run = run_tasks(_run_zone_task, tasks, stage="zones")
+        raise_if_lost(run, "spatial zone fits", policy)
+        fitted: dict[int, SPEDetector] = {}
+        timings: list[WorkerTiming] = []
+        for index, output in enumerate(run.results):
+            if output is None:
+                continue  # partial: permanently lost zone
+            fitted[index], seconds = output
+            timings.append(
+                WorkerTiming(
+                    worker=index,
+                    start=int(zones[index][0]),
+                    size=int(zones[index].size),
+                    stats_seconds=seconds,
                 )
-            if not fitted:
-                raise SupervisionError(
-                    "every zone fit was lost; nothing survives to fuse",
-                    report=run.report,
-                )
-            return fitted, timings, run.report
-        finally:
-            _INHERITED_TRAFFIC = None
-            for segment in segments:
-                segment.close()
-                try:
-                    segment.unlink()
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
+            )
+        if not fitted:
+            raise SupervisionError(
+                "every zone fit was lost; nothing survives to fuse",
+                report=run.report,
+            )
+        return fitted, timings, run.report

@@ -780,7 +780,7 @@ SubspaceModel.score_block` kernel — one call per contiguous run under
         """Score and fold an accepted run, splitting at refit boundaries.
 
         Each sub-run is every row up to the next synchronous-refit due
-        point: one fused ``score_block`` call, one suffstats fold, one
+        point: one fused ``score_block`` call, one history append, one
         tracker fold — then the refit (if due) swaps the version exactly
         where a row-by-row replay would have swapped it.  Each sub-run
         becomes one :class:`BlockSegment` holding the kernel's arrays;

@@ -9,12 +9,12 @@ wrapping a fully fitted :class:`~repro.core.detection.SPEDetector`, and
     Fit version 1 from a warmup block (the service will not accept
     traffic before this).
 ``append_rows``
-    Fold freshly ingested rows into the running
-    :class:`~repro.core.suffstats.SufficientStats` (pass 1 of a future
-    refit, paid incrementally) and retain them for the separation
-    moments pass.
+    Copy freshly ingested rows into the tile-packed history
+    (:class:`~repro.core.suffstats.RowStore`): each full tile computes
+    its statistics once, so pass 1 of a future refit is paid
+    incrementally, and the tiles are what the separation pass replays.
 ``refit``
-    Fit a candidate from the accumulated statistics via
+    Fit a candidate from a history snapshot via
     :meth:`TemporalCoordinator.fit_from_stats
     <repro.pipeline.sharded.TemporalCoordinator.fit_from_stats>`, then
     *atomically* swap it in: the swap is a single reference assignment
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import pickle
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,11 +40,16 @@ import numpy as np
 
 from repro._util import atomic_pickle_dump, ensure_matrix
 from repro.core.detection import SPEDetector
-from repro.core.suffstats import DEFAULT_TILE_ROWS, SufficientStats
-from repro.exceptions import CheckpointError, ServiceError
+from repro.core.suffstats import DEFAULT_TILE_ROWS, HistorySnapshot, RowStore
+from repro.exceptions import CheckpointError, ModelError, ServiceError
 from repro.pipeline.sharded import TemporalCoordinator
 
-__all__ = ["ModelVersion", "ModelLifecycleManager", "CHECKPOINT_SCHEMA_VERSION"]
+__all__ = [
+    "CHECKPOINT_SCHEMA_VERSION",
+    "ModelLifecycleManager",
+    "ModelVersion",
+    "fit_history",
+]
 
 #: Bump when the checkpoint payload shape changes.
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -128,9 +133,7 @@ class ModelLifecycleManager:
         self.refit_hook = refit_hook
         self.dtype = np.dtype(dtype)
         self._lock = threading.RLock()
-        self._blocks: list[np.ndarray] = []
-        self._rows = 0
-        self._stats: SufficientStats | None = None
+        self._history: RowStore | None = None
         self._current: ModelVersion | None = None
         self._retired: list[ModelVersion] = []
         #: Side-channel state from the checkpoint that restored this
@@ -143,15 +146,18 @@ class ModelLifecycleManager:
     def rows(self) -> int:
         """Absolute rows accumulated (warmup + ingested)."""
         with self._lock:
-            return self._rows
+            return 0 if self._history is None else self._history.rows
 
     @property
     def num_links(self) -> int:
         """Measurement width ``m`` fixed by the warmup block."""
+        return self._require_history().num_columns
+
+    def _require_history(self) -> RowStore:
         with self._lock:
-            if self._stats is None:
+            if self._history is None:
                 raise ServiceError("bootstrap the lifecycle first")
-            return self._stats.num_columns
+            return self._history
 
     @property
     def current(self) -> ModelVersion:
@@ -189,17 +195,15 @@ class ModelLifecycleManager:
         with self._lock:
             if self._current is not None:
                 raise ServiceError("lifecycle is already bootstrapped")
-            self._stats = SufficientStats.from_block(
-                warmup, start_row=0, tile_rows=self.tile_rows
-            )
-            self._blocks = [warmup]
-            self._rows = warmup.shape[0]
-            detector = self._fit_candidate_locked()
+            history = RowStore(warmup.shape[1], self.tile_rows)
+            history.append(warmup)
+            detector = self._fit_candidate(history.snapshot())
+            self._history = history
             self._current = ModelVersion(
                 version=1,
                 detector=detector,
-                trained_rows=self._rows,
-                activated_at_row=self._rows,
+                trained_rows=history.rows,
+                activated_at_row=history.rows,
             )
             return self._current
 
@@ -207,9 +211,8 @@ class ModelLifecycleManager:
     def from_fitted(
         cls,
         detector: SPEDetector,
-        stats: SufficientStats,
-        blocks: Sequence[np.ndarray],
-        rows: int,
+        history: RowStore,
+        trained_rows: int,
         **kwargs,
     ) -> "ModelLifecycleManager":
         """Adopt an externally fitted version-1 model.
@@ -217,93 +220,75 @@ class ModelLifecycleManager:
         The multi-tenant fleet amortizes bootstrap fits across tenants
         on a shared worker pool, so the fit happens *outside* the
         manager; this constructor installs the result with the same
-        bookkeeping :meth:`bootstrap` would have produced.  ``stats``
-        and ``blocks`` must cover exactly the ``rows`` the detector was
-        trained on (the state :meth:`history_snapshot` returns), so a
-        later :meth:`refit` or :meth:`restore` reproduces the detector
-        bit-identically.  ``kwargs`` are the constructor's fit knobs.
+        bookkeeping :meth:`bootstrap` would have produced.  The detector
+        must have been fitted on the first ``trained_rows`` rows of
+        ``history`` (a :meth:`RowStore.snapshot
+        <repro.core.suffstats.RowStore.snapshot>`), so a later
+        :meth:`refit` or :meth:`restore` reproduces it bit-identically.
+        The manager takes ownership of ``history``.  ``kwargs`` are the
+        constructor's fit knobs.
         """
         manager = cls(**kwargs)
-        if rows < 2:
-            raise ServiceError(f"a fitted history needs >= 2 rows, got {rows}")
+        if trained_rows < 2:
+            raise ServiceError(
+                f"a fitted history needs >= 2 rows, got {trained_rows}"
+            )
         with manager._lock:
-            manager._stats = stats
-            manager._blocks = list(blocks)
-            manager._rows = int(rows)
+            manager._history = history
             manager._current = ModelVersion(
                 version=1,
                 detector=detector,
-                trained_rows=int(rows),
-                activated_at_row=int(rows),
+                trained_rows=int(trained_rows),
+                activated_at_row=history.rows,
             )
         return manager
 
-    def history_snapshot(
-        self,
-    ) -> tuple[SufficientStats, tuple[np.ndarray, ...], int]:
-        """Consistent ``(stats, blocks, rows)`` snapshot of the history.
+    def history_snapshot(self) -> HistorySnapshot:
+        """Consistent snapshot of the whole history.
 
         This is the state :meth:`fit_candidate` fits from, exposed so
         external schedulers (the fleet's shared pool) can run the same
         fit in a worker process and install the result via
         :meth:`activate` — bit-identical to an in-process refit, since
-        both paths feed identical statistics to the same kernel.
+        both paths feed identical tiles to the same kernels.  The
+        snapshot stays valid while ingest keeps appending.
         """
         with self._lock:
-            if self._stats is None:
-                raise ServiceError("bootstrap the lifecycle first")
-            return self._stats, tuple(self._blocks), self._rows
+            return self._require_history().snapshot()
 
     def append_rows(self, block: np.ndarray) -> None:
-        """Fold newly scored rows into the history (post-scoring)."""
+        """Copy newly scored rows onto the history (post-scoring)."""
         block = ensure_matrix(
             block, name="rows", error=ServiceError, check_finite=False
         )
         if block.shape[0] == 0:
             return
         with self._lock:
-            if self._stats is None:
-                raise ServiceError("bootstrap the lifecycle first")
-            if block.shape[1] != self._stats.num_columns:
+            history = self._require_history()
+            if block.shape[1] != history.num_columns:
                 raise ServiceError(
                     f"row width {block.shape[1]} != expected "
-                    f"{self._stats.num_columns}"
+                    f"{history.num_columns}"
                 )
-            chunk = SufficientStats.from_block(
-                block, start_row=self._rows, tile_rows=self.tile_rows
-            )
-            self._stats = self._stats.merge(chunk)
-            self._blocks.append(block)
-            self._rows += block.shape[0]
+            history.append(block)
 
     # ------------------------------------------------------------------
-    def _coordinator(self) -> TemporalCoordinator:
-        return TemporalCoordinator(
-            workers=1,
-            confidence=self.confidence,
-            threshold_sigma=self.threshold_sigma,
-            normal_rank=self.requested_rank,
-            min_normal_rank=self.min_normal_rank,
-            max_normal_rank=self.max_normal_rank,
-            tile_rows=self.tile_rows,
-            dtype=self.dtype,
-        )
+    def fit_config(self) -> dict:
+        """The fit knobs of :func:`fit_history`, as this manager holds them."""
+        return {
+            "confidence": self.confidence,
+            "threshold_sigma": self.threshold_sigma,
+            "normal_rank": self.requested_rank,
+            "min_normal_rank": self.min_normal_rank,
+            "max_normal_rank": self.max_normal_rank,
+            "tile_rows": self.tile_rows,
+            "dtype": self.dtype,
+        }
 
-    def _fit_candidate_locked(self) -> SPEDetector:
-        """Fit a detector from the current snapshot (lock already held)."""
-        stats = self._stats
-        blocks = tuple(self._blocks)
-        return self._fit_candidate(stats, blocks)
-
-    def _fit_candidate(
-        self, stats: SufficientStats, blocks: tuple[np.ndarray, ...]
-    ) -> SPEDetector:
+    def _fit_candidate(self, snapshot: HistorySnapshot) -> SPEDetector:
         if self.refit_hook is not None:
             self.refit_hook()
-        fit = self._coordinator().fit_from_stats(
-            stats, lambda: iter(blocks)
-        )
-        return fit.detector
+        return fit_history(self.fit_config(), snapshot)
 
     def fit_candidate(self) -> tuple[SPEDetector, int]:
         """Fit a candidate model from a consistent history snapshot.
@@ -313,14 +298,8 @@ class ModelLifecycleManager:
         it was trained on.  Raises whatever the fit raises — the caller
         decides whether that is fatal.
         """
-        with self._lock:
-            if self._stats is None:
-                raise ServiceError("bootstrap the lifecycle first")
-            stats = self._stats
-            blocks = tuple(self._blocks)
-            trained_rows = self._rows
-        detector = self._fit_candidate(stats, blocks)
-        return detector, trained_rows
+        snapshot = self.history_snapshot()
+        return self._fit_candidate(snapshot), snapshot.stats.count
 
     def refit(self) -> ModelVersion:
         """Fit a candidate and atomically hot-swap it in.
@@ -341,7 +320,7 @@ class ModelLifecycleManager:
         with self._lock:
             if self._current is None:
                 raise ServiceError("bootstrap the lifecycle first")
-            boundary = self._rows
+            boundary = self._history.rows
             retiring = self._current
             self._retired.append(
                 ModelVersion(
@@ -364,33 +343,27 @@ class ModelLifecycleManager:
     def checkpoint(self, path: str | Path, extra: dict | None = None) -> dict:
         """Serialize the full lifecycle state to ``path`` atomically.
 
-        The payload carries the merged sufficient statistics, the raw
-        history blocks (needed by the separation rule's moments pass on
-        the next refit), the version bookkeeping, the fit configuration,
-        and an optional ``extra`` dict of caller state (the service
-        stores its row counters there).  The write goes through
+        The payload carries the history's sufficient statistics, its
+        rows as tiles (``"blocks"``: one ``(tile_rows, m)`` array per
+        full tile, then the open tile's rows), the version bookkeeping,
+        the fit configuration, and an optional ``extra`` dict of caller
+        state (the service stores its row counters there).  The write
+        goes through
         :func:`~repro._util.atomic_pickle_dump` — temp file in the same
         directory, fsync, ``os.replace`` — so a crash mid-write leaves
         the previous complete checkpoint, never a torn file.  Returns
         the summary section for logging.
         """
         with self._lock:
-            if self._stats is None or self._current is None:
+            if self._current is None:
                 raise ServiceError("bootstrap the lifecycle first")
+            snapshot = self._history.snapshot()
             payload = {
                 "schema_version": CHECKPOINT_SCHEMA_VERSION,
-                "config": {
-                    "confidence": self.confidence,
-                    "threshold_sigma": self.threshold_sigma,
-                    "normal_rank": self.requested_rank,
-                    "min_normal_rank": self.min_normal_rank,
-                    "max_normal_rank": self.max_normal_rank,
-                    "tile_rows": self.tile_rows,
-                    "dtype": str(self.dtype),
-                },
-                "stats": self._stats,
-                "blocks": list(self._blocks),
-                "rows": self._rows,
+                "config": {**self.fit_config(), "dtype": str(self.dtype)},
+                "stats": snapshot.stats,
+                "blocks": list(snapshot.tiles),
+                "rows": snapshot.stats.count,
                 "current": self._current.summary(),
                 "retired": [v.summary() for v in self._retired],
                 "extra": dict(extra or {}),
@@ -402,12 +375,14 @@ class ModelLifecycleManager:
     def restore(cls, path: str | Path) -> "ModelLifecycleManager":
         """Rebuild a lifecycle manager from a checkpoint.
 
-        The active detector is *refit from the checkpointed statistics*
-        rather than unpickled, which keeps the checkpoint free of
-        fitted-model internals; by the sufficient-statistics exactness
-        guarantee the restored detector is bit-identical to the one that
-        wrote the checkpoint (the restore tests pin threshold, mean, and
-        components bitwise).
+        The history is rebuilt by appending the checkpointed ``"blocks"``
+        — tiles, or one block per request in files written before the
+        tile-packed history — and the statistics are derived from those
+        rows.  The active detector is *refit from the history's trained
+        prefix* rather than unpickled, which keeps the checkpoint free
+        of fitted-model internals; the restored detector is
+        bit-identical to the one that wrote the checkpoint (the restore
+        tests pin threshold, mean, and components bitwise).
 
         A file that cannot be read or unpickled — truncated, scribbled,
         missing — raises :class:`~repro.exceptions.CheckpointError`,
@@ -448,22 +423,27 @@ class ModelLifecycleManager:
                 dtype=config.get("dtype", "float64"),
             )
             current = payload["current"]
-        except (KeyError, TypeError) as err:
+            rows = int(payload["rows"])
+            trained = int(current["trained_rows"])
+            blocks = [np.asarray(b, dtype=np.float64) for b in payload["blocks"]]
+            history = RowStore(np.shape(blocks[0])[1], manager.tile_rows)
+            for block in blocks:
+                history.append(block)
+        except (KeyError, TypeError, ValueError, IndexError, ModelError) as err:
             raise CheckpointError(
                 f"malformed service checkpoint {path}: {err}"
             ) from err
+        if history.rows != rows or not 2 <= trained <= rows:
+            raise ServiceError(
+                f"history holds {history.rows} rows but the checkpoint "
+                f"claims {rows} ({trained} trained)"
+            )
         manager.restored_extra = dict(payload.get("extra") or {})
         with manager._lock:
-            manager._stats = payload["stats"]
-            manager._blocks = list(payload["blocks"])
-            manager._rows = payload["rows"]
+            manager._history = history
             # Refit on the trained prefix only: rows ingested after the
             # checkpointed model was fitted belong to the *next* refit.
-            trained = current["trained_rows"]
-            stats, blocks = _history_prefix(
-                manager._blocks, trained, manager.tile_rows
-            )
-            detector = manager._fit_candidate(stats, blocks)
+            detector = manager._fit_candidate(history.snapshot(trained))
             manager._current = ModelVersion(
                 version=current["version"],
                 detector=detector,
@@ -473,28 +453,15 @@ class ModelLifecycleManager:
         return manager
 
 
-def _history_prefix(
-    blocks: list[np.ndarray], rows: int, tile_rows: int
-) -> tuple[SufficientStats, tuple[np.ndarray, ...]]:
-    """Statistics + chunk list covering exactly the first ``rows`` rows."""
-    prefix: list[np.ndarray] = []
-    seen = 0
-    for block in blocks:
-        if seen >= rows:
-            break
-        take = min(block.shape[0], rows - seen)
-        prefix.append(block[:take])
-        seen += take
-    if seen != rows:
-        raise ServiceError(
-            f"history holds {seen} rows but the checkpoint claims {rows}"
-        )
-    stats: SufficientStats | None = None
-    offset = 0
-    for block in prefix:
-        chunk = SufficientStats.from_block(
-            block, start_row=offset, tile_rows=tile_rows
-        )
-        stats = chunk if stats is None else stats.merge(chunk)
-        offset += block.shape[0]
-    return stats, tuple(prefix)
+def fit_history(config: dict, snapshot: HistorySnapshot) -> SPEDetector:
+    """Fit a detector from a history snapshot under ``config``'s knobs.
+
+    The one fit of service bootstraps, refits and restores and of fleet
+    fits (module-level, so a worker pool can run it): the statistics
+    come with the snapshot, and the 3σ separation pass replays its
+    tiles, one :func:`~repro.core.subspace.score_moments` call each.
+    """
+    fit = TemporalCoordinator(workers=1, **config).fit_from_stats(
+        snapshot.stats, lambda: iter(snapshot.tiles)
+    )
+    return fit.detector

@@ -1,10 +1,12 @@
 """Tests for repro.core.subspace (§4.3, §5.1)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core import PCA, SubspaceModel
-from repro.core.subspace import separate_axes
+from repro.core.subspace import score_moments, separate_axes
 from repro.exceptions import ModelError
 
 
@@ -73,6 +75,37 @@ class TestSeparation:
         pca = PCA().fit(structured_data)
         with pytest.raises(ModelError):
             separate_axes(pca, structured_data, min_normal_rank=5, max_normal_rank=2)
+
+    @pytest.mark.parametrize("width", [1, 7])
+    def test_wrong_width_is_a_model_error(self, structured_data, width):
+        """A block narrower than the model raises, naming both widths,
+        instead of broadcasting (width 1) or failing inside numpy."""
+        pca = PCA().fit(structured_data)
+        block = structured_data[:, :width]
+        calls = (
+            lambda: separate_axes(pca, block),
+            lambda: score_moments(block, pca.mean, pca.components),
+            lambda: pca.transform(block),
+        )
+        for call in calls:
+            with pytest.raises(ModelError, match=f"{width} links.* 8"):
+                call()
+
+    def test_memory_does_not_grow_with_rows(self):
+        """The rule folds per-tile moments and never builds the (t, m)
+        score matrix: the peak allocation is the same at t and 4t."""
+        rng = np.random.default_rng(3)
+        peaks = []
+        for t in (16384, 65536):
+            block = rng.normal(size=(t, 32)) + 100.0
+            pca = PCA(method="gram").fit(block)
+            tracemalloc.start()
+            try:
+                separate_axes(pca, block)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
     def test_paper_rank_on_sprint(self, sprint1):
         """The paper finds the first ~4 components normal; our synthetic

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import PCA, FinalizedStats, SufficientStats
-from repro.core.suffstats import DEFAULT_TILE_ROWS
+from repro.core.suffstats import DEFAULT_TILE_ROWS, RowStore
 from repro.exceptions import ModelError
 
 
@@ -287,3 +287,74 @@ class TestAppendSeam:
             assert np.array_equal(a.total, b.total)
             assert np.array_equal(a.m2, b.m2)
         assert history.num_complete_tiles == 3
+
+
+class TestRowStore:
+    """The tile-packed history: appends copy rows, full tiles freeze."""
+
+    TILE = 8
+
+    def test_snapshots_finalize_like_from_block(self, block):
+        rows = block[:45]
+        store = RowStore(rows.shape[1], tile_rows=self.TILE)
+        rng = np.random.default_rng(1)
+        while store.rows < rows.shape[0]:
+            size = int(rng.integers(1, 12))
+            store.append(rows[store.rows : store.rows + size])
+        for count in (2, 7, 8, 17, 45):
+            snapshot = store.snapshot(count)
+            assert snapshot.stats.count == count
+            assert np.array_equal(np.concatenate(snapshot.tiles), rows[:count])
+            assert [tile.shape[0] for tile in snapshot.tiles[:-1]] == [
+                self.TILE
+            ] * (len(snapshot.tiles) - 1)
+            got = snapshot.stats.finalize()
+            want = SufficientStats.from_block(
+                rows[:count], tile_rows=self.TILE
+            ).finalize()
+            assert got.count == want.count
+            assert np.array_equal(got.total, want.total)
+            assert np.array_equal(got.m2, want.m2)
+
+    def test_mid_tile_snapshot_survives_two_more_tiles(self, block):
+        rows = block[:40]
+        store = RowStore(rows.shape[1], tile_rows=self.TILE)
+        store.append(rows[:11])
+        snapshot = store.snapshot()
+        tiles = [tile.tobytes() for tile in snapshot.tiles]
+        stats = snapshot.stats.finalize()
+        for row in rows[11 : 11 + 2 * self.TILE]:
+            store.append(row[None, :])
+        assert store.rows == 11 + 2 * self.TILE
+        assert [tile.tobytes() for tile in snapshot.tiles] == tiles
+        again = snapshot.stats.finalize()
+        assert np.array_equal(again.total, stats.total)
+        assert np.array_equal(again.m2, stats.m2)
+
+    def test_rejects_bad_input(self, block):
+        store = RowStore(6, tile_rows=self.TILE)
+        with pytest.raises(ModelError, match="6 columns"):
+            store.append(block[:3, :5])
+        with pytest.raises(ModelError, match="snapshot"):
+            store.snapshot()
+        store.append(block[:3])
+        with pytest.raises(ModelError, match="snapshot 4 rows"):
+            store.snapshot(4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_leaves_the_store_unchanged(self, block, bad):
+        store = RowStore(block.shape[1], tile_rows=self.TILE)
+        store.append(block[:5])
+        before = store.snapshot()
+        # Long enough to fill a tile before it reaches the bad row.
+        poisoned = block[5:20].copy()
+        poisoned[-1, 2] = bad
+        with pytest.raises(ModelError, match="non-finite"):
+            store.append(poisoned)
+        assert store.rows == 5
+        after = store.snapshot()
+        assert [t.tobytes() for t in after.tiles] == [
+            t.tobytes() for t in before.tiles
+        ]
+        store.append(block[5:20])
+        assert np.array_equal(np.concatenate(store.snapshot().tiles), block[:20])

@@ -562,6 +562,25 @@ class TestGuardrails:
         with pytest.raises(FleetError, match=">= 2 warmup rows"):
             fleet.fit()
 
+    def test_non_finite_rows_leave_a_fitted_history_unchanged(self):
+        fleet = make_fleet(1)
+        fleet.fit(strict=True)
+        poisoned = np.ones((3, LINKS))
+        poisoned[1, 5] = np.nan
+        with pytest.raises(ModelError, match="non-finite"):
+            fleet.ingest("acme-00", poisoned)
+        assert fleet.status()[0]["rows"] == WARMUP
+
+    def test_non_finite_rows_never_reach_a_pending_history(self):
+        fleet = make_fleet(1)
+        poisoned = np.ones((3, LINKS))
+        poisoned[2, 0] = np.inf
+        with pytest.raises(ModelError, match="non-finite"):
+            fleet.ingest("acme-00", poisoned)
+        assert fleet.status()[0]["rows"] == WARMUP
+        report = fleet.fit(strict=True)
+        assert report.outcomes[0].trained_rows == WARMUP
+
     def test_status_reports_every_tenant(self):
         fleet = make_fleet(2)
         fleet.fit(strict=True)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import SPEDetector
+from repro.core import SPEDetector, SufficientStats
 from repro.exceptions import ModelError, ValidationError
 from repro.pipeline.sharded import (
     FUSION_MODES,
@@ -115,6 +115,21 @@ class TestTemporal:
         forged = replace(fit, detector=forged_detector)
         assert not temporal_fit_matches_monolithic(forged, tall_block)
 
+        # The separation is compared bit for bit: deviations one ulp
+        # off, at the same rank, fail too.
+        separation = fit.separation
+        deviations = separation.max_deviations.copy()
+        deviations[0] = np.nextafter(deviations[0], np.inf)
+        ulp_model = SubspaceModel.with_rank(fit.pca, fit.detector.normal_rank)
+        ulp_model.separation = replace(separation, max_deviations=deviations)
+        ulp_detector = SPE.from_model(
+            ulp_model, confidence=fit.detector.confidence
+        )
+        assert temporal_fit_matches_monolithic(fit, tall_block)
+        assert not temporal_fit_matches_monolithic(
+            replace(fit, detector=ulp_detector), tall_block
+        )
+
     def test_fit_stream_matches_in_memory_fit(self, tall_block):
         def chunks():
             for start in range(0, tall_block.shape[0], 333):
@@ -139,6 +154,35 @@ class TestTemporal:
 
         with pytest.raises(ModelError, match="changed between passes"):
             TemporalCoordinator().fit_stream(flaky)
+
+    @pytest.mark.parametrize("policy", ["fail-fast", "retry"])
+    @pytest.mark.parametrize("width", [1, 17])
+    def test_replay_of_another_width_is_a_model_error(
+        self, tall_block, policy, width
+    ):
+        """A replay whose width changed raises ModelError after one
+        replay — never broadcast into the moments, never retried."""
+        calls = []
+
+        def source():
+            calls.append(None)
+            rows = tall_block if len(calls) == 1 else tall_block[:, :width]
+            for start in range(0, rows.shape[0], 500):
+                yield rows[start : start + 500]
+
+        with pytest.raises(ModelError, match=f"{width} links.* 18"):
+            TemporalCoordinator(fault_policy=policy).fit_stream(source)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("width", [1, 17])
+    def test_fit_from_stats_rejects_a_replay_of_another_width(
+        self, tall_block, width
+    ):
+        stats = SufficientStats.from_block(tall_block)
+        with pytest.raises(ModelError, match=f"{width} links.* 18"):
+            TemporalCoordinator().fit_from_stats(
+                stats, lambda: iter([tall_block[:, :width]])
+            )
 
     def test_fit_stream_rejects_empty_source(self):
         with pytest.raises(ModelError, match="no chunks"):

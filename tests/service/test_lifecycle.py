@@ -1,9 +1,16 @@
 """Versioned model lifecycle: exact refits, atomic swaps, checkpoints."""
 
+import math
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from repro.exceptions import ServiceError
+from repro.core import SufficientStats
+from repro.core.suffstats import DEFAULT_TILE_ROWS
+from repro.exceptions import ModelError, ServiceError
 from repro.pipeline import DetectionPipeline
 from repro.service import ModelLifecycleManager
 
@@ -96,6 +103,28 @@ class TestAppendAndRefit:
         )  # empty append is a no-op
         assert lifecycle.rows == rows_before
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_are_rejected(self, manager, bad):
+        dataset, warmup, lifecycle = manager
+        poisoned = dataset.link_traffic[warmup : warmup + 10].copy()
+        poisoned[4, 0] = bad
+        with pytest.raises(ModelError, match="non-finite"):
+            lifecycle.append_rows(poisoned)
+        assert lifecycle.rows == warmup
+        # The history is untouched, so a refit still matches the
+        # offline fit of the good rows.
+        lifecycle.append_rows(dataset.link_traffic[warmup : warmup + 10])
+        version = lifecycle.refit()
+        offline = DetectionPipeline(svd_method="gram").fit(
+            dataset.link_traffic[: warmup + 10]
+        )
+        assert version.threshold == offline.threshold
+        with pytest.raises(ModelError, match="non-finite"):
+            ModelLifecycleManager().bootstrap(
+                np.where(np.arange(warmup)[:, None] == 3, bad,
+                         dataset.link_traffic[:warmup])
+            )
+
     def test_explicit_rank_refits_without_history_pass(self, service_split):
         dataset, warmup = service_split
         lifecycle = ModelLifecycleManager(normal_rank=4)
@@ -164,13 +193,85 @@ class TestCheckpoint:
         assert left.threshold == right.threshold
         assert left.normal_rank == right.normal_rank
 
+    def test_restores_a_checkpoint_with_one_block_per_request(
+        self, manager, tmp_path
+    ):
+        """Files written before the tile-packed history hold one block
+        per request; restore appends them and refits the same bits."""
+        dataset, warmup, lifecycle = manager
+        requests = [
+            dataset.link_traffic[warmup + i : warmup + i + 1]
+            for i in range(40)
+        ]
+        for block in requests:
+            lifecycle.append_rows(block)
+        lifecycle.refit()
+        lifecycle.append_rows(dataset.link_traffic[warmup + 40 : warmup + 45])
+        requests.append(dataset.link_traffic[warmup + 40 : warmup + 45])
+        path = tmp_path / "state.pkl"
+        lifecycle.checkpoint(path)
+        with path.open("rb") as handle:
+            payload = pickle.load(handle)
+        blocks = [dataset.link_traffic[:warmup], *requests]
+        stats = SufficientStats.from_block(blocks[0])
+        offset = warmup
+        for block in requests:
+            stats = stats.merge(
+                SufficientStats.from_block(block, start_row=offset)
+            )
+            offset += block.shape[0]
+        payload["blocks"], payload["stats"] = blocks, stats
+        legacy = tmp_path / "legacy.pkl"
+        with legacy.open("wb") as handle:
+            pickle.dump(payload, handle)
+
+        restored = ModelLifecycleManager.restore(legacy)
+        assert restored.rows == lifecycle.rows
+        for each in (restored, lifecycle):
+            each.refit()
+        for left, right in zip(
+            restored.version_history()[-2:], lifecycle.version_history()[-2:]
+        ):
+            ours, theirs = left.detector.model, right.detector.model
+            assert left.threshold == right.threshold
+            assert ours.pca.mean.tobytes() == theirs.pca.mean.tobytes()
+            assert (
+                ours.pca.components.tobytes()
+                == theirs.pca.components.tobytes()
+            )
+            assert (
+                ours.separation.max_deviations.tobytes()
+                == theirs.separation.max_deviations.tobytes()
+            )
+
+    @pytest.mark.parametrize("request_rows", [1, 50, 1000])
+    def test_refit_scores_each_tile_once(self, monkeypatch, request_rows):
+        """A refit of N history rows makes ceil(N / tile_rows) score-
+        moments calls, whatever the request sizes were."""
+        import repro.pipeline.sharded as sharded
+
+        block = np.random.default_rng(5).normal(size=(5000, 6)) + 50.0
+        lifecycle = ModelLifecycleManager()
+        lifecycle.bootstrap(block[:700])
+        for start in range(700, block.shape[0], request_rows):
+            lifecycle.append_rows(block[start : start + request_rows])
+        calls = []
+        kernel = sharded.score_moments
+
+        def counted(*args):
+            calls.append(args[0].shape[0])
+            return kernel(*args)
+
+        monkeypatch.setattr(sharded, "score_moments", counted)
+        lifecycle.refit()
+        assert len(calls) == math.ceil(5000 / DEFAULT_TILE_ROWS)
+        assert sum(calls) == 5000
+
     def test_unbootstrapped_checkpoint_rejected(self, tmp_path):
         with pytest.raises(ServiceError, match="bootstrap"):
             ModelLifecycleManager().checkpoint(tmp_path / "x.pkl")
 
     def test_schema_version_is_enforced(self, manager, tmp_path):
-        import pickle
-
         _, _, lifecycle = manager
         path = tmp_path / "state.pkl"
         lifecycle.checkpoint(path)
@@ -265,3 +366,49 @@ class TestAtomicCheckpoint:
         lifecycle.checkpoint(path, extra={"stream_rows": 17})
         restored = ModelLifecycleManager.restore(path)
         assert restored.restored_extra == {"stream_rows": 17}
+
+
+class TestConcurrentSnapshots:
+    def test_snapshots_stay_exact_while_ingest_appends(self):
+        """Refits snapshot the history while ingest keeps appending: each
+        snapshot holds exactly the rows appended before it, and still
+        does after the tiles it viewed have filled and frozen."""
+        block = np.random.default_rng(2).normal(size=(4000, 4))
+        lifecycle = ModelLifecycleManager(tile_rows=64, normal_rank=1)
+        lifecycle.bootstrap(block[:10])
+        snapshots = []
+        done = threading.Event()
+        ready = threading.Barrier(4, timeout=30)
+
+        def ingest():
+            ready.wait()
+            for start in range(10, block.shape[0], 3):
+                lifecycle.append_rows(block[start : start + 3])
+                if start % 300 == 10:  # a mid-tile snapshot, every time
+                    snapshots.append(lifecycle.history_snapshot())
+            done.set()
+
+        def snapshot():
+            ready.wait()
+            while not done.is_set():
+                snapshots.append(lifecycle.history_snapshot())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ingest)] + [
+                threading.Thread(target=snapshot) for _ in range(3)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert lifecycle.rows == block.shape[0]
+        assert snapshots
+        for taken in snapshots:
+            rows = np.concatenate(taken.tiles)
+            assert rows.shape[0] == taken.stats.count
+            assert np.array_equal(rows, block[: taken.stats.count])
