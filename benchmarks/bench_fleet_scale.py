@@ -15,7 +15,11 @@ PR 9's scheduling contract, measured head-on:
 * **Per-tenant p99 isolation floor** — scoring latency is sampled per
   tenant over many rounds; the slowest tenant's p99 must stay within
   **MAX_P99_ISOLATION_RATIO x** the median tenant's p99.  One tenant's
-  position in the schedule must never starve another.
+  position in the schedule must never starve another.  The rounds
+  alternate between two interleaved samplers of one window, and a
+  tenant breaches the ceiling only when it does so on both: a starved
+  tenant is slow on every call, while a one-off host stall lands on a
+  single call, so on one sampler (see :func:`sample_isolation`).
 
 BLAS threading is pinned to one thread per process (set below, before
 numpy loads) so the measured ratios are scheduling effects, not
@@ -155,7 +159,8 @@ def measure_tenant_count(
             score_block_stacked(
                 stacked,
                 group.means,
-                projectors=group.projectors,
+                bases=group.bases,
+                ranks=group.ranks,
                 thresholds=group.thresholds,
                 dtype=group.dtype,
                 chunk_rows=fleet.chunk_rows,
@@ -166,33 +171,7 @@ def measure_tenant_count(
         0.0, 1.0 - kernel_seconds / batched_seconds
     )
 
-    # Per-tenant latency sampling: each round scores every tenant on its
-    # own dispatch, so a tenant starved by the schedule shows up as an
-    # inflated p99 relative to the median tenant.  The order is shuffled
-    # every round (fixed seed) so OS noise lands on random tenants
-    # instead of whichever id happens to sit at a resonant position; a
-    # warmup round absorbs cold caches.
-    rng = np.random.default_rng(20040830)
-    tenant_ids = list(fleet.tenants)
-    samples = {tenant_id: [] for tenant_id in tenant_ids}
-    for round_index in range(latency_rounds + 1):
-        order = rng.permutation(len(tenant_ids))
-        for position in order:
-            tenant_id = tenant_ids[position]
-            single = {tenant_id: blocks[tenant_id]}
-            start = time.perf_counter()
-            fleet.score(single)
-            elapsed = time.perf_counter() - start
-            if round_index > 0:
-                samples[tenant_id].append(elapsed)
-    p99 = {
-        tenant_id: float(np.quantile(times, 0.99))
-        for tenant_id, times in samples.items()
-    }
-    p99_values = np.array(sorted(p99.values()))
-    median_p99 = float(np.median(p99_values))
-    max_p99 = float(p99_values[-1])
-    isolation_ratio = max_p99 / median_p99 if median_p99 > 0 else float("inf")
+    isolation = sample_isolation(fleet, blocks, latency_rounds)
 
     return {
         "tenants": num_tenants,
@@ -212,12 +191,63 @@ def measure_tenant_count(
         "parity_ok": bool(parity_ok),
         "score_plan": plan,
         "latency_rounds": latency_rounds,
+        **isolation,
+    }
+
+
+def _p99_ratios(samples: np.ndarray) -> np.ndarray:
+    """Each tenant's p99 over the median tenant's p99.
+
+    ``samples`` is ``(tenants, rounds)``; an all-zero median gives inf.
+    """
+    p99 = np.quantile(samples, 0.99, axis=1)
+    median = float(np.median(p99))
+    return p99 / median if median > 0 else np.full(p99.shape, np.inf)
+
+
+def sample_isolation(fleet, blocks, latency_rounds: int) -> dict:
+    """Per-tenant p99 isolation, on two interleaved samplers.
+
+    Each round scores every tenant on its own dispatch, so a tenant
+    starved by the schedule shows up as an inflated p99 relative to the
+    median tenant.  The order is shuffled every round (fixed seed) so OS
+    noise lands on random tenants instead of whichever id happens to sit
+    at a resonant position; a warmup round absorbs cold caches.
+
+    Rounds alternate between two samplers, so both cover the same
+    window in short alternating slots.  A tenant's isolation ratio is
+    the *smaller* of its two p99-over-median-p99 ratios: starvation
+    slows every call, so it shows on both samplers, while a single
+    multi-millisecond host stall lands on one call — one sampler — and
+    cannot breach the ceiling by itself.  ``p99_isolation_ratio`` is
+    the largest tenant ratio; ``pooled_p99_isolation_ratio`` is the
+    same max-over-median read from all samples at once, which a single
+    stall does move (informational).
+    """
+    rng = np.random.default_rng(20040830)
+    tenant_ids = list(fleet.tenants)
+    samples = np.empty((len(tenant_ids), latency_rounds))
+    for round_index in range(-1, latency_rounds):
+        for position in rng.permutation(len(tenant_ids)):
+            tenant_id = tenant_ids[position]
+            single = {tenant_id: blocks[tenant_id]}
+            start = time.perf_counter()
+            fleet.score(single)
+            elapsed = time.perf_counter() - start
+            if round_index >= 0:
+                samples[position, round_index] = elapsed
+    per_tenant = np.minimum(
+        _p99_ratios(samples[:, 0::2]), _p99_ratios(samples[:, 1::2])
+    )
+    pooled_p99 = np.quantile(samples, 0.99, axis=1)
+    return {
         "per_tenant_p99_seconds": {
-            "median": median_p99,
-            "max": max_p99,
-            "min": float(p99_values[0]),
+            "median": float(np.median(pooled_p99)),
+            "max": float(pooled_p99.max()),
+            "min": float(pooled_p99.min()),
         },
-        "p99_isolation_ratio": isolation_ratio,
+        "p99_isolation_ratio": float(per_tenant.max()),
+        "pooled_p99_isolation_ratio": float(_p99_ratios(samples).max()),
     }
 
 
@@ -335,7 +365,8 @@ def render(stats: dict) -> str:
             f"{point['dispatch_overhead_fraction'] * 100:.0f}% serial / "
             f"{point['batched_dispatch_overhead_fraction'] * 100:.0f}%"
             " batched) | "
-            f"p99 iso {point['p99_isolation_ratio']:.1f}x"
+            f"p99 iso {point['p99_isolation_ratio']:.1f}x (pooled "
+            f"{point['pooled_p99_isolation_ratio']:.1f}x)"
         )
     bottleneck = stats["scheduler_bottleneck"]
     lines.append(

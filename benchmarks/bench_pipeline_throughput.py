@@ -17,11 +17,28 @@ timesteps/sec for three drivers over the same fitted model:
 Acceptance floor: the batched pipeline must clear **5x** the naive
 loop's throughput (it typically lands far above).
 
+BLAS threading is pinned to one thread per process (set below, before
+numpy loads): on a 2-vCPU host a 49 x 49 ``eigh`` with two OpenBLAS
+threads intermittently takes ~16 ms instead of ~0.3 ms for a whole
+process, which would make the streaming figures measure the thread
+pool, not the code; the artifact's environment block records it.
+
 Run standalone (the CI smoke):  PYTHONPATH=src python
 benchmarks/bench_pipeline_throughput.py
 """
 
 from __future__ import annotations
+
+import os
+
+for _var in (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+):
+    os.environ.setdefault(_var, "1")
 
 import time
 
@@ -170,11 +187,12 @@ def test_pipeline_throughput(results_dir):
 
 
 if __name__ == "__main__":
-    from conftest import RESULTS_DIR, write_json_result
+    from conftest import RESULTS_DIR, write_json_result, write_result
 
     results = measure_throughput()
     print(render(results))
     RESULTS_DIR.mkdir(exist_ok=True)
+    write_result(RESULTS_DIR, "pipeline_throughput", render(results))
     write_json_result(RESULTS_DIR, "pipeline_throughput", json_payload(results))
     if results["speedup"] < MIN_SPEEDUP:
         raise SystemExit(

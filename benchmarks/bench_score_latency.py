@@ -20,11 +20,26 @@ only: the block-mode comparison (three vectorized passes vs one fused
 call over the whole block), the float32 fused latency, and the same
 fused sweep reading a ``.npy`` memmap zero-copy.
 
+BLAS threading is pinned to one thread per process (set below, before
+numpy loads), so the per-bin figures measure the kernel, not the
+host's thread count; the artifact's environment block records it.
+
 Run standalone (the CI smoke):  PYTHONPATH=src python
 benchmarks/bench_score_latency.py [--smoke]
 """
 
 from __future__ import annotations
+
+import os
+
+for _var in (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+):
+    os.environ.setdefault(_var, "1")
 
 import sys
 import tempfile

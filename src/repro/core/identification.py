@@ -31,6 +31,7 @@ __all__ = [
     "BlockIdentification",
     "IdentificationResult",
     "MultiFlowBlockIdentification",
+    "flows_visible",
     "identify_block",
     "identify_from_residuals",
     "identify_single_flow",
@@ -38,6 +39,7 @@ __all__ = [
     "identify_multi_flow",
     "identify_multi_flow_block",
     "residual_scores",
+    "residual_signature_energy",
 ]
 
 #: Candidates whose residual-space signature is shorter than this are
@@ -69,6 +71,29 @@ class IdentificationResult:
     scores: np.ndarray
 
 
+def residual_signature_energy(
+    model: SubspaceModel, anomaly_directions: np.ndarray
+) -> np.ndarray:
+    """``‖C̃ θ_j‖²`` per candidate: how much of each signature the
+    residual subspace sees."""
+    theta = _check_directions(model, anomaly_directions)
+    theta_tilde = model.anomalous_projector @ theta  # (m, n)
+    return np.einsum("ij,ij->j", theta_tilde, theta_tilde)
+
+
+def flows_visible(signature_energy: np.ndarray) -> bool:
+    """Whether identification can name any flow at all.
+
+    True when some candidate's residual signature energy ``‖C̃ θ_j‖²``
+    clears the detectability cutoff.  This is a property of the model
+    and the candidate set, not of any measurement: when it fails, every
+    identification under that model raises, so serving callers decide
+    it once per model and report its alarms unidentified, as they do
+    without a routing matrix.
+    """
+    return bool(np.any(signature_energy > _MIN_RESIDUAL_SIGNATURE))
+
+
 def residual_scores(
     model: SubspaceModel,
     anomaly_directions: np.ndarray,
@@ -94,8 +119,7 @@ def residual_scores(
         raise ModelError(
             f"residual has shape {residual.shape}, expected ({model.num_links},)"
         )
-    theta_tilde = model.anomalous_projector @ theta  # (m, n)
-    signature_energy = np.einsum("ij,ij->j", theta_tilde, theta_tilde)
+    signature_energy = residual_signature_energy(model, theta)
     # Because the residual already lives in the anomalous subspace,
     # θ̃ᵀ ỹ = θᵀ ỹ; using θ directly avoids a second projection.
     inner = theta.T @ residual
@@ -207,9 +231,9 @@ def identify_block(
         )
 
     residuals = model.residual(measurements)  # (t, m)
-    theta_tilde = model.anomalous_projector @ theta  # (m, n)
-    signature_energy = np.einsum("ij,ij->j", theta_tilde, theta_tilde)  # (n,)
-    return identify_from_residuals(residuals, theta, signature_energy)
+    return identify_from_residuals(
+        residuals, theta, residual_signature_energy(model, theta)
+    )
 
 
 def identify_from_residuals(
@@ -234,11 +258,11 @@ def identify_from_residuals(
     signature_energy:
         ``(n,)`` energies ``‖C̃ θ_j‖²``.
     """
-    valid = signature_energy > _MIN_RESIDUAL_SIGNATURE
-    if not np.any(valid):
+    if not flows_visible(signature_energy):
         raise ModelError(
             "no candidate anomaly is visible in the residual subspace"
         )
+    valid = signature_energy > _MIN_RESIDUAL_SIGNATURE
     # θ̃ᵀ ỹ = θᵀ ỹ because ỹ already lives in the anomalous subspace.
     inner = residuals @ anomaly_directions  # (t, n)
     inv_energy = np.where(valid, 1.0 / np.where(valid, signature_energy, 1.0), 0.0)

@@ -104,6 +104,7 @@ class IncrementalSubspaceTracker:
         # Covariance at the last refresh point, until its eigensolve runs.
         self._pending: np.ndarray | None = None
         self._basis: np.ndarray | None = None  # (m, r) normal basis
+        self._axes: np.ndarray | None = None  # Pᵀ, C-contiguous (r, m)
         self._eigenvalues: np.ndarray | None = None  # descending, length m
         self._threshold: float = 0.0
         self._since_refresh = 0
@@ -169,6 +170,7 @@ class IncrementalSubspaceTracker:
         eigenvectors = eigenvectors[:, order]
         self._eigenvalues = eigenvalues
         self._basis = eigenvectors[:, : self.normal_rank]
+        self._axes = np.ascontiguousarray(self._basis.T)
         self._threshold = q_threshold(
             eigenvalues[self.normal_rank :], confidence=self.confidence
         )
@@ -229,19 +231,19 @@ class IncrementalSubspaceTracker:
 
     # ------------------------------------------------------------------
     def spe(self, measurement: np.ndarray) -> float:
-        """SPE of one vector under the current model (no state update)."""
-        self._require_model()
+        """SPE of one vector under the current model (no state update).
+
+        A one-row :meth:`spe_block`: the same bits the row gets inside
+        any block.
+        """
+        self._require_ready()
         measurement = np.asarray(measurement, dtype=np.float64)
         if measurement.shape != self._mean.shape:
             raise ModelError(
                 f"measurement has shape {measurement.shape}, expected "
                 f"{self._mean.shape}"
             )
-        if self.normal_rank == self._mean.shape[0]:
-            return 0.0  # full normal subspace: the residual is exactly 0
-        centered = measurement - self._mean
-        residual = centered - self._basis @ (self._basis.T @ centered)
-        return float(residual @ residual)
+        return float(self.spe_block(measurement[None, :])[0])
 
     def update(self, measurement: np.ndarray) -> tuple[float, bool]:
         """Score one arrival, then fold it into the running statistics.
@@ -266,24 +268,15 @@ class IncrementalSubspaceTracker:
     def spe_block(self, measurements: np.ndarray) -> np.ndarray:
         """SPE of a ``(t, m)`` block under the current model (no update).
 
-        Runs the fused :func:`~repro.core.subspace.score_block` kernel
-        in its basis form (``c − (c P) Pᵀ``, the tracker's historical
-        arithmetic): blocks up to
-        :data:`~repro.core.subspace.DEFAULT_CHUNK_ROWS` rows — every
-        streaming window and per-arrival fold — are computed in a
-        single chunk, bit-identical to the monolithic matmul; larger
-        (out-of-core) blocks are chunked so no full-block residual
-        temporary materializes, at the cost of last-ulp differences
-        (BLAS GEMM is not row-decomposable).
+        Runs the shared rank-``r`` kernel of
+        :func:`~repro.core.subspace.score_block`
+        (``ỹ = c − (c P) Pᵀ``), so every row's SPE is bit-identical
+        alone, inside any block and at any chunking — a full normal
+        subspace scores exactly 0.
         """
         self._require_model()
-        measurements = self._as_block(measurements)
-        if self.normal_rank == self._mean.shape[0]:
-            # Full normal subspace: the residual is exactly 0, not the
-            # numerical dust of the projection arithmetic.
-            return np.zeros(measurements.shape[0])
         return score_block(
-            measurements, self._mean, basis=self._basis
+            self._as_block(measurements), self._mean, basis=self._axes
         ).spe
 
     def _as_block(self, measurements: np.ndarray) -> np.ndarray:

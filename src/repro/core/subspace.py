@@ -10,6 +10,12 @@ axes form the normal subspace ``S``.
 The resulting :class:`SubspaceModel` owns the projectors
 ``C = P Pᵀ`` (onto ``S``) and ``C̃ = I − C`` (onto ``S̃``) and performs the
 decomposition ``y = ŷ + ỹ`` of §5.1.
+
+Scoring never applies the ``m × m`` projector.  Every SPE route — the
+model, the drift tracker, the service engines and the stacked fleet
+kernel — runs one rank-``r`` kernel, ``ỹ = c − (c P) Pᵀ`` with
+``c = y − ȳ`` (:func:`score_block`), at ``2·r·m`` multiply-adds per row
+instead of ``m²``.
 """
 
 from __future__ import annotations
@@ -236,12 +242,38 @@ class ScoreBlockResult:
     moments: ScoreMoments | None
 
 
+_SCORING_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
+
+
+def _check_dtype(dtype: np.dtype | type) -> np.dtype:
+    dtype = np.dtype(dtype)
+    if dtype not in _SCORING_DTYPES:
+        raise ModelError(
+            f"scoring dtype must be float32 or float64, got {dtype}"
+        )
+    return dtype
+
+
+def _residual_energy(centered: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """``‖c − (c P) Pᵀ‖²`` per row: the one residual kernel.
+
+    ``axes`` is ``Pᵀ`` as C-contiguous rows, ``(r, m)``, or ``(n, r, m)``
+    for a stack of models with ``centered`` shaped ``(n, t, m)``.  Each
+    output element is one ``np.einsum`` reduction whose order depends
+    only on ``r`` and ``m`` (the reconstruction adds its ``r`` terms in
+    axis order), so a row's bits do not depend on the rows or models
+    around it, and a zero-padded axis adds exact zeros.
+    """
+    scores = np.einsum("...ij,...kj->...ik", centered, axes)
+    residual = centered - np.einsum("...ik,...kj->...ij", scores, axes)
+    return np.einsum("...ij,...ij->...i", residual, residual)
+
+
 def score_block(
     measurements: np.ndarray,
     mean: np.ndarray,
     *,
-    projector: np.ndarray | None = None,
-    basis: np.ndarray | None = None,
+    basis: np.ndarray,
     threshold: float | None = None,
     components: np.ndarray | None = None,
     dtype: np.dtype | type = np.float64,
@@ -257,82 +289,68 @@ def score_block(
     memory-mapped block, each chunk is a view: nothing bigger than one
     chunk is ever resident.
 
-    Exactly one residual form must be given:
+    ``basis`` is ``Pᵀ``, the ``(r, m)`` normal axes as rows.  Per chunk,
+    with ``c = y − ȳ``::
 
-    ``projector``
-        ``ỹ = (y−ȳ) C̃ᵀ`` via the row-decomposable ``np.einsum`` kernel
-        of :meth:`SubspaceModel.spe` — every row is an independent
-        reduction, so the result is **bit-identical for any chunking**
-        (single row, any ``chunk_rows``, or the whole block at once).
-    ``basis``
-        ``ỹ = c − (c P) Pᵀ`` — the matmul form of
-        :meth:`~repro.core.incremental.IncrementalSubspaceTracker.\
-spe_block`.  BLAS GEMM is *not* row-decomposable: results match the
-        monolithic computation bitwise only while the block fits in one
-        chunk (all interactive callers do; oversized blocks chunk and
-        may differ in the last ulps).
+        s = c P            (einsum "ij,kj->ik" against Pᵀ)
+        ỹ = c − s Pᵀ       (einsum "ik,kj->ij")
+        SPE = ‖ỹ‖²         (einsum "ij,ij->i")
+
+    — ``2·r·m`` multiply-adds per row where the projector ``C̃`` costs
+    ``m²``.  Every row is an independent reduction, so the result is
+    **bit-identical for any chunking** (single row, any ``chunk_rows``,
+    or the whole block at once).  ``r = m`` scores exactly 0: a full
+    normal subspace leaves no residual, and the numerical dust of
+    ``c − c P Pᵀ`` would otherwise sit above the degenerate threshold
+    ``δ²_α = 0`` and raise false alarms.
 
     ``dtype=np.float32`` runs the residual arithmetic in single
     precision: rows are centered in float64 first (so the large-number
-    cancellation of ``y − ȳ`` never happens in float32), then cast.
-    SPE is returned as float64 either way; its float32-mode error is
-    bounded by :func:`float32_spe_band`.  Moments are always computed
-    in float64 — they are fit-time statistics, not hot-path outputs.
+    cancellation of ``y − ȳ`` never happens in float32), then cast, as
+    is ``Pᵀ``.  SPE is returned as float64 either way; its float32-mode
+    error is bounded by :func:`float32_spe_band`.  Moments are always
+    computed in float64 — they are fit-time statistics, not hot-path
+    outputs.
     """
     measurements = ensure_matrix(
         measurements, name="measurements", error=ModelError,
         check_finite=False,
     )
     mean = np.asarray(mean, dtype=np.float64)
-    if (projector is None) == (basis is None):
-        raise ModelError(
-            "score_block needs exactly one of projector= or basis="
-        )
     if chunk_rows < 1:
         raise ModelError(f"chunk_rows must be >= 1, got {chunk_rows}")
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ModelError(
-            f"scoring dtype must be float32 or float64, got {dtype}"
-        )
+    dtype = _check_dtype(dtype)
     m = mean.shape[0]
     if measurements.shape[1] != m:
         raise ModelError(
-            f"measurements have {measurements.shape[1]} links, mean "
-            f"covers {m}"
+            f"measurements have {measurements.shape[1]} links, the "
+            f"model expects {m}"
         )
-
-    # np.asarray never copies when the dtype already matches, so in
-    # float64 mode the operator keeps the exact strides of the caller's
-    # array — einsum's reduction order (and hence the result's bits)
-    # depends on operand layout, so this must stay a view.
-    if projector is not None:
-        operator = np.asarray(projector.T, dtype=dtype)
-    else:
-        operator = np.asarray(basis, dtype=dtype)
+    # No copy for a C-contiguous basis of the scoring dtype; anything
+    # else is laid out afresh, so the bits depend only on the values.
+    axes = np.ascontiguousarray(basis, dtype=dtype)
+    if axes.ndim != 2 or axes.shape[1] != m or axes.shape[0] > m:
+        raise ModelError(
+            f"basis must be (r, {m}) with r <= {m}, got shape "
+            f"{axes.shape}"
+        )
+    full_rank = axes.shape[0] == m
 
     t = measurements.shape[0]
-    spe = np.empty(t)
-    flags = None if threshold is None else np.empty(t, dtype=bool)
+    spe = np.zeros(t) if full_rank else np.empty(t)
     moments = None if components is None else _moments_identity(
         np.asarray(components).shape[1]
     )
-
     for start in range(0, t, chunk_rows):
         chunk = measurements[start : start + chunk_rows]
         centered = chunk - mean
-        work = centered if dtype == np.float64 else centered.astype(dtype)
-        if projector is not None:
-            residual = np.einsum("ij,jk->ik", work, operator)
-        else:
-            residual = work - (work @ operator) @ operator.T
-        part = np.einsum("ij,ij->i", residual, residual)
-        stop = start + chunk.shape[0]
-        spe[start:stop] = part
-        if flags is not None:
-            flags[start:stop] = spe[start:stop] > threshold
+        if not full_rank:
+            spe[start : start + chunk.shape[0]] = _residual_energy(
+                centered.astype(dtype, copy=False), axes
+            )
         if moments is not None and chunk.shape[0]:
             moments = moments.merge(_fold_scores(centered @ components))
+    flags = None if threshold is None else spe > threshold
     return ScoreBlockResult(spe=spe, flags=flags, moments=moments)
 
 
@@ -340,7 +358,8 @@ def score_block_stacked(
     measurements: np.ndarray,
     means: np.ndarray,
     *,
-    projectors: np.ndarray,
+    bases: np.ndarray,
+    ranks: np.ndarray | None = None,
     thresholds: np.ndarray | None = None,
     dtype: np.dtype | type = np.float64,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
@@ -351,20 +370,26 @@ def score_block_stacked(
     ``(t, m)`` shape through a single kernel call instead of ``n``
     Python-level :func:`score_block` calls: ``measurements`` is the
     ``(n, t, m)`` stack of tenant blocks, ``means`` the ``(n, m)`` stack
-    of model means, ``projectors`` the ``(n, m, m)`` stack of anomalous
-    projectors ``C̃`` and ``thresholds`` (optional) the ``(n,)`` vector
-    of per-model Q-limits.  Returns a :class:`ScoreBlockResult` whose
+    of model means, ``bases`` the ``(n, r, m)`` stack of normal axes
+    ``Pᵀ`` and ``thresholds`` (optional) the ``(n,)`` vector of
+    per-model Q-limits.  Returns a :class:`ScoreBlockResult` whose
     ``spe`` (and ``flags``) carry shape ``(n, t)``; ``moments`` is
     always ``None`` — moments are fit-time statistics and the stacked
     kernel is a scoring hot path.
 
-    **Bit-identical to serial scoring by contract.**  The kernel is the
-    batched form of the projector route of :func:`score_block`: each
-    ``(model, row)`` output is an independent ``np.einsum`` reduction
-    whose contraction order over the link axis is identical to the
-    2-D kernel's, so ``result.spe[i]`` equals
-    ``score_block(measurements[i], means[i],
-    projector=projectors[i], ...).spe`` bit for bit — for any
+    Models of different ranks share one stack: ``ranks`` (default
+    ``r`` for every member) gives each member's own rank, and a member
+    of rank ``r_i < r`` holds its axes in the first ``r_i`` rows with
+    zeros below.  A member of rank ``m`` scores exactly 0, as it does
+    under :func:`score_block`; its rows are ignored.
+
+    **Bit-identical to serial scoring by contract.**  The kernel is
+    :func:`score_block`'s residual kernel with a leading model axis:
+    each ``(model, row)`` output is an independent ``np.einsum``
+    reduction whose order over the link and axis dimensions is the
+    2-D kernel's, and zero-padded axes add exact zeros, so
+    ``result.spe[i]`` equals ``score_block(measurements[i], means[i],
+    basis=bases[i, :ranks[i]], ...).spe`` bit for bit — for any
     ``chunk_rows``, in float64 and float32 mode alike (the fleet's
     hypothesis suite pins this).  That is what lets the fleet batch
     opportunistically: batching is a scheduling decision, never a
@@ -372,7 +397,6 @@ def score_block_stacked(
     """
     measurements = np.asarray(measurements, dtype=np.float64)
     means = np.asarray(means, dtype=np.float64)
-    projectors = np.asarray(projectors, dtype=np.float64)
     if measurements.ndim != 3:
         raise ModelError(
             f"stacked measurements must be (n, t, m), got shape "
@@ -385,10 +409,25 @@ def score_block_stacked(
         raise ModelError(
             f"stacked means must be {(n, m)}, got {means.shape}"
         )
-    if projectors.shape != (n, m, m):
+    if chunk_rows < 1:
+        raise ModelError(f"chunk_rows must be >= 1, got {chunk_rows}")
+    dtype = _check_dtype(dtype)
+    axes = np.ascontiguousarray(bases, dtype=dtype)
+    if axes.ndim != 3 or axes.shape[0] != n or axes.shape[2] != m or (
+        axes.shape[1] > m
+    ):
         raise ModelError(
-            f"stacked projectors must be {(n, m, m)}, got "
-            f"{projectors.shape}"
+            f"stacked bases must be ({n}, r, {m}) with r <= {m}, got "
+            f"shape {axes.shape}"
+        )
+    r = axes.shape[1]
+    ranks = np.full(n, r) if ranks is None else np.asarray(ranks)
+    if ranks.shape != (n,) or not np.all(
+        ((ranks >= 0) & (ranks <= r)) | (ranks == m)
+    ):
+        raise ModelError(
+            f"stacked ranks must be ({n},) values in [0, {r}] or {m}, "
+            f"got {ranks!r}"
         )
     if thresholds is not None:
         thresholds = np.asarray(thresholds, dtype=np.float64)
@@ -397,32 +436,16 @@ def score_block_stacked(
                 f"stacked thresholds must be ({n},), got "
                 f"{thresholds.shape}"
             )
-    if chunk_rows < 1:
-        raise ModelError(f"chunk_rows must be >= 1, got {chunk_rows}")
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ModelError(
-            f"scoring dtype must be float32 or float64, got {dtype}"
-        )
-
-    # Mirror score_block exactly: in float64 the operator stack is a
-    # transposed *view* (einsum's reduction order depends on operand
-    # layout); in float32 the cast copies, just as the 2-D kernel's
-    # ``np.asarray(projector.T, dtype)`` does.
-    operators = np.asarray(projectors.transpose(0, 2, 1), dtype=dtype)
 
     spe = np.empty((n, t))
-    flags = None if thresholds is None else np.empty((n, t), dtype=bool)
     for start in range(0, t, chunk_rows):
         chunk = measurements[:, start : start + chunk_rows, :]
         centered = chunk - means[:, None, :]
-        work = centered if dtype == np.float64 else centered.astype(dtype)
-        residual = np.einsum("tij,tjk->tik", work, operators)
-        part = np.einsum("tij,tij->ti", residual, residual)
-        stop = start + chunk.shape[1]
-        spe[:, start:stop] = part
-        if flags is not None:
-            flags[:, start:stop] = spe[:, start:stop] > thresholds[:, None]
+        spe[:, start : start + chunk.shape[1]] = _residual_energy(
+            centered.astype(dtype, copy=False), axes
+        )
+    spe[ranks == m] = 0.0
+    flags = None if thresholds is None else spe > thresholds[:, None]
     return ScoreBlockResult(spe=spe, flags=flags, moments=None)
 
 
@@ -432,19 +455,22 @@ def float32_spe_band(
     """Error band of float32-mode SPE around the float64 value.
 
     Rows are centered in float64, so the float32 error enters through
-    the cast of the centered vector (relative ``u32`` per coordinate),
-    the cast of the projector entries, and the length-``m`` reductions
-    of the projection and the row dot product — each contributing
-    ``O(m·u32)`` *relative to the centered energy* ``‖y − ȳ‖²`` (the
-    residual is a contraction of the centered vector, so its absolute
-    error scales with the full centered magnitude, not with the
-    possibly tiny SPE itself).  Below float32's subnormal range the
-    relative model breaks — values under ``2⁻¹⁴⁹`` flush to zero
-    outright — so an absolute underflow term joins: every cast,
-    product, and square can mis-round by at most ``tiny = 2⁻¹⁴⁹``,
-    and the cross terms of the dot product scale those flushes by the
-    residual coordinates, which ``‖y − ȳ‖`` bounds.  Stacked and
-    rounded up by :data:`FLOAT32_BAND_FACTOR`:
+    the cast of the centered vector ``c`` (relative ``u32`` per
+    coordinate), the cast of the axes ``Pᵀ``, and the three reductions
+    of the rank-``r`` kernel: the scores ``s = c P`` (length ``m``, each
+    off by ``O(m·u32)·‖c‖`` since the axes are unit vectors), the
+    reconstruction ``s Pᵀ`` (length ``r ≤ m``, off by the same order —
+    ``‖s‖ ≤ ‖c‖``), and the energy ``ỹ·ỹ`` (length ``m``).  The
+    residual's absolute error therefore scales with the full centered
+    magnitude, not with the possibly tiny SPE itself, and squaring
+    gives ``O(m·u32)`` *relative to the centered energy*
+    ``‖y − ȳ‖²``.  Below float32's subnormal range the relative model
+    breaks — values under ``2⁻¹⁴⁹`` flush to zero outright — so an
+    absolute underflow term joins: every cast, product, and square can
+    mis-round by at most ``tiny = 2⁻¹⁴⁹``, and the cross terms of the
+    dot product scale those flushes by the residual coordinates, which
+    ``‖y − ȳ‖`` bounds.  Stacked and rounded up by
+    :data:`FLOAT32_BAND_FACTOR`:
 
         |SPE₃₂ − SPE₆₄| ≤ FACTOR · (m + 2) · u32 · ‖y − ȳ‖²
                         + FACTOR · (m + 2)² · tiny · (1 + ‖y − ȳ‖)
@@ -549,12 +575,14 @@ class SubspaceModel:
         self._mean = pca.mean  # cached: the property returns a copy
         components = pca.components
         self._p = components[:, :normal_rank]  # (m, r)
+        # Pᵀ as C-contiguous rows, built once: the scoring kernel's
+        # operand on every call, never re-laid-out per row.
+        self._axes = np.ascontiguousarray(self._p.T)
         if normal_rank == m:
             # A full normal subspace leaves no residual: the projectors
             # are exactly I and 0, not the numerical dust of P Pᵀ for an
-            # (orthonormal) full basis.  Without this, SPE ≈ 1e-16 noise
-            # sits above the degenerate threshold δ²_α = 0 and every bin
-            # raises a false alarm.
+            # (orthonormal) full basis — the rule the scoring kernel
+            # applies to SPE, here for residuals and identification.
             self._c = np.eye(m)
             self._c_tilde = np.zeros((m, m))
         else:
@@ -644,14 +672,18 @@ class SubspaceModel:
 
         Returns a scalar for a single vector, an array for a matrix.
 
+        Computed by the rank-``r`` :func:`score_block` kernel,
+        ``ỹ = c − (c P) Pᵀ`` — the same residual ``C̃ (y − ȳ)`` as
+        :meth:`residual`, without the ``m × m`` projector.
+
         **Row-decomposable by contract.**  The kernel is pinned to
         ``np.einsum`` (not BLAS matmul) because einsum computes each
-        output row by an independent reduction: the SPE of row ``i`` is
-        bit-identical whether the row is scored alone, in any chunking,
-        or inside the full block.  BLAS GEMM does not guarantee this —
-        its blocking changes summation order with the operand shape —
-        and the always-on service relies on the guarantee to keep
-        per-row ingest alarms exactly equal to a batch
+        output element by an independent reduction: the SPE of row
+        ``i`` is bit-identical whether the row is scored alone, in any
+        chunking, or inside the full block.  BLAS GEMM does not
+        guarantee this — its blocking changes summation order with the
+        operand shape — and the always-on service relies on the
+        guarantee to keep per-row ingest alarms exactly equal to a batch
         :meth:`~repro.pipeline.pipeline.DetectionPipeline.detect` over
         the assembled matrix (pinned by the scoring-invariance property
         tests).  The same contract is what lets the fused
@@ -660,14 +692,8 @@ class SubspaceModel:
         """
         measurements = np.asarray(measurements, dtype=np.float64)
         single = measurements.ndim == 1
-        block = measurements[None, :] if single else measurements
-        if block.shape[-1] != self.num_links:
-            raise ModelError(
-                f"measurements have {block.shape[-1]} links, model "
-                f"expects {self.num_links}"
-            )
-        spe = score_block(
-            block, self._mean, projector=self._c_tilde, dtype=self.dtype
+        spe = self.score_block(
+            measurements[None, :] if single else measurements
         ).spe
         return float(spe[0]) if single else spe
 
@@ -681,25 +707,16 @@ class SubspaceModel:
         """Fused SPE/threshold/separation pass under this model.
 
         One call to the :func:`score_block` kernel with this model's
-        projector (and scoring dtype): SPE for every row, alarm flags
+        axes ``Pᵀ`` (and scoring dtype): SPE for every row, alarm flags
         when a ``threshold`` is given, and mergeable score moments when
         ``components`` are given — all in one chunked pass with no
         full-block temporary.  Float64 results are bit-identical to
         :meth:`spe` + elementwise comparison + :func:`score_moments`.
         """
-        measurements = ensure_matrix(
-            measurements, name="measurements", error=ModelError,
-            check_finite=False,
-        )
-        if measurements.shape[1] != self.num_links:
-            raise ModelError(
-                f"measurements have {measurements.shape[1]} links, model "
-                f"expects {self.num_links}"
-            )
         return score_block(
             measurements,
             self._mean,
-            projector=self._c_tilde,
+            basis=self._axes,
             threshold=threshold,
             components=components,
             dtype=self.dtype,

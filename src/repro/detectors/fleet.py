@@ -107,9 +107,9 @@ class FleetSubspaceDetector(ResidualEnergyDetector):
 
     def _fused(self, block: np.ndarray) -> np.ndarray:
         alarms = self._fleet.score(self._tenant_blocks(block))
-        # A tenant whose normal subspace spans its whole slice has an
-        # exactly-zero projector and threshold: its SPE is identically
-        # 0 and it can never alarm — its ratio is 0, never 0/0.
+        # A tenant whose normal subspace spans its whole slice scores
+        # exactly 0 against a zero threshold: it can never alarm — its
+        # ratio is 0, never 0/0.
         ratios = np.stack(
             [
                 a.spe / a.threshold

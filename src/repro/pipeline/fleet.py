@@ -20,10 +20,11 @@ One tenant's crash never stalls another.
 **Batched, bit-identical scoring.**  Tenant blocks that share a
 ``(t, m)`` shape are stacked and scored through a *single*
 :func:`~repro.core.subspace.score_block_stacked` kernel call.  Because
-the kernel is the batched form of the row-decomposable einsum route of
-:func:`~repro.core.subspace.score_block`, the batched alarms are
-bit-identical to scoring each tenant serially — batching is purely a
-scheduling decision (the fleet's hypothesis suite and ``repro fleet
+the kernel is the batched form of the row-decomposable rank-``r``
+kernel of :func:`~repro.core.subspace.score_block`, and zero-padding a
+tenant's axes to its group's rank adds exact zeros, the batched alarms
+are bit-identical to scoring each tenant serially — batching is purely
+a scheduling decision (the fleet's hypothesis suite and ``repro fleet
 run`` pin this).
 
 **Namespaced, atomic checkpoints.**  Every tenant checkpoints its
@@ -211,15 +212,16 @@ class _PlanGroup:
     the stacked kernel's bits are unchanged).
     """
 
-    __slots__ = ("members", "dtype", "means", "projectors", "thresholds",
-                 "threshold_list", "version_ids", "buffer")
+    __slots__ = ("members", "dtype", "means", "bases", "ranks",
+                 "thresholds", "threshold_list", "version_ids", "buffer")
 
-    def __init__(self, *, members, dtype, means, projectors, thresholds,
+    def __init__(self, *, members, dtype, means, bases, ranks, thresholds,
                  threshold_list, version_ids, buffer) -> None:
         self.members = members
         self.dtype = dtype
         self.means = means
-        self.projectors = projectors
+        self.bases = bases
+        self.ranks = ranks
         self.thresholds = thresholds
         self.threshold_list = threshold_list
         self.version_ids = version_ids
@@ -667,14 +669,15 @@ class FleetManager:
         plan_groups = []
         for (shape, dtype), entries in groups.items():
             if batch and len(entries) > 1:
-                means, projectors, thresholds = self._stack_params(
+                means, bases, ranks, thresholds = self._stack_params(
                     entries, shape, dtype
                 )
                 plan_groups.append(_PlanGroup(
                     members=tuple(entry[0] for entry in entries),
                     dtype=dtype,
                     means=means,
-                    projectors=projectors,
+                    bases=bases,
+                    ranks=ranks,
                     thresholds=thresholds,
                     threshold_list=tuple(entry[2] for entry in entries),
                     version_ids=tuple(entry[3] for entry in entries),
@@ -685,15 +688,19 @@ class FleetManager:
         return validated, _ScorePlan(self._model_epoch, tuple(plan_groups))
 
     def _stack_params(self, entries: list[tuple], shape, dtype) -> tuple:
-        """Stacked means/projectors/thresholds of one tenant group.
+        """Stacked means/bases/ranks/thresholds of one tenant group.
 
-        Model parameters change only on refit, so the stacks are cached
-        per tenant group and invalidated by the member version numbers.
-        Without the cache, re-stacking n (m, m) projectors on every
-        call costs more than the per-tenant dispatch the batching is
-        meant to remove.  Eviction is LRU, one entry at a time — a
-        fleet with more than ``_STACK_CACHE_ENTRIES`` live groups
-        cycles the coldest entry instead of thrashing the whole cache.
+        Each member's axes ``Pᵀ`` are zero-padded to the largest rank
+        below ``m`` in the group, so tenants of any rank share one
+        group per (shape, dtype); a full-rank member keeps only its
+        rank, which the kernel scores as exactly 0.  Model parameters
+        change only on refit, so the stacks are cached per tenant group
+        and invalidated by the member version numbers.  Without the
+        cache, re-stacking n bases on every call costs more than the
+        per-tenant dispatch the batching is meant to remove.  Eviction
+        is LRU, one entry at a time — a fleet with more than
+        ``_STACK_CACHE_ENTRIES`` live groups cycles the coldest entry
+        instead of thrashing the whole cache.
         """
         cache_key = (
             tuple(entry[0] for entry in entries),
@@ -703,9 +710,17 @@ class FleetManager:
         )
         cached = self._stack_cache.get(cache_key)
         if cached is None:
+            m = shape[1]
+            ranks = np.asarray([entry[1].normal_rank for entry in entries])
+            padded = int(ranks[ranks < m].max(initial=0))
+            bases = np.zeros((len(entries), padded, m))
+            for i, entry in enumerate(entries):
+                if ranks[i] < m:
+                    bases[i, : ranks[i]] = entry[1]._axes
             cached = (
                 np.stack([entry[1]._mean for entry in entries]),
-                np.stack([entry[1]._c_tilde for entry in entries]),
+                bases,
+                ranks,
                 np.asarray([entry[2] for entry in entries]),
             )
             while len(self._stack_cache) >= _STACK_CACHE_ENTRIES:
@@ -743,7 +758,8 @@ class FleetManager:
                 result = score_block_stacked(
                     buffer,
                     group.means,
-                    projectors=group.projectors,
+                    bases=group.bases,
+                    ranks=group.ranks,
                     thresholds=group.thresholds,
                     dtype=group.dtype,
                     chunk_rows=self.chunk_rows,

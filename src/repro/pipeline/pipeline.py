@@ -46,7 +46,11 @@ import numpy as np
 from repro._util import ensure_matrix
 from repro.core.detection import DetectionResult, SPEDetector
 from repro.core.diagnosis import Diagnosis
-from repro.core.identification import identify_block
+from repro.core.identification import (
+    flows_visible,
+    identify_block,
+    residual_signature_energy,
+)
 from repro.datasets.dataset import Dataset
 from repro.exceptions import ModelError, NotFittedError
 from repro.pipeline.streaming import StreamingDetector, StreamWindow
@@ -81,7 +85,8 @@ class PipelineResult:
         Quantified anomaly sizes (§5.3), signed.
     identified:
         True when identification ran (a routing matrix was bound at fit
-        time) — even if no timestep was flagged.
+        time and some flow is visible in the model's residual subspace)
+        — even if no timestep was flagged.
     """
 
     detection: DetectionResult
@@ -230,12 +235,17 @@ class DetectionPipeline:
             )
         self._detector.fit(measurements)
         self._routing = routing
+        self._directions = None
+        self._quant_ratio = None
         if routing is not None:
-            self._directions = routing.normalized_columns()
-            self._quant_ratio = routing.quantification_ratios()
-        else:
-            self._directions = None
-            self._quant_ratio = None
+            directions = routing.normalized_columns()
+            # A model that sees no flow cannot identify any alarm: it
+            # detects only, as without routing (decided once per fit).
+            if flows_visible(
+                residual_signature_energy(self._detector.model, directions)
+            ):
+                self._directions = directions
+                self._quant_ratio = routing.quantification_ratios()
         return self
 
     # ------------------------------------------------------------------
@@ -278,7 +288,8 @@ class DetectionPipeline:
 
         Detection covers every row; identification and quantification run
         only on the flagged rows (the paper's evaluation protocol, §6.2)
-        and only when a routing matrix was bound at fit time.
+        and only when a routing matrix was bound at fit time and the
+        fitted model sees some flow in its residual subspace.
 
         ``confidence`` overrides the fitted level without refitting.
         """

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util import ensure_matrix
-from repro.core.identification import identify_from_residuals
+from repro.core.identification import flows_visible, identify_from_residuals
 from repro.core.incremental import IncrementalSubspaceTracker
 from repro.exceptions import ModelError
 from repro.routing.routing_matrix import RoutingMatrix
@@ -53,7 +53,8 @@ class StreamWindow:
     anomalous_bins:
         Absolute arrival indices of the flagged rows.
     flow_indices:
-        Identified OD flow per flagged row (empty without routing).
+        Identified OD flow per flagged row (empty without routing, or
+        when the window-start basis sees no flow).
     od_pairs:
         Identified flows as ``(origin, destination)`` PoP names.
     estimated_bytes:
@@ -180,15 +181,20 @@ class StreamingDetector:
         mean: np.ndarray,
         basis: np.ndarray,
     ) -> tuple[np.ndarray, tuple[tuple[str, str], ...], np.ndarray]:
-        """Closed-form identification of flagged rows under one basis."""
-        centered = flagged - mean
-        residual = centered - (centered @ basis) @ basis.T  # (k, m)
+        """Closed-form identification of flagged rows under one basis.
 
+        A basis that sees no flow in its residual subspace identifies
+        nothing: its alarms stay unidentified, as without routing.
+        """
         theta = self._theta  # (m, n), unit columns
         # ‖C̃ θ_j‖² = 1 − ‖Pᵀ θ_j‖² for an orthogonal projector and
         # unit-norm θ_j — no m × m projector ever materializes.
         p_theta = basis.T @ theta  # (r, n)
         energy = 1.0 - np.einsum("ij,ij->j", p_theta, p_theta)
+        if not flows_visible(energy):
+            return np.empty(0, dtype=np.int64), (), np.empty(0)
+        centered = flagged - mean
+        residual = centered - (centered @ basis) @ basis.T  # (k, m)
         identification = identify_from_residuals(residual, theta, energy)
         winners = identification.flow_indices
         od_pairs = tuple(self._routing.od_pairs[int(i)] for i in winners)

@@ -44,7 +44,11 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.core.identification import identify_block
+from repro.core.identification import (
+    flows_visible,
+    identify_block,
+    residual_signature_energy,
+)
 from repro.core.incremental import IncrementalSubspaceTracker
 from repro.exceptions import IngestError, ServiceError
 from repro.routing.routing_matrix import RoutingMatrix
@@ -199,7 +203,8 @@ class RowOutcome:
 
     ``bin`` is the stream-relative index (0 for the first ingested row;
     warmup rows are never scored and own no bins).  Identification
-    fields are ``None`` without a routing matrix or when unflagged.
+    fields are ``None`` without a routing matrix, when unflagged, or
+    when no flow is visible in the model's residual subspace.
     """
 
     bin: int
@@ -236,7 +241,8 @@ class BlockSegment:
     ``threshold`` by version ``model_version``; ``spe`` and ``flags``
     are the fused kernel's arrays.  ``alarms`` holds one
     :class:`RowOutcome` per flagged row, in bin order, identified when
-    the service has a routing matrix — the only rows that need one.
+    the service has a routing matrix and the version can see a flow —
+    the only rows that need one.
     """
 
     start_bin: int
@@ -343,6 +349,9 @@ class DetectionService:
                 )
             self._directions = routing.normalized_columns()
             self._quant_ratio = routing.quantification_ratios()
+        # (version, whether some flow is visible under it): decided once
+        # per model version by _identifiable.
+        self._visibility: tuple[ModelVersion | None, bool] = (None, False)
         self._refit_thread: threading.Thread | None = None
         self._last_refit_error: str | None = None
         self._build_metrics()
@@ -820,7 +829,7 @@ SubspaceModel.score_block` kernel — one call per contiguous run under
                     flag=True,
                     model_version=version.version,
                 )
-                if self._directions is not None:
+                if self._identifiable(version):
                     outcome = self._identify(outcome, chunk[i], version)
                 pending.append(("alarm", outcome.to_json()))
                 alarms.append(outcome)
@@ -859,6 +868,23 @@ SubspaceModel.score_block` kernel — one call per contiguous run under
         if pending:
             self.events.emit_many(list(pending))
             pending.clear()
+
+    def _identifiable(self, version: ModelVersion) -> bool:
+        """Whether alarms under ``version`` can name a flow.
+
+        Needs a routing matrix and a flow visible in the version's
+        residual subspace — a property of the model, decided once per
+        version.  An alarm no flow can explain is served and logged
+        without identification fields, as without a routing matrix.
+        """
+        if self._directions is None:
+            return False
+        if self._visibility[0] is not version:
+            energy = residual_signature_energy(
+                version.detector.model, self._directions
+            )
+            self._visibility = (version, flows_visible(energy))
+        return self._visibility[1]
 
     def _identify(
         self,

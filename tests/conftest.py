@@ -113,3 +113,34 @@ def small_dataset():
         anomaly_seed=778,
     )
     return dataset_from_config(config)
+
+
+@pytest.fixture(scope="session")
+def blind_routing():
+    """A model no OD flow is visible to, and an alarm it cannot explain.
+
+    Three links; two flows, on links 0 and 1 only.  The 200-row
+    warmup's variance sits on links 0–1; link 2 carries a small ±1
+    wiggle uncorrelated with them, so at ``normal_rank=2`` the residual
+    subspace is link 2 alone and ``‖C̃ θ_j‖² ≈ 0`` for both flows.
+    Returns ``(warmup, routing, block)``: the block's middle row spikes
+    link 2 and is the only row flagged.
+    """
+    from repro.routing.routing_matrix import RoutingMatrix
+
+    rng = np.random.default_rng(5)
+    wiggle = np.tile([1.0, -1.0], 100)
+    noise = rng.normal(size=(200, 2)) * 1e4
+    noise -= noise.mean(axis=0)
+    noise -= np.outer(wiggle, wiggle @ noise) / 200.0
+    warmup = np.empty((200, 3))
+    warmup[:, :2] = 1e6 + noise
+    warmup[:, 2] = 1e5 + wiggle
+    routing = RoutingMatrix(
+        np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+        ["l0", "l1", "l2"],
+        [("a", "b"), ("b", "a")],
+    )
+    block = warmup[:3].copy()
+    block[1, 2] += 1e3
+    return warmup, routing, block

@@ -2,9 +2,9 @@
 
 The kernel replaces three separate passes — SPE projection, threshold
 comparison, separation-moments fold — with one chunked sweep.  These
-tests pin its contracts: bit-identity with the historical per-stage
-arithmetic, chunking invariance of the projector route, the basis
-route's single-chunk equivalence, and the float32 error band.
+tests pin its contracts: bit-identity with the rank-``r`` residual
+formula ``ỹ = c − (c P) Pᵀ``, chunking invariance, independence from
+the basis array's memory layout, and the float32 error band.
 """
 
 import numpy as np
@@ -35,21 +35,34 @@ def world():
     return detector, block
 
 
+def normal_axes(model):
+    """``Pᵀ`` of a fitted model as C-contiguous ``(r, m)`` rows."""
+    return np.ascontiguousarray(model.normal_basis.T)
+
+
+def rank_r_spe(centered, axes):
+    """The rank-r residual formula, written out: c − (c P) Pᵀ."""
+    scores = np.einsum("ij,kj->ik", centered, axes)
+    residual = centered - np.einsum("ik,kj->ij", scores, axes)
+    return np.einsum("ij,ij->i", residual, residual)
+
+
 class TestFusionBitIdentity:
-    def test_spe_matches_unfused_projector_arithmetic(self, world):
+    def test_spe_matches_unfused_rank_r_arithmetic(self, world):
         detector, block = world
         model = detector.model
-        centered = block - model.pca.mean
-        residual = np.einsum(
-            "ij,jk->ik", centered, np.asarray(model.anomalous_projector.T)
-        )
-        expected = np.einsum("ij,ij->i", residual, residual)
-        result = score_block(
-            block, model.pca.mean, projector=model.anomalous_projector
-        )
+        axes = normal_axes(model)
+        expected = rank_r_spe(block - model.pca.mean, axes)
+        result = score_block(block, model.pca.mean, basis=axes)
         assert np.array_equal(result.spe, expected)
         assert result.flags is None
         assert result.moments is None
+        # The same residual the projector gives, to rounding.
+        residual = model.residual(block)
+        assert np.allclose(
+            result.spe, np.einsum("ij,ij->i", residual, residual),
+            rtol=1e-9,
+        )
 
     def test_flags_match_elementwise_compare(self, world):
         detector, block = world
@@ -74,7 +87,7 @@ class TestFusionBitIdentity:
         detector, block = world
         model = detector.model
         via_kernel = score_block(
-            block, model.pca.mean, projector=model.anomalous_projector
+            block, model.pca.mean, basis=normal_axes(model)
         ).spe
         assert np.array_equal(model.spe(block), via_kernel)
         assert float(model.spe(block[3])) == via_kernel[3]
@@ -88,18 +101,14 @@ class TestFusionBitIdentity:
 
 
 class TestChunking:
-    def test_projector_route_chunking_is_bitwise_invariant(self, world):
+    def test_chunking_is_bitwise_invariant(self, world):
         detector, block = world
         model = detector.model
-        reference = score_block(
-            block, model.pca.mean, projector=model.anomalous_projector
-        ).spe
+        axes = normal_axes(model)
+        reference = rank_r_spe(block - model.pca.mean, axes)
         for chunk_rows in (1, 7, 64, DEFAULT_CHUNK_ROWS):
             chunked = score_block(
-                block,
-                model.pca.mean,
-                projector=model.anomalous_projector,
-                chunk_rows=chunk_rows,
+                block, model.pca.mean, basis=axes, chunk_rows=chunk_rows
             ).spe
             assert np.array_equal(chunked, reference), chunk_rows
 
@@ -120,14 +129,14 @@ class TestChunking:
         assert np.allclose(chunked.sums, whole.sums, rtol=1e-12)
         assert np.allclose(chunked.squares, whole.squares, rtol=1e-12)
 
-    def test_basis_route_matches_matmul_form_in_one_chunk(self, world):
+    def test_basis_layout_does_not_move_bits(self, world):
+        """A strided view of Pᵀ scores like its C-contiguous copy."""
         detector, block = world
         model = detector.model
-        basis = model.pca.components[:, : model.normal_rank]
-        centered = block - model.pca.mean
-        residual = centered - (centered @ basis) @ basis.T
-        expected = np.einsum("ij,ij->i", residual, residual)
-        result = score_block(block, model.pca.mean, basis=basis)
+        view = model.pca.components[:, : model.normal_rank].T
+        assert not view.flags.c_contiguous
+        expected = rank_r_spe(block - model.pca.mean, normal_axes(model))
+        result = score_block(block, model.pca.mean, basis=view)
         assert np.array_equal(result.spe, expected)
 
     def test_empty_block(self, world):
@@ -144,19 +153,18 @@ class TestChunking:
 
 
 class TestValidation:
-    def test_exactly_one_operator_required(self, world):
+    def test_rejects_malformed_basis(self, world):
         detector, block = world
         model = detector.model
         mean = model.pca.mean
-        with pytest.raises(ModelError, match="exactly one"):
-            score_block(block, mean)
-        with pytest.raises(ModelError, match="exactly one"):
-            score_block(
-                block,
-                mean,
-                projector=model.anomalous_projector,
-                basis=model.pca.components[:, :2],
-            )
+        m = model.num_links
+        for basis in (
+            model.pca.components[:, :2],  # P, not Pᵀ
+            np.zeros((m + 1, m)),  # more axes than links
+            np.zeros(m),  # not a matrix
+        ):
+            with pytest.raises(ModelError, match="basis must be"):
+                score_block(block, mean, basis=basis)
 
     def test_rejects_bad_chunk_rows_and_dtype(self, world):
         detector, block = world
@@ -165,14 +173,14 @@ class TestValidation:
             score_block(
                 block,
                 model.pca.mean,
-                projector=model.anomalous_projector,
+                basis=normal_axes(model),
                 chunk_rows=0,
             )
         with pytest.raises(ModelError, match="dtype"):
             score_block(
                 block,
                 model.pca.mean,
-                projector=model.anomalous_projector,
+                basis=normal_axes(model),
                 dtype=np.int32,
             )
 

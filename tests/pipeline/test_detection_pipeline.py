@@ -130,6 +130,19 @@ class TestApiEdges:
         with pytest.raises(ModelError):
             result.diagnoses()
 
+    def test_alarm_no_flow_can_explain_detects_only(self, blind_routing):
+        """A model that sees no flow flags the spike and reports it
+        unidentified, as without routing, instead of raising."""
+        warmup, routing, block = blind_routing
+        pipeline = DetectionPipeline(normal_rank=2).fit(
+            warmup, routing=routing
+        )
+        result = pipeline.detect(block)
+        assert result.anomalous_bins.tolist() == [1]
+        assert not result.identified
+        assert result.flow_indices.size == 0
+        assert result.od_pairs == ()
+
     def test_single_vector_detect(self, injected_world):
         dataset, measurements, spikes = injected_world
         pipeline = DetectionPipeline().fit(

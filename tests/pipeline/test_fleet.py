@@ -4,7 +4,7 @@ The fleet's three load-bearing guarantees, each pinned bit-for-bit:
 
 * stacked scoring of same-shape tenants equals per-tenant serial
   scoring exactly (deterministic cases plus a hypothesis property over
-  random shapes, dtypes and chunkings);
+  random shapes, dtypes, chunkings and per-tenant ranks);
 * an injected worker crash that permanently loses one tenant's fit
   leaves every other tenant's model and alarms untouched;
 * a fleet restored from tenant-namespaced checkpoints rescores every
@@ -61,6 +61,21 @@ def score_blocks(fleet, anomalies=2):
 # Stacked kernel: bit-identity against the serial kernel.
 
 
+def stacked_bases(rng, ranks, m):
+    """Random per-member axes (rows of Pᵀ) and their zero-padded stack.
+
+    Members below ``m`` pad to the largest such rank; a full-rank
+    member contributes only its rank, as the fleet's stacks do.
+    """
+    axes = [rng.normal(size=(rank, m)) for rank in ranks]
+    padded = max([rank for rank in ranks if rank < m], default=0)
+    bases = np.zeros((len(ranks), padded, m))
+    for i, rank in enumerate(ranks):
+        if rank < m:
+            bases[i, :rank] = axes[i]
+    return axes, bases
+
+
 class TestStackedKernel:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_matches_serial_kernel_bitwise(self, dtype):
@@ -68,13 +83,14 @@ class TestStackedKernel:
         n, t, m = 5, 37, 6
         measurements = rng.normal(size=(n, t, m)) * 40.0 + 300.0
         means = rng.normal(size=(n, m))
-        raw = rng.normal(size=(n, m, m))
-        projectors = np.einsum("nij,nkj->nik", raw, raw)
+        ranks = np.array([0, 2, m, 3, 5])
+        axes, bases = stacked_bases(rng, ranks, m)
         thresholds = rng.uniform(1.0, 50.0, size=n)
         stacked = score_block_stacked(
             measurements,
             means,
-            projectors=projectors,
+            bases=bases,
+            ranks=ranks,
             thresholds=thresholds,
             dtype=dtype,
         )
@@ -82,12 +98,13 @@ class TestStackedKernel:
             serial = score_block(
                 measurements[i],
                 means[i],
-                projector=projectors[i],
+                basis=axes[i],
                 threshold=float(thresholds[i]),
                 dtype=dtype,
             )
             assert np.array_equal(stacked.spe[i], serial.spe)
             assert np.array_equal(stacked.flags[i], serial.flags)
+        assert not stacked.spe[2].any()  # full rank scores exactly 0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -99,17 +116,19 @@ class TestStackedKernel:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_bit_identity_property(self, n, t, m, chunk_rows, dtype, seed):
-        """Any tenant count, shape, chunking and dtype: same bits."""
+        """Any tenant count, shape, chunking, dtype and per-member rank
+        in [0, m]: same bits as serial scoring."""
         rng = np.random.default_rng(seed)
         measurements = rng.normal(size=(n, t, m)) * 100.0
         means = rng.normal(size=(n, m)) * 10.0
-        raw = rng.normal(size=(n, m, m))
-        projectors = np.einsum("nij,nkj->nik", raw, raw)
+        ranks = rng.integers(0, m + 1, size=n)
+        axes, bases = stacked_bases(rng, ranks, m)
         thresholds = rng.uniform(0.0, 100.0, size=n)
         stacked = score_block_stacked(
             measurements,
             means,
-            projectors=projectors,
+            bases=bases,
+            ranks=ranks,
             thresholds=thresholds,
             dtype=dtype,
             chunk_rows=chunk_rows,
@@ -118,7 +137,7 @@ class TestStackedKernel:
             serial = score_block(
                 measurements[i],
                 means[i],
-                projector=projectors[i],
+                basis=axes[i],
                 threshold=float(thresholds[i]),
                 dtype=dtype,
                 chunk_rows=chunk_rows,
@@ -128,11 +147,19 @@ class TestStackedKernel:
 
     def test_rejects_mismatched_shapes(self):
         measurements = np.zeros((2, 4, 3))
-        means = np.zeros((3, 3))  # wrong tenant count
-        projectors = np.zeros((2, 3, 3))
-        with pytest.raises(ModelError):
+        bases = np.zeros((2, 1, 3))
+        with pytest.raises(ModelError, match="means"):
             score_block_stacked(
-                measurements, means, projectors=projectors
+                measurements, np.zeros((3, 3)), bases=bases
+            )
+        with pytest.raises(ModelError, match="bases"):
+            score_block_stacked(
+                measurements, np.zeros((2, 3)), bases=np.zeros((2, 3, 1))
+            )
+        with pytest.raises(ModelError, match="ranks"):
+            score_block_stacked(
+                measurements, np.zeros((2, 3)), bases=bases,
+                ranks=np.array([1, 2]),  # 2 exceeds the padded rank
             )
 
 

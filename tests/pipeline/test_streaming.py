@@ -58,6 +58,18 @@ class TestStreamWindows:
         assert window.flow_indices.size == 0
         assert window.od_pairs == ()
 
+    def test_alarm_no_flow_can_explain_stays_unidentified(
+        self, blind_routing
+    ):
+        warmup, routing, block = blind_routing
+        detector = StreamingDetector.from_history(
+            warmup, normal_rank=2, routing=routing
+        )
+        window = detector.process_window(block)
+        assert window.anomalous_bins.tolist() == [1]
+        assert window.flow_indices.size == 0
+        assert window.od_pairs == ()
+
     def test_invalid_window_shapes_rejected(self, fitted):
         dataset, warmup, pipeline = fitted
         with pytest.raises(ModelError):

@@ -6,7 +6,12 @@ import pytest
 from repro.core import IncrementalSubspaceTracker
 from repro.exceptions import IngestError, ServiceError
 from repro.pipeline import DetectionPipeline
-from repro.service import MAX_LINK_COUNT, EventLog, ServiceConfig
+from repro.service import (
+    MAX_LINK_COUNT,
+    DetectionService,
+    EventLog,
+    ServiceConfig,
+)
 
 
 def exposed(text: str, name: str) -> float:
@@ -114,6 +119,28 @@ class TestIngestScoring:
         assert outcome.flag
         assert outcome.flow_index is None
         assert "flow_index" not in outcome.to_json()
+
+    def test_alarm_no_flow_can_explain_is_served_unidentified(
+        self, blind_routing
+    ):
+        """With no flow visible in the residual subspace, the alarm is
+        served and logged as a service without routing serves it — the
+        block is ingested, not lost to an identification error."""
+        warmup, routing, block = blind_routing
+        config = ServiceConfig(normal_rank=2)
+        service = DetectionService.from_warmup(
+            warmup, routing=routing, config=config
+        )
+        blind = DetectionService.from_warmup(warmup, config=config)
+        result = service.ingest_block(block)
+        assert result.accepted == 3 and result.rejected is None
+        assert [o.bin for o in result.outcomes if o.flag] == [1]
+        assert [o.to_json() for o in result.outcomes] == [
+            o.to_json() for o in blind.ingest_block(block).outcomes
+        ]
+        alarms = [e for e in service.events.tail() if e["kind"] == "alarm"]
+        assert len(alarms) == 1 and "flow_index" not in alarms[0]
+        assert service.health()["rows_ingested"] == 3
 
     def test_counters_gauges_and_events_track_ingest(
         self, service_split, make_service

@@ -110,6 +110,42 @@ class TestResponseBytes:
         assert served == json.dumps(legacy, sort_keys=True).encode("utf-8")
 
 
+class TestUnexplainedAlarm:
+    def test_connection_survives_an_alarm_no_flow_can_explain(
+        self, blind_routing, run_server
+    ):
+        """The alarm is answered like any other, and the same keep-alive
+        connection serves the next request."""
+        from repro.service import DetectionService
+
+        warmup, routing, block = blind_routing
+        server = run_server(
+            DetectionService.from_warmup(
+                warmup, routing=routing, config=ServiceConfig(normal_rank=2)
+            )
+        )
+        body = json.dumps({"rows": block.tolist()}).encode("utf-8")
+        raw = socket.create_connection(
+            (server.host, server.port), timeout=10
+        )
+        with raw, raw.makefile("rb") as stream:
+            raw.sendall(
+                b"POST /ingest HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % len(body)
+                + body
+            )
+            status, served = read_response(stream)
+            assert status == 200
+            payload = json.loads(served)
+            assert payload["accepted"] == 3
+            assert payload["alarm_bins"] == [1]
+            assert "flow_index" not in payload["results"][1]
+            raw.sendall(b"GET /health HTTP/1.1\r\n\r\n")
+            status, served = read_response(stream)
+        assert status == 200
+        assert json.loads(served)["rows_ingested"] == 3
+
+
 class TestFraming:
     def test_pipelined_requests_are_answered_in_order(
         self, service_split, make_service, run_server
