@@ -4,7 +4,9 @@ Measures rows/second through four paths on a sprint-like dataset:
 
 * the bare engine one row at a time (``ingest_row`` in-process, no
   transport) — each call is a one-row ``ingest_block``, so this is the
-  scoring + fold + accounting cost of an arrival that travels alone;
+  scoring + accounting cost of an arrival that travels alone (every
+  36th also pays the drift tracker's fold of the interval it
+  completes);
 * the engine block path (``ingest_block``) — one fused kernel pass,
   one suffstats fold, and one buffered event write per chunk, with
   per-block p50/p99 latency recorded;

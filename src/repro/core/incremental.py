@@ -108,8 +108,6 @@ class IncrementalSubspaceTracker:
         self._eigenvalues: np.ndarray | None = None  # descending, length m
         self._threshold: float = 0.0
         self._since_refresh = 0
-        self._arrivals = 0
-        self._eigensolves = 0
 
     # ------------------------------------------------------------------
     def warm_up(self, measurements: np.ndarray) -> "IncrementalSubspaceTracker":
@@ -175,7 +173,6 @@ class IncrementalSubspaceTracker:
             eigenvalues[self.normal_rank :], confidence=self.confidence
         )
         self._pending = None
-        self._eigensolves += 1
 
     # ------------------------------------------------------------------
     def _require_ready(self) -> None:
@@ -218,11 +215,6 @@ class IncrementalSubspaceTracker:
         self._require_ready()
         return self._since_refresh
 
-    @property
-    def eigensolves(self) -> int:
-        """Eigensolves run so far; a refresh point never read costs none."""
-        return self._eigensolves
-
     def _refresh_due(self) -> bool:
         return (
             self.refresh_interval is not None
@@ -259,7 +251,6 @@ class IncrementalSubspaceTracker:
         deviation = measurement - self._mean
         self._cov = (1.0 - eta) * self._cov + eta * np.outer(deviation, deviation)
 
-        self._arrivals += 1
         self._since_refresh += 1
         if self._refresh_due():
             self._refresh()
@@ -369,7 +360,6 @@ class IncrementalSubspaceTracker:
                 deviations.T * fold_weights
             ) @ deviations
             self._mean = means[-1]
-            self._arrivals += k
             self._since_refresh += k
 
         if refresh or self._refresh_due():

@@ -540,6 +540,20 @@ class RowStore:
                 self._tail = np.empty((self.tile_rows, self.num_columns))
                 self._filled = 0
 
+    def read(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``[start, stop)``: a view when they lie in one tile
+        (filled rows are never rewritten), else a copy."""
+        if not 0 <= start < stop <= self.rows:
+            raise ModelError(f"cannot read rows [{start}, {stop}) of {self.rows}")
+        size, frozen = self.tile_rows, len(self._tiles)
+        parts = [
+            (self._tiles[k] if k < frozen else self._tail)[
+                max(start - k * size, 0) : stop - k * size
+            ]
+            for k in range(start // size, (stop - 1) // size + 1)
+        ]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
     def snapshot(self, rows: int | None = None) -> HistorySnapshot:
         """The first ``rows`` rows (default: all) as a :class:`HistorySnapshot`."""
         total = self.rows
@@ -555,8 +569,7 @@ class RowStore:
         stats._tiles.update(enumerate(self._tile_stats[:whole]))
         tiles = self._tiles[:whole]
         if partial:
-            source = self._tiles[whole] if whole < len(self._tiles) else self._tail
-            rest = source[:partial]
+            rest = self.read(whole * self.tile_rows, rows)
             stats._fragments[whole] = (
                 _Fragment(start=whole * self.tile_rows, rows=rest),
             )

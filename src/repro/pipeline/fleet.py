@@ -68,6 +68,7 @@ __all__ = [
     "run_fleet_check",
     "synthetic_tenant_traffic",
     "tenant_checkpoint_path",
+    "tenant_checkpoints",
 ]
 
 #: File suffix of per-tenant checkpoints inside a fleet directory.
@@ -93,6 +94,13 @@ def tenant_checkpoint_path(root: str | Path, tenant_id: str) -> Path:
     tenant_id = _validate_tenant_id(tenant_id)
     encoded = quote(tenant_id, safe="")
     return Path(root) / "tenants" / f"{encoded}{_CHECKPOINT_SUFFIX}"
+
+
+def tenant_checkpoints(root: str | Path) -> list[tuple[str, Path]]:
+    """``(tenant_id, path)`` of every checkpoint under ``root``, in
+    file-name order: the inverse of :func:`tenant_checkpoint_path`."""
+    paths = sorted((Path(root) / "tenants").glob(f"*{_CHECKPOINT_SUFFIX}"))
+    return [(unquote(path.name[: -len(_CHECKPOINT_SUFFIX)]), path) for path in paths]
 
 
 def _validate_tenant_id(tenant_id) -> str:
@@ -840,7 +848,7 @@ class FleetManager:
 
         Every ``tenants/*.ckpt`` file restores one tenant through
         :meth:`~repro.service.lifecycle.ModelLifecycleManager.restore`
-        — the detector is refit from the checkpointed statistics, so
+        — the detector is refit from the checkpointed rows, so
         each restored tenant scores bit-identically to the fleet that
         wrote the checkpoint.  ``kwargs`` configure the new manager's
         scheduler (workers, fault knobs); per-tenant model
@@ -851,11 +859,10 @@ class FleetManager:
         if not tenant_dir.is_dir():
             raise FleetError(f"no fleet checkpoint directory at {tenant_dir}")
         manager = cls(checkpoint_dir=root, **kwargs)
-        paths = sorted(tenant_dir.glob(f"*{_CHECKPOINT_SUFFIX}"))
-        if not paths:
+        checkpoints = tenant_checkpoints(root)
+        if not checkpoints:
             raise FleetError(f"no tenant checkpoints under {tenant_dir}")
-        for path in paths:
-            tenant_id = unquote(path.name[: -len(_CHECKPOINT_SUFFIX)])
+        for tenant_id, path in checkpoints:
             lifecycle = ModelLifecycleManager.restore(path)
             policy = lifecycle.restored_extra.get("fault_policy")
             state = _TenantState(

@@ -26,11 +26,12 @@ hot-swap boundary, which the property tests replay.
 
 The exponentially weighted :class:`~repro.core.incremental.\
 IncrementalSubspaceTracker` is deliberately *not* on the scoring path:
-it folds every arrival to expose drift telemetry (its own adaptive
-threshold, the principal angle to the active version's subspace) that
-tells operators when the refit cadence is too slow.  Ingest only folds;
-the tracker's eigensolve and the principal-angle SVD run when the
-gauges are computed, at exposition time.
+it exposes drift telemetry (its own adaptive threshold, the principal
+angle to the active version's subspace) that tells operators when the
+refit cadence is too slow.  It is a function of the active version and
+the history rows (see :meth:`DetectionService._advance_tracker`), and
+ingest only folds it; the tracker's eigensolve and the principal-angle
+SVD run when the gauges are computed, at exposition time.
 """
 
 from __future__ import annotations
@@ -97,6 +98,14 @@ ERROR_REASONS = (
 #: a million links.
 MAX_LINK_COUNT = float(2**53)
 
+#: Drift-tracker forgetting factor: a memory of one week of 10-minute
+#: bins, the span over which the paper finds the subspace stable (§7.1).
+TRACKER_FORGETTING = 1.0 / 1008.0
+#: Rows per drift-tracker fold and refresh: six hours of 10-minute bins.
+TRACKER_INTERVAL = 36
+#: Most rows one history read copies (within one default tile).
+_TRACKER_READ_ROWS = 28 * TRACKER_INTERVAL
+
 
 def _value_reject(values: np.ndarray) -> IngestError | None:
     """A row's value reject, if any: ``non_finite`` before ``out_of_range``."""
@@ -152,9 +161,6 @@ class ServiceConfig:
         a background thread.  Slower, but the swap boundary becomes a
         deterministic function of the row stream — the parity property
         tests rely on it.
-    forgetting, tracker_refresh_interval:
-        Drift-tracker parameters (see
-        :class:`~repro.core.incremental.IncrementalSubspaceTracker`).
     max_rows_per_request, max_body_bytes, read_timeout:
         Transport guards enforced by the HTTP layer.
     checkpoint_path:
@@ -183,8 +189,6 @@ class ServiceConfig:
     tile_rows: int = 1024
     refit_interval: int | None = None
     synchronous_refit: bool = False
-    forgetting: float = 1.0 / 1008.0
-    tracker_refresh_interval: int | None = 36
     max_rows_per_request: int = 4096
     max_body_bytes: int = 8_000_000
     read_timeout: float = 10.0
@@ -354,8 +358,11 @@ class DetectionService:
         self._visibility: tuple[ModelVersion | None, bool] = (None, False)
         self._refit_thread: threading.Thread | None = None
         self._last_refit_error: str | None = None
+        self._tracker: IncrementalSubspaceTracker | None = None
+        self._tracker_version: ModelVersion | None = None
+        self._tracker_row = 0
+        self._drift_key: tuple[int, int] | None = None
         self._build_metrics()
-        self._seed_tracker(lifecycle.current)
         self._refresh_model_gauges()
         self.events.emit(
             "service_start",
@@ -378,10 +385,10 @@ class DetectionService:
         """Restart warm from a checkpoint written by :meth:`checkpoint`.
 
         The restored service scores under the same model version (the
-        detector is refit bit-identically from the checkpointed
-        sufficient statistics) and resumes at the same stream position —
-        its next assigned bin continues where the checkpointing process
-        stopped.  Unreadable or torn files raise
+        detector is refit bit-identically from the checkpointed rows),
+        exposes the same drift gauges, and resumes at the same stream
+        position — its next assigned bin continues where the
+        checkpointing process stopped.  Unreadable or torn files raise
         :class:`~repro.exceptions.CheckpointError`.
         """
         lifecycle = ModelLifecycleManager.restore(path)
@@ -495,41 +502,50 @@ class DetectionService:
             "accepted or rejected.",
         )
 
-    def _seed_tracker(self, version: ModelVersion) -> None:
-        pca = version.detector.model.pca
-        covariance = (pca.components * pca.eigenvalues()) @ pca.components.T
-        self._tracker = IncrementalSubspaceTracker(
-            normal_rank=version.normal_rank,
-            forgetting=self.config.forgetting,
-            confidence=self.config.confidence,
-            refresh_interval=self.config.tracker_refresh_interval,
-        ).warm_up_from_moments(pca.mean, covariance)
-        # (tracker eigensolves, model version) the drift gauge holds.
-        self._drift_key: tuple[int, int] | None = None
+    def _advance_tracker(self) -> ModelVersion:
+        """Fold the drift tracker up to the history; returns its version.
 
-    def _reference_basis(self, version: ModelVersion) -> np.ndarray:
-        pca = version.detector.model.pca
-        return pca.components[:, : version.normal_rank]
+        The one place it changes: seeded from the active version, it
+        folds each whole :data:`TRACKER_INTERVAL`-row interval of history
+        since ``activated_at_row``, and any swap reseeds it."""
+        version = self.lifecycle.current
+        if version is not self._tracker_version:
+            pca = version.detector.model.pca
+            covariance = (pca.components * pca.eigenvalues()) @ pca.components.T
+            self._tracker = IncrementalSubspaceTracker(
+                normal_rank=version.normal_rank,
+                forgetting=TRACKER_FORGETTING,
+                refresh_interval=TRACKER_INTERVAL,
+                confidence=self.config.confidence,
+            ).warm_up_from_moments(pca.mean, covariance)
+            self._tracker_version = version
+            self._tracker_row = version.activated_at_row
+        whole = (self.lifecycle.rows - self._tracker_row) // TRACKER_INTERVAL
+        stop = self._tracker_row + whole * TRACKER_INTERVAL
+        for row in range(self._tracker_row, stop, _TRACKER_READ_ROWS):
+            rows = self.lifecycle.read_rows(row, min(row + _TRACKER_READ_ROWS, stop))
+            for offset in range(0, rows.shape[0], TRACKER_INTERVAL):
+                self._tracker.fold_block(rows[offset : offset + TRACKER_INTERVAL])
+        self._tracker_row = stop
+        return version
 
     def _refresh_model_gauges(self) -> None:
         """Set every model gauge; the only place tracker gauges are set.
 
         Reading the tracker runs the eigensolve of its last refresh
-        point, if one is pending.  The drift SVD reruns only when that
-        solve or the active version changed since the last call.
+        point, if one is pending.  The drift SVD reruns only when the
+        folded row or the active version changed since the last call.
         """
-        version = self.lifecycle.current
+        version = self._advance_tracker()
         self._g_threshold.set(version.threshold)
         self._g_rank.set(version.normal_rank)
         self._g_version.set(version.version)
         self._g_refresh_age.set(self.lifecycle.rows - version.trained_rows)
         self._g_tracker_threshold.set(self._tracker.threshold)
-        key = (self._tracker.eigensolves, version.version)
-        if key != self._drift_key:
-            self._g_drift.set(
-                self._tracker.drift_from(self._reference_basis(version))
-            )
-            self._drift_key = key
+        if (self._tracker_row, version.version) != self._drift_key:
+            basis = version.detector.model.pca.components[:, : version.normal_rank]
+            self._g_drift.set(self._tracker.drift_from(basis))
+            self._drift_key = (self._tracker_row, version.version)
 
     # ------------------------------------------------------------------
     @property
@@ -789,26 +805,26 @@ SubspaceModel.score_block` kernel — one call per contiguous run under
         """Score and fold an accepted run, splitting at refit boundaries.
 
         Each sub-run is every row up to the next synchronous-refit due
-        point: one fused ``score_block`` call, one history append, one
-        tracker fold — then the refit (if due) swaps the version exactly
-        where a row-by-row replay would have swapped it.  Each sub-run
-        becomes one :class:`BlockSegment` holding the kernel's arrays;
-        only flagged rows build a :class:`RowOutcome`.  They are
-        identified one at a time with a single-row call, so
-        identification does not depend on the block's size (BLAS
-        matmuls are not row-decomposable; alarms are rare enough that
-        this costs nothing measurable).
+        point: one fused ``score_block`` call, one history append, the
+        tracker's folds of any completed interval — then the refit (if
+        due) swaps the version exactly where a row-by-row replay would
+        have swapped it.  Each sub-run becomes one :class:`BlockSegment`
+        holding the kernel's arrays; only flagged rows build a
+        :class:`RowOutcome`.  They are identified one at a time with a
+        single-row call, so identification does not depend on the
+        block's size (BLAS matmuls are not row-decomposable; alarms are
+        rare enough that this costs nothing measurable).
         """
         segments: list[BlockSegment] = []
         position = 0
         total = accepted.shape[0]
+        synchronous = (
+            self.config.synchronous_refit
+            and self.config.refit_interval is not None
+        )
         while position < total:
             version = self.lifecycle.current
             take = total - position
-            synchronous = (
-                self.config.synchronous_refit
-                and self.config.refit_interval is not None
-            )
             if synchronous:
                 until_due = self.config.refit_interval - (
                     self.lifecycle.rows - version.trained_rows
@@ -848,18 +864,13 @@ SubspaceModel.score_block` kernel — one call per contiguous run under
             self._g_spe.set(float(scored.spe[take - 1]))
             if alarms:
                 self._m_alarms.inc(float(len(alarms)))
-            self._tracker.fold_block(chunk)
             self.lifecycle.append_rows(chunk)
-            self._g_refresh_age.set(
-                self.lifecycle.rows - version.trained_rows
-            )
+            self._advance_tracker()
             position += take
-            due = (
-                self.config.refit_interval is not None
-                and self.lifecycle.rows - version.trained_rows
+            if synchronous and (
+                self.lifecycle.rows - version.trained_rows
                 >= self.config.refit_interval
-            )
-            if due and synchronous:
+            ):
                 self._drain_events(pending)
                 self._do_refit()
         return tuple(segments)
@@ -918,8 +929,8 @@ SubspaceModel.score_block` kernel — one call per contiguous run under
 
     def _do_refit(self) -> ModelVersion:
         try:
+            # The fit runs outside the engine lock: ingest keeps flowing.
             detector, trained_rows = self.lifecycle.fit_candidate()
-            version = self.lifecycle.activate(detector, trained_rows)
         except Exception as err:
             with self._lock:
                 self._last_refit_error = str(err)
@@ -928,7 +939,8 @@ SubspaceModel.score_block` kernel — one call per contiguous run under
             self.events.emit("refit_failed", error=str(err))
             raise ServiceError(f"refit failed: {err}") from err
         with self._lock:
-            self._seed_tracker(version)
+            # Between two blocks, so the boundary is where scoring moved.
+            version = self.lifecycle.activate(detector, trained_rows)
             self._last_refit_error = None
             self._m_refits.inc()
             self._m_swaps.inc()

@@ -370,8 +370,7 @@ class ServiceHTTPServer:
         payloads both become one :meth:`DetectionService.ingest_block`
         call — the engine parses the JSON rows into one ndarray and
         scores each contiguous accepted run with a single fused kernel
-        pass, bit-identical to per-row ingestion.  Response shapes are
-        unchanged from the per-row implementation.
+        pass, bit-identical to per-row ingestion.
         """
         if ingest_block is None:
             ingest_block = self.service.ingest_block
@@ -390,62 +389,29 @@ class ServiceHTTPServer:
             rows = payload["rows"]
             bins = payload.get("bins")
         else:
-            self.service.record_error(
-                "bad_payload", detail="no 'row' or 'rows' key"
-            )
-            return (
-                400,
-                {
-                    "error": "payload must carry 'row' or 'rows'",
-                    "reason": "bad_payload",
-                    "accepted": 0,
-                },
-                "application/json",
+            return self._reject_body(
+                "bad_payload",
+                "payload must carry 'row' or 'rows'",
+                "no 'row' or 'rows' key",
             )
         if not isinstance(rows, list):
-            self.service.record_error(
-                "bad_payload", detail="'rows' is not a list"
+            return self._reject_body(
+                "bad_payload", "'rows' must be a list", "'rows' is not a list"
             )
-            return (
-                400,
-                {
-                    "error": "'rows' must be a list",
-                    "reason": "bad_payload",
-                    "accepted": 0,
-                },
-                "application/json",
-            )
-        if len(rows) > self.service.config.max_rows_per_request:
-            self.service.record_error(
+        cap = self.service.config.max_rows_per_request
+        if len(rows) > cap:
+            return self._reject_body(
                 "too_many_rows",
-                detail=f"{len(rows)} rows in one request",
-            )
-            return (
-                400,
-                {
-                    "error": (
-                        f"{len(rows)} rows exceed the per-request cap of "
-                        f"{self.service.config.max_rows_per_request}"
-                    ),
-                    "reason": "too_many_rows",
-                    "accepted": 0,
-                },
-                "application/json",
+                f"{len(rows)} rows exceed the per-request cap of {cap}",
+                f"{len(rows)} rows in one request",
             )
         if bins is not None and (
             not isinstance(bins, list) or len(bins) != len(rows)
         ):
-            self.service.record_error(
-                "bad_payload", detail="'bins' does not match 'rows'"
-            )
-            return (
-                400,
-                {
-                    "error": "'bins' must be a list matching 'rows'",
-                    "reason": "bad_payload",
-                    "accepted": 0,
-                },
-                "application/json",
+            return self._reject_body(
+                "bad_payload",
+                "'bins' must be a list matching 'rows'",
+                "'bins' does not match 'rows'",
             )
         result = ingest_block(rows, bins)
         if result.rejected is not None:
@@ -460,6 +426,14 @@ class ServiceHTTPServer:
                 "application/json",
             )
         return 200, encode_ingest_response(result), "application/json"
+
+    def _reject_body(
+        self, reason: str, error: str, detail: str
+    ) -> tuple[int, object, str]:
+        """A counted 400 for an ingest body of the wrong shape."""
+        self.service.record_error(reason, detail=detail)
+        body = {"error": error, "reason": reason, "accepted": 0}
+        return 400, body, "application/json"
 
     def _route_metrics(self, body: bytes) -> tuple[int, object, str]:
         text = self.service.metrics_text()

@@ -272,6 +272,11 @@ class ModelLifecycleManager:
                 )
             history.append(block)
 
+    def read_rows(self, start: int, stop: int) -> np.ndarray:
+        """History rows ``[start, stop)``, read under the manager lock."""
+        with self._lock:
+            return self._require_history().read(start, stop)
+
     # ------------------------------------------------------------------
     def fit_config(self) -> dict:
         """The fit knobs of :func:`fit_history`, as this manager holds them."""
@@ -343,12 +348,12 @@ class ModelLifecycleManager:
     def checkpoint(self, path: str | Path, extra: dict | None = None) -> dict:
         """Serialize the full lifecycle state to ``path`` atomically.
 
-        The payload carries the history's sufficient statistics, its
-        rows as tiles (``"blocks"``: one ``(tile_rows, m)`` array per
-        full tile, then the open tile's rows), the version bookkeeping,
-        the fit configuration, and an optional ``extra`` dict of caller
-        state (the service stores its row counters there).  The write
-        goes through
+        The payload carries the history's rows as tiles (``"blocks"``:
+        one ``(tile_rows, m)`` array per full tile, then the open tile's
+        rows; restore derives the statistics from them), the version
+        bookkeeping, the fit configuration, and an optional ``extra``
+        dict of caller state (the service stores its row counters
+        there).  The write goes through
         :func:`~repro._util.atomic_pickle_dump` — temp file in the same
         directory, fsync, ``os.replace`` — so a crash mid-write leaves
         the previous complete checkpoint, never a torn file.  Returns
@@ -357,13 +362,11 @@ class ModelLifecycleManager:
         with self._lock:
             if self._current is None:
                 raise ServiceError("bootstrap the lifecycle first")
-            snapshot = self._history.snapshot()
             payload = {
                 "schema_version": CHECKPOINT_SCHEMA_VERSION,
                 "config": {**self.fit_config(), "dtype": str(self.dtype)},
-                "stats": snapshot.stats,
-                "blocks": list(snapshot.tiles),
-                "rows": snapshot.stats.count,
+                "blocks": list(self._history.snapshot().tiles),
+                "rows": self._history.rows,
                 "current": self._current.summary(),
                 "retired": [v.summary() for v in self._retired],
                 "extra": dict(extra or {}),

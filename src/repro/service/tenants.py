@@ -25,15 +25,14 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from pathlib import Path
-from urllib.parse import unquote
 
 import numpy as np
 
 from repro.exceptions import ServiceError
 from repro.pipeline.fleet import (
-    _CHECKPOINT_SUFFIX,
     _validate_tenant_id,
     tenant_checkpoint_path,
+    tenant_checkpoints,
 )
 from repro.service.engine import (
     BlockResult,
@@ -121,19 +120,17 @@ class MultiTenantService:
     ) -> "MultiTenantService":
         """Rebuild every tenant engine from a namespaced directory.
 
-        Each restored engine refits from its checkpointed statistics,
-        so every tenant scores bit-identically to the service that
-        wrote the checkpoints.
+        Each restored engine refits from its checkpointed rows, so
+        every tenant scores bit-identically to the service that wrote
+        the checkpoints.
         """
         root = Path(checkpoint_dir)
-        tenant_dir = root / "tenants"
-        paths = sorted(tenant_dir.glob(f"*{_CHECKPOINT_SUFFIX}"))
-        if not paths:
-            raise ServiceError(f"no tenant checkpoints under {tenant_dir}")
+        checkpoints = tenant_checkpoints(root)
+        if not checkpoints:
+            raise ServiceError(f"no tenant checkpoints under {root / 'tenants'}")
         config = config or ServiceConfig()
         services = {}
-        for path in paths:
-            tenant_id = unquote(path.name[: -len(_CHECKPOINT_SUFFIX)])
+        for tenant_id, path in checkpoints:
             services[tenant_id] = DetectionService.from_checkpoint(
                 path,
                 config=config.with_overrides(checkpoint_path=str(path)),

@@ -25,6 +25,7 @@ from repro.pipeline.fleet import (
     run_fleet_check,
     synthetic_tenant_traffic,
     tenant_checkpoint_path,
+    tenant_checkpoints,
 )
 
 LINKS = 12
@@ -496,6 +497,23 @@ class TestCheckpointPaths:
         ids = ["a/b", "a%2Fb", "a b", "a+b", "a", "b", "a.b", "a..b"]
         paths = {tenant_checkpoint_path(tmp_path, t) for t in ids}
         assert len(paths) == len(ids)
+
+    def test_listing_inverts_the_path(self, tmp_path):
+        """Ids with ``/``, ``%`` and non-ASCII characters survive a
+        write then a listing; pairs come in file-name order."""
+        ids = ["umbrella/eu", "a/b", "a%2Fb", "ten%ant", "ünïcode", "plain"]
+        for tenant_id in ids:
+            path = tenant_checkpoint_path(tmp_path, tenant_id)
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(tenant_id.encode("utf-8"))
+        listed = tenant_checkpoints(tmp_path)
+        assert sorted(tenant_id for tenant_id, _ in listed) == sorted(ids)
+        for tenant_id, path in listed:
+            assert path == tenant_checkpoint_path(tmp_path, tenant_id)
+            assert path.read_bytes() == tenant_id.encode("utf-8")
+        paths = [path for _, path in listed]
+        assert paths == sorted(paths)
+        assert tenant_checkpoints(tmp_path / "missing") == []
 
     def test_rejects_non_string_ids(self, tmp_path):
         with pytest.raises(FleetError):

@@ -14,9 +14,12 @@ import threading
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
+from repro.core import IncrementalSubspaceTracker
 from repro.service import DetectionService, ServiceConfig
+from repro.service.engine import TRACKER_FORGETTING, TRACKER_INTERVAL
 from repro.service.http import ServiceHTTPServer
 
 
@@ -44,6 +47,38 @@ def make_service(service_split):
         )
 
     return build
+
+
+@pytest.fixture(scope="session")
+def drift_replay():
+    """``replay(version, history) -> (threshold, drift)``: the drift
+    gauges by their rule, recomputed from the rows.
+
+    A fresh tracker seeded from ``version``'s moments folds each whole
+    ``TRACKER_INTERVAL``-row interval of ``history`` (warmup rows, then
+    every accepted row) from the version's ``activated_at_row``, oldest
+    first — however the rows were split into requests.
+    """
+
+    def replay(version, history):
+        pca = version.detector.model.pca
+        tracker = IncrementalSubspaceTracker(
+            normal_rank=version.normal_rank,
+            forgetting=TRACKER_FORGETTING,
+            refresh_interval=TRACKER_INTERVAL,
+            confidence=ServiceConfig().confidence,
+        ).warm_up_from_moments(
+            pca.mean, (pca.components * pca.eigenvalues()) @ pca.components.T
+        )
+        history = np.asarray(history, dtype=np.float64)
+        start = version.activated_at_row
+        while start + TRACKER_INTERVAL <= history.shape[0]:
+            tracker.fold_block(history[start : start + TRACKER_INTERVAL])
+            start += TRACKER_INTERVAL
+        reference = pca.components[:, : version.normal_rank]
+        return tracker.threshold, tracker.drift_from(reference)
+
+    return replay
 
 
 class FakeClock:

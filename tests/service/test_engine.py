@@ -1,5 +1,9 @@
 """The transport-agnostic engine: scoring, accounting, refits, health."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -23,51 +27,43 @@ def exposed(text: str, name: str) -> float:
 
 
 class TrackerReplay:
-    """The engine's drift telemetry, replayed on the eager schedule.
+    """The engine's drift telemetry, replayed from the rows by its rule.
 
-    Seeded from the active version the way the engine seeds its tracker
-    and fed the same blocks through ``update_block(refresh=False)``,
-    then read after every block, so each refresh point is solved the
-    moment it is crossed.
+    Keeps the warmup rows and every accepted row.  Each check seeds a
+    fresh tracker from the active version and folds every whole
+    ``TRACKER_INTERVAL``-row interval from the version's
+    ``activated_at_row`` (the ``drift_replay`` fixture), so the
+    reference knows nothing of how requests split the rows.
     """
 
-    def __init__(self, service) -> None:
+    def __init__(self, service, warmup, replay) -> None:
         self.service = service
-        self.reseed()
+        self.replay = replay
+        self.rows = [np.asarray(warmup)]
 
-    def reseed(self) -> None:
-        config = self.service.config
-        self.version = self.service.lifecycle.current
-        pca = self.version.detector.model.pca
-        covariance = (pca.components * pca.eigenvalues()) @ pca.components.T
-        self.tracker = IncrementalSubspaceTracker(
-            normal_rank=self.version.normal_rank,
-            forgetting=config.forgetting,
-            confidence=config.confidence,
-            refresh_interval=config.tracker_refresh_interval,
-        ).warm_up_from_moments(pca.mean, covariance)
-        self.tracker.threshold  # eager: solve the seed at once
-
-    def fold(self, block) -> None:
-        """Replay one engine fold; reseed if it ended in a hot-swap."""
-        self.tracker.update_block(np.atleast_2d(block), refresh=False)
-        self.tracker.threshold  # eager: solve any crossing at once
-        lifecycle = self.service.lifecycle
-        if lifecycle.current is not self.version:
-            # The replay folds whole blocks: a swap must end one.
-            assert lifecycle.current.activated_at_row == lifecycle.rows
-            self.reseed()
+    def accept(self, block) -> None:
+        """Record rows the service accepted."""
+        self.rows.append(np.atleast_2d(block))
 
     def assert_matches(self, text: str) -> None:
-        reference = self.version.detector.model.pca.components[
-            :, : self.version.normal_rank
-        ]
-        assert exposed(text, "repro_tracker_threshold") == (
-            self.tracker.threshold
+        threshold, drift = self.replay(
+            self.service.lifecycle.current, np.vstack(self.rows)
         )
-        assert exposed(text, "repro_tracker_drift_radians") == (
-            self.tracker.drift_from(reference)
-        )
+        assert exposed(text, "repro_tracker_threshold") == threshold
+        assert exposed(text, "repro_tracker_drift_radians") == drift
+
+
+def assert_served_where_recorded(outcomes, history, warmup) -> None:
+    """Each outcome's ``model_version`` is the one ``history`` records
+    as active at its row."""
+    for outcome in outcomes:
+        row = warmup + outcome.bin
+        assert [
+            v.version
+            for v in history
+            if v.activated_at_row <= row
+            and (v.retired_at_row is None or row < v.retired_at_row)
+        ] == [outcome.model_version]
 
 
 class TestIngestScoring:
@@ -323,6 +319,104 @@ class TestRefits:
         assert service.lifecycle.current.version == 2
         assert service.metrics["repro_refits_total"].value() == 1
 
+    def test_background_swap_lands_between_blocks(
+        self, service_split, make_service, monkeypatch
+    ):
+        """A background refit whose fit finishes while a block is being
+        scored swaps after that block, so every served
+        ``model_version`` agrees with the ``version_history()``
+        boundaries.  Two events force the interleaving: the fit waits
+        until the block is scored, and the block waits before its
+        history append until the swap lands — or, when the swap waits
+        for the block, until a timeout passes."""
+        dataset, warmup = service_split
+        scored, swapped = threading.Event(), threading.Event()
+        armed = {"fit": False}
+
+        def hook():
+            if armed["fit"]:
+                scored.wait(timeout=10)
+
+        service = make_service(refit_hook=hook)
+        stream = dataset.link_traffic[warmup : warmup + 40]
+        outcomes = list(service.ingest_block(stream[:20]).outcomes)
+        lifecycle = service.lifecycle
+        append_rows, activate = lifecycle.append_rows, lifecycle.activate
+
+        def paused_append(block):
+            scored.set()
+            swapped.wait(timeout=1.0)
+            append_rows(block)
+
+        def signalled_activate(*args):
+            version = activate(*args)
+            swapped.set()
+            return version
+
+        monkeypatch.setattr(lifecycle, "append_rows", paused_append)
+        monkeypatch.setattr(lifecycle, "activate", signalled_activate)
+        armed["fit"] = True
+        assert service.request_refit()
+        served = []
+        writer = threading.Thread(
+            target=lambda: served.append(service.ingest_block(stream[20:30]))
+        )
+        writer.start()
+        writer.join(timeout=30)
+        service.wait_for_refit(timeout=30)
+        assert not writer.is_alive()
+        assert not service.health()["refit_in_flight"]
+        monkeypatch.undo()
+        outcomes += served[0].outcomes
+        outcomes += service.ingest_block(stream[30:]).outcomes
+        history = service.lifecycle.version_history()
+        assert len(history) == 2
+        assert_served_where_recorded(outcomes, history, warmup)
+        assert history[1].activated_at_row == warmup + 30
+
+    def test_served_versions_match_boundaries_under_contention(
+        self, service_split, make_service
+    ):
+        """Four writers (more than the cores) post blocks while
+        background refits swap every 10 rows, under a short switch
+        interval: each served row's ``model_version`` is the one
+        ``version_history()`` records for its row."""
+        dataset, warmup = service_split
+        service = make_service(config=ServiceConfig(refit_interval=10))
+        stream = np.tile(dataset.link_traffic[warmup:], (4, 1))
+        feed = iter(range(0, stream.shape[0], 4))
+        feed_lock = threading.Lock()
+        outcomes = []
+
+        def writer():
+            while True:
+                with feed_lock:
+                    start = next(feed, None)
+                if start is None:
+                    return
+                result = service.ingest_block(stream[start : start + 4])
+                with feed_lock:
+                    outcomes.extend(result.outcomes)
+                time.sleep(5e-4)  # leave the refit thread room to swap
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            writers = [threading.Thread(target=writer) for _ in range(4)]
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            service.wait_for_refit(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in writers)
+        assert not service.health()["refit_in_flight"]
+        assert len(outcomes) == stream.shape[0]
+        history = service.lifecycle.version_history()
+        assert len(history) >= 2
+        assert_served_where_recorded(outcomes, history, warmup)
+
     def test_failed_refit_is_counted_and_survivable(
         self, service_split, make_service
     ):
@@ -397,26 +491,28 @@ class TestObservability:
             assert f"# TYPE {name} " in text
 
     def test_drift_tracker_follows_but_never_scores(
-        self, service_split, make_service
+        self, service_split, make_service, drift_replay
     ):
-        """The tracker folds every arrival — its gauges, read through
-        the exposition, move and match an eager replay — while the
-        scoring threshold stays pinned to the active version."""
+        """The tracker folds every whole interval of arrivals — its
+        gauges, read through the exposition, move and match the replay
+        — while the scoring threshold stays pinned to the active
+        version."""
         dataset, warmup = service_split
-        service = make_service(
-            config=ServiceConfig(forgetting=1.0 / 36.0)
+        service = make_service()
+        replay = TrackerReplay(
+            service, dataset.link_traffic[:warmup], drift_replay
         )
-        replay = TrackerReplay(service)
         version = service.lifecycle.current
         seeded = exposed(service.metrics_text(), "repro_tracker_threshold")
         thresholds = set()
         for row in dataset.link_traffic[warmup : warmup + 40]:
             thresholds.add(service.ingest_row(row).threshold)
-            replay.fold(row)
+            replay.accept(row)
         assert thresholds == {version.threshold}  # scoring never drifted
         text = service.metrics_text()
         replay.assert_matches(text)
-        # The refresh at row 36 moved the telemetry off its seed.
+        # The interval that completed at row 36 moved the telemetry off
+        # its seed.
         assert exposed(text, "repro_tracker_threshold") != seeded
 
     def test_close_emits_stop_event(self, service_split, make_service):
@@ -432,28 +528,27 @@ class TestObservability:
 
 
 class TestTrackerTelemetry:
-    """Ingest only folds the drift tracker; exposition computes its gauges."""
+    """The gauges are a function of the active version and the rows:
+    ingest folds whole intervals only, exposition computes them."""
 
-    @pytest.mark.parametrize("refresh_interval", [1, 36, None])
     def test_gauges_match_an_eager_replay_at_every_scrape(
-        self, service_split, make_service, refresh_interval
+        self, service_split, make_service, drift_replay
     ):
         dataset, warmup = service_split
         service = make_service(
-            config=ServiceConfig(
-                forgetting=1.0 / 36.0,
-                tracker_refresh_interval=refresh_interval,
-                refit_interval=60,
-                synchronous_refit=True,
-            )
+            config=ServiceConfig(refit_interval=90, synchronous_refit=True)
         )
-        replay = TrackerReplay(service)
+        replay = TrackerReplay(
+            service, dataset.link_traffic[:warmup], drift_replay
+        )
         stream = dataset.link_traffic[warmup:]
         stream = np.vstack([stream, stream[::-1] * 1.01, stream * 0.99])
-        # Block ends land on every synchronous refit (60 rows after the
-        # last swap), so each swap falls between two folds of the replay.
-        sizes = [7, 0, 13, 40, 1, 1, 18, 40, 10, 20, 25, 35, 3, 2, 15]
-        scrape_after = {1, 3, 4, 7, 8, 11, 14}
+        # Rows 0-240 in requests of every shape.  Swaps: synchronous at
+        # 90, manual at 140, synchronous at 230 (inside a request).  The
+        # scrapes at 40, 76, 130, 185 and 223 come 36 or more rows after
+        # the last swap, so each reads a folded interval.
+        sizes = [7, 0, 13, 20, 1, 1, 34, 14, 40, 10, 20, 25, 35, 3, 2, 15]
+        scrape_after = {0, 3, 5, 6, 8, 11, 13}
         position = 0
         for step, size in enumerate(sizes):
             block = stream[position : position + size]
@@ -462,61 +557,87 @@ class TestTrackerTelemetry:
                 service.ingest_row(block[0])
             else:
                 assert service.ingest_block(block).accepted == size
-            replay.fold(block)
+            replay.accept(block)
             if step == 9:
-                service.refit()  # a manual hot-swap between folds
-                replay.reseed()
+                service.refit()  # a manual hot-swap between requests
             if step in scrape_after:
                 replay.assert_matches(service.metrics_text())
-        assert service.lifecycle.current.version >= 4
+        history = service.lifecycle.version_history()
+        assert [v.activated_at_row - warmup for v in history] == [
+            0, 90, 140, 230,
+        ]
         replay.assert_matches(service.metrics_text())
 
     def test_drift_follows_a_swap_made_behind_the_engine(
-        self, service_split, make_service
+        self, service_split, make_service, drift_replay
     ):
-        """A version activated on the lifecycle directly keeps the
-        engine's tracker but moves the drift reference: the next scrape
-        recomputes the drift although no new eigensolve ran."""
+        """A version activated on the lifecycle directly reseeds the
+        tracker as an engine refit does: the gauges equal those of a
+        twin that called ``refit()`` at the same row, at the swap and
+        after the next interval completes."""
         dataset, warmup = service_split
-        service = make_service()
-        replay = TrackerReplay(service)
-        block = dataset.link_traffic[warmup : warmup + 40]
-        service.ingest_block(block)
-        replay.fold(block)
-        replay.assert_matches(service.metrics_text())
-        service.lifecycle.refit()
-        replay.version = service.lifecycle.current
-        replay.assert_matches(service.metrics_text())
+        behind, twin = make_service(), make_service()
+        replay = TrackerReplay(
+            behind, dataset.link_traffic[:warmup], drift_replay
+        )
+
+        def gauges(service):
+            text = service.metrics_text()
+            replay.assert_matches(text)
+            return (
+                exposed(text, "repro_tracker_threshold"),
+                exposed(text, "repro_tracker_drift_radians"),
+            )
+
+        first = dataset.link_traffic[warmup : warmup + 40]
+        for service in (behind, twin):
+            service.ingest_block(first)
+        replay.accept(first)
+        behind.lifecycle.refit()
+        twin.refit()
+        assert gauges(behind) == gauges(twin)
+        second = dataset.link_traffic[warmup + 40 : warmup + 80]
+        for service in (behind, twin):
+            service.ingest_block(second)
+        replay.accept(second)
+        assert gauges(behind) == gauges(twin)
 
     def test_ingest_runs_no_eigensolve_until_the_scrape(
         self, service_split, make_service, monkeypatch
     ):
-        """A repeatable count, independent of host speed: 1000 rows of
-        block ingest run no eigensolve and no principal-angle SVD; the
-        next scrape runs one of each, and a scrape with no new rows
-        runs none."""
+        """Repeatable counts, independent of host speed: 35 one-row
+        ingests fold nothing and the 36th folds one interval; 1000 more
+        rows in 50-row blocks fold 27 intervals and run no eigensolve
+        and no principal-angle SVD; the next scrape runs one of each,
+        and a scrape with no new rows runs none."""
         dataset, warmup = service_split
         service = make_service()
         service.metrics_text()
-        counts = {"eigh": 0, "svd": 0}
+        counts = {"eigh": 0, "svd": 0, "fold_block": 0}
 
-        def counted(name):
-            real = getattr(np.linalg, name)
+        def counted(owner, name):
+            real = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 counts[name] += 1
                 return real(*args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
-        counted("eigh")
-        counted("svd")
-        stream = np.tile(dataset.link_traffic[warmup:], (12, 1))[:1000]
-        for start in range(0, 1000, 50):
+        counted(np.linalg, "eigh")
+        counted(np.linalg, "svd")
+        counted(IncrementalSubspaceTracker, "fold_block")
+        stream = np.tile(dataset.link_traffic[warmup:], (12, 1))[:1036]
+        for row in stream[:35]:
+            service.ingest_row(row)
+        assert counts["fold_block"] == 0
+        service.ingest_row(stream[35])
+        assert counts["fold_block"] == 1
+        for start in range(36, 1036, 50):
             assert service.ingest_block(stream[start : start + 50]).accepted
-        assert service.rows_ingested == 1000
-        assert counts == {"eigh": 0, "svd": 0}
+        assert service.rows_ingested == 1036
+        assert counts == {"eigh": 0, "svd": 0, "fold_block": 1 + 27}
         service.metrics_text()
-        assert counts == {"eigh": 1, "svd": 1}
+        assert counts == {"eigh": 1, "svd": 1, "fold_block": 1 + 27}
         service.metrics_text()
-        assert counts == {"eigh": 1, "svd": 1}
+        assert counts == {"eigh": 1, "svd": 1, "fold_block": 1 + 27}

@@ -54,6 +54,67 @@ class TestIngestRoute:
         assert health["rows_ingested"] == 1
 
 
+class TestBodyShapeRejects:
+    def test_each_reject_is_pinned(
+        self, service_split, make_service, run_server
+    ):
+        """The four body-shape rejects of ``POST /ingest``: status, the
+        exact body bytes, one ``repro_ingest_errors_total{reason}``
+        count and the ``ingest_error`` event detail, no row ingested."""
+        dataset, warmup = service_split
+        service = make_service(config=ServiceConfig(max_rows_per_request=2))
+        server = run_server(service)
+        row = dataset.link_traffic[warmup].tolist()
+        cases = [
+            (
+                {"rowz": [row]},
+                b'{"accepted": 0, "error": "payload must carry \'row\' '
+                b'or \'rows\'", "reason": "bad_payload"}',
+                "no 'row' or 'rows' key",
+            ),
+            (
+                {"rows": "nope"},
+                b'{"accepted": 0, "error": "\'rows\' must be a list", '
+                b'"reason": "bad_payload"}',
+                "'rows' is not a list",
+            ),
+            (
+                {"rows": [row, row, row]},
+                b'{"accepted": 0, "error": "3 rows exceed the per-request '
+                b'cap of 2", "reason": "too_many_rows"}',
+                "3 rows in one request",
+            ),
+            (
+                {"rows": [row], "bins": [0, 1]},
+                b'{"accepted": 0, "error": "\'bins\' must be a list '
+                b'matching \'rows\'", "reason": "bad_payload"}',
+                "'bins' does not match 'rows'",
+            ),
+        ]
+        errors = service.metrics["repro_ingest_errors_total"]
+        raw = socket.create_connection((server.host, server.port), timeout=10)
+        with raw, raw.makefile("rb") as stream:
+            for payload, expected, detail in cases:
+                reason = json.loads(expected)["reason"]
+                before = errors.value(reason)
+                body = json.dumps(payload).encode("utf-8")
+                raw.sendall(
+                    b"POST /ingest HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                    % len(body)
+                    + body
+                )
+                assert read_response(stream) == (400, expected)
+                assert errors.value(reason) == before + 1
+                event = service.events.tail()[-1]
+                assert (event["kind"], event["reason"], event["detail"]) == (
+                    "ingest_error",
+                    reason,
+                    detail,
+                )
+        assert errors.total() == len(cases)
+        assert service.rows_ingested == 0
+
+
 def read_response(stream) -> tuple[int, bytes]:
     """One HTTP/1.1 response off a socket file: (status, raw body)."""
     status = int(stream.readline().split()[1])

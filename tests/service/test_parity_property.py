@@ -6,6 +6,10 @@ threshold, and flagged bins bit for bit — including across hot-swap
 boundaries (synchronous refits make the boundary a deterministic
 function of the stream) and under concurrent multi-threaded ingestion.
 
+The drift-tracker gauges belong to the same chain: they are a function
+of the active version and the rows, equal across request sizes,
+restores and the way a swap was made.
+
 Two pillars make this exact rather than approximate, each pinned here:
 
 * the canonical row-decomposable SPE kernel — scoring a row alone is
@@ -15,7 +19,10 @@ Two pillars make this exact rather than approximate, each pinned here:
   statistics equals the monolithic fit on the concatenated prefix.
 """
 
+import itertools
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,11 +34,11 @@ from repro.service import MAX_LINK_COUNT, DetectionService, ServiceConfig
 
 
 @st.composite
-def row_streams(draw):
+def row_streams(draw, min_stream: int = 8, max_stream: int = 40):
     """A random (warmup, stream) pair with occasional spike rows."""
     m = draw(st.integers(3, 8))
     warmup_rows = draw(st.integers(max(8, m + 2), 24))
-    stream_rows = draw(st.integers(8, 40))
+    stream_rows = draw(st.integers(min_stream, max_stream))
     seed = draw(st.integers(0, 2**32 - 1))
     rank = draw(st.integers(1, m))
     rng = np.random.default_rng(seed)
@@ -278,6 +285,77 @@ def test_chunked_and_single_row_ingest_agree(data):
         position += size
     assert [o.spe for o in left] == [o.spe for o in right]
     assert [o.flag for o in left] == [o.flag for o in right]
+
+
+def served_gauges(service) -> tuple[float, float]:
+    """The two drift gauges as one scrape exposes them."""
+    samples = dict(
+        line.rsplit(" ", 1)
+        for line in service.metrics_text().splitlines()
+        if line.startswith("repro_tracker_")
+    )
+    return (
+        float(samples["repro_tracker_threshold"]),
+        float(samples["repro_tracker_drift_radians"]),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=row_streams(min_stream=40, max_stream=200), draws=st.data())
+def test_drift_gauges_are_a_function_of_the_rows(drift_replay, data, draws):
+    """Both drift gauges are bitwise equal across per-row ingest,
+    random request sizes (1-60) and a service restored from a
+    checkpoint at a random row — under synchronous refits and an
+    optional ``lifecycle.refit()`` made behind the engine at a random
+    row — and equal the replay of the rule: seed from the active
+    version, then fold each whole 36-row interval of warmup and
+    accepted rows from its ``activated_at_row``."""
+    warmup, stream = data
+    total = stream.shape[0]
+    config = ServiceConfig(
+        refit_interval=draws.draw(st.sampled_from([None, 45, 90])),
+        synchronous_refit=True,
+    )
+    sizes = st.lists(st.integers(1, 60), min_size=1, max_size=8)
+    block_sizes, restored_sizes = draws.draw(sizes), draws.draw(sizes)
+    restore_at = draws.draw(st.one_of(st.none(), st.integers(0, total)))
+    behind_at = draws.draw(st.one_of(st.none(), st.integers(0, total)))
+
+    def serve(sizes, workdir=None):
+        """Ingest the stream in requests of ``sizes`` (cycled), split
+        at the restore and behind-the-engine rows."""
+        service = DetectionService.from_warmup(warmup, config=config)
+        requests = itertools.cycle(sizes)
+        position = 0
+        stops = {total, behind_at}
+        if workdir is not None:
+            stops.add(restore_at)
+        for stop in sorted(stops - {None}):
+            while position < stop:
+                size = min(next(requests), stop - position)
+                block = stream[position : position + size]
+                assert service.ingest_block(block).accepted == size
+                position += size
+            if workdir is not None and stop == restore_at:
+                writer = served_gauges(service)
+                path = Path(workdir) / "service.ckpt"
+                service.checkpoint(path)
+                service = DetectionService.from_checkpoint(path, config=config)
+                assert served_gauges(service) == writer
+            if stop == behind_at:
+                service.lifecycle.refit()
+        return service
+
+    per_row = serve([1])
+    block = serve(block_sizes)
+    with tempfile.TemporaryDirectory() as workdir:
+        restored = serve(restored_sizes, workdir)
+    expected = drift_replay(
+        per_row.lifecycle.current, np.vstack([warmup, stream])
+    )
+    assert served_gauges(per_row) == expected
+    assert served_gauges(block) == expected
+    assert served_gauges(restored) == expected
 
 
 class TestConcurrentIngestion:
