@@ -20,35 +20,44 @@ See ``examples/quickstart.py`` for a narrated walk-through and DESIGN.md
 for the experiment index.
 """
 
-from repro import detectors
-from repro.core import (
-    PCA,
-    AnomalyDiagnoser,
-    Diagnosis,
-    DetectionResult,
-    MultiscaleDetector,
-    OnlineSubspaceDetector,
-    SPEDetector,
-    SubspaceModel,
-    detectability_thresholds,
-    identify_multi_flow,
-    identify_single_flow,
-    q_threshold,
-    quantify,
+from repro._lazy import lazy_exports
+
+# Each name is imported from its module on first access, so importing
+# one subpackage (the service, the datasets) does not load the others.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.detectors": ("detectors",),
+        "repro.core": (
+            "PCA",
+            "AnomalyDiagnoser",
+            "Diagnosis",
+            "DetectionResult",
+            "MultiscaleDetector",
+            "OnlineSubspaceDetector",
+            "SPEDetector",
+            "SubspaceModel",
+            "detectability_thresholds",
+            "identify_multi_flow",
+            "identify_single_flow",
+            "q_threshold",
+            "quantify",
+        ),
+        "repro.datasets": ("Dataset", "build_dataset", "load_dataset", "save_dataset"),
+        "repro.exceptions": ("ReproError",),
+        "repro.pipeline": (
+            "BatchRunner",
+            "ComparisonReport",
+            "ComparisonRunner",
+            "DetectionPipeline",
+            "PipelineResult",
+            "StreamingDetector",
+        ),
+        "repro.routing": ("RoutingMatrix", "SPFRouting", "build_routing_matrix"),
+        "repro.topology": ("Network", "abilene", "sprint_europe"),
+        "repro.traffic": ("AnomalyEvent", "ODFlowGenerator", "TrafficMatrix"),
+    },
 )
-from repro.datasets import Dataset, build_dataset, load_dataset, save_dataset
-from repro.exceptions import ReproError
-from repro.pipeline import (
-    BatchRunner,
-    ComparisonReport,
-    ComparisonRunner,
-    DetectionPipeline,
-    PipelineResult,
-    StreamingDetector,
-)
-from repro.routing import RoutingMatrix, SPFRouting, build_routing_matrix
-from repro.topology import Network, abilene, sprint_europe
-from repro.traffic import AnomalyEvent, ODFlowGenerator, TrafficMatrix
 
 __version__ = "1.0.0"
 

@@ -17,7 +17,6 @@ the two deviation estimates suppresses this echo.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.baselines.base import TimeseriesModel
 from repro.exceptions import ModelError
@@ -37,6 +36,10 @@ def ewma_forecast(series: np.ndarray, alpha: float) -> np.ndarray:
     one sum per bin as the loop, so the output is bit-identical to
     :func:`_ewma_forecast_loop` (the regression suite pins this).
     """
+    # Imported here, not with the module: scipy.signal takes over a
+    # second to load, and only the baselines run this filter.
+    from scipy.signal import lfilter
+
     if not 0.0 <= alpha <= 1.0:
         raise ModelError(f"alpha must lie in [0, 1], got {alpha}")
     series = np.asarray(series, dtype=np.float64)

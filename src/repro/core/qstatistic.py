@@ -21,12 +21,19 @@ domain (non-positive bracket); :func:`q_threshold` then falls back to
 Box's chi-square approximation ``g·χ²_h`` with ``g = φ₂/φ₁`` and
 ``h = φ₁²/φ₂``, the standard alternative in the process-control
 literature the paper draws on ([7, 8]).
+
+Both quantiles come from :mod:`scipy.special`, the functions
+:mod:`scipy.stats` evaluates them with: ``c_α = ndtri(1 − α)`` and the
+chi-square quantile ``χ²_h(p) = 2·gammaincinv(h/2, p)``, bit for bit
+equal to ``norm.ppf`` and ``chi2.ppf`` without importing
+:mod:`scipy.stats`, which would add about a second to the start-up of
+every process that computes a limit (the service among them).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaincinv, ndtri
 
 from repro.exceptions import ModelError
 
@@ -87,7 +94,7 @@ def q_threshold(
         # to exact zero even though the phis themselves are non-zero; the
         # SPE scale is numerically zero there, like the all-zero case.
         return 0.0
-    c_alpha = float(stats.norm.ppf(confidence))
+    c_alpha = float(ndtri(confidence))
     h0 = 1.0 - (2.0 * phi1 * phi3) / (3.0 * phi2**2)
     if h0 <= 0.0:
         # The JM derivation assumes h0 > 0; spectra dominated by a single
@@ -151,12 +158,12 @@ def q_thresholds(
 
     g = phi2 / phi1
     h = phi1**2 / phi2
-    box = g * stats.chi2.ppf(conf, df=h)
+    box = g * _chi2_quantile(conf, h)
 
     h0 = 1.0 - (2.0 * phi1 * phi3) / (3.0 * phi2**2)
     if h0 <= 0.0:
         return box
-    c_alpha = stats.norm.ppf(conf)
+    c_alpha = ndtri(conf)
     bracket = (
         c_alpha * np.sqrt(2.0 * phi2 * h0**2) / phi1
         + 1.0
@@ -191,7 +198,13 @@ def box_approx_threshold(
         return 0.0
     g = phi2 / phi1
     h = phi1**2 / phi2
-    return float(g * stats.chi2.ppf(confidence, df=h))
+    return float(g * _chi2_quantile(confidence, h))
+
+
+def _chi2_quantile(p, df: float):
+    """The chi-square quantile ``χ²_df(p)`` for ``p`` in ``(0, 1)``, as
+    ``chi2.ppf`` computes it."""
+    return 2 * gammaincinv(df / 2, p)
 
 
 def _check_eigenvalues(residual_eigenvalues: np.ndarray) -> np.ndarray:

@@ -49,47 +49,57 @@ See ``docs/pipeline.md``, ``docs/detectors.md`` and ``docs/sharding.md``
 for the guides.
 """
 
-from repro.pipeline.batch import BatchReport, BatchRunner, ScenarioResult
-from repro.pipeline.compare import (
-    ComparisonCell,
-    ComparisonReport,
-    ComparisonRunner,
-    ComparisonScenario,
-)
-from repro.pipeline.chaos import ChaosOutcome, ChaosReport, run_chaos_suite
-from repro.pipeline.faults import (
-    CHUNK_FAULTS,
-    FaultInjector,
-    FaultPlan,
-    WorkerFault,
-)
-from repro.pipeline.fleet import (
-    FleetFitReport,
-    FleetManager,
-    TenantAlarms,
-    TenantFitOutcome,
-    run_fleet_check,
-    tenant_checkpoint_path,
-)
-from repro.pipeline.pipeline import DetectionPipeline, PipelineResult
-from repro.pipeline.sharded import (
-    FAULT_POLICIES,
-    FUSION_MODES,
-    ShardReport,
-    SpatialCoordinator,
-    SpatialShardedModel,
-    SpatialShardFit,
-    TemporalCoordinator,
-    TemporalShardFit,
-    partition_links,
-    temporal_fit_matches_monolithic,
-)
-from repro.pipeline.streaming import StreamingDetector, StreamWindow
-from repro.pipeline.supervision import (
-    FaultReport,
-    PoolRun,
-    SupervisedPool,
-    TaskFault,
+from repro._lazy import lazy_exports
+
+# Resolved on first access: the service's refits import the sharded fit
+# without loading the comparison engine, the chaos harness or the
+# validation code behind the batch runner.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.pipeline.batch": ("BatchReport", "BatchRunner", "ScenarioResult"),
+        "repro.pipeline.compare": (
+            "ComparisonCell",
+            "ComparisonReport",
+            "ComparisonRunner",
+            "ComparisonScenario",
+        ),
+        "repro.pipeline.chaos": ("ChaosOutcome", "ChaosReport", "run_chaos_suite"),
+        "repro.pipeline.faults": (
+            "CHUNK_FAULTS",
+            "FaultInjector",
+            "FaultPlan",
+            "WorkerFault",
+        ),
+        "repro.pipeline.fleet": (
+            "FleetFitReport",
+            "FleetManager",
+            "TenantAlarms",
+            "TenantFitOutcome",
+            "run_fleet_check",
+            "tenant_checkpoint_path",
+        ),
+        "repro.pipeline.pipeline": ("DetectionPipeline", "PipelineResult"),
+        "repro.pipeline.sharded": (
+            "FAULT_POLICIES",
+            "FUSION_MODES",
+            "ShardReport",
+            "SpatialCoordinator",
+            "SpatialShardedModel",
+            "SpatialShardFit",
+            "TemporalCoordinator",
+            "TemporalShardFit",
+            "partition_links",
+            "temporal_fit_matches_monolithic",
+        ),
+        "repro.pipeline.streaming": ("StreamingDetector", "StreamWindow"),
+        "repro.pipeline.supervision": (
+            "FaultReport",
+            "PoolRun",
+            "SupervisedPool",
+            "TaskFault",
+        ),
+    },
 )
 
 __all__ = [

@@ -43,6 +43,15 @@ import numpy as np
 
 from repro.datasets.dataset import Dataset
 from repro.exceptions import ValidationError
+from repro.pipeline.shm import (
+    SharedArray,
+    SharedBlob,
+    attach_array,
+    attach_segment,
+    release,
+    share_array,
+    share_blob,
+)
 from repro.validation.roc import operating_point, roc_curve
 
 __all__ = [
@@ -565,7 +574,7 @@ class ComparisonRunner:
         dataset_ref: "_DatasetRef",
         name: str,
         scenario: ComparisonScenario,
-        model: "_SharedBlob | None",
+        model: "SharedBlob | None",
     ) -> "_ScoreTask":
         return _ScoreTask(
             detector=name,
@@ -615,12 +624,12 @@ class ComparisonRunner:
                 # once; the pickled fitted state comes back to the
                 # parent, which parks it in shared memory.
                 fit_outputs = pool.map(_run_fit_task, fit_tasks)
-                models: dict[tuple[str, str], _SharedBlob] = {}
+                models: dict[tuple[str, str], SharedBlob] = {}
                 fit_seconds: dict[tuple[str, str], float] = {}
                 for (dataset, name), (blob, seconds) in zip(
                     pairs, fit_outputs
                 ):
-                    models[(dataset.name, name)] = _share_blob(
+                    models[(dataset.name, name)] = share_blob(
                         blob, segments
                     )
                     fit_seconds[(dataset.name, name)] = seconds
@@ -650,35 +659,14 @@ class ComparisonRunner:
                 outputs.append((tuple(rows), seconds))
             return outputs
         finally:
-            for segment in segments:
-                segment.close()
-                try:
-                    segment.unlink()
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
+            release(segments)
 
 
 # ----------------------------------------------------------------------
-# Shared-memory plumbing.  Everything below must stay module-level and
-# picklable; the worker side attaches segments lazily and caches both
-# the attachments and the unpickled detectors per process.
-
-
-@dataclass(frozen=True)
-class _SharedArray:
-    """Name + layout of a numpy array parked in a shared-memory block."""
-
-    name: str
-    shape: tuple[int, ...]
-    dtype: str
-
-
-@dataclass(frozen=True)
-class _SharedBlob:
-    """Name + length of an opaque byte string in a shared-memory block."""
-
-    name: str
-    size: int
+# Datasets and fitted detectors over shared memory (the segments are
+# :mod:`repro.pipeline.shm`'s).  Everything below must stay module-level
+# and picklable; the worker side caches the unpickled detectors per
+# process.
 
 
 @dataclass(frozen=True)
@@ -699,8 +687,8 @@ class _DatasetRef:
 
     inline: Dataset | None = None
     meta: _DatasetMeta | None = None
-    link_traffic: _SharedArray | None = None
-    routing_matrix: _SharedArray | None = None
+    link_traffic: SharedArray | None = None
+    routing_matrix: SharedArray | None = None
 
 
 class _RoutingView:
@@ -755,41 +743,15 @@ class _FitTask:
 class _ScoreTask:
     detector: str
     dataset: _DatasetRef
-    model: _SharedBlob | None
+    model: SharedBlob | None
     scenario: ComparisonScenario
     confidences: tuple[float, ...]
     fa_budgets: tuple[float, ...]
     min_event_bytes: float
 
 
-#: Per-process caches: attached segments (kept alive so their buffers
-#: stay valid), materialized dataset views, and unpickled detectors.
-_SEGMENT_CACHE: dict[str, object] = {}
+#: Per-process cache of unpickled detectors.
 _DETECTOR_CACHE: dict[str, object] = {}
-
-
-def _share_array(array: np.ndarray, segments: list) -> _SharedArray:
-    """Copy an array into a fresh shared-memory block (parent side)."""
-    from multiprocessing import shared_memory
-
-    array = np.ascontiguousarray(array)
-    segment = shared_memory.SharedMemory(
-        create=True, size=max(array.nbytes, 1)
-    )
-    segments.append(segment)
-    view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
-    view[...] = array
-    return _SharedArray(segment.name, array.shape, str(array.dtype))
-
-
-def _share_blob(data: bytes, segments: list) -> _SharedBlob:
-    """Copy opaque bytes into a fresh shared-memory block (parent side)."""
-    from multiprocessing import shared_memory
-
-    segment = shared_memory.SharedMemory(create=True, size=max(len(data), 1))
-    segments.append(segment)
-    segment.buf[: len(data)] = data
-    return _SharedBlob(segment.name, len(data))
 
 
 def _dataset_meta(dataset: Dataset) -> _DatasetMeta:
@@ -807,8 +769,8 @@ def _share_dataset(dataset: Dataset, segments: list) -> _DatasetRef:
     """Park one dataset's big arrays in shared memory (parent side)."""
     return _DatasetRef(
         meta=_dataset_meta(dataset),
-        link_traffic=_share_array(dataset.link_traffic, segments),
-        routing_matrix=_share_array(
+        link_traffic=share_array(dataset.link_traffic, segments),
+        routing_matrix=share_array(
             np.asarray(dataset.routing.matrix, dtype=np.float64), segments
         ),
     )
@@ -816,27 +778,6 @@ def _share_dataset(dataset: Dataset, segments: list) -> _DatasetRef:
 
 def _readonly_view(array: np.ndarray) -> np.ndarray:
     view = np.asarray(array, dtype=np.float64).view()
-    view.flags.writeable = False
-    return view
-
-
-def _attach_segment(name: str):
-    """Attach (and cache) a shared-memory block by name (worker side)."""
-    from multiprocessing import shared_memory
-
-    segment = _SEGMENT_CACHE.get(name)
-    if segment is None:
-        segment = shared_memory.SharedMemory(name=name)
-        _SEGMENT_CACHE[name] = segment
-    return segment
-
-
-def _attach_array(ref: _SharedArray) -> np.ndarray:
-    segment = _attach_segment(ref.name)
-    view = np.ndarray(ref.shape, dtype=ref.dtype, buffer=segment.buf)
-    # The segment is shared across tasks and workers: a detector that
-    # mutated its input in place would silently corrupt every later
-    # cell.  Read-only views turn that into an immediate ValueError.
     view.flags.writeable = False
     return view
 
@@ -858,16 +799,16 @@ def _resolve_dataset(ref: _DatasetRef) -> _DatasetView:
         )
     return _DatasetView(
         ref.meta,
-        _attach_array(ref.link_traffic),
-        _attach_array(ref.routing_matrix),
+        attach_array(ref.link_traffic),
+        attach_array(ref.routing_matrix),
     )
 
 
-def _resolve_detector(blob: _SharedBlob):
+def _resolve_detector(blob: SharedBlob):
     """Unpickle (and cache per process) a fitted detector blob."""
     detector = _DETECTOR_CACHE.get(blob.name)
     if detector is None:
-        segment = _attach_segment(blob.name)
+        segment = attach_segment(blob.name)
         detector = pickle.loads(bytes(segment.buf[: blob.size]))
         _DETECTOR_CACHE[blob.name] = detector
     return detector

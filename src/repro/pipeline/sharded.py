@@ -87,7 +87,7 @@ from repro.exceptions import (
     SupervisionError,
     ValidationError,
 )
-from repro.pipeline.compare import _attach_array, _share_array, _SharedArray
+from repro.pipeline.shm import SharedArray, attach_array, release, share_array
 from repro.pipeline.supervision import (
     FAULT_POLICIES,
     FaultReport,
@@ -259,7 +259,7 @@ class TemporalShardFit:
 
 @dataclass(frozen=True)
 class _StatsTask:
-    traffic: "np.ndarray | _SharedArray | None"  # see _resolve_traffic
+    traffic: "np.ndarray | SharedArray | None"  # see _resolve_traffic
     start: int
     stop: int
     tile_rows: int
@@ -267,7 +267,7 @@ class _StatsTask:
 
 @dataclass(frozen=True)
 class _MomentsTask:
-    traffic: "np.ndarray | _SharedArray | None"
+    traffic: "np.ndarray | SharedArray | None"
     units: tuple[tuple[int, int], ...]
     mean: np.ndarray
     components: np.ndarray
@@ -282,13 +282,13 @@ class _MomentsTask:
 _INHERITED_TRAFFIC: np.ndarray | None = None
 
 
-def _resolve_traffic(ref: "np.ndarray | _SharedArray | None") -> np.ndarray:
+def _resolve_traffic(ref: "np.ndarray | SharedArray | None") -> np.ndarray:
     """The matrix a task reads: its own (in-process), a shared-memory
     segment, or the fork-inherited matrix (``None``)."""
     if isinstance(ref, np.ndarray):
         return ref
     if ref is not None:
-        return _attach_array(ref)
+        return attach_array(ref)
     if _INHERITED_TRAFFIC is None:  # pragma: no cover - defensive
         raise ModelError(
             "worker has no inherited traffic matrix; the pool was not "
@@ -340,7 +340,7 @@ def _task_runner(
             traffic = None
             _INHERITED_TRAFFIC = measurements
         else:  # pragma: no cover - non-fork platforms
-            traffic = _share_array(measurements, segments)
+            traffic = share_array(measurements, segments)
         with SupervisedPool(
             workers,
             deadline=coordinator.task_deadline,
@@ -355,12 +355,7 @@ def _task_runner(
             yield traffic, pool.run
     finally:
         _INHERITED_TRAFFIC = None
-        for segment in segments:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+        release(segments)
 
 
 def _run_stats_task(task: _StatsTask) -> tuple[SufficientStats, float]:
@@ -1628,7 +1623,7 @@ class SpatialShardFit:
 
 @dataclass(frozen=True)
 class _ZoneFitTask:
-    traffic: "np.ndarray | _SharedArray | None"
+    traffic: "np.ndarray | SharedArray | None"
     links: np.ndarray
     confidence: float
     threshold_sigma: float

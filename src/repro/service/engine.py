@@ -340,8 +340,11 @@ class DetectionService:
         self._latency_clock = latency_clock
         self._lock = threading.RLock()
         self._num_links = lifecycle.num_links
-        self._warmup_rows = lifecycle.rows
-        self._stream_rows = 0
+        # A restored lifecycle carries the stream position it was
+        # checkpointed at; a fresh one holds only its warmup rows.
+        extra = lifecycle.restored_extra
+        self._warmup_rows = int(extra.get("warmup_rows", lifecycle.rows))
+        self._stream_rows = int(extra.get("stream_rows", 0))
         self._routing = routing
         self._directions: np.ndarray | None = None
         self._quant_ratio: np.ndarray | None = None
@@ -393,21 +396,13 @@ class DetectionService:
         """
         lifecycle = ModelLifecycleManager.restore(path)
         lifecycle.refit_hook = refit_hook
-        service = cls(
+        return cls(
             lifecycle,
             routing=routing,
             config=config,
             event_log=event_log,
             latency_clock=latency_clock,
         )
-        extra = lifecycle.restored_extra
-        if extra:
-            with service._lock:
-                service._warmup_rows = int(
-                    extra.get("warmup_rows", service._warmup_rows)
-                )
-                service._stream_rows = int(extra.get("stream_rows", 0))
-        return service
 
     @classmethod
     def from_warmup(
@@ -805,15 +800,16 @@ SubspaceModel.score_block` kernel — one call per contiguous run under
         """Score and fold an accepted run, splitting at refit boundaries.
 
         Each sub-run is every row up to the next synchronous-refit due
-        point: one fused ``score_block`` call, one history append, the
-        tracker's folds of any completed interval — then the refit (if
-        due) swaps the version exactly where a row-by-row replay would
-        have swapped it.  Each sub-run becomes one :class:`BlockSegment`
-        holding the kernel's arrays; only flagged rows build a
-        :class:`RowOutcome`.  They are identified one at a time with a
-        single-row call, so identification does not depend on the
-        block's size (BLAS matmuls are not row-decomposable; alarms are
-        rare enough that this costs nothing measurable).
+        point: one fused ``score_block`` call, one history append, then
+        either the refit (if due), which swaps the version exactly where
+        a row-by-row replay would have swapped it and reseeds the drift
+        tracker, or the tracker's folds of any completed interval.  Each
+        sub-run becomes one :class:`BlockSegment` holding the kernel's
+        arrays; only flagged rows build a :class:`RowOutcome`.  They are
+        identified one at a time with a single-row call, so
+        identification does not depend on the block's size (BLAS matmuls
+        are not row-decomposable; alarms are rare enough that this costs
+        nothing measurable).
         """
         segments: list[BlockSegment] = []
         position = 0
@@ -865,14 +861,19 @@ SubspaceModel.score_block` kernel — one call per contiguous run under
             if alarms:
                 self._m_alarms.inc(float(len(alarms)))
             self.lifecycle.append_rows(chunk)
-            self._advance_tracker()
             position += take
             if synchronous and (
                 self.lifecycle.rows - version.trained_rows
                 >= self.config.refit_interval
             ):
+                # The swap reseeds the tracker and folds from the new
+                # version's first row, so the retiring tracker is not
+                # advanced; after a failed refit the next advance
+                # catches it up.
                 self._drain_events(pending)
                 self._do_refit()
+            else:
+                self._advance_tracker()
         return tuple(segments)
 
     def _drain_events(self, pending: list) -> None:

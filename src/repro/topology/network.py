@@ -11,12 +11,16 @@ order is therefore preserved and exposed through ``link_index`` /
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.exceptions import TopologyError
 from repro.topology.link import Link, LinkKind
 from repro.topology.node import PoP
+
+if TYPE_CHECKING:
+    # The methods that build graphs import networkx themselves, so
+    # loading a topology does not load the graph library.
+    from networkx import DiGraph
 
 __all__ = ["Network"]
 
@@ -230,12 +234,14 @@ class Network:
     # ------------------------------------------------------------------
     # Interop / dunder
     # ------------------------------------------------------------------
-    def to_networkx(self, include_intra_pop: bool = False) -> nx.DiGraph:
+    def to_networkx(self, include_intra_pop: bool = False) -> DiGraph:
         """Export as a :class:`networkx.DiGraph` with link attributes.
 
         Intra-PoP self-links are excluded by default because most graph
         algorithms (shortest path, connectivity) should ignore them.
         """
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         for pop in self.pops:
             graph.add_node(pop.name, city=pop.city, population=pop.population)
@@ -255,6 +261,8 @@ class Network:
         """True when every PoP can reach every other PoP over inter-PoP links."""
         if self.num_pops <= 1:
             return True
+        import networkx as nx
+
         graph = self.to_networkx()
         if graph.number_of_nodes() < self.num_pops:
             # PoPs with no inter-PoP links at all are isolated.

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.exceptions import TopologyError
 from repro.topology.network import Network
 
@@ -87,6 +85,8 @@ def check_network(
 
 def connectivity_report(network: Network) -> ConnectivityReport:
     """Compute a :class:`ConnectivityReport` over the inter-PoP graph."""
+    import networkx as nx
+
     graph = network.to_networkx()
     for name in network.pop_names:
         if name not in graph:

@@ -4,14 +4,20 @@
 these properties pin the two contracts grid drivers rely on: loop
 consistency with the scalar :func:`~repro.core.qstatistic.q_threshold`
 (including the Box fallback) and monotonicity in the confidence level.
+A third pins every limit bit for bit to the same formulas with their
+quantiles from :mod:`scipy.stats`.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import stats
 
-from repro.core.qstatistic import q_threshold, q_thresholds
+from repro.core import qstatistic
+from repro.core.qstatistic import box_approx_threshold, q_threshold, q_thresholds
 from repro.exceptions import ModelError
 
 
@@ -67,3 +73,61 @@ def test_rejects_out_of_range_levels():
         q_thresholds(spectrum, np.array([0.5, 1.0]))
     with pytest.raises(ModelError, match="vector"):
         q_thresholds(spectrum, np.array([[0.9]]))
+
+
+def wide_spectra():
+    """Residual spectra over 24 decades: some take the JM limit, some
+    (a dominant eigenvalue over a long tail) fall back to Box."""
+    return st.lists(
+        st.floats(-12.0, 12.0).map(lambda e: 10.0**e), min_size=1, max_size=60
+    ).map(np.array)
+
+
+def limits(spectrum, confidences) -> bytes:
+    """Every limit of ``spectrum`` the module computes, as bytes."""
+    values = [q_thresholds(spectrum, confidences)]
+    for confidence in confidences.tolist():
+        values.append(q_threshold(spectrum, confidence))
+        values.append(box_approx_threshold(spectrum, confidence))
+    return np.hstack(values).tobytes()
+
+
+def scipy_stats_quantiles():
+    """The module with its two quantiles computed by ``scipy.stats``."""
+    return mock.patch.multiple(
+        qstatistic,
+        ndtri=stats.norm.ppf,
+        _chi2_quantile=lambda p, df: stats.chi2.ppf(p, df=df),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spectrum=wide_spectra(),
+    confidences=st.lists(
+        st.floats(1e-9, 1.0 - 1e-12, exclude_max=True), min_size=1, max_size=6
+    ).map(np.array),
+)
+@example(
+    spectrum=np.array([1.0] + [0.01] * 100),  # h0 < 0: the Box fallback
+    confidences=np.array([0.5, 0.995, 0.999]),
+)
+def test_limits_bitwise_equal_scipy_stats(spectrum, confidences):
+    """``q_threshold``, ``q_thresholds`` and ``box_approx_threshold``
+    take ``norm.ppf`` and ``chi2.ppf`` from :mod:`scipy.special` (the
+    service then never imports :mod:`scipy.stats`); each limit equals
+    the one computed with the ``scipy.stats`` quantiles, bit for bit,
+    and so do the quantiles themselves, scalar and vector."""
+    served = limits(spectrum, confidences)
+    with scipy_stats_quantiles():
+        reference = limits(spectrum, confidences)
+    assert served == reference
+    phi1, phi2 = float(np.sum(spectrum)), float(np.sum(spectrum**2))
+    df = phi1**2 / phi2
+    for p in (confidences, float(confidences[0])):
+        assert np.asarray(qstatistic.ndtri(p)).tobytes() == np.asarray(
+            stats.norm.ppf(p)
+        ).tobytes()
+        assert np.asarray(qstatistic._chi2_quantile(p, df)).tobytes() == (
+            np.asarray(stats.chi2.ppf(p, df=df)).tobytes()
+        )

@@ -526,6 +526,27 @@ class TestObservability:
         assert len(stop) == 1
         assert stop[0]["rows_ingested"] == 1
 
+    def test_restored_service_logs_its_checkpointed_warmup(
+        self, service_split, tmp_path
+    ):
+        """``service_start`` of a restored service carries the warmup of
+        the service that wrote the checkpoint, the value ``warmup_rows``
+        and ``/health`` report — not the whole restored history."""
+        dataset, _ = service_split
+        rows = np.vstack([dataset.link_traffic, dataset.link_traffic[::-1]])
+        service = DetectionService.from_warmup(rows[:300])
+        assert service.ingest_block(rows[300:400]).accepted == 100
+        path = tmp_path / "service.ckpt"
+        service.checkpoint(path)
+        restored = DetectionService.from_checkpoint(path)
+        start = [
+            e for e in restored.events.tail() if e["kind"] == "service_start"
+        ]
+        assert [e["warmup_rows"] for e in start] == [300]
+        assert restored.warmup_rows == 300
+        assert restored.health()["warmup_rows"] == 300
+        assert restored.rows_ingested == 100
+
 
 class TestTrackerTelemetry:
     """The gauges are a function of the active version and the rows:
@@ -641,3 +662,37 @@ class TestTrackerTelemetry:
         assert counts == {"eigh": 1, "svd": 1, "fold_block": 1 + 27}
         service.metrics_text()
         assert counts == {"eigh": 1, "svd": 1, "fold_block": 1 + 27}
+
+    def test_a_synchronous_swap_folds_no_interval_it_discards(
+        self, service_split, make_service, drift_replay, monkeypatch
+    ):
+        """288 one-row ingests at ``refit_interval=144`` complete eight
+        intervals, and a swap falls where the fourth and the eighth end:
+        the retiring tracker does not fold those two, because the swap
+        reseeds it, so ingest makes 6 folds — and the gauges still equal
+        the replay."""
+        dataset, warmup = service_split
+        service = make_service(
+            config=ServiceConfig(refit_interval=144, synchronous_refit=True)
+        )
+        replay = TrackerReplay(
+            service, dataset.link_traffic[:warmup], drift_replay
+        )
+        folds = []
+        real = IncrementalSubspaceTracker.fold_block
+
+        def counted(tracker, block):
+            folds.append(block.shape[0])
+            return real(tracker, block)
+
+        monkeypatch.setattr(IncrementalSubspaceTracker, "fold_block", counted)
+        traffic = dataset.link_traffic
+        stream = np.vstack([traffic[warmup:], traffic[::-1], traffic])[:288]
+        for row in stream:
+            service.ingest_row(row)
+            replay.accept(row)
+        history = service.lifecycle.version_history()
+        assert [v.activated_at_row - warmup for v in history] == [0, 144, 288]
+        assert folds == [36] * 6
+        replay.assert_matches(service.metrics_text())
+        assert folds == [36] * 6
