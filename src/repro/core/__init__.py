@@ -39,6 +39,7 @@ from repro.core.identification import (
     identify_multi_flow_block,
     BlockIdentification,
     IdentificationResult,
+    IdentificationState,
 )
 from repro.core.quantification import quantify, quantify_multi
 from repro.core.diagnosis import AnomalyDiagnoser, Diagnosis
@@ -73,6 +74,7 @@ __all__ = [
     "identify_multi_flow_block",
     "BlockIdentification",
     "IdentificationResult",
+    "IdentificationState",
     "quantify",
     "quantify_multi",
     "AnomalyDiagnoser",

@@ -15,11 +15,16 @@ form: ``‖C̃ y*_i‖² = ‖ỹ‖² − (θ̃_iᵀ ỹ)² / ‖θ̃_i‖²``,
 maximizes the *explained residual energy* ``(θ̃_iᵀ ỹ)² / ‖θ̃_i‖²``.  Both
 the literal Eq.-1 implementation and the closed form are provided; tests
 verify they agree.
+
+The denominators ``‖θ̃_i‖²`` depend only on the model and the candidate
+set, so :class:`IdentificationState` computes them once per model; the
+batch pipeline and the service identify every alarm from it, and
+:func:`identify_block` is the one-call form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 import numpy as np
@@ -30,6 +35,7 @@ from repro.exceptions import ModelError
 __all__ = [
     "BlockIdentification",
     "IdentificationResult",
+    "IdentificationState",
     "MultiFlowBlockIdentification",
     "flows_visible",
     "identify_block",
@@ -191,6 +197,121 @@ class BlockIdentification:
         return int(self.flow_indices.shape[0])
 
 
+@dataclass(frozen=True, eq=False)
+class IdentificationState:
+    """What single-flow identification under one model needs, computed once.
+
+    The denominators of the closed form, ``‖C̃ θ_j‖²``, depend only on
+    the model and the candidate set, not on any measurement.  The
+    state holds them with the visibility mask and their inverses, so
+    that identifying a block costs one projector residual, one
+    ``(t, m) @ (m, n)`` product and the argmax.  Callers keep one state
+    per fitted model: the batch pipeline builds it at fit time, the
+    service once per model version.  The arrays are read-only.
+
+    Attributes
+    ----------
+    model:
+        The fitted subspace model.
+    directions:
+        ``(m, n)`` unit-norm candidate signatures ``θ_j``.
+    od_pairs:
+        ``(origin, destination)`` label of each candidate; empty when
+        the state was built without labels.
+    energy:
+        ``(n,)`` residual signature energies ``‖C̃ θ_j‖²``.
+    valid:
+        ``(n,)`` candidates whose energy clears the detectability
+        cutoff; the others score ``-inf``.
+    inv_energy:
+        ``(n,)`` ``1 / ‖C̃ θ_j‖²`` where valid, 0 elsewhere.
+    visible:
+        Whether any candidate is valid (:func:`flows_visible`).  When
+        False every identification under the model raises.
+    """
+
+    model: SubspaceModel
+    directions: np.ndarray
+    od_pairs: tuple[tuple[str, str], ...] = ()
+    energy: np.ndarray = field(init=False)
+    valid: np.ndarray = field(init=False)
+    inv_energy: np.ndarray = field(init=False)
+    visible: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        theta = _check_directions(self.model, self.directions)
+        energy = residual_signature_energy(self.model, theta)
+        valid = energy > _MIN_RESIDUAL_SIGNATURE
+        computed = {
+            "directions": theta,
+            "energy": energy,
+            "valid": valid,
+            "inv_energy": _inverse_energy(energy, valid),
+        }
+        for name, array in computed.items():
+            # A view: the caller's direction matrix stays writeable.
+            array = array.view()
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "od_pairs", tuple(self.od_pairs))
+        object.__setattr__(self, "visible", bool(valid.any()))
+
+    def identify(self, measurements: np.ndarray) -> BlockIdentification:
+        """Identify the best single-flow hypothesis of every row at once.
+
+        ``measurements`` is a ``(t, m)`` block of raw measurement
+        vectors (or one vector).  One projector residual and one
+        ``(t, m) @ (m, n)`` product cover the block.  Ties break toward
+        the lowest flow index.  Raises :class:`ModelError` on a
+        wrong-width block and, when no candidate is visible, on any
+        block.
+        """
+        measurements = self._check(measurements)
+        residuals = self.model.residual(measurements)  # (t, m)
+        # θ̃ᵀ ỹ = θᵀ ỹ because ỹ already lives in the anomalous subspace.
+        return _identify_scored(
+            residuals, residuals @ self.directions, self.valid, self.inv_energy
+        )
+
+    def identify_each(self, measurements: np.ndarray) -> BlockIdentification:
+        """Identify every row as if it arrived alone.
+
+        BLAS products over several rows need not match one-row products
+        in the last bit, so each row's residual and candidate product
+        run as one-row calls: row ``i`` of the result is bit for bit
+        ``identify(measurements[i])``, whatever block it came in.  The
+        scoring and the argmax are elementwise per row, so they run
+        once over the block.  The service identifies its alarms this
+        way, so an alarm does not depend on the request that carried it.
+        """
+        measurements = self._check(measurements)
+        if measurements.shape[0] < 2:  # one row (or none) is row by row
+            return self.identify(measurements)
+        residuals = [self.model.residual(values[None, :]) for values in measurements]
+        inner = [residual @ self.directions for residual in residuals]
+        return _identify_scored(
+            np.concatenate(residuals),
+            np.concatenate(inner),
+            self.valid,
+            self.inv_energy,
+        )
+
+    def _check(self, measurements: np.ndarray) -> np.ndarray:
+        measurements = np.asarray(measurements, dtype=np.float64)
+        if measurements.ndim == 1:
+            measurements = measurements[None, :]
+        if measurements.ndim != 2 or measurements.shape[1] != self.model.num_links:
+            raise ModelError(
+                f"measurements must be (t, {self.model.num_links}), got shape "
+                f"{measurements.shape}"
+            )
+        if not self.visible:
+            raise ModelError(
+                "no candidate anomaly is visible in the residual subspace"
+            )
+        return measurements
+
+
 def identify_block(
     model: SubspaceModel,
     anomaly_directions: np.ndarray,
@@ -199,10 +320,10 @@ def identify_block(
     """Identify the best single-flow hypothesis at every timestep at once.
 
     The batched form of :func:`identify_single_flow`: one ``(t, m) @
-    (m, n)`` product replaces ``t`` separate matrix-vector passes, which
-    is what makes whole-trace diagnosis and the streaming pipeline fast.
-    Ties break toward the lowest flow index, exactly as in the scalar
-    path.
+    (m, n)`` product replaces ``t`` separate matrix-vector passes.  Ties
+    break toward the lowest flow index, exactly as in the scalar path.
+    A one-call :meth:`IdentificationState.identify`; callers that
+    identify under one model more than once keep the state instead.
 
     Parameters
     ----------
@@ -220,20 +341,7 @@ def identify_block(
         When no candidate is visible in the residual subspace (then no
         timestep can be identified).
     """
-    theta = _check_directions(model, anomaly_directions)
-    measurements = np.asarray(measurements, dtype=np.float64)
-    if measurements.ndim == 1:
-        measurements = measurements[None, :]
-    if measurements.ndim != 2 or measurements.shape[1] != model.num_links:
-        raise ModelError(
-            f"measurements must be (t, {model.num_links}), got shape "
-            f"{measurements.shape}"
-        )
-
-    residuals = model.residual(measurements)  # (t, m)
-    return identify_from_residuals(
-        residuals, theta, residual_signature_energy(model, theta)
-    )
+    return IdentificationState(model, anomaly_directions).identify(measurements)
 
 
 def identify_from_residuals(
@@ -241,13 +349,15 @@ def identify_from_residuals(
     anomaly_directions: np.ndarray,
     signature_energy: np.ndarray,
 ) -> BlockIdentification:
-    """The scoring kernel shared by batch and streaming identification.
+    """Identification from residuals and energies the caller computed.
 
     Callers supply already-projected residual vectors ``ỹ`` and the
     per-candidate residual signature energies ``‖C̃ θ_j‖²`` (computed
-    however their model representation makes cheapest); this routine
-    owns the score/argmax/magnitude algebra so the tie-break and the
-    detectability cutoff live in exactly one place.
+    however their model representation makes cheapest, as the streaming
+    detector does for a basis that moves every window); the
+    score/argmax/magnitude algebra is the one
+    :class:`IdentificationState` runs, so the tie-break and the
+    detectability cutoff live in one place.
 
     Parameters
     ----------
@@ -263,11 +373,31 @@ def identify_from_residuals(
             "no candidate anomaly is visible in the residual subspace"
         )
     valid = signature_energy > _MIN_RESIDUAL_SIGNATURE
-    # θ̃ᵀ ỹ = θᵀ ỹ because ỹ already lives in the anomalous subspace.
-    inner = residuals @ anomaly_directions  # (t, n)
-    inv_energy = np.where(valid, 1.0 / np.where(valid, signature_energy, 1.0), 0.0)
-    scores = np.where(valid[None, :], inner**2 * inv_energy[None, :], -np.inf)
+    return _identify_scored(
+        residuals,
+        residuals @ anomaly_directions,
+        valid,
+        _inverse_energy(signature_energy, valid),
+    )
 
+
+def _inverse_energy(energy: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """``1 / ‖C̃ θ_j‖²`` for visible candidates, 0 for the rest."""
+    return np.where(valid, 1.0 / np.where(valid, energy, 1.0), 0.0)
+
+
+def _identify_scored(
+    residuals: np.ndarray,
+    inner: np.ndarray,
+    valid: np.ndarray,
+    inv_energy: np.ndarray,
+) -> BlockIdentification:
+    """Scores, argmax and magnitudes from the products ``inner = ỹ Θ``.
+
+    Every operation is elementwise or per row, so a row's result does
+    not depend on the other rows of the block.
+    """
+    scores = np.where(valid[None, :], inner**2 * inv_energy[None, :], -np.inf)
     winners = np.argmax(scores, axis=1)  # (t,)
     rows = np.arange(residuals.shape[0])
     magnitudes = inner[rows, winners] * inv_energy[winners]

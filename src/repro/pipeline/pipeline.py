@@ -12,8 +12,9 @@ wires those stages into one object with three entry points:
 ``detect``
     Diagnose a whole ``(t, m)`` block in one vectorized pass: SPE and
     flags for every timestep, plus identification and byte quantification
-    for every flagged timestep via
-    :func:`~repro.core.identification.identify_block`.
+    for every flagged timestep from the
+    :class:`~repro.core.identification.IdentificationState` built at fit
+    time.
 ``stream``
     Process arrivals window by window against an exponentially weighted
     model backed by
@@ -46,11 +47,11 @@ import numpy as np
 from repro._util import ensure_matrix
 from repro.core.detection import DetectionResult, SPEDetector
 from repro.core.diagnosis import Diagnosis
-from repro.core.identification import (
-    flows_visible,
-    identify_block,
-    residual_signature_energy,
-)
+from repro.core.identification import IdentificationState
+
+# perfbench's layer table times ``identify_block`` in this module; the
+# name stays bound here until that table follows IdentificationState.
+from repro.core.identification import identify_block  # noqa: F401
 from repro.datasets.dataset import Dataset
 from repro.exceptions import ModelError, NotFittedError
 from repro.pipeline.streaming import StreamingDetector, StreamWindow
@@ -195,7 +196,7 @@ class DetectionPipeline:
             dtype=dtype,
         )
         self._routing: RoutingMatrix | None = None
-        self._directions: np.ndarray | None = None
+        self._identification: IdentificationState | None = None
         self._quant_ratio: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -235,16 +236,18 @@ class DetectionPipeline:
             )
         self._detector.fit(measurements)
         self._routing = routing
-        self._directions = None
+        self._identification = None
         self._quant_ratio = None
         if routing is not None:
-            directions = routing.normalized_columns()
+            state = IdentificationState(
+                self._detector.model,
+                routing.normalized_columns(),
+                routing.od_pairs,
+            )
             # A model that sees no flow cannot identify any alarm: it
             # detects only, as without routing (decided once per fit).
-            if flows_visible(
-                residual_signature_energy(self._detector.model, directions)
-            ):
-                self._directions = directions
+            if state.visible:
+                self._identification = state
                 self._quant_ratio = routing.quantification_ratios()
         return self
 
@@ -299,7 +302,8 @@ class DetectionPipeline:
         detection = self._detector.detect(measurements, confidence=confidence)
         bins = detection.anomalous_bins
 
-        if self._directions is None or bins.size == 0:
+        state = self._identification
+        if state is None or bins.size == 0:
             empty = np.empty(0)
             return PipelineResult(
                 detection=detection,
@@ -308,14 +312,12 @@ class DetectionPipeline:
                 od_pairs=(),
                 magnitudes=empty,
                 estimated_bytes=empty,
-                identified=self._directions is not None,
+                identified=state is not None,
             )
 
-        identification = identify_block(
-            self._detector.model, self._directions, measurements[bins]
-        )
+        identification = state.identify(measurements[bins])
         winners = identification.flow_indices
-        od_pairs = tuple(self._routing.od_pairs[int(i)] for i in winners)
+        od_pairs = tuple(state.od_pairs[i] for i in winners.tolist())
         estimated = identification.magnitudes * self._quant_ratio[winners]
         return PipelineResult(
             detection=detection,

@@ -45,12 +45,13 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.core.identification import (
-    flows_visible,
-    identify_block,
-    residual_signature_energy,
-)
+from repro.core.identification import IdentificationState
+
+# perfbench's layer table times ``identify_block`` in this module; the
+# name stays bound here until that table follows IdentificationState.
+from repro.core.identification import identify_block  # noqa: F401
 from repro.core.incremental import IncrementalSubspaceTracker
+from repro.core.subspace import ScoreBlockResult
 from repro.exceptions import IngestError, ServiceError
 from repro.routing.routing_matrix import RoutingMatrix
 from repro.service.events import EventLog
@@ -243,10 +244,12 @@ class BlockSegment:
 
     Rows ``start_bin .. start_bin + len(spe) - 1`` were scored against
     ``threshold`` by version ``model_version``; ``spe`` and ``flags``
-    are the fused kernel's arrays.  ``alarms`` holds one
-    :class:`RowOutcome` per flagged row, in bin order, identified when
-    the service has a routing matrix and the version can see a flow —
-    the only rows that need one.
+    are the fused kernel's arrays.  When the service has a routing
+    matrix and the version can see a flow, the flagged rows are
+    identified: ``flow_indices``, ``magnitudes`` and ``estimated_bytes``
+    hold one entry per flagged row, in bin order, and ``od_pairs`` is
+    the label tuple ``flow_indices`` index.  Otherwise the three arrays
+    are None, as they are for a segment without alarms.
     """
 
     start_bin: int
@@ -254,24 +257,47 @@ class BlockSegment:
     flags: np.ndarray
     threshold: float
     model_version: int
-    alarms: tuple[RowOutcome, ...] = ()
+    flow_indices: np.ndarray | None = None
+    magnitudes: np.ndarray | None = None
+    estimated_bytes: np.ndarray | None = None
+    od_pairs: tuple[tuple[str, str], ...] = ()
+
+    @property
+    def num_alarms(self) -> int:
+        """Rows of the segment whose SPE exceeded the threshold."""
+        return int(np.count_nonzero(self.flags))
 
     def outcomes(self) -> list[RowOutcome]:
         """The segment's rows as :class:`RowOutcome` objects, in order."""
-        alarms = iter(self.alarms)
         start, threshold, version = (
             self.start_bin,
             self.threshold,
             self.model_version,
         )
-        return [
-            next(alarms)
-            if flag
-            else RowOutcome(start + offset, spe, threshold, False, version)
-            for offset, (spe, flag) in enumerate(
-                zip(self.spe.tolist(), self.flags.tolist())
-            )
+        spe = self.spe.tolist()
+        outcomes = [
+            RowOutcome(start + offset, value, threshold, flag, version)
+            for offset, (value, flag) in enumerate(zip(spe, self.flags.tolist()))
         ]
+        if self.flow_indices is not None:
+            for offset, flow, magnitude, size in zip(
+                np.flatnonzero(self.flags).tolist(),
+                self.flow_indices.tolist(),
+                self.magnitudes.tolist(),
+                self.estimated_bytes.tolist(),
+            ):
+                outcomes[offset] = RowOutcome(
+                    start + offset,
+                    spe[offset],
+                    threshold,
+                    True,
+                    version,
+                    flow_index=flow,
+                    od_pair=self.od_pairs[flow],
+                    magnitude=magnitude,
+                    estimated_bytes=size,
+                )
+        return outcomes
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,7 +327,7 @@ class BlockResult:
     @property
     def alarms(self) -> int:
         """Accepted rows whose SPE exceeded the threshold."""
-        return sum(len(segment.alarms) for segment in self.segments)
+        return sum(segment.num_alarms for segment in self.segments)
 
     @cached_property
     def outcomes(self) -> tuple[RowOutcome, ...]:
@@ -356,11 +382,18 @@ class DetectionService:
                 )
             self._directions = routing.normalized_columns()
             self._quant_ratio = routing.quantification_ratios()
-        # (version, whether some flow is visible under it): decided once
-        # per model version by _identifiable.
-        self._visibility: tuple[ModelVersion | None, bool] = (None, False)
+        # (version, its identification state or None when its alarms
+        # cannot name a flow): built once per version by
+        # _identification_state.
+        self._identification: tuple[
+            ModelVersion | None, IdentificationState | None
+        ] = (None, None)
         self._refit_thread: threading.Thread | None = None
         self._last_refit_error: str | None = None
+        # History row at which the last refit attempt failed; automatic
+        # refits fall due ``refit_interval`` rows after the later of it
+        # and the active version's training.
+        self._failed_refit_row = 0
         self._tracker: IncrementalSubspaceTracker | None = None
         self._tracker_version: ModelVersion | None = None
         self._tracker_row = 0
@@ -682,12 +715,10 @@ SubspaceModel.score_block` kernel — one call per contiguous run under
                             {"reason": reject.reason, "detail": str(reject)},
                         )
                     )
-                version = self.lifecycle.current
                 due_async = (
                     self.config.refit_interval is not None
                     and not self.config.synchronous_refit
-                    and self.lifecycle.rows - version.trained_rows
-                    >= self.config.refit_interval
+                    and self._rows_since_refit() >= self.config.refit_interval
                 )
                 result = BlockResult(
                     segments=segments,
@@ -803,13 +834,13 @@ SubspaceModel.score_block` kernel — one call per contiguous run under
         point: one fused ``score_block`` call, one history append, then
         either the refit (if due), which swaps the version exactly where
         a row-by-row replay would have swapped it and reseeds the drift
-        tracker, or the tracker's folds of any completed interval.  Each
-        sub-run becomes one :class:`BlockSegment` holding the kernel's
-        arrays; only flagged rows build a :class:`RowOutcome`.  They are
-        identified one at a time with a single-row call, so
-        identification does not depend on the block's size (BLAS matmuls
-        are not row-decomposable; alarms are rare enough that this costs
-        nothing measurable).
+        tracker, or the tracker's folds of any completed interval.  A
+        refit that fails is counted and logged by :meth:`_do_refit`;
+        the active version keeps scoring and the next attempt falls due
+        ``refit_interval`` rows later, so every accepted row still gets
+        its outcome.  Each sub-run becomes one :class:`BlockSegment`
+        holding the kernel's arrays and, for its flagged rows, the
+        identification arrays (see :meth:`_segment`).
         """
         segments: list[BlockSegment] = []
         position = 0
@@ -822,100 +853,145 @@ SubspaceModel.score_block` kernel — one call per contiguous run under
             version = self.lifecycle.current
             take = total - position
             if synchronous:
-                until_due = self.config.refit_interval - (
-                    self.lifecycle.rows - version.trained_rows
-                )
+                until_due = self.config.refit_interval - self._rows_since_refit()
                 take = min(take, max(1, until_due))
             chunk = accepted[position : position + take]
             threshold = float(version.threshold)
             scored = version.detector.model.score_block(
                 chunk, threshold=threshold
             )
-            start_bin = self._stream_rows
-            alarms = []
-            for i in np.flatnonzero(scored.flags).tolist():
-                outcome = RowOutcome(
-                    bin=start_bin + i,
-                    spe=float(scored.spe[i]),
-                    threshold=threshold,
-                    flag=True,
-                    model_version=version.version,
-                )
-                if self._identifiable(version):
-                    outcome = self._identify(outcome, chunk[i], version)
-                pending.append(("alarm", outcome.to_json()))
-                alarms.append(outcome)
-            segments.append(
-                BlockSegment(
-                    start_bin=start_bin,
-                    spe=scored.spe,
-                    flags=scored.flags,
-                    threshold=threshold,
-                    model_version=version.version,
-                    alarms=tuple(alarms),
-                )
-            )
+            segment = self._segment(version, chunk, scored, threshold, pending)
+            segments.append(segment)
             self._stream_rows += take
             self._m_rows.inc(float(take))
             self._g_spe.set(float(scored.spe[take - 1]))
+            alarms = segment.num_alarms
             if alarms:
-                self._m_alarms.inc(float(len(alarms)))
+                self._m_alarms.inc(float(alarms))
             self.lifecycle.append_rows(chunk)
             position += take
             if synchronous and (
-                self.lifecycle.rows - version.trained_rows
-                >= self.config.refit_interval
+                self._rows_since_refit() >= self.config.refit_interval
             ):
                 # The swap reseeds the tracker and folds from the new
                 # version's first row, so the retiring tracker is not
                 # advanced; after a failed refit the next advance
                 # catches it up.
                 self._drain_events(pending)
-                self._do_refit()
+                try:
+                    self._do_refit()
+                except ServiceError:
+                    pass  # counted and logged; the active version serves
             else:
                 self._advance_tracker()
         return tuple(segments)
+
+    def _segment(
+        self,
+        version: ModelVersion,
+        chunk: np.ndarray,
+        scored: ScoreBlockResult,
+        threshold: float,
+        pending: list,
+    ) -> BlockSegment:
+        """A scored sub-run as a segment; queues one event per alarm.
+
+        Flagged rows are identified through the version's
+        :class:`~repro.core.identification.IdentificationState`, each
+        with one-row products
+        (:meth:`~repro.core.identification.IdentificationState.identify_each`),
+        so an alarm's flow does not depend on the request that carried
+        it.  The segment's identification arrays and the alarm events
+        are built from the identification's arrays, with no per-row
+        object in between.
+        """
+        start = self._stream_rows
+        segment = BlockSegment(
+            start, scored.spe, scored.flags, threshold, version.version
+        )
+        offsets = np.flatnonzero(scored.flags)
+        if not offsets.size:
+            return segment
+        fields = {
+            "threshold": threshold,
+            "flag": True,
+            "model_version": version.version,
+        }
+        rows = zip(offsets.tolist(), scored.spe[offsets].tolist())
+        state = self._identification_state(version)
+        if state is None:
+            pending.extend(
+                ("alarm", {"bin": start + offset, "spe": spe, **fields})
+                for offset, spe in rows
+            )
+            return segment
+        found = state.identify_each(chunk[offsets])
+        flows = found.flow_indices
+        estimated = found.magnitudes * self._quant_ratio[flows]
+        pending.extend(
+            (
+                "alarm",
+                {
+                    "bin": start + offset,
+                    "spe": spe,
+                    **fields,
+                    "flow_index": flow,
+                    "od_pair": list(state.od_pairs[flow]),
+                    "magnitude": magnitude,
+                    "estimated_bytes": size,
+                },
+            )
+            for (offset, spe), flow, magnitude, size in zip(
+                rows,
+                flows.tolist(),
+                found.magnitudes.tolist(),
+                estimated.tolist(),
+            )
+        )
+        return replace(
+            segment,
+            flow_indices=flows,
+            magnitudes=found.magnitudes,
+            estimated_bytes=estimated,
+            od_pairs=state.od_pairs,
+        )
+
+    def _rows_since_refit(self) -> int:
+        """History rows since the last refit attempt: the active
+        version's training, or a failed refit after it."""
+        version = self.lifecycle.current
+        return self.lifecycle.rows - max(
+            version.trained_rows, self._failed_refit_row
+        )
 
     def _drain_events(self, pending: list) -> None:
         if pending:
             self.events.emit_many(list(pending))
             pending.clear()
 
-    def _identifiable(self, version: ModelVersion) -> bool:
-        """Whether alarms under ``version`` can name a flow.
+    def _identification_state(
+        self, version: ModelVersion
+    ) -> IdentificationState | None:
+        """The version's identification state; None when its alarms
+        cannot name a flow.
 
         Needs a routing matrix and a flow visible in the version's
-        residual subspace — a property of the model, decided once per
-        version.  An alarm no flow can explain is served and logged
-        without identification fields, as without a routing matrix.
+        residual subspace.  Built on the version's first alarm and kept
+        while the version serves, so a version that never alarms (a
+        refit probe, a quiet week) never pays for it.  An alarm no flow
+        can explain is served and logged without identification fields,
+        as without a routing matrix.
         """
         if self._directions is None:
-            return False
-        if self._visibility[0] is not version:
-            energy = residual_signature_energy(
-                version.detector.model, self._directions
+            return None
+        if self._identification[0] is not version:
+            state = IdentificationState(
+                version.detector.model,
+                self._directions,
+                self._routing.od_pairs,
             )
-            self._visibility = (version, flows_visible(energy))
-        return self._visibility[1]
-
-    def _identify(
-        self,
-        outcome: RowOutcome,
-        values: np.ndarray,
-        version: ModelVersion,
-    ) -> RowOutcome:
-        identification = identify_block(
-            version.detector.model, self._directions, values[None, :]
-        )
-        winner = int(identification.flow_indices[0])
-        magnitude = float(identification.magnitudes[0])
-        return replace(
-            outcome,
-            flow_index=winner,
-            od_pair=self._routing.od_pairs[winner],
-            magnitude=magnitude,
-            estimated_bytes=magnitude * float(self._quant_ratio[winner]),
-        )
+            self._identification = (version, state if state.visible else None)
+        return self._identification[1]
 
     # ------------------------------------------------------------------
     def refit(self) -> ModelVersion:
@@ -935,6 +1011,7 @@ SubspaceModel.score_block` kernel — one call per contiguous run under
         except Exception as err:
             with self._lock:
                 self._last_refit_error = str(err)
+                self._failed_refit_row = self.lifecycle.rows
             self._m_refit_failures.inc()
             self.record_error("refit_failed", detail=str(err))
             self.events.emit("refit_failed", error=str(err))

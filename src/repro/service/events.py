@@ -26,6 +26,11 @@ __all__ = ["EventLog", "EVENT_SCHEMA_VERSION", "EVENT_KINDS"]
 #: Bump when an event's field set changes; consumers key parsers on it.
 EVENT_SCHEMA_VERSION = 1
 
+#: One event per line, keys sorted, no spaces: ``json.dumps(record,
+#: sort_keys=True, separators=(",", ":"))`` without building an encoder
+#: per event.
+_encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 #: Every kind the service emits.  ``emit`` rejects anything else so a
 #: typo cannot silently create a new event stream.
 EVENT_KINDS = (
@@ -128,7 +133,7 @@ class EventLog:
         identical events serialize to identical bytes.
         """
         record = self._build_record(kind, fields)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        text = self._lines([record])
         with self._lock:
             self._emitted += 1
             self._tail.append(record)
@@ -137,7 +142,7 @@ class EventLog:
                 # the caller — the record stays in the memory tail and
                 # the loss is visible via ``write_errors``.
                 try:
-                    self._handle.write(line + "\n")
+                    self._handle.write(text)
                     self._handle.flush()
                 except OSError:
                     self._write_errors += 1
@@ -158,10 +163,7 @@ class EventLog:
         if not events:
             return []
         records = [self._build_record(kind, fields) for kind, fields in events]
-        lines = [
-            json.dumps(record, sort_keys=True, separators=(",", ":"))
-            for record in records
-        ]
+        text = self._lines(records)
         with self._lock:
             self._emitted += len(records)
             self._tail.extend(records)
@@ -169,10 +171,17 @@ class EventLog:
                 # Fail-soft like ``emit``, but the whole batch shares one
                 # write: a refusal costs every line in it.
                 try:
-                    self._handle.write("\n".join(lines) + "\n")
+                    self._handle.write(text)
                 except OSError:
-                    self._write_errors += len(lines)
+                    self._write_errors += len(records)
         return records
+
+    def _lines(self, records: list[dict]) -> str | None:
+        """The records as JSONL text; None for a memory-only log, which
+        keeps records and never writes a line."""
+        if self._handle is None:
+            return None
+        return "".join(_encode_line(record) + "\n" for record in records)
 
     def flush(self) -> None:
         """Push buffered batch writes to the OS (fail-soft).

@@ -87,43 +87,88 @@ def encode_ingest_response(result: BlockResult) -> str:
     per-row payload ``{"accepted", "alarms", "alarm_bins", "results"}``
     with one ``RowOutcome.to_json()`` dict per accepted row.  Each
     segment's threshold and model version are formatted once, and each
-    SPE with ``float.__repr__`` (what ``json.dumps`` writes for a finite
-    float); flagged rows, which carry the identification, go through
-    ``json.dumps`` on their dict.
+    float with ``float.__repr__`` (what ``json.dumps`` writes for a
+    finite float); flagged rows are formatted the same way, from the
+    segment's identification arrays.
     """
     results: list[str] = []
     alarm_bins: list[int] = []
     for segment in result.segments:
+        version = json.dumps(segment.model_version)
+        threshold = json.dumps(segment.threshold)
         row = (
             '{"bin": %d, "flag": false, "model_version": '
-            + json.dumps(segment.model_version)
+            + version
             + ', "spe": %s, "threshold": '
-            + json.dumps(segment.threshold)
+            + threshold
             + "}"
         )
-        # json.dumps spells non-finite floats NaN/Infinity; repr does not.
-        spe_text = (
-            float.__repr__ if np.isfinite(segment.spe).all() else json.dumps
-        )
+        spe_text = _float_text(segment.spe)
         bins = range(segment.start_bin, segment.start_bin + len(segment.spe))
         texts = map(spe_text, segment.spe.tolist())
-        if not segment.alarms:
+        if not segment.num_alarms:
             results.extend(map(row.__mod__, zip(bins, texts)))
             continue
-        alarms = iter(segment.alarms)
+        offsets = np.flatnonzero(segment.flags)
+        alarms = iter(_alarm_rows(segment, offsets, version, threshold))
         for bin_id, text, flag in zip(bins, texts, segment.flags.tolist()):
-            if flag:
-                results.append(
-                    json.dumps(next(alarms).to_json(), sort_keys=True)
-                )
-            else:
-                results.append(row % (bin_id, text))
-        alarm_bins.extend(alarm.bin for alarm in segment.alarms)
+            results.append(next(alarms) if flag else row % (bin_id, text))
+        alarm_bins.extend((segment.start_bin + offsets).tolist())
     return '{"accepted": %d, "alarm_bins": [%s], "alarms": %d, "results": [%s]}' % (
         len(results),
         ", ".join(map(str, alarm_bins)),
         len(alarm_bins),
         ", ".join(results),
+    )
+
+
+def _float_text(values: np.ndarray):
+    """How ``json.dumps`` spells the floats of ``values``: their repr,
+    or ``NaN``/``Infinity`` when some are not finite."""
+    return float.__repr__ if np.isfinite(values).all() else json.dumps
+
+
+def _alarm_rows(
+    segment, offsets: np.ndarray, version: str, threshold: str
+) -> list[str]:
+    """The segment's flagged rows (at ``offsets``), in bin order, as
+    sorted-key JSON objects; ``version`` and ``threshold`` are the
+    segment's formatted model version and threshold."""
+    bins = (segment.start_bin + offsets).tolist()
+    spe = segment.spe[offsets]
+    spes = map(_float_text(spe), spe.tolist())
+    if segment.flow_indices is None:
+        row = (
+            '{"bin": %d, "flag": true, "model_version": '
+            + version
+            + ', "spe": %s, "threshold": '
+            + threshold
+            + "}"
+        )
+        return list(map(row.__mod__, zip(bins, spes)))
+    row = (
+        '{"bin": %d, "estimated_bytes": %s, "flag": true, "flow_index": %d, '
+        '"magnitude": %s, "model_version": '
+        + version
+        + ', "od_pair": %s, "spe": %s, "threshold": '
+        + threshold
+        + "}"
+    )
+    flows = segment.flow_indices.tolist()
+    pairs = {flow: json.dumps(segment.od_pairs[flow]) for flow in set(flows)}
+    sizes, magnitudes = segment.estimated_bytes, segment.magnitudes
+    return list(
+        map(
+            row.__mod__,
+            zip(
+                bins,
+                map(_float_text(sizes), sizes.tolist()),
+                flows,
+                map(_float_text(magnitudes), magnitudes.tolist()),
+                map(pairs.__getitem__, flows),
+                spes,
+            ),
+        )
     )
 
 

@@ -18,9 +18,10 @@ from repro.topology.link import Link, LinkKind
 from repro.topology.node import PoP
 
 if TYPE_CHECKING:
-    # The methods that build graphs import networkx themselves, so
-    # loading a topology does not load the graph library.
+    # The methods that build graphs import networkx and scipy themselves,
+    # so loading a topology loads neither.
     from networkx import DiGraph
+    from scipy.sparse import csr_array
 
 __all__ = ["Network"]
 
@@ -257,17 +258,35 @@ class Network:
             )
         return graph
 
+    def inter_pop_adjacency(self) -> csr_array:
+        """``(p, p)`` sparse adjacency of the inter-PoP links.
+
+        Entry ``(i, j)`` is 1 when a link runs from PoP ``i`` to PoP
+        ``j`` (insertion order); intra-PoP self-links are left out, as
+        in :meth:`to_networkx`.
+        """
+        import numpy as np
+        from scipy.sparse import csr_array
+
+        index = {name: position for position, name in enumerate(self._pops)}
+        links = self.inter_pop_links
+        sources = [index[link.source] for link in links]
+        targets = [index[link.target] for link in links]
+        return csr_array(
+            (np.ones(len(links)), (sources, targets)),
+            shape=(self.num_pops, self.num_pops),
+        )
+
     def is_connected(self) -> bool:
         """True when every PoP can reach every other PoP over inter-PoP links."""
         if self.num_pops <= 1:
             return True
-        import networkx as nx
+        from scipy.sparse.csgraph import connected_components
 
-        graph = self.to_networkx()
-        if graph.number_of_nodes() < self.num_pops:
-            # PoPs with no inter-PoP links at all are isolated.
-            return False
-        return nx.is_strongly_connected(graph)
+        count, _ = connected_components(
+            self.inter_pop_adjacency(), directed=True, connection="strong"
+        )
+        return count == 1
 
     def __contains__(self, name: str) -> bool:
         return self.has_pop(name) or self.has_link(name)

@@ -84,25 +84,38 @@ def check_network(
 
 
 def connectivity_report(network: Network) -> ConnectivityReport:
-    """Compute a :class:`ConnectivityReport` over the inter-PoP graph."""
-    import networkx as nx
+    """Compute a :class:`ConnectivityReport` over the inter-PoP graph.
 
-    graph = network.to_networkx()
-    for name in network.pop_names:
-        if name not in graph:
-            graph.add_node(name)
-    components = list(nx.strongly_connected_components(graph))
-    largest = max((len(c) for c in components), default=0)
+    Strongly connected components come from
+    ``scipy.sparse.csgraph.connected_components``, the diameter (in
+    hops) from an unweighted all-pairs ``shortest_path``.
+    """
+    import numpy as np
+    from scipy.sparse.csgraph import connected_components, shortest_path
+
+    adjacency = network.inter_pop_adjacency()
+    count, largest = 0, 0
+    if network.num_pops:
+        count, labels = connected_components(
+            adjacency, directed=True, connection="strong"
+        )
+        largest = int(np.bincount(labels).max())
+    degree = adjacency.sum(axis=0) + adjacency.sum(axis=1)
     isolated = tuple(
-        sorted(name for name in graph if graph.degree(name) == 0)
+        sorted(
+            name
+            for name, links in zip(network.pop_names, degree.tolist())
+            if links == 0
+        )
     )
-    is_connected = len(components) == 1 and largest == network.num_pops
+    is_connected = count == 1 and largest == network.num_pops
     diameter: int | None = None
     if is_connected and network.num_pops > 1:
-        diameter = nx.diameter(graph)
+        hops = shortest_path(adjacency, directed=True, unweighted=True)
+        diameter = int(hops.max())
     return ConnectivityReport(
         is_connected=is_connected,
-        num_components=len(components),
+        num_components=int(count),
         largest_component_size=largest,
         isolated_pops=isolated,
         diameter=diameter,

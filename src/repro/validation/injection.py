@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.detection import SPEDetector
-from repro.core.identification import identify_single_flow
+from repro.core.identification import IdentificationState, identify_single_flow
 from repro.core.quantification import quantify
 from repro.datasets.dataset import Dataset
 from repro.exceptions import ValidationError
@@ -143,12 +143,12 @@ class InjectionStudy:
         routing = dataset.routing
 
         self._a = routing.matrix  # (m, n)
-        self._theta = routing.normalized_columns()  # (m, n)
-        c_tilde = model.anomalous_projector
-        self._b_mat = c_tilde @ self._a  # C̃ A
-        self._theta_tilde_energy = np.einsum(
-            "ij,ij->j", c_tilde @ self._theta, c_tilde @ self._theta
-        )  # d_j = ‖C̃ θ_j‖²
+        # θ, d_j = ‖C̃ θ_j‖², the visibility mask and 1/d_j.
+        self._identification = IdentificationState(
+            model, routing.normalized_columns()
+        )
+        self._theta = self._identification.directions  # (m, n)
+        self._b_mat = model.anomalous_projector @ self._a  # C̃ A
         self._m_mat = self._theta.T @ self._b_mat  # M = Θᵀ C̃ A  (n, n)
         self._quant_ratio = routing.quantification_ratios()
         self._residuals = model.residual(dataset.link_traffic)  # (t, m)
@@ -229,14 +229,13 @@ class InjectionStudy:
         detected = spe_grid > threshold
 
         # Identification + quantification, chunked over time.
-        d = self._theta_tilde_energy  # (n,)
-        valid = d > 1e-12
+        valid = self._identification.valid  # (n,)
+        inv_d = self._identification.inv_energy  # (n,)
         g_all = self._residuals[time_bins] @ self._theta  # (T, n)
         m_sel = self._m_mat[:, flow_indices]  # (n, n_sel)
 
         identified = np.zeros((time_bins.size, n_sel), dtype=bool)
         estimated = np.full((time_bins.size, n_sel), np.nan)
-        inv_d = np.where(valid, 1.0 / np.maximum(d, 1e-300), 0.0)
         for start in range(0, time_bins.size, chunk_bins):
             stop = min(start + chunk_bins, time_bins.size)
             g_chunk = g_all[start:stop]  # (c, n)

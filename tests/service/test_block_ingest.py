@@ -13,7 +13,7 @@ fields against a literal per-row replay:
   rectangular blocks and for blocks that must be read row by row (a
   short row, a non-numeric bin);
 * the lifecycle reasons (``refit_failed``, ``checkpoint_failed``) are
-  triggered *mid-block* and must account and propagate exactly as the
+  triggered *mid-block*; both fail soft and must account exactly as the
   per-row path does;
 * the transport reasons reachable from an ingest body
   (``malformed_json``, ``too_many_rows``, ``body_too_large``,
@@ -29,7 +29,7 @@ import socket
 import numpy as np
 import pytest
 
-from repro.exceptions import IngestError, ServiceError
+from repro.exceptions import IngestError
 from repro.service import ServiceConfig
 
 #: Each case: (reason, index of the first bad row, its exact message).
@@ -172,10 +172,11 @@ class TestLifecycleReasonsMidBlock:
     def test_refit_failed_mid_block_matches_per_row(
         self, service_split, make_service
     ):
-        """A synchronous refit blowing up inside a block must surface
-        exactly like the per-row path: same raised type, same stream
-        position (the sub-run before the boundary stays ingested), same
-        ``refit_failed`` accounting."""
+        """A synchronous refit blowing up inside a block fails soft
+        exactly like the per-row path: every row is accepted and scored
+        under the active version, each failed attempt is counted under
+        ``refit_failed``, and the next attempt falls due
+        ``refit_interval`` rows after the failed one."""
         dataset, warmup = service_split
         config = ServiceConfig(refit_interval=5, synchronous_refit=True)
         boom = {"armed": False}
@@ -193,20 +194,23 @@ class TestLifecycleReasonsMidBlock:
         boom["armed"] = True
         stream = dataset.link_traffic[warmup:]
 
-        with pytest.raises(ServiceError, match="refit failed"):
-            block_service.ingest_block(stream[:8])
-        with pytest.raises(ServiceError, match="refit failed"):
-            for row in stream[:8]:
-                row_service.ingest_row(row)
+        result = block_service.ingest_block(stream[:12])
+        rows = [row_service.ingest_row(row) for row in stream[:12]]
 
-        assert block_service.rows_ingested == row_service.rows_ingested == 5
+        assert result.rejected is None and result.accepted == 12
+        assert list(result.outcomes) == rows
+        assert block_service.rows_ingested == row_service.rows_ingested == 12
         for service in (block_service, row_service):
             errors = service.metrics["repro_ingest_errors_total"]
-            assert errors.value("refit_failed") == 1
+            assert errors.value("refit_failed") == 2  # rows 5 and 10
             assert (
-                service.metrics["repro_refit_failures_total"].value() == 1
+                service.metrics["repro_refit_failures_total"].value() == 2
             )
             assert service.lifecycle.current.version == 1
+            assert {o.model_version for o in rows} == {1}
+        boom["armed"] = False
+        block_service.ingest_block(stream[12:15])
+        assert block_service.lifecycle.current.version == 2
 
     def test_checkpoint_failed_mid_block_is_fail_soft(
         self, tmp_path, service_split, make_service

@@ -14,9 +14,18 @@ branch of the encoder:
   segments with different thresholds and model versions;
 * mid-block rejects (NaN and out-of-range link counts), whose accepted
   prefix still encodes;
-* rows at ``±MAX_LINK_COUNT``, the largest magnitude validation admits.
+* rows at ``±MAX_LINK_COUNT``, the largest magnitude validation admits;
+* alarm storms, runs of rows spiked along random flows, so blocks hold
+  many identified alarms in a row.
+
+The same streams also go through a twin daemon one row per request:
+the block responses, the engines' event logs and every counter must
+equal that one-row route's, and every served identification must equal
+the frozen pre-state identification arithmetic run on its row alone
+under the version that scored it.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -28,10 +37,14 @@ from repro.service import (
     BlockResult,
     BlockSegment,
     DetectionService,
+    EventLog,
     ServiceConfig,
 )
 from repro.service.http import ServiceHTTPServer, encode_ingest_response
 from repro.service.tenants import MultiTenantService
+from tests.properties.test_identification_properties import (
+    frozen_identify_block,
+)
 
 
 def legacy_body(result) -> str:
@@ -73,6 +86,12 @@ def served_streams(draw):
     for _ in range(draw(st.integers(1, 4))):
         row = int(rng.integers(0, stream_rows))
         stream[row] += 50.0 * matrix[:, int(rng.integers(0, flows))]
+    if draw(st.booleans()):
+        # An alarm storm: a run of rows, each spiked along a flow.
+        lo = int(rng.integers(0, stream_rows // 2))
+        hi = int(rng.integers(lo + stream_rows // 4, stream_rows + 1))
+        spiked = rng.integers(0, flows, size=hi - lo)
+        stream[lo:hi] += 50.0 * matrix[:, spiked].T
     poisons = (np.nan, 1e300, MAX_LINK_COUNT, -MAX_LINK_COUNT)
     for _ in range(draw(st.integers(0, 3))):
         row = int(rng.integers(0, stream_rows))
@@ -99,6 +118,65 @@ def request_body(block) -> bytes:
     return json.dumps({"rows": block.tolist()}).encode("utf-8")
 
 
+def served(warmups, routing, config):
+    """A single-tenant daemon and a two-tenant one over fresh engines
+    with deterministic event clocks: ``(engines, fleet, routes)``."""
+
+    def engine(warmup):
+        return DetectionService.from_warmup(
+            warmup,
+            routing=routing,
+            config=config,
+            event_log=EventLog(clock=itertools.count().__next__, tail_size=4096),
+        )
+
+    single = engine(warmups[0])
+    fleet = MultiTenantService(
+        {"a": engine(warmups[0]), "b/c": engine(warmups[1])}
+    )
+    fleet_server = ServiceHTTPServer.for_tenants(fleet)
+    routes = (
+        (ServiceHTTPServer(single), "/ingest"),
+        (fleet_server, "/ingest/a"),
+        (fleet_server, "/ingest/b%2Fc"),
+    )
+    engines = (single, fleet.service("a"), fleet.service("b/c"))
+    return engines, fleet, routes
+
+
+def counters(service) -> str:
+    """The exposition minus the wall-clock latency histogram."""
+    return "\n".join(
+        line
+        for line in service.metrics_text().splitlines()
+        if "repro_ingest_latency_seconds" not in line
+    )
+
+
+def assert_frozen_identification(service, block, result):
+    """Each served alarm names the flow, magnitude and bytes the frozen
+    arithmetic finds for its row alone, under the version that scored
+    it."""
+    models = {
+        version.version: version.detector.model
+        for version in service.lifecycle.version_history()
+    }
+    theta = service._routing.normalized_columns()
+    ratios = service._routing.quantification_ratios()
+    for offset, outcome in enumerate(result.outcomes):
+        if outcome.flow_index is None:
+            continue
+        winners, magnitudes, _, _ = frozen_identify_block(
+            models[outcome.model_version], theta, block[offset]
+        )
+        flow = int(winners[0])
+        assert outcome.flow_index == flow
+        assert outcome.magnitude == float(magnitudes[0])
+        assert outcome.estimated_bytes == float(magnitudes[0]) * float(
+            ratios[flow]
+        )
+
+
 @settings(max_examples=40, deadline=None)
 @given(served_streams())
 def test_ingest_responses_are_the_legacy_bytes(case):
@@ -106,16 +184,8 @@ def test_ingest_responses_are_the_legacy_bytes(case):
     config = ServiceConfig(
         refit_interval=refit_interval, synchronous_refit=True
     )
-
-    def engine(warmup):
-        return DetectionService.from_warmup(
-            warmup, routing=routing, config=config
-        )
-
-    single = engine(warmups[0])
-    fleet = MultiTenantService(
-        {"a": engine(warmups[0]), "b/c": engine(warmups[1])}
-    )
+    engines, fleet, routes = served(warmups, routing, config)
+    twin_engines, twin_fleet, twin_routes = served(warmups, routing, config)
     captured = []
 
     def capture(ingest_block):
@@ -125,15 +195,11 @@ def test_ingest_responses_are_the_legacy_bytes(case):
 
         return spy
 
-    single.ingest_block = capture(single.ingest_block)
+    engines[0].ingest_block = capture(engines[0].ingest_block)
     fleet.ingest_block = capture(fleet.ingest_block)
-    fleet_server = ServiceHTTPServer.for_tenants(fleet)
-    routes = (
-        (ServiceHTTPServer(single), "/ingest"),
-        (fleet_server, "/ingest/a"),
-        (fleet_server, "/ingest/b%2Fc"),
-    )
-    for server, path in routes:
+    for (server, path), (twin, twin_path), service in zip(
+        routes, twin_routes, engines
+    ):
         for block in chunked(stream, chunks):
             status, payload, _ = server._dispatch(
                 "POST", path, request_body(block)
@@ -144,19 +210,49 @@ def test_ingest_responses_are_the_legacy_bytes(case):
             # A rejected block answers 400, but its accepted prefix is
             # still segments: the encoder must hold there too.
             assert encode_ingest_response(result) == expected
+            assert_frozen_identification(service, block, result)
+            # The one-row route: the accepted rows one request each,
+            # then the rejected row, if any.
+            sent = block[: result.accepted + (result.rejected is not None)]
+            rows = []
+            for row in sent:
+                twin_status, twin_payload, _ = twin._dispatch(
+                    "POST", twin_path, request_body(row[None, :])
+                )
+                if twin_status == 200:
+                    rows.extend(json.loads(twin_payload)["results"])
             if result.rejected is None:
                 assert status == 200
                 assert payload.encode("utf-8") == expected.encode("utf-8")
+                flagged = [row["bin"] for row in rows if row["flag"]]
+                one_row = json.dumps(
+                    {
+                        "accepted": len(rows),
+                        "alarms": len(flagged),
+                        "alarm_bins": flagged,
+                        "results": rows,
+                    },
+                    sort_keys=True,
+                )
+                assert payload == one_row
             else:
                 assert status == 400
-                assert payload["accepted"] == result.accepted
+                assert payload["accepted"] == result.accepted == len(rows)
+                assert twin_status == 400
+                assert payload["error"] == twin_payload["error"]
+                assert payload["reason"] == twin_payload["reason"]
+    for service, twin in zip(engines, twin_engines):
+        assert service.events.tail() == twin.events.tail()
+        assert counters(service) == counters(twin)
+    assert fleet.metrics_text() == twin_fleet.metrics_text()
 
 
 def test_strategy_reaches_every_encoder_branch():
     """Across a fixed sample the streams produce several segments with
-    different thresholds in one block, identified alarms, rejects, and
-    admitted rows at the bound — the mutation-checked cases."""
-    seen = {"multi": 0, "identified": 0, "rejected": 0, "bound": 0}
+    different thresholds in one block, identified alarms, segments of
+    several identified alarms (storms), rejects, and admitted rows at
+    the bound — the mutation-checked cases."""
+    seen = {"multi": 0, "identified": 0, "storm": 0, "rejected": 0, "bound": 0}
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(served_streams())
@@ -173,11 +269,13 @@ def test_strategy_reaches_every_encoder_branch():
             result = service.ingest_block(block)
             thresholds = {segment.threshold for segment in result.segments}
             seen["multi"] += len(thresholds) > 1
-            seen["identified"] += any(
-                outcome.flow_index is not None
+            identified = [
+                segment.num_alarms
                 for segment in result.segments
-                for outcome in segment.alarms
-            )
+                if segment.flow_indices is not None
+            ]
+            seen["identified"] += bool(identified)
+            seen["storm"] += any(alarms >= 3 for alarms in identified)
             seen["rejected"] += result.rejected is not None
             accepted = block[: result.accepted]
             seen["bound"] += bool(

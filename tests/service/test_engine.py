@@ -442,6 +442,42 @@ class TestRefits:
         assert service.refit().version == 2
         assert service.health()["last_refit_error"] is None
 
+    def test_failing_synchronous_refit_keeps_ingesting(
+        self, service_split, make_service
+    ):
+        """A synchronous refit that keeps failing never stops ingest:
+        every block returns every accepted row's outcome under the
+        active version, and each failure is counted once, with the
+        next attempt due ``refit_interval`` rows after it."""
+        dataset, warmup = service_split
+        stream = np.vstack([dataset.link_traffic[warmup:]] * 3)[:240]
+        attempts = []
+        service = None
+
+        def hook():
+            if service is not None:  # bootstrap fits; later refits fail
+                attempts.append(service.lifecycle.rows - warmup)
+                raise RuntimeError("injected refit failure")
+
+        service = make_service(
+            config=ServiceConfig(refit_interval=50, synchronous_refit=True),
+            refit_hook=hook,
+        )
+        for start in range(0, 240, 80):
+            result = service.ingest_block(stream[start : start + 80])
+            assert result.rejected is None
+            assert len(result.outcomes) == 80
+            assert {o.model_version for o in result.outcomes} == {1}
+        assert service.rows_ingested == 240
+        assert attempts == [50, 100, 150, 200]
+        registry = service.metrics
+        assert registry["repro_refit_failures_total"].value() == 4
+        assert registry["repro_ingest_errors_total"].value("refit_failed") == 4
+        assert registry["repro_rows_ingested_total"].value() == 240
+        failed = [e for e in service.events.tail() if e["kind"] == "refit_failed"]
+        assert len(failed) == 4
+        assert service.lifecycle.current.version == 1
+
 
 class TestObservability:
     def test_health_payload(self, service_split, make_service):

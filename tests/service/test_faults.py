@@ -347,6 +347,34 @@ class TestRefitFaults:
         assert status == 200 and body["version"] == 2
         assert_still_serving(server, service_split)
 
+    def test_failing_synchronous_refit_answers_every_row(
+        self, service_split, make_service, run_server
+    ):
+        """An ingest whose synchronous refit fails mid-request answers
+        200 with every accepted row, scored by the active version."""
+        dataset, warmup = service_split
+        boom = {"armed": False}
+
+        def hook():
+            if boom["armed"]:
+                raise RuntimeError("injected refit failure")
+
+        server = run_server(
+            make_service(
+                config=ServiceConfig(refit_interval=5, synchronous_refit=True),
+                refit_hook=hook,
+            )
+        )
+        boom["armed"] = True
+        rows = dataset.link_traffic[warmup : warmup + 12].tolist()
+        status, body = server.post_json("/ingest", {"rows": rows})
+        assert status == 200
+        assert body["accepted"] == 12
+        assert [r["bin"] for r in body["results"]] == list(range(12))
+        assert {r["model_version"] for r in body["results"]} == {1}
+        assert error_count(server, "refit_failed") == 2
+        assert_still_serving(server, service_split)
+
 
 class TestFaultStorm:
     def test_every_fault_in_sequence_never_kills_the_daemon(

@@ -30,7 +30,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import IngestError
 from repro.pipeline import DetectionPipeline
-from repro.service import MAX_LINK_COUNT, DetectionService, ServiceConfig
+from repro.routing.routing_matrix import RoutingMatrix
+from repro.service import (
+    MAX_LINK_COUNT,
+    DetectionService,
+    EventLog,
+    ServiceConfig,
+)
 
 
 @st.composite
@@ -144,6 +150,41 @@ def test_parity_survives_hot_swaps_mid_stream(data, refit_interval):
     ]
 
 
+def failing_at(pattern):
+    """A refit hook that passes the bootstrap fit, then fails refit
+    attempt ``i`` when ``pattern[i % len(pattern)]`` is set."""
+    calls = itertools.count(-1)
+
+    def hook():
+        attempt = next(calls)
+        if attempt >= 0 and pattern[attempt % len(pattern)]:
+            raise RuntimeError(f"injected refit failure {attempt}")
+
+    return hook
+
+
+def random_routing(rng, m):
+    """A routing matrix of 2-6 flows over ``m`` links, each flow on at
+    least one link."""
+    flows = int(rng.integers(2, 7))
+    matrix = (rng.random((m, flows)) < 0.5).astype(float)
+    matrix[rng.integers(0, m, size=flows), np.arange(flows)] = 1.0
+    return RoutingMatrix(
+        matrix,
+        [f"link{i}" for i in range(m)],
+        [(f"pop{j}", f"pop{j + 1}") for j in range(flows)],
+    )
+
+
+def served_state(service) -> str:
+    """The exposition minus the wall-clock latency histogram."""
+    return "\n".join(
+        line
+        for line in service.metrics_text().splitlines()
+        if "repro_ingest_latency_seconds" not in line
+    )
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     row_streams(),
@@ -154,10 +195,17 @@ def test_block_ingest_matches_per_row_bitwise(data, refit_interval, seed):
     """``ingest_block`` == an ``ingest_row`` replay, bit for bit — under
     random chunkings, across the synchronous hot-swap boundaries the
     chunks straddle, and through mid-block rejects (poisoned NaN rows
-    and link counts past ``MAX_LINK_COUNT``): same SPE/flag/threshold
-    per accepted row, same model-swap history, same reject reasons at
-    the same stream positions.  Rows at exactly ``±MAX_LINK_COUNT`` are
-    admitted and folded into the refits.
+    and link counts past ``MAX_LINK_COUNT``): same outcome per accepted
+    row (identification included), same model-swap history, same reject
+    reasons at the same stream positions, same event log and counters.
+    Rows at exactly ``±MAX_LINK_COUNT`` are admitted and folded into the
+    refits.
+
+    The stream may be alarm-heavy (a run of rows spiked along random
+    flows), and the synchronous refits fail at random due points: a
+    failed refit is counted and logged, the active version keeps
+    scoring, and the next attempt falls due ``refit_interval`` rows
+    later.
 
     Some rows are replaced by a short row (which may also hold a bad
     value), a string or a 2-D row, and some bins by a non-numeric entry.
@@ -169,6 +217,12 @@ def test_block_ingest_matches_per_row_bitwise(data, refit_interval, seed):
     warmup, stream = data
     rng = np.random.default_rng(seed)
     stream = stream.copy()
+    routing = random_routing(rng, stream.shape[1])
+    if rng.random() < 0.5:
+        # An alarm storm: every row from ``lo`` on spikes along a flow.
+        lo = int(rng.integers(0, stream.shape[0] // 2))
+        flows = rng.integers(0, routing.num_flows, size=stream.shape[0] - lo)
+        stream[lo:] += 50.0 * routing.matrix[:, flows].T
     poisons = (
         np.nan,
         np.inf,
@@ -205,11 +259,25 @@ def test_block_ingest_matches_per_row_bitwise(data, refit_interval, seed):
             bad_bins[index] = ("x", [0], {}, float("nan"))[
                 int(rng.integers(0, 4))
             ]
+    # Capping the normal rank leaves every version a residual subspace
+    # to alarm in.
     config = ServiceConfig(
-        refit_interval=refit_interval, synchronous_refit=True
+        refit_interval=refit_interval,
+        synchronous_refit=True,
+        max_normal_rank=max(1, stream.shape[1] - 2),
     )
-    row_service = DetectionService.from_warmup(warmup, config=config)
-    block_service = DetectionService.from_warmup(warmup, config=config)
+    failures = (rng.random(8) < 0.5).tolist()
+
+    def serve():
+        return DetectionService.from_warmup(
+            warmup,
+            routing=routing,
+            config=config,
+            event_log=EventLog(clock=itertools.count().__next__, tail_size=4096),
+            refit_hook=failing_at(failures),
+        )
+
+    row_service, block_service = serve(), serve()
 
     row_outcomes, row_rejects = [], []
     bins = [] if use_bins else None
@@ -243,16 +311,8 @@ def test_block_ingest_matches_per_row_bitwise(data, refit_interval, seed):
             position += size
 
     assert block_rejects == row_rejects
-    assert [o.bin for o in block_outcomes] == [o.bin for o in row_outcomes]
-    assert [o.spe for o in block_outcomes] == [o.spe for o in row_outcomes]
-    assert [o.flag for o in block_outcomes] == [
-        o.flag for o in row_outcomes
-    ]
-    assert [o.threshold for o in block_outcomes] == [
-        o.threshold for o in row_outcomes
-    ]
-    assert [o.model_version for o in block_outcomes] == [
-        o.model_version for o in row_outcomes
+    assert [o.to_json() for o in block_outcomes] == [
+        o.to_json() for o in row_outcomes
     ]
     row_history = row_service.lifecycle.version_history()
     block_history = block_service.lifecycle.version_history()
@@ -263,6 +323,8 @@ def test_block_ingest_matches_per_row_bitwise(data, refit_interval, seed):
         (v.version, v.trained_rows, v.activated_at_row)
         for v in block_history
     ]
+    assert block_service.events.tail() == row_service.events.tail()
+    assert served_state(block_service) == served_state(row_service)
 
 
 @settings(max_examples=10, deadline=None)

@@ -83,6 +83,17 @@ def test_history_reader_loads_no_scipy():
     assert loaded(modules, NOT_SERVED) == []
 
 
+def test_dataset_build_loads_no_networkx():
+    """Building a preset validates its topology with scipy's sparse
+    graph routines: the library runs on numpy and scipy alone."""
+    modules, output = fresh(
+        "from repro.datasets import build_dataset\n"
+        "print(build_dataset('abilene').num_links)\n"
+    )
+    assert output == "41"
+    assert "networkx" not in modules
+
+
 def test_cli_help_loads_only_the_parser():
     modules, output = fresh(
         "import runpy, sys\n"

@@ -1,9 +1,11 @@
-"""Tests for repro.topology.validation."""
+"""Tests for repro.topology.validation (networkx is the graph oracle)."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import TopologyError
-from repro.topology import Link, Network, PoP
+from repro.topology import Link, LinkKind, Network, PoP
 from repro.topology.validation import check_network, connectivity_report
 
 
@@ -72,3 +74,43 @@ class TestConnectivityReport:
     def test_str_rendering(self, toy_net):
         text = str(connectivity_report(toy_net))
         assert "connected" in text
+
+
+@st.composite
+def digraphs(draw):
+    """A random network: directed inter-PoP links, some PoPs isolated,
+    some with an intra-PoP self-link (which connectivity ignores)."""
+    count = draw(st.integers(1, 8))
+    names = [f"p{i}" for i in range(count)]
+    pairs = [(a, b) for a in names for b in names if a != b]
+    links = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    intra = draw(st.lists(st.sampled_from(names), unique=True))
+    net = Network("random")
+    for name in names:
+        net.add_pop(PoP(name))
+    for source, target in links:
+        net.add_link(Link(source, target))
+    for name in intra:
+        net.add_link(Link(name, name, kind=LinkKind.INTRA_POP))
+    return net
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs())
+def test_connectivity_report_matches_networkx(net):
+    """The scipy report equals the networkx one on any digraph:
+    connected or not, component count, largest component, isolated
+    PoPs and diameter; ``Network.is_connected`` agrees."""
+    graph = net.to_networkx()
+    components = list(nx.strongly_connected_components(graph))
+    connected = nx.is_strongly_connected(graph)
+    report = connectivity_report(net)
+    assert report.is_connected == connected
+    assert net.is_connected() == connected
+    assert report.num_components == len(components)
+    assert report.largest_component_size == max(map(len, components))
+    assert report.isolated_pops == tuple(
+        sorted(name for name in graph if graph.degree(name) == 0)
+    )
+    expected = nx.diameter(graph) if connected and len(graph) > 1 else None
+    assert report.diameter == expected
