@@ -16,7 +16,7 @@ shard     sharded detection plane: temporal (exact) / spatial (fusion)
 scenarios list or run declarative anomaly-taxonomy scenario suites
 serve     run the always-on detection daemon (ingest/metrics/health)
 chaos     fault-injection matrix over the sharded detection plane
-fleet     multi-tenant detector fleet gates (parity/isolation/restore)
+fleet     multi-tenant service gates (parity/isolation/restore)
 inject    run a §6.3 injection sweep on a saved or preset dataset
 table2    regenerate the paper's Table 2
 table3    regenerate the paper's Table 3
@@ -378,14 +378,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet = commands.add_parser(
         "fleet",
-        help="multi-tenant detector fleet: parity, isolation and "
-        "restore gates (see docs/fleet.md)",
+        help="multi-tenant service: pooled-bootstrap parity, crash "
+        "isolation and restore gates (see docs/fleet.md)",
     )
     fleet_modes = fleet.add_subparsers(dest="fleet_mode", required=True)
     fleet_run = fleet_modes.add_parser(
         "run",
-        help="fit a synthetic tenant grid on the shared pool and verify "
-        "the fleet's bitwise guarantees (exit 1 on any violation)",
+        help="bootstrap a synthetic tenant grid on the shared pool and "
+        "verify the tenant stack's bitwise guarantees (exit 1 on any "
+        "violation)",
     )
     fleet_run.add_argument(
         "--tenants", type=int, default=6,
@@ -405,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_run.add_argument(
         "--workers", type=int, default=2,
-        help="shared-pool workers for the fit rounds (default 2)",
+        help="shared-pool workers for the bootstrap fits (default 2)",
     )
     fleet_run.add_argument(
         "--crash-tenant", type=int, default=0,
@@ -883,15 +884,9 @@ def _cmd_fleet(args) -> int:
         with tempfile.TemporaryDirectory(prefix="repro-fleet-") as tmp:
             report = _run(tmp)
 
-    plan = report["score_plan"]
     print(
         f"fleet: {report['tenants']} tenants, {report['workers']} workers, "
         f"crash injected into {report['crashed_tenant']}"
-    )
-    print(
-        f"  score plan:        {plan['batched_tenants']} batched, "
-        f"{plan['serial_tenants']} serial "
-        f"({len(plan['groups'])} group(s))"
     )
     for gate in ("parity_ok", "isolation_ok", "restore_ok"):
         status = "ok" if report[gate] else "VIOLATED"

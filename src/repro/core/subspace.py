@@ -12,10 +12,9 @@ The resulting :class:`SubspaceModel` owns the projectors
 decomposition ``y = ŷ + ỹ`` of §5.1.
 
 Scoring never applies the ``m × m`` projector.  Every SPE route — the
-model, the drift tracker, the service engines and the stacked fleet
-kernel — runs one rank-``r`` kernel, ``ỹ = c − (c P) Pᵀ`` with
-``c = y − ȳ`` (:func:`score_block`), at ``2·r·m`` multiply-adds per row
-instead of ``m²``.
+model, the drift tracker and the service engines — runs one rank-``r``
+kernel, ``ỹ = c − (c P) Pᵀ`` with ``c = y − ȳ`` (:func:`score_block`),
+at ``2·r·m`` multiply-adds per row instead of ``m²``.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "float32_spe_band",
     "fold_moments",
     "score_block",
-    "score_block_stacked",
     "score_moments",
     "separate_axes",
     "separate_axes_from_moments",
@@ -257,12 +255,10 @@ def _check_dtype(dtype: np.dtype | type) -> np.dtype:
 def _residual_energy(centered: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """``‖c − (c P) Pᵀ‖²`` per row: the one residual kernel.
 
-    ``axes`` is ``Pᵀ`` as C-contiguous rows, ``(r, m)``, or ``(n, r, m)``
-    for a stack of models with ``centered`` shaped ``(n, t, m)``.  Each
-    output element is one ``np.einsum`` reduction whose order depends
-    only on ``r`` and ``m`` (the reconstruction adds its ``r`` terms in
-    axis order), so a row's bits do not depend on the rows or models
-    around it, and a zero-padded axis adds exact zeros.
+    ``axes`` is ``Pᵀ`` as C-contiguous ``(r, m)`` rows.  Each output
+    element is one ``np.einsum`` reduction whose order depends only on
+    ``r`` and ``m`` (the reconstruction adds its ``r`` terms in axis
+    order), so a row's bits do not depend on the rows around it.
     """
     scores = np.einsum("...ij,...kj->...ik", centered, axes)
     residual = centered - np.einsum("...ik,...kj->...ij", scores, axes)
@@ -352,101 +348,6 @@ def score_block(
             moments = moments.merge(_fold_scores(centered @ components))
     flags = None if threshold is None else spe > threshold
     return ScoreBlockResult(spe=spe, flags=flags, moments=moments)
-
-
-def score_block_stacked(
-    measurements: np.ndarray,
-    means: np.ndarray,
-    *,
-    bases: np.ndarray,
-    ranks: np.ndarray | None = None,
-    thresholds: np.ndarray | None = None,
-    dtype: np.dtype | type = np.float64,
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-) -> ScoreBlockResult:
-    """One fused scoring pass over a stack of same-shape models.
-
-    The multi-tenant fleet scores ``n`` tenants whose blocks share a
-    ``(t, m)`` shape through a single kernel call instead of ``n``
-    Python-level :func:`score_block` calls: ``measurements`` is the
-    ``(n, t, m)`` stack of tenant blocks, ``means`` the ``(n, m)`` stack
-    of model means, ``bases`` the ``(n, r, m)`` stack of normal axes
-    ``Pᵀ`` and ``thresholds`` (optional) the ``(n,)`` vector of
-    per-model Q-limits.  Returns a :class:`ScoreBlockResult` whose
-    ``spe`` (and ``flags``) carry shape ``(n, t)``; ``moments`` is
-    always ``None`` — moments are fit-time statistics and the stacked
-    kernel is a scoring hot path.
-
-    Models of different ranks share one stack: ``ranks`` (default
-    ``r`` for every member) gives each member's own rank, and a member
-    of rank ``r_i < r`` holds its axes in the first ``r_i`` rows with
-    zeros below.  A member of rank ``m`` scores exactly 0, as it does
-    under :func:`score_block`; its rows are ignored.
-
-    **Bit-identical to serial scoring by contract.**  The kernel is
-    :func:`score_block`'s residual kernel with a leading model axis:
-    each ``(model, row)`` output is an independent ``np.einsum``
-    reduction whose order over the link and axis dimensions is the
-    2-D kernel's, and zero-padded axes add exact zeros, so
-    ``result.spe[i]`` equals ``score_block(measurements[i], means[i],
-    basis=bases[i, :ranks[i]], ...).spe`` bit for bit — for any
-    ``chunk_rows``, in float64 and float32 mode alike (the fleet's
-    hypothesis suite pins this).  That is what lets the fleet batch
-    opportunistically: batching is a scheduling decision, never a
-    numerical one.
-    """
-    measurements = np.asarray(measurements, dtype=np.float64)
-    means = np.asarray(means, dtype=np.float64)
-    if measurements.ndim != 3:
-        raise ModelError(
-            f"stacked measurements must be (n, t, m), got shape "
-            f"{measurements.shape}"
-        )
-    n, t, m = measurements.shape
-    if n == 0:
-        raise ModelError("stacked scoring needs at least one model")
-    if means.shape != (n, m):
-        raise ModelError(
-            f"stacked means must be {(n, m)}, got {means.shape}"
-        )
-    if chunk_rows < 1:
-        raise ModelError(f"chunk_rows must be >= 1, got {chunk_rows}")
-    dtype = _check_dtype(dtype)
-    axes = np.ascontiguousarray(bases, dtype=dtype)
-    if axes.ndim != 3 or axes.shape[0] != n or axes.shape[2] != m or (
-        axes.shape[1] > m
-    ):
-        raise ModelError(
-            f"stacked bases must be ({n}, r, {m}) with r <= {m}, got "
-            f"shape {axes.shape}"
-        )
-    r = axes.shape[1]
-    ranks = np.full(n, r) if ranks is None else np.asarray(ranks)
-    if ranks.shape != (n,) or not np.all(
-        ((ranks >= 0) & (ranks <= r)) | (ranks == m)
-    ):
-        raise ModelError(
-            f"stacked ranks must be ({n},) values in [0, {r}] or {m}, "
-            f"got {ranks!r}"
-        )
-    if thresholds is not None:
-        thresholds = np.asarray(thresholds, dtype=np.float64)
-        if thresholds.shape != (n,):
-            raise ModelError(
-                f"stacked thresholds must be ({n},), got "
-                f"{thresholds.shape}"
-            )
-
-    spe = np.empty((n, t))
-    for start in range(0, t, chunk_rows):
-        chunk = measurements[:, start : start + chunk_rows, :]
-        centered = chunk - means[:, None, :]
-        spe[:, start : start + chunk.shape[1]] = _residual_energy(
-            centered.astype(dtype, copy=False), axes
-        )
-    spe[ranks == m] = 0.0
-    flags = None if thresholds is None else spe > thresholds[:, None]
-    return ScoreBlockResult(spe=spe, flags=flags, moments=None)
 
 
 def float32_spe_band(

@@ -146,11 +146,18 @@ def _sharded_subspace_factory(**kwargs) -> Detector:
     return ShardedSubspaceDetector(**kwargs)
 
 
-def _fleet_subspace_factory(**kwargs) -> Detector:
-    from repro.detectors.fleet import FleetSubspaceDetector
+def _fleet_subspace_factory(tenants: int = 2, **kwargs) -> Detector:
+    """One subspace model per tenant's link group, alarming when the
+    worst ``SPE / δ²`` ratio passes a training quantile: the
+    ``union``-fused sharded plane with one zone per tenant."""
+    from repro.detectors.sharded import ShardedSubspaceDetector
 
     kwargs.pop("bin_seconds", None)  # bin-agnostic, like the subspace method
-    return FleetSubspaceDetector(**kwargs)
+    detector = ShardedSubspaceDetector(
+        num_zones=tenants, fusion="union", **kwargs
+    )
+    detector.name = "fleet-subspace"
+    return detector
 
 
 def _streaming_subspace_factory(**kwargs) -> Detector:

@@ -65,11 +65,11 @@ class CheckpointError(ReproError):
 
 
 class FleetError(ReproError):
-    """The multi-tenant detector fleet was misused or lost a tenant.
+    """A tenant id or the ``repro fleet run`` harness was misused.
 
-    Raised for unknown/duplicate tenant ids, scoring an unfitted
-    tenant, and (under a strict fit) tenants whose fit was permanently
-    lost despite a loss-intolerant fault policy.
+    Raised for tenant ids that are not non-empty strings and for
+    harness arguments out of range (fewer than two tenants, empty
+    synthetic traffic).
     """
 
 

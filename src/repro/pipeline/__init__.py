@@ -71,14 +71,7 @@ __getattr__, __dir__ = lazy_exports(
             "FaultPlan",
             "WorkerFault",
         ),
-        "repro.pipeline.fleet": (
-            "FleetFitReport",
-            "FleetManager",
-            "TenantAlarms",
-            "TenantFitOutcome",
-            "run_fleet_check",
-            "tenant_checkpoint_path",
-        ),
+        "repro.pipeline.fleet": ("run_fleet_check",),
         "repro.pipeline.pipeline": ("DetectionPipeline", "PipelineResult"),
         "repro.pipeline.sharded": (
             "FAULT_POLICIES",
@@ -122,8 +115,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultReport",
-    "FleetFitReport",
-    "FleetManager",
     "PoolRun",
     "ShardReport",
     "SpatialCoordinator",
@@ -133,12 +124,9 @@ __all__ = [
     "TaskFault",
     "TemporalCoordinator",
     "TemporalShardFit",
-    "TenantAlarms",
-    "TenantFitOutcome",
     "WorkerFault",
     "partition_links",
     "run_chaos_suite",
     "run_fleet_check",
-    "tenant_checkpoint_path",
     "temporal_fit_matches_monolithic",
 ]

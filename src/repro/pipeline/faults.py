@@ -47,10 +47,11 @@ class WorkerFault:
     """One injected worker fault at a ``(stage, task, attempt)`` spot.
 
     ``stage`` is the pool-run label (``"stats"``, ``"moments"``,
-    ``"zones"``); ``""`` matches every stage.  ``attempts`` is how many
-    consecutive attempts the fault fires on, so ``attempts=1`` models a
-    transient fault (retry succeeds) and a large value models a
-    permanently poisoned task (the ``partial`` policy's territory).
+    ``"zones"``, ``"tenant-fit"``); ``""`` matches every stage.
+    ``attempts`` is how many consecutive attempts the fault fires on, so
+    ``attempts=1`` models a transient fault (retry succeeds) and a large
+    value models a permanently poisoned task (the ``partial`` policy's
+    territory).
     """
 
     task: int

@@ -201,6 +201,19 @@ class ServiceConfig:
         """A copy with the given fields replaced."""
         return replace(self, **overrides)
 
+    def fit_config(self) -> dict:
+        """The fit knobs of :func:`~repro.service.lifecycle.fit_history`
+        and :class:`~repro.service.lifecycle.ModelLifecycleManager`."""
+        return {
+            "confidence": self.confidence,
+            "threshold_sigma": self.threshold_sigma,
+            "normal_rank": self.normal_rank,
+            "min_normal_rank": self.min_normal_rank,
+            "max_normal_rank": self.max_normal_rank,
+            "tile_rows": self.tile_rows,
+            "dtype": np.dtype(self.dtype),
+        }
+
 
 @dataclass(frozen=True)
 class RowOutcome:
@@ -450,14 +463,7 @@ class DetectionService:
         """Bootstrap a lifecycle on ``warmup`` and wrap a service on it."""
         config = config or ServiceConfig()
         lifecycle = ModelLifecycleManager(
-            confidence=config.confidence,
-            threshold_sigma=config.threshold_sigma,
-            normal_rank=config.normal_rank,
-            min_normal_rank=config.min_normal_rank,
-            max_normal_rank=config.max_normal_rank,
-            tile_rows=config.tile_rows,
-            refit_hook=refit_hook,
-            dtype=config.dtype,
+            refit_hook=refit_hook, **config.fit_config()
         )
         lifecycle.bootstrap(warmup)
         return cls(

@@ -49,6 +49,7 @@ __all__ = [
     "ModelLifecycleManager",
     "ModelVersion",
     "fit_history",
+    "warmup_history",
 ]
 
 #: Bump when the checkpoint payload shape changes.
@@ -185,18 +186,10 @@ class ModelLifecycleManager:
     # ------------------------------------------------------------------
     def bootstrap(self, warmup: np.ndarray) -> ModelVersion:
         """Fit version 1 from a ``(t, m)`` warmup block."""
-        warmup = ensure_matrix(
-            warmup, name="warmup", error=ServiceError, check_finite=False
-        )
-        if warmup.shape[0] < 2:
-            raise ServiceError(
-                f"warmup needs at least 2 rows, got {warmup.shape[0]}"
-            )
+        history = warmup_history(warmup, self.tile_rows)
         with self._lock:
             if self._current is not None:
                 raise ServiceError("lifecycle is already bootstrapped")
-            history = RowStore(warmup.shape[1], self.tile_rows)
-            history.append(warmup)
             detector = self._fit_candidate(history.snapshot())
             self._history = history
             self._current = ModelVersion(
@@ -217,10 +210,11 @@ class ModelLifecycleManager:
     ) -> "ModelLifecycleManager":
         """Adopt an externally fitted version-1 model.
 
-        The multi-tenant fleet amortizes bootstrap fits across tenants
-        on a shared worker pool, so the fit happens *outside* the
-        manager; this constructor installs the result with the same
-        bookkeeping :meth:`bootstrap` would have produced.  The detector
+        :func:`~repro.service.tenants.bootstrap_lifecycles` fits every
+        tenant's first version *outside* its manager, in-process or on a
+        shared worker pool; this constructor installs the result with
+        the same bookkeeping :meth:`bootstrap` would have produced.  The
+        detector
         must have been fitted on the first ``trained_rows`` rows of
         ``history`` (a :meth:`RowStore.snapshot
         <repro.core.suffstats.RowStore.snapshot>`), so a later
@@ -246,11 +240,8 @@ class ModelLifecycleManager:
     def history_snapshot(self) -> HistorySnapshot:
         """Consistent snapshot of the whole history.
 
-        This is the state :meth:`fit_candidate` fits from, exposed so
-        external schedulers (the fleet's shared pool) can run the same
-        fit in a worker process and install the result via
-        :meth:`activate` — bit-identical to an in-process refit, since
-        both paths feed identical tiles to the same kernels.  The
+        This is the state :meth:`fit_candidate` fits from: the tiles
+        and their statistics, read under the manager lock.  The
         snapshot stays valid while ingest keeps appending.
         """
         with self._lock:
@@ -459,12 +450,27 @@ class ModelLifecycleManager:
 def fit_history(config: dict, snapshot: HistorySnapshot) -> SPEDetector:
     """Fit a detector from a history snapshot under ``config``'s knobs.
 
-    The one fit of service bootstraps, refits and restores and of fleet
-    fits (module-level, so a worker pool can run it): the statistics
-    come with the snapshot, and the 3σ separation pass replays its
-    tiles, one :func:`~repro.core.subspace.score_moments` call each.
+    The one fit of service bootstraps, refits and restores and of
+    pooled tenant bootstraps (module-level, so a worker pool can run
+    it): the statistics come with the snapshot, and the 3σ separation
+    pass replays its tiles, one
+    :func:`~repro.core.subspace.score_moments` call each.
     """
     fit = TemporalCoordinator(workers=1, **config).fit_from_stats(
         snapshot.stats, lambda: iter(snapshot.tiles)
     )
     return fit.detector
+
+
+def warmup_history(warmup: np.ndarray, tile_rows: int) -> RowStore:
+    """The tile-packed history of a ``(t, m)`` warmup of >= 2 rows."""
+    warmup = ensure_matrix(
+        warmup, name="warmup", error=ServiceError, check_finite=False
+    )
+    if warmup.shape[0] < 2:
+        raise ServiceError(
+            f"warmup needs at least 2 rows, got {warmup.shape[0]}"
+        )
+    history = RowStore(warmup.shape[1], tile_rows)
+    history.append(warmup)
+    return history

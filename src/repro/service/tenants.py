@@ -1,38 +1,44 @@
 """Multi-tenant front for the always-on detection service.
 
-:class:`MultiTenantService` routes ingest traffic to one
-:class:`~repro.service.engine.DetectionService` engine per tenant and
-adds the fleet-level plumbing the single-tenant engine deliberately
-lacks:
+:class:`MultiTenantService` is the one tenant registry: it routes
+ingest traffic to one :class:`~repro.service.engine.DetectionService`
+engine per tenant and adds the plumbing the single-tenant engine
+deliberately lacks:
 
 * **per-tenant routes** — the HTTP server maps ``POST /ingest/<tenant>``
   here (see :mod:`repro.service.http`); unknown tenants are a typed
   rejection, never a crash;
-* **per-tenant metrics labels** — a fleet registry tracks
+* **per-tenant metrics labels** — a registry of its own tracks
   ``repro_tenant_rows_ingested_total{tenant=...}``,
   ``repro_tenant_alarms_total{tenant=...}`` and
   ``repro_tenant_ingest_errors_total{tenant=...}`` so one scrape shows
   every tenant's traffic without colliding with the per-engine
   registries (each engine keeps its own unlabeled metrics);
-* **namespaced checkpoints** — :meth:`checkpoint` writes every tenant
-  under :func:`~repro.pipeline.fleet.tenant_checkpoint_path` inside
-  one directory, so concurrent tenant (and fleet) checkpoints never
-  clobber each other and :meth:`restore` brings every tenant back
-  bit-identically.
+* **namespaced checkpoints** — :meth:`~MultiTenantService.checkpoint`
+  writes every tenant under :func:`tenant_checkpoint_path` inside one
+  directory, so concurrent tenant checkpoints never clobber each other
+  and :meth:`~MultiTenantService.restore` brings every tenant back
+  bit-identically;
+* **pooled bootstraps** — :func:`bootstrap_lifecycles` fits every
+  tenant's first model version, in-process or on one shared supervised
+  pool whose per-task fault account keeps a crashed tenant's loss its
+  own.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from pathlib import Path
+from urllib.parse import quote, unquote
 
 import numpy as np
 
-from repro.exceptions import ServiceError
-from repro.pipeline.fleet import (
-    _validate_tenant_id,
-    tenant_checkpoint_path,
-    tenant_checkpoints,
+from repro.exceptions import FleetError, ServiceError
+from repro.pipeline.supervision import (
+    FaultReport,
+    PoolRun,
+    SupervisedPool,
+    TaskFault,
 )
 from repro.service.engine import (
     BlockResult,
@@ -40,9 +46,129 @@ from repro.service.engine import (
     RowOutcome,
     ServiceConfig,
 )
+from repro.service.lifecycle import (
+    ModelLifecycleManager,
+    fit_history,
+    warmup_history,
+)
 from repro.service.metrics import MetricsRegistry
 
-__all__ = ["MultiTenantService"]
+__all__ = [
+    "MultiTenantService",
+    "bootstrap_lifecycles",
+    "tenant_checkpoint_path",
+    "tenant_checkpoints",
+]
+
+#: File suffix of per-tenant checkpoints inside a tenant directory.
+_CHECKPOINT_SUFFIX = ".ckpt"
+
+
+def tenant_checkpoint_path(root: str | Path, tenant_id: str) -> Path:
+    """Collision-free checkpoint path for ``tenant_id`` under ``root``.
+
+    Tenant ids are arbitrary strings; percent-encoding them (no safe
+    characters) maps distinct ids to distinct filenames — ``"a/b"`` and
+    ``"a%2Fb"`` cannot collide, and path separators never escape the
+    ``tenants/`` namespace.  The encoding is reversible, so a restore
+    can recover every tenant id from a directory listing alone.
+    """
+    tenant_id = _validate_tenant_id(tenant_id)
+    encoded = quote(tenant_id, safe="")
+    return Path(root) / "tenants" / f"{encoded}{_CHECKPOINT_SUFFIX}"
+
+
+def tenant_checkpoints(root: str | Path) -> list[tuple[str, Path]]:
+    """``(tenant_id, path)`` of every checkpoint under ``root``, in
+    file-name order: the inverse of :func:`tenant_checkpoint_path`."""
+    paths = sorted((Path(root) / "tenants").glob(f"*{_CHECKPOINT_SUFFIX}"))
+    return [(unquote(path.name[: -len(_CHECKPOINT_SUFFIX)]), path) for path in paths]
+
+
+def _validate_tenant_id(tenant_id) -> str:
+    if not isinstance(tenant_id, str) or not tenant_id:
+        raise FleetError(
+            f"tenant id must be a non-empty string, got {tenant_id!r}"
+        )
+    return tenant_id
+
+
+def _fit_tenant_task(payload):
+    """Pool task: :func:`~repro.service.lifecycle.fit_history` of one
+    tenant's ``(knobs, snapshot)``."""
+    return fit_history(*payload)
+
+
+def _fit_in_process(payloads: list) -> PoolRun:
+    """The pool's outcome without processes: a fit that raises is lost."""
+    results, faults = [], []
+    for task, payload in enumerate(payloads):
+        try:
+            results.append(_fit_tenant_task(payload))
+        except Exception as err:  # noqa: BLE001 - lost, as in the pool
+            results.append(None)
+            faults.append(TaskFault(
+                task=task, attempt=1, kind="error", worker=0,
+                detail=f"{type(err).__name__}: {err}",
+            ))
+    report = FaultReport(
+        tasks=len(payloads),
+        attempts=len(payloads),
+        lost_tasks=tuple(fault.task for fault in faults),
+        faults=tuple(faults),
+    )
+    return PoolRun(results=results, report=report)
+
+
+def bootstrap_lifecycles(
+    warmups: Mapping[str, np.ndarray],
+    config: ServiceConfig | None = None,
+    *,
+    workers: int = 1,
+    fault_plan=None,
+    max_retries: int = 0,
+) -> tuple[dict[str, ModelLifecycleManager], FaultReport]:
+    """Fit version 1 of one lifecycle per tenant from its warmup.
+
+    Each warmup becomes a tile-packed history, :func:`~repro.service.
+    lifecycle.fit_history` fits its snapshot — the fit
+    :meth:`~repro.service.lifecycle.ModelLifecycleManager.bootstrap`
+    runs — and :meth:`~repro.service.lifecycle.ModelLifecycleManager.
+    from_fitted` installs the detector, so a lifecycle never depends on
+    where it was fitted.  The fits run in-process unless ``workers > 1``
+    or a ``fault_plan`` asks for one shared
+    :class:`~repro.pipeline.supervision.SupervisedPool` (stage
+    ``"tenant-fit"``; task ``i`` is the ``i``-th tenant of ``warmups``,
+    with ``max_retries`` extra attempts).
+
+    Returns the lifecycles of the tenants whose fit landed, in warmup
+    order, and the run's fault account.  A tenant whose fit is lost — it
+    raised, or its worker died on every attempt — is left out and its
+    task listed in ``report.lost_tasks``; every other tenant gets the
+    lifecycle it would get alone.
+    """
+    config = config or ServiceConfig()
+    knobs = config.fit_config()
+    histories = {
+        _validate_tenant_id(tenant_id): warmup_history(warmup, config.tile_rows)
+        for tenant_id, warmup in warmups.items()
+    }
+    payloads = [(knobs, history.snapshot()) for history in histories.values()]
+    if workers > 1 or fault_plan is not None:
+        with SupervisedPool(
+            workers=workers, max_retries=max_retries, fault_plan=fault_plan
+        ) as pool:
+            run = pool.run(_fit_tenant_task, payloads, stage="tenant-fit")
+    else:
+        run = _fit_in_process(payloads)
+    lifecycles = {
+        tenant_id: ModelLifecycleManager.from_fitted(
+            detector, history, history.rows, **knobs
+        )
+        for (tenant_id, history), detector in zip(histories.items(), run.results)
+        if detector is not None
+    }
+    return lifecycles, run.report
 
 
 class MultiTenantService:
@@ -93,13 +219,22 @@ class MultiTenantService:
     ) -> "MultiTenantService":
         """Bootstrap one engine per tenant from per-tenant warmups.
 
-        Every engine shares ``config`` except the checkpoint path,
-        which is tenant-namespaced under ``checkpoint_dir`` so the
-        engines' own checkpoint-on-close writes can never collide.
+        The lifecycles come from :func:`bootstrap_lifecycles`, in
+        process; a tenant whose fit raises is named in a
+        :class:`~repro.exceptions.ServiceError`.  Every engine shares
+        ``config`` except the checkpoint path, which is
+        tenant-namespaced under ``checkpoint_dir`` so the engines' own
+        checkpoint-on-close writes can never collide.
         """
         config = config or ServiceConfig()
+        lifecycles, report = bootstrap_lifecycles(warmups, config)
+        if report.lost_tasks:
+            tenants = list(warmups)
+            lost = [tenants[task] for task in report.lost_tasks]
+            causes = "; ".join(fault.detail for fault in report.faults)
+            raise ServiceError(f"tenant bootstrap lost {lost}: {causes}")
         services = {}
-        for tenant_id, warmup in warmups.items():
+        for tenant_id, lifecycle in lifecycles.items():
             tenant_config = config
             if checkpoint_dir is not None:
                 tenant_config = config.with_overrides(
@@ -107,8 +242,8 @@ class MultiTenantService:
                         tenant_checkpoint_path(checkpoint_dir, tenant_id)
                     )
                 )
-            services[tenant_id] = DetectionService.from_warmup(
-                warmup, config=tenant_config
+            services[tenant_id] = DetectionService(
+                lifecycle, config=tenant_config
             )
         return cls(services, checkpoint_dir=checkpoint_dir)
 

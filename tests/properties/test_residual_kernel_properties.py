@@ -9,9 +9,6 @@ properties pin it:
 * row by row — a row's SPE alone equals its SPE inside any block, at
   any chunking, for the batch model and the drift tracker alike;
 * at full rank — ``r = m`` scores exactly 0 on every route.
-
-The stacked kernel's equality with serial scoring, each member at its
-own rank in ``[0, m]``, is the fleet suite's bit-identity property.
 """
 
 from fractions import Fraction
@@ -25,7 +22,6 @@ from repro.core.subspace import (
     FLOAT32_BAND_FACTOR,
     SubspaceModel,
     score_block,
-    score_block_stacked,
 )
 
 
@@ -124,10 +120,3 @@ def test_full_rank_scores_zero_on_every_route(world):
     tracker = IncrementalSubspaceTracker(normal_rank=m).warm_up(train)
     assert not np.any(tracker.spe_block(block))
     assert tracker.spe(block[0]) == 0.0
-    stacked = score_block_stacked(
-        np.stack([block, block]),
-        np.stack([pca.mean, pca.mean]),
-        bases=np.stack([basis, basis]),
-        thresholds=np.zeros(2),
-    )
-    assert not np.any(stacked.spe) and not np.any(stacked.flags)

@@ -6,7 +6,7 @@ the rows, as the PCA is: the monolithic detector, the sharded
 coordinator at any shard and worker count, streaming fits over any
 chunking (sequential, or indexed with duplicated and shuffled chunks),
 fits from accumulated statistics, service histories built from any
-request sizes (refitted and restored) and pooled fleet fits agree on
+request sizes (refitted and restored) and pooled tenant bootstraps agree on
 ``max_deviations``, the first anomalous axis, the rank, the threshold,
 the mean and the components.  The histories span two to six tiles,
 so some shards hold several tiles and some none.
@@ -21,9 +21,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import SPEDetector, SufficientStats
 from repro.core.suffstats import DEFAULT_TILE_ROWS
-from repro.pipeline.fleet import FleetManager
 from repro.pipeline.sharded import TemporalCoordinator
 from repro.service.lifecycle import ModelLifecycleManager
+from repro.service.tenants import bootstrap_lifecycles
 
 
 @st.composite
@@ -124,15 +124,11 @@ def test_every_fit_route_gives_the_same_separation_bits(block, seed):
             path
         ).current.detector
 
-    fleet = FleetManager(workers=2)
-    fleet.add_tenant("a", block[:warmup])
-    fleet.add_tenant("b", block[: t // 2])
-    for start, chunk in requests:
-        if start + chunk.shape[0] > warmup:
-            fleet.ingest("a", chunk[max(0, warmup - start) :])
-    report = fleet.fit()
-    assert report.pooled and report.clean
-    routes["pooled fleet fit"] = fleet.lifecycle("a").current.detector
+    lifecycles, report = bootstrap_lifecycles(
+        {"a": block, "b": block[: t // 2]}, workers=2
+    )
+    assert report.clean
+    routes["pooled tenant bootstrap"] = lifecycles["a"].current.detector
 
     for name, detector in routes.items():
         assert signature(detector) == reference, name

@@ -60,7 +60,14 @@ def row_streams(draw, min_stream: int = 8, max_stream: int = 40):
     return base[:warmup_rows], base[warmup_rows:]
 
 
-def batch_reference(warmup, stream, boundaries):
+def rank_cap(stream) -> int:
+    """A normal-rank cap that leaves every model a residual subspace to
+    alarm in: uncapped, nearly every ``row_streams`` draw fits a
+    full-rank model, which never alarms."""
+    return max(1, stream.shape[1] - 2)
+
+
+def batch_reference(warmup, stream, boundaries, max_normal_rank=None):
     """Offline refits at the service-reported swap boundaries."""
     history = np.vstack([warmup, stream])
     spe = np.empty(stream.shape[0])
@@ -75,9 +82,9 @@ def batch_reference(warmup, stream, boundaries):
         )
         if hi <= lo:
             continue
-        pipeline = DetectionPipeline(svd_method="gram").fit(
-            history[: version.trained_rows]
-        )
+        pipeline = DetectionPipeline(
+            svd_method="gram", max_normal_rank=max_normal_rank
+        ).fit(history[: version.trained_rows])
         result = pipeline.detect(stream[lo:hi])
         spe[lo:hi] = result.spe
         flags[lo:hi] = result.flags
@@ -112,9 +119,16 @@ def test_spe_scoring_is_row_decomposable(data, chunk):
 def test_streamed_alarms_equal_batch_alarms_bitwise(data):
     """Single fitted model: per-row service scoring == block detect."""
     warmup, stream = data
-    service = DetectionService.from_warmup(warmup)
+    cap = rank_cap(stream)
+    service = DetectionService.from_warmup(
+        warmup, config=ServiceConfig(max_normal_rank=cap)
+    )
     outcomes = [service.ingest_row(row) for row in stream]
-    batch = DetectionPipeline(svd_method="gram").fit(warmup).detect(stream)
+    batch = (
+        DetectionPipeline(svd_method="gram", max_normal_rank=cap)
+        .fit(warmup)
+        .detect(stream)
+    )
     assert np.array_equal(
         np.array([o.spe for o in outcomes]), batch.spe
     )
@@ -130,17 +144,22 @@ def test_parity_survives_hot_swaps_mid_stream(data, refit_interval):
     """Synchronous auto-refits partition the stream; each segment must
     match an offline refit at the service-reported boundary bitwise."""
     warmup, stream = data
+    cap = rank_cap(stream)
     service = DetectionService.from_warmup(
         warmup,
         config=ServiceConfig(
-            refit_interval=refit_interval, synchronous_refit=True
+            refit_interval=refit_interval,
+            synchronous_refit=True,
+            max_normal_rank=cap,
         ),
     )
     outcomes = [service.ingest_row(row) for row in stream]
     history = service.lifecycle.version_history()
     if stream.shape[0] >= refit_interval:
         assert len(history) > 1  # at least one swap actually happened
-    spe, flags, thresholds = batch_reference(warmup, stream, history)
+    spe, flags, thresholds = batch_reference(
+        warmup, stream, history, max_normal_rank=cap
+    )
     assert np.array_equal(np.array([o.spe for o in outcomes]), spe)
     assert np.array_equal(
         np.array([o.threshold for o in outcomes]), thresholds
@@ -259,12 +278,10 @@ def test_block_ingest_matches_per_row_bitwise(data, refit_interval, seed):
             bad_bins[index] = ("x", [0], {}, float("nan"))[
                 int(rng.integers(0, 4))
             ]
-    # Capping the normal rank leaves every version a residual subspace
-    # to alarm in.
     config = ServiceConfig(
         refit_interval=refit_interval,
         synchronous_refit=True,
-        max_normal_rank=max(1, stream.shape[1] - 2),
+        max_normal_rank=rank_cap(stream),
     )
     failures = (rng.random(8) < 0.5).tolist()
 
@@ -333,8 +350,9 @@ def test_chunked_and_single_row_ingest_agree(data):
     """Posting in arbitrary chunk sizes is invariant: the per-row
     outcomes depend only on the assembled stream."""
     warmup, stream = data
-    single = DetectionService.from_warmup(warmup)
-    chunked = DetectionService.from_warmup(warmup)
+    config = ServiceConfig(max_normal_rank=rank_cap(stream))
+    single = DetectionService.from_warmup(warmup, config=config)
+    chunked = DetectionService.from_warmup(warmup, config=config)
     left = [single.ingest_row(row) for row in stream]
     right = []
     position = 0
@@ -347,6 +365,25 @@ def test_chunked_and_single_row_ingest_agree(data):
         position += size
     assert [o.spe for o in left] == [o.spe for o in right]
     assert [o.flag for o in left] == [o.flag for o in right]
+
+
+def test_capped_streams_alarm():
+    """Across a fixed sample, at least half the capped ``row_streams``
+    draws raise an alarm, so the parity properties above compare alarms
+    and not only quiet rows."""
+    alarmed = []
+
+    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
+    @given(row_streams())
+    def sample(data):
+        warmup, stream = data
+        service = DetectionService.from_warmup(
+            warmup, config=ServiceConfig(max_normal_rank=rank_cap(stream))
+        )
+        alarmed.append(service.ingest_block(stream).alarms > 0)
+
+    sample()
+    assert 2 * sum(alarmed) >= len(alarmed) == 50, (sum(alarmed), len(alarmed))
 
 
 def served_gauges(service) -> tuple[float, float]:

@@ -4,27 +4,30 @@ The multi-tenant seam over the always-on engine:
 
 * ``POST /ingest/<tenant>`` routes to the named engine (percent-encoded
   ids included); unknown tenants are a typed 404, wrong methods a 405;
-* the fleet registry labels per-tenant traffic without touching the
+* the tenant registry labels per-tenant traffic without touching the
   golden-pinned single-tenant exposition;
 * tenant-namespaced checkpoints let two tenants and an unrelated
   service write into one directory *concurrently* and restore each
-  bit-identically — the satellite regression for the shared-directory
-  clobbering bug.
+  bit-identically — the regression for the shared-directory clobbering
+  bug — and a directory in the layout the earlier fleet scheduler wrote
+  restores bit-identically too.
 """
 
 import threading
+from urllib.parse import unquote
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ServiceError
-from repro.pipeline.fleet import (
-    FleetManager,
-    synthetic_tenant_traffic,
-    tenant_checkpoint_path,
-)
+from repro.exceptions import FleetError, ServiceError
+from repro.pipeline.fleet import synthetic_tenant_traffic
 from repro.service import DetectionService, ServiceConfig
-from repro.service.tenants import MultiTenantService
+from repro.service.tenants import (
+    MultiTenantService,
+    bootstrap_lifecycles,
+    tenant_checkpoint_path,
+    tenant_checkpoints,
+)
 
 LINKS = 10
 WARMUP = 160
@@ -96,6 +99,22 @@ class TestDirectApi:
     def test_requires_at_least_one_tenant(self):
         with pytest.raises(ServiceError, match=">= 1 tenant"):
             MultiTenantService({})
+
+    def test_from_warmups_names_a_lost_tenant(self):
+        """A tenant whose bootstrap fit raises is lost, and the service
+        refuses to start without it, naming it and the cause."""
+        warmups = {
+            "wide": synthetic_tenant_traffic("wide", WARMUP, links=LINKS),
+            "narrow": synthetic_tenant_traffic("narrow", WARMUP, links=3),
+        }
+        config = ServiceConfig(normal_rank=5)
+        lifecycles, report = bootstrap_lifecycles(warmups, config)
+        assert list(lifecycles) == ["wide"]
+        assert report.lost_tasks == (1,)
+        with pytest.raises(
+            ServiceError, match=r"lost \['narrow'\]: ModelError: normal rank"
+        ):
+            MultiTenantService.from_warmups(warmups, config)
 
 
 class TestHTTPRoutes:
@@ -201,19 +220,13 @@ class TestCheckpointRestore:
     def test_concurrent_writers_share_one_directory(
         self, tmp_path, service_split
     ):
-        """Satellite regression: two fleet tenants and an unrelated
-        detection service checkpoint into the same directory at the
-        same time; every artifact restores bit-identically."""
+        """Regression: two tenants and an unrelated detection service
+        checkpoint into the same directory at the same time; every
+        artifact restores bit-identically."""
         dataset, warmup = service_split
-
-        fleet = FleetManager(workers=1, checkpoint_dir=tmp_path)
-        for tenant_id in ("acme", "umbrella/eu"):
-            fleet.add_tenant(
-                tenant_id,
-                synthetic_tenant_traffic(tenant_id, WARMUP, links=LINKS),
-            )
-        fleet.fit(strict=True)
-
+        front = MultiTenantService.from_warmups(
+            tenant_warmups("acme", "umbrella/eu"), checkpoint_dir=tmp_path
+        )
         service = DetectionService.from_warmup(
             dataset.link_traffic[:warmup],
             config=ServiceConfig(
@@ -232,7 +245,7 @@ class TestCheckpointRestore:
                 errors.append(exc)
 
         threads = [
-            threading.Thread(target=run, args=(fleet.checkpoint,)),
+            threading.Thread(target=run, args=(front.checkpoint,)),
             threading.Thread(target=run, args=(service.checkpoint,)),
         ]
         for thread in threads:
@@ -243,19 +256,20 @@ class TestCheckpointRestore:
 
         blocks = {
             tenant_id: fresh_rows(tenant_id, 12)
-            for tenant_id in fleet.tenants
+            for tenant_id in front.tenants
         }
-        expected = fleet.score(blocks)
-        restored_fleet = FleetManager.restore(tmp_path)
+        expected = {
+            tenant_id: front.ingest_block(tenant_id, block).outcomes
+            for tenant_id, block in blocks.items()
+        }
+        restored = MultiTenantService.restore(tmp_path)
         # The service's checkpoint shares the lifecycle format, so the
-        # fleet restores it as one more tenant — the real tenants come
+        # restore serves it as one more tenant; the real tenants come
         # back regardless, undisturbed.
-        assert set(fleet.tenants) <= set(restored_fleet.tenants)
-        alarms = restored_fleet.score(blocks)
-        for tenant_id in fleet.tenants:
-            assert np.array_equal(
-                alarms[tenant_id].spe, expected[tenant_id].spe
-            )
+        assert set(front.tenants) <= set(restored.tenants)
+        for tenant_id, block in blocks.items():
+            outcomes = restored.ingest_block(tenant_id, block).outcomes
+            assert outcomes == expected[tenant_id]
 
         stream = dataset.link_traffic[warmup : warmup + 5]
         expected_spe = [service.ingest_row(row).spe for row in stream]
@@ -266,3 +280,81 @@ class TestCheckpointRestore:
         assert spe == expected_spe
         service.close()
         restored_svc.close()
+
+    def test_fleet_layout_restores_bitwise(self, tmp_path):
+        """A directory written the way the earlier fleet scheduler wrote
+        one — each lifecycle checkpointed under its tenant path with the
+        tenant and its fault policy as extra state — restores through
+        :meth:`MultiTenantService.restore`: every tenant serves the same
+        SPE, flags, thresholds and model versions."""
+        warmups = {
+            tenant_id: synthetic_tenant_traffic(tenant_id, WARMUP, links=12)
+            for tenant_id in ("acme", "umbrella/eu", "ten%ant")
+        }
+        lifecycles, _ = bootstrap_lifecycles(warmups, workers=2)
+        for tenant_id, lifecycle in lifecycles.items():
+            lifecycle.checkpoint(
+                tenant_checkpoint_path(tmp_path, tenant_id),
+                extra={"tenant": tenant_id, "fault_policy": "partial"},
+            )
+        blocks = {
+            tenant_id: synthetic_tenant_traffic(
+                tenant_id, 32, links=12, anomalies=4, start_row=WARMUP
+            )
+            for tenant_id in warmups
+        }
+        expected = {
+            tenant_id: DetectionService(lifecycles[tenant_id])
+            .ingest_block(block)
+            .outcomes
+            for tenant_id, block in blocks.items()
+        }
+        assert all(
+            any(outcome.flag for outcome in outcomes)
+            for outcomes in expected.values()
+        )
+
+        restored = MultiTenantService.restore(tmp_path)
+        assert sorted(restored.tenants) == sorted(warmups)
+        for tenant_id, block in blocks.items():
+            outcomes = restored.ingest_block(tenant_id, block).outcomes
+            assert outcomes == expected[tenant_id]
+
+
+class TestCheckpointPaths:
+    @pytest.mark.parametrize(
+        "tenant_id",
+        ["plain", "umbrella/eu", "a b c", "..", "ten%ant", "ünïcode"],
+    )
+    def test_roundtrip_and_containment(self, tmp_path, tenant_id):
+        path = tenant_checkpoint_path(tmp_path, tenant_id)
+        assert path.parent == tmp_path / "tenants"
+        assert unquote(path.name[: -len(".ckpt")]) == tenant_id
+
+    def test_distinct_tenants_never_collide(self, tmp_path):
+        ids = ["a/b", "a%2Fb", "a b", "a+b", "a", "b", "a.b", "a..b"]
+        paths = {tenant_checkpoint_path(tmp_path, t) for t in ids}
+        assert len(paths) == len(ids)
+
+    def test_listing_inverts_the_path(self, tmp_path):
+        """Ids with ``/``, ``%`` and non-ASCII characters survive a
+        write then a listing; pairs come in file-name order."""
+        ids = ["umbrella/eu", "a/b", "a%2Fb", "ten%ant", "ünïcode", "plain"]
+        for tenant_id in ids:
+            path = tenant_checkpoint_path(tmp_path, tenant_id)
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(tenant_id.encode("utf-8"))
+        listed = tenant_checkpoints(tmp_path)
+        assert sorted(tenant_id for tenant_id, _ in listed) == sorted(ids)
+        for tenant_id, path in listed:
+            assert path == tenant_checkpoint_path(tmp_path, tenant_id)
+            assert path.read_bytes() == tenant_id.encode("utf-8")
+        paths = [path for _, path in listed]
+        assert paths == sorted(paths)
+        assert tenant_checkpoints(tmp_path / "missing") == []
+
+    def test_rejects_non_string_ids(self, tmp_path):
+        with pytest.raises(FleetError):
+            tenant_checkpoint_path(tmp_path, "")
+        with pytest.raises(FleetError):
+            tenant_checkpoint_path(tmp_path, 7)

@@ -21,7 +21,8 @@ import repro.pipeline
 
 #: Modules the serving path never needs: the baselines' filter, the
 #: distribution machinery, the graph library, and the comparison,
-#: validation, scenario, baseline and detector-registry code.
+#: validation, scenario, baseline, detector-registry and fleet-harness
+#: code.
 NOT_SERVED = (
     "scipy.signal",
     "scipy.stats",
@@ -31,6 +32,7 @@ NOT_SERVED = (
     "repro.baselines",
     "repro.detectors",
     "repro.pipeline.compare",
+    "repro.pipeline.fleet",
 )
 
 _SOURCE = str(Path(repro.__file__).resolve().parents[1])
