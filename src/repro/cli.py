@@ -284,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--confidence", type=float, default=0.999,
-        help="Q-statistic confidence level (default 0.999)",
+        help="Q-statistic confidence level (default 0.999; --resume "
+        "takes it from the checkpoint)",
     )
     serve.add_argument(
         "--refit-interval", type=int, default=None,
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--dtype", choices=("float32", "float64"), default="float64",
         help="scoring precision (fits always run in float64; default "
-        "float64)",
+        "float64; --resume takes it from the checkpoint)",
     )
     serve.add_argument(
         "--checkpoint", default=None,

@@ -91,11 +91,11 @@ def _complete_basis(partial: np.ndarray) -> np.ndarray:
 class PCA:
     """PCA of a timeseries matrix with the paper's conventions.
 
+    The columns are always centered (per-column means subtracted)
+    before decomposing, as the paper does.
+
     Parameters
     ----------
-    center:
-        Subtract per-column means before decomposing (the paper always
-        does; disabling is for tests only).
     method:
         Eigensolver route: ``"auto"`` (default) picks by aspect ratio,
         ``"svd"`` forces the thin SVD, ``"gram"`` forces the Gram
@@ -123,7 +123,6 @@ class PCA:
 
     def __init__(
         self,
-        center: bool = True,
         method: str = "auto",
         dtype: np.dtype | type | str = np.float64,
     ) -> None:
@@ -136,7 +135,6 @@ class PCA:
             raise ModelError(
                 f"scoring dtype must be float32 or float64, got {dtype}"
             )
-        self.center = center
         self.method = method
         self.dtype = dtype
         self._mean: np.ndarray | None = None
@@ -179,9 +177,7 @@ class PCA:
             )
 
         self._num_samples = t
-        self._mean = (
-            measurements.mean(axis=0) if self.center else np.zeros(m)
-        )
+        self._mean = measurements.mean(axis=0)
         centered = measurements - self._mean
 
         if solver == "gram":
@@ -240,13 +236,12 @@ class PCA:
 
     def _fit_finalized(self, stats: FinalizedStats) -> "PCA":
         """The gram-covariance eigensolve over finalized statistics."""
-        t, m = stats.count, stats.num_columns
+        t = stats.count
         if t < 2:
             raise ModelError(f"need at least 2 time samples, got {t}")
         self._num_samples = t
-        self._mean = stats.mean if self.center else np.zeros(m)
-        gram = stats.centered_gram() if self.center else stats.uncentered_gram()
-        eigenvalues, eigenvectors = np.linalg.eigh(gram)
+        self._mean = stats.mean
+        eigenvalues, eigenvectors = np.linalg.eigh(stats.centered_gram())
         order = np.argsort(eigenvalues)[::-1]
         self._singular_values = np.sqrt(
             np.clip(eigenvalues[order], 0.0, None)
@@ -284,7 +279,7 @@ class PCA:
 
     @property
     def mean(self) -> np.ndarray:
-        """Per-column training mean (zeros when centering is disabled)."""
+        """Per-column training mean."""
         self._require_fitted()
         return self._mean.copy()
 

@@ -203,10 +203,6 @@ class FinalizedStats:
         """``Σ (y_t − μ)(y_t − μ)ᵀ`` (alias for :attr:`m2`)."""
         return self.m2
 
-    def uncentered_gram(self) -> np.ndarray:
-        """``Σ y_t y_tᵀ`` reconstructed via the rank-one correction."""
-        return self.m2 + np.outer(self.total, self.total) / self.count
-
     def covariance(self) -> np.ndarray:
         """Sample covariance ``m2 / (t − 1)``."""
         if self.count < 2:

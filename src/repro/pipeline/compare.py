@@ -22,6 +22,12 @@ general workload over the :mod:`repro.detectors` registry with a
   arrays.  A serial run (``workers=1``) executes the same fit/score
   functions in-process and produces a byte-identical report — tests
   assert it, including through the shared-memory path.
+* **Dead workers.**  A worker process that dies mid-task (killed,
+  crashed, ``os._exit``) raises
+  :class:`~repro.exceptions.SupervisionError` instead of leaving the
+  run waiting on its task; a detector's own exception reaches the
+  caller with its type.  The shared-memory blocks are released either
+  way.
 
 Scenario traces are derived deterministically from the scenario seed:
 all detectors see byte-identical injected traces regardless of worker
@@ -42,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.datasets.dataset import Dataset
-from repro.exceptions import ValidationError
+from repro.exceptions import SupervisionError, ValidationError
 from repro.pipeline.shm import (
     SharedArray,
     SharedBlob,
@@ -607,7 +613,8 @@ class ComparisonRunner:
 
     def _run_parallel(self, pairs, scenarios_by_dataset, workers):
         """Two-stage shared-memory execution over a process pool."""
-        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         segments: list = []  # SharedMemory blocks to unlink at the end
         try:
@@ -619,11 +626,11 @@ class ComparisonRunner:
                 self._fit_task(dataset_refs[dataset.name], name)
                 for dataset, name in pairs
             ]
-            with multiprocessing.Pool(processes=workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 # Stage 1: every (detector, dataset) pair fits exactly
                 # once; the pickled fitted state comes back to the
                 # parent, which parks it in shared memory.
-                fit_outputs = pool.map(_run_fit_task, fit_tasks)
+                fit_outputs = list(pool.map(_run_fit_task, fit_tasks))
                 models: dict[tuple[str, str], SharedBlob] = {}
                 fit_seconds: dict[tuple[str, str], float] = {}
                 for (dataset, name), (blob, seconds) in zip(
@@ -645,7 +652,7 @@ class ComparisonRunner:
                     for dataset, name in pairs
                     for scenario in scenarios_by_dataset[dataset.name]
                 ]
-                score_outputs = pool.map(_run_score_task, score_tasks)
+                score_outputs = list(pool.map(_run_score_task, score_tasks))
             outputs = []
             cursor = 0
             for dataset, name in pairs:
@@ -658,6 +665,10 @@ class ComparisonRunner:
                     cursor += 1
                 outputs.append((tuple(rows), seconds))
             return outputs
+        except BrokenProcessPool as err:
+            raise SupervisionError(
+                f"a comparison worker died mid-task: {err}"
+            ) from err
         finally:
             release(segments)
 

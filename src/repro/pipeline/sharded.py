@@ -94,6 +94,7 @@ from repro.pipeline.supervision import (
     PoolRun,
     SupervisedPool,
     TaskFault,
+    backoff_delay,
     raise_if_lost,
     resolve_policy,
 )
@@ -262,7 +263,6 @@ class _StatsTask:
     traffic: "np.ndarray | SharedArray | None"  # see _resolve_traffic
     start: int
     stop: int
-    tile_rows: int
 
 
 @dataclass(frozen=True)
@@ -312,7 +312,7 @@ def _fork_start() -> bool:
 
 @contextmanager
 def _task_runner(
-    coordinator, measurements: np.ndarray, workers: int, policy: str
+    coordinator, measurements: np.ndarray, workers: int
 ) -> Iterator[tuple[object, Callable[..., PoolRun]]]:
     """``(traffic, run)`` for fanning tasks out over ``measurements``.
 
@@ -345,11 +345,11 @@ def _task_runner(
             workers,
             deadline=coordinator.task_deadline,
             max_retries=(
-                0 if policy == "fail-fast" else coordinator.max_retries
+                0
+                if coordinator.fault_policy == "fail-fast"
+                else coordinator.max_retries
             ),
             backoff_base=coordinator.backoff_base,
-            backoff_max=coordinator.backoff_max,
-            seed=coordinator.fault_seed,
             fault_plan=coordinator.fault_plan,
         ) as pool:
             yield traffic, pool.run
@@ -363,9 +363,7 @@ def _run_stats_task(task: _StatsTask) -> tuple[SufficientStats, float]:
     begin = time.perf_counter()
     traffic = _resolve_traffic(task.traffic)
     stats = SufficientStats.from_block(
-        traffic[task.start : task.stop],
-        start_row=task.start,
-        tile_rows=task.tile_rows,
+        traffic[task.start : task.stop], start_row=task.start
     )
     return stats, time.perf_counter() - begin
 
@@ -585,9 +583,9 @@ class TemporalCoordinator:
         Model parameters, as for
         :class:`~repro.core.detection.SPEDetector`.  With
         ``normal_rank=None`` the 3σ separation runs as a second
-        distributed pass, one score-moments call per canonical tile.
-    tile_rows:
-        Canonical tile height of the sufficient statistics.
+        distributed pass, one score-moments call per canonical tile
+        (:data:`~repro.core.suffstats.DEFAULT_TILE_ROWS` rows, on every
+        route).
     dtype:
         Scoring precision of the packaged detector (``"float64"``
         default, or ``"float32"``).  The fit itself — statistics,
@@ -604,9 +602,12 @@ class TemporalCoordinator:
     task_deadline:
         Per-task wall-clock budget in seconds for the supervised
         workers; ``None`` disables deadlines.
-    max_retries, backoff_base, backoff_max, fault_seed:
-        Retry budget and backoff/jitter parameters of the supervised
-        pool (and of streaming-source retries in :meth:`fit_stream`).
+    max_retries, backoff_base:
+        Retry budget and first retry delay of the supervised pool (and
+        of streaming-source retries in :meth:`fit_stream`); delays
+        double per attempt up to
+        :data:`~repro.pipeline.supervision.BACKOFF_MAX_SECONDS`, with
+        jitter drawn from fixed seeds.
     fault_plan:
         Optional :class:`~repro.pipeline.faults.FaultPlan` injected
         into every worker — the chaos/robustness suites' hook.
@@ -621,14 +622,11 @@ class TemporalCoordinator:
         normal_rank: int | None = None,
         min_normal_rank: int = 1,
         max_normal_rank: int | None = None,
-        tile_rows: int = DEFAULT_TILE_ROWS,
         dtype: np.dtype | type | str = np.float64,
         fault_policy: str = "fail-fast",
         task_deadline: float | None = None,
         max_retries: int = 2,
         backoff_base: float = 0.05,
-        backoff_max: float = 2.0,
-        fault_seed: int = 0,
         fault_plan=None,
     ) -> None:
         if num_shards < 1:
@@ -642,33 +640,23 @@ class TemporalCoordinator:
         self.normal_rank = normal_rank
         self.min_normal_rank = min_normal_rank
         self.max_normal_rank = max_normal_rank
-        self.tile_rows = int(tile_rows)
         self.dtype = np.dtype(dtype)
-        self.fault_policy = resolve_policy(fault_policy, "fail-fast")
+        self.fault_policy = resolve_policy(fault_policy)
         self.task_deadline = task_deadline
         self.max_retries = int(max_retries)
         self.backoff_base = float(backoff_base)
-        self.backoff_max = float(backoff_max)
-        self.fault_seed = int(fault_seed)
         self.fault_plan = fault_plan
 
     # ------------------------------------------------------------------
-    def fit(
-        self,
-        measurements: np.ndarray,
-        fault_policy: str | None = None,
-    ) -> TemporalShardFit:
+    def fit(self, measurements: np.ndarray) -> TemporalShardFit:
         """Fan the fit out over shards; merge; fit once; separate.
 
         The returned detector is an ordinary fitted
         :class:`~repro.core.detection.SPEDetector` whose PCA is
         bit-identical to ``SPEDetector(svd_method="gram")`` fitted
         monolithically (for ``t >= m``, the sharding regime).
-        ``fault_policy`` overrides the coordinator's configured policy
-        for this one fit.
         """
         begin = time.perf_counter()
-        policy = resolve_policy(fault_policy, self.fault_policy)
         measurements = ensure_matrix(
             measurements, name="measurements", error=ModelError,
             check_finite=False,
@@ -680,19 +668,13 @@ class TemporalCoordinator:
         bounds = _shard_bounds(measurements.shape[0], self.num_shards)
         workers = _worker_count(self.workers, len(bounds))
 
-        with _task_runner(self, measurements, workers, policy) as (
-            traffic,
-            run,
-        ):
+        with _task_runner(self, measurements, workers) as (traffic, run):
             stats_run = run(
                 _run_stats_task,
-                [
-                    _StatsTask(traffic, start, stop, self.tile_rows)
-                    for start, stop in bounds
-                ],
+                [_StatsTask(traffic, start, stop) for start, stop in bounds],
                 stage="stats",
             )
-            raise_if_lost(stats_run, "temporal stats pass", policy)
+            raise_if_lost(stats_run, "temporal stats pass", self.fault_policy)
             reports = [stats_run.report]
             surviving = [
                 index
@@ -728,7 +710,7 @@ class TemporalCoordinator:
                 # reading past its stop to finish its last tile, so the
                 # units — and the bits — never depend on the shard bounds.
                 units = canonical_units(
-                    _CoverageLedger(live_bounds).intervals(), self.tile_rows
+                    _CoverageLedger(live_bounds).intervals(), DEFAULT_TILE_ROWS
                 )
                 starts = [lo for lo, _ in units]
                 cuts = [bisect_left(starts, a) for a, _ in live_bounds]
@@ -744,7 +726,9 @@ class TemporalCoordinator:
                     ],
                     stage="moments",
                 )
-                raise_if_lost(moments_run, "temporal moments pass", policy)
+                raise_if_lost(
+                    moments_run, "temporal moments pass", self.fault_policy
+                )
                 reports.append(moments_run.report)
                 unit_moments = []
                 for slot, output in enumerate(moments_run.results):
@@ -782,11 +766,8 @@ class TemporalCoordinator:
     def fit_stream(
         self,
         chunk_source: Callable[[], Iterable],
-        fault_policy: str | None = None,
         expected_rows: int | None = None,
         checkpoint_path: str | Path | None = None,
-        checkpoint_every: int = 1,
-        resume: bool = True,
     ) -> TemporalShardFit:
         """Out-of-core fit over a re-iterable chunk source.
 
@@ -806,35 +787,30 @@ class TemporalCoordinator:
         out-of-order chunks fold each row exactly once — a faulty
         source retried to success is bit-identical to a clean pass.
 
+        A source that raises mid-iteration (or leaves a coverage gap) is
+        re-iterated up to ``max_retries`` times under the ``retry`` and
+        ``partial`` policies; under ``partial`` a stream that never
+        completes still fits from the surviving rows and records the
+        coverage fraction.
+
         Parameters
         ----------
-        fault_policy:
-            Override of the coordinator's policy for this fit.  A
-            source that raises mid-iteration (or leaves a coverage gap)
-            is re-iterated up to ``max_retries`` times under ``retry``
-            / ``partial``; under ``partial`` a stream that never
-            completes still fits from the surviving rows and records
-            the coverage fraction.
         expected_rows:
             Total rows the source is supposed to deliver.  Without it a
             *trailing* loss is undetectable (the stream just looks
             shorter); interior gaps are detected either way.
         checkpoint_path:
             When set, the accumulated statistics are checkpointed
-            atomically every ``checkpoint_every`` folded chunks, and an
-            interrupted fit re-run with ``resume=True`` (the default)
-            picks up from the last completed chunk boundary —
+            atomically after every folded chunk, and a fit that finds
+            the file already there resumes from it: an interrupted fit
+            re-run picks up from the last completed chunk boundary —
             bit-identically to an uninterrupted run, because already-
             covered rows are skipped by the same exactly-once ledger.
-            A corrupt or unreadable checkpoint is recorded as a fault
-            and the fit starts fresh.
+            A corrupt or unreadable checkpoint, or one whose statistics
+            use another tile height, is recorded as a fault and the fit
+            starts fresh.
         """
         begin = time.perf_counter()
-        policy = resolve_policy(fault_policy, self.fault_policy)
-        if checkpoint_every < 1:
-            raise ValidationError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
         path = None if checkpoint_path is None else Path(checkpoint_path)
 
         stats: SufficientStats | None = None
@@ -843,7 +819,7 @@ class TemporalCoordinator:
         merge_s = 0.0
         stream_faults: list[TaskFault] = []
 
-        if path is not None and resume and path.exists():
+        if path is not None and path.exists():
             try:
                 stats, ledger, timings, merge_s = (
                     self._load_stream_checkpoint(path)
@@ -859,16 +835,12 @@ class TemporalCoordinator:
                     )
                 )
 
-        folds = [0]  # folds since the last checkpoint write
-
         def fold(start: int, chunk: np.ndarray) -> None:
             nonlocal stats, merge_s
             for lo, hi in ledger.uncovered(start, start + chunk.shape[0]):
                 piece = chunk[lo - start : hi - start]
                 pass_begin = time.perf_counter()
-                piece_stats = SufficientStats.from_block(
-                    piece, start_row=lo, tile_rows=self.tile_rows
-                )
+                piece_stats = SufficientStats.from_block(piece, start_row=lo)
                 stats_s = time.perf_counter() - pass_begin
                 merge_begin = time.perf_counter()
                 stats = (
@@ -886,12 +858,10 @@ class TemporalCoordinator:
                         stats_seconds=stats_s,
                     )
                 )
-                folds[0] += 1
-                if path is not None and folds[0] >= checkpoint_every:
+                if path is not None:
                     self._write_stream_checkpoint(
                         path, stats, ledger, timings, merge_s
                     )
-                    folds[0] = 0
 
         def gap() -> str | None:
             expected = (
@@ -909,11 +879,9 @@ class TemporalCoordinator:
                 f"in {len(intervals)} interval(s)"
             )
 
-        attempts, faults, detail = self._drive(
-            chunk_source, fold, gap, policy, self.fault_seed
-        )
+        attempts, faults, detail = self._drive(chunk_source, fold, gap, seed=0)
         stream_faults.extend(faults)
-        if detail is not None and policy != "partial":
+        if detail is not None and self.fault_policy != "partial":
             if stats is None:
                 raise ModelError("chunk source yielded no chunks")
             raise SupervisionError(
@@ -924,12 +892,6 @@ class TemporalCoordinator:
             raise SupervisionError(
                 "no chunks survived the faulty stream; nothing to fit"
             )
-
-        if path is not None and folds[0] > 0:
-            self._write_stream_checkpoint(
-                path, stats, ledger, timings, merge_s
-            )
-            folds[0] = 0
 
         expected = (
             ledger.max_stop if expected_rows is None else expected_rows
@@ -952,7 +914,6 @@ class TemporalCoordinator:
             merge_s,
             begin,
             ledger=ledger,
-            policy=policy,
             coverage=coverage,
             fault=fault,
         )
@@ -964,7 +925,7 @@ class TemporalCoordinator:
             path,
             {
                 "schema_version": STREAM_CHECKPOINT_SCHEMA_VERSION,
-                "tile_rows": self.tile_rows,
+                "tile_rows": DEFAULT_TILE_ROWS,
                 "dtype": self.dtype.name,
                 "intervals": ledger.intervals(),
                 "stats": stats,
@@ -995,12 +956,6 @@ class TemporalCoordinator:
                 f"(expected schema_version "
                 f"{STREAM_CHECKPOINT_SCHEMA_VERSION})"
             )
-        if payload.get("tile_rows") != self.tile_rows:
-            raise ModelError(
-                f"stream checkpoint tile_rows mismatch: checkpoint uses "
-                f"{payload.get('tile_rows')}, coordinator expects "
-                f"{self.tile_rows}"
-            )
         try:
             stats = payload["stats"]
             ledger = _CoverageLedger(payload["intervals"])
@@ -1010,10 +965,15 @@ class TemporalCoordinator:
             raise CheckpointError(
                 f"stream checkpoint {path} is malformed: {err}"
             ) from err
-        if stats is not None and not isinstance(stats, SufficientStats):
+        if not isinstance(stats, SufficientStats):
             raise CheckpointError(
                 f"stream checkpoint {path} does not hold sufficient "
                 f"statistics (got {type(stats).__name__})"
+            )
+        if stats.tile_rows != DEFAULT_TILE_ROWS:
+            raise CheckpointError(
+                f"stream checkpoint {path} holds statistics on "
+                f"{stats.tile_rows}-row tiles, not {DEFAULT_TILE_ROWS}"
             )
         return stats, ledger, timings, merge_s
 
@@ -1042,10 +1002,10 @@ class TemporalCoordinator:
             raise ModelError(
                 f"stats must be SufficientStats, got {type(stats).__name__}"
             )
-        if stats.tile_rows != self.tile_rows:
+        if stats.tile_rows != DEFAULT_TILE_ROWS:
             raise ModelError(
                 f"tile_rows mismatch: statistics use {stats.tile_rows}, "
-                f"coordinator expects {self.tile_rows}"
+                f"every fit folds {DEFAULT_TILE_ROWS}"
             )
         if self.normal_rank is None and chunk_source is None:
             raise ModelError(
@@ -1063,7 +1023,6 @@ class TemporalCoordinator:
         merge_s: float,
         begin: float,
         ledger: "_CoverageLedger | None" = None,
-        policy: str | None = None,
         coverage: float = 1.0,
         fault: FaultReport | None = None,
     ) -> TemporalShardFit:
@@ -1076,7 +1035,6 @@ class TemporalCoordinator:
         the statistics cover ``[0, num_samples)`` contiguously (the
         accumulated route).
         """
-        policy = resolve_policy(policy, self.fault_policy)
         pca, _, fit_s = self._fit_merged([stats], allow_gaps=coverage < 1.0)
 
         unit_moments: list[ScoreMoments] | None = None
@@ -1088,15 +1046,14 @@ class TemporalCoordinator:
                 else [(0, pca.num_samples)]
             )
             replay = _UnitReplay(
-                canonical_units(covered, self.tile_rows),
+                canonical_units(covered, DEFAULT_TILE_ROWS),
                 pca.mean,
                 pca.components,
             )
             attempts, faults, detail = self._drive(
-                chunk_source, replay.add, replay.end_pass, policy,
-                self.fault_seed + 1,
+                chunk_source, replay.add, replay.end_pass, seed=1
             )
-            if detail is not None and policy != "partial":
+            if detail is not None and self.fault_policy != "partial":
                 raise ModelError(
                     f"chunk source changed between passes: {detail}"
                 )
@@ -1134,7 +1091,6 @@ class TemporalCoordinator:
         chunk_source: Callable[[], Iterable],
         fold: Callable[[int, np.ndarray], None],
         gap: Callable[[], str | None],
-        policy: str,
         seed: int,
     ) -> tuple[int, list[TaskFault], str | None]:
         """Run passes over a re-iterable source until a pass is complete.
@@ -1144,11 +1100,13 @@ class TemporalCoordinator:
         ``None`` when nothing is missing, else what is.  A source that
         raises, or a pass with a gap, is a fault, and the source is
         re-iterated up to ``max_retries`` times (none under
-        ``fail-fast``) with jittered exponential backoff.  Returns the
-        passes made, the faults, and the last pass's unresolved fault
-        (``None`` when it completed).  A source error that exhausts the
-        retries is re-raised unless the policy is ``partial``.
+        ``fail-fast``) with jittered exponential backoff, the jitter
+        drawn from ``random.Random(seed)``.  Returns the passes made,
+        the faults, and the last pass's unresolved fault (``None`` when
+        it completed).  A source error that exhausts the retries is
+        re-raised unless the policy is ``partial``.
         """
+        policy = self.fault_policy
         allowed = 0 if policy == "fail-fast" else self.max_retries
         backoff_rng = random.Random(seed)
         faults: list[TaskFault] = []
@@ -1186,11 +1144,9 @@ class TemporalCoordinator:
                 )
             )
             if attempt <= allowed:
-                delay = min(
-                    self.backoff_max,
-                    self.backoff_base * (2 ** (attempt - 1)),
+                time.sleep(
+                    backoff_delay(attempt, self.backoff_base, 0.25, backoff_rng)
                 )
-                time.sleep(delay * (1.0 + 0.25 * backoff_rng.random()))
                 continue
             if source_error is not None and policy != "partial":
                 raise source_error
@@ -1269,7 +1225,7 @@ class TemporalCoordinator:
                 confidence=self.confidence,
                 normal_rank=detector.normal_rank,
                 threshold=float(detector.threshold),
-                tile_rows=self.tile_rows,
+                tile_rows=DEFAULT_TILE_ROWS,
                 separation_seconds=sep_s,
                 elapsed_seconds=time.perf_counter() - begin,
                 **report,
@@ -1664,8 +1620,7 @@ class SpatialCoordinator:
         zone fits (measures the fuse stage and pins every mode's native
         threshold into the report).  Disable when only the fitted plane
         is needed.
-    fault_policy, task_deadline, max_retries, backoff_base,
-    backoff_max, fault_seed, fault_plan:
+    fault_policy, task_deadline, max_retries, backoff_base, fault_plan:
         Supervision parameters of the parallel zone fits, exactly as
         for :class:`TemporalCoordinator`.  Under ``partial``, a zone
         whose fit is permanently lost is dropped from the plane: the
@@ -1688,8 +1643,6 @@ class SpatialCoordinator:
         task_deadline: float | None = None,
         max_retries: int = 2,
         backoff_base: float = 0.05,
-        backoff_max: float = 2.0,
-        fault_seed: int = 0,
         fault_plan=None,
     ) -> None:
         if num_zones < 1:
@@ -1706,23 +1659,16 @@ class SpatialCoordinator:
         self.threshold_sigma = threshold_sigma
         self.normal_rank = normal_rank
         self.score_training = score_training
-        self.fault_policy = resolve_policy(fault_policy, "fail-fast")
+        self.fault_policy = resolve_policy(fault_policy)
         self.task_deadline = task_deadline
         self.max_retries = int(max_retries)
         self.backoff_base = float(backoff_base)
-        self.backoff_max = float(backoff_max)
-        self.fault_seed = int(fault_seed)
         self.fault_plan = fault_plan
 
     # ------------------------------------------------------------------
-    def fit(
-        self,
-        measurements: np.ndarray,
-        fault_policy: str | None = None,
-    ) -> SpatialShardFit:
+    def fit(self, measurements: np.ndarray) -> SpatialShardFit:
         """Fit every zone (serially or fanned out over processes)."""
         begin = time.perf_counter()
-        policy = resolve_policy(fault_policy, self.fault_policy)
         measurements = np.ascontiguousarray(measurements, dtype=np.float64)
         if measurements.ndim != 2:
             raise ModelError(
@@ -1740,9 +1686,7 @@ class SpatialCoordinator:
             )
         workers = _worker_count(self.workers, len(zones))
 
-        fitted, timings, fault = self._fit_zones(
-            measurements, zones, workers, policy
-        )
+        fitted, timings, fault = self._fit_zones(measurements, zones, workers)
 
         alive = sorted(fitted)
         dead = tuple(
@@ -1802,8 +1746,8 @@ class SpatialCoordinator:
         )
         return SpatialShardFit(model=model, report=report)
 
-    def _fit_zones(self, measurements, zones, workers, policy):
-        with _task_runner(self, measurements, workers, policy) as (
+    def _fit_zones(self, measurements, zones, workers):
+        with _task_runner(self, measurements, workers) as (
             traffic,
             run_tasks,
         ):
@@ -1818,7 +1762,7 @@ class SpatialCoordinator:
                 for zone in zones
             ]
             run = run_tasks(_run_zone_task, tasks, stage="zones")
-        raise_if_lost(run, "spatial zone fits", policy)
+        raise_if_lost(run, "spatial zone fits", self.fault_policy)
         fitted: dict[int, SPEDetector] = {}
         timings: list[WorkerTiming] = []
         for index, output in enumerate(run.results):

@@ -15,9 +15,9 @@ supervision loop a production detection plane needs:
   is observed immediately, not at join time;
 * **bounded retry with exponential backoff + jitter** — every task gets
   ``1 + max_retries`` attempts; re-dispatch waits
-  ``min(backoff_max, backoff_base·2^(attempt-1))`` scaled by a seeded
-  jitter draw, so storms of correlated failures spread out but test
-  runs stay deterministic;
+  ``min(BACKOFF_MAX_SECONDS, backoff_base·2^(attempt-1))`` scaled by a
+  jitter draw from a fixed seed, so storms of correlated failures
+  spread out but test runs stay deterministic;
 * **task reassignment** — a retried task runs on any surviving (or
   freshly respawned) worker, never pinned to the one that failed;
 * a typed :class:`FaultReport` — per-task attempts, timeouts, retries,
@@ -40,6 +40,7 @@ handed to every worker at spawn, and the worker consults it per
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
 import time
@@ -51,6 +52,7 @@ from multiprocessing import connection as mp_connection
 from repro.exceptions import SupervisionError, ValidationError
 
 __all__ = [
+    "BACKOFF_MAX_SECONDS",
     "FAULT_POLICIES",
     "FaultReport",
     "PoolRun",
@@ -71,6 +73,9 @@ __all__ = [
 #:     proceeds from the surviving sufficient statistics and records
 #:     the ``coverage`` fraction.
 FAULT_POLICIES = ("fail-fast", "retry", "partial")
+
+#: Cap of one retry delay before jitter, in seconds.
+BACKOFF_MAX_SECONDS = 2.0
 
 #: Exit code a worker uses for an injected crash (distinguishable from
 #: a real segfault's negative signal code in the fault report detail).
@@ -191,14 +196,26 @@ def _worker_main(conn, worker_id: int, fault_plan) -> None:
             conn.send((task, attempt, "ok", result))
 
 
+def backoff_delay(
+    attempt: int, base: float, jitter: float, rng: random.Random
+) -> float:
+    """Seconds to wait before re-running after failed attempt ``attempt``:
+    ``min(BACKOFF_MAX_SECONDS, base·2^(attempt-1)) · (1 + jitter·u)``
+    with ``u`` drawn from ``rng``."""
+    delay = min(BACKOFF_MAX_SECONDS, base * (2 ** (attempt - 1)))
+    return delay * (1.0 + jitter * rng.random())
+
+
 class _Worker:
     """One supervised worker process plus its control pipe."""
 
-    def __init__(self, ctx, worker_id: int, fault_plan) -> None:
+    def __init__(self, worker_id: int, fault_plan) -> None:
         self.id = worker_id
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
+        # The platform's default start method (fork on Linux, matching
+        # the coordinators' zero-copy inheritance).
+        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
         self.conn = parent_conn
-        self.process = ctx.Process(
+        self.process = multiprocessing.Process(
             target=_worker_main,
             args=(child_conn, worker_id, fault_plan),
             name=f"repro-supervised-{worker_id}",
@@ -252,17 +269,14 @@ class SupervisedPool:
         set when the fault plan injects hangs).
     max_retries:
         Additional attempts after the first, per task.
-    backoff_base, backoff_max, jitter, seed:
+    backoff_base, jitter:
         Retry delay parameters: attempt ``a``'s re-dispatch waits
-        ``min(backoff_max, backoff_base·2^(a-1)) · (1 + jitter·u)``
-        with ``u`` drawn from a ``random.Random(seed)`` — deterministic
-        for a fixed seed.
+        ``min(BACKOFF_MAX_SECONDS, backoff_base·2^(a-1)) · (1 + jitter·u)``
+        with ``u`` drawn from ``random.Random(0)``, so a run's delays
+        are deterministic.
     fault_plan:
         Optional :class:`~repro.pipeline.faults.FaultPlan` handed to
         every worker (fault injection for tests/chaos).
-    mp_context:
-        Multiprocessing context; default is the platform default (fork
-        on Linux, matching the coordinators' zero-copy inheritance).
     """
 
     def __init__(
@@ -271,11 +285,8 @@ class SupervisedPool:
         deadline: float | None = None,
         max_retries: int = 2,
         backoff_base: float = 0.05,
-        backoff_max: float = 2.0,
         jitter: float = 0.25,
-        seed: int = 0,
         fault_plan=None,
-        mp_context=None,
     ) -> None:
         if workers < 1:
             raise ValidationError(f"workers must be >= 1, got {workers}")
@@ -291,20 +302,13 @@ class SupervisedPool:
                     "a fault plan that injects hangs requires a deadline "
                     "(otherwise the hang is unbounded)"
                 )
-        if mp_context is None:
-            import multiprocessing
-
-            mp_context = multiprocessing.get_context()
         self.workers = int(workers)
         self.deadline = deadline
         self.max_retries = int(max_retries)
         self.backoff_base = float(backoff_base)
-        self.backoff_max = float(backoff_max)
         self.jitter = float(jitter)
-        self.seed = int(seed)
         self.fault_plan = fault_plan
-        self._ctx = mp_context
-        self._rng = random.Random(seed)
+        self._rng = random.Random(0)
         self._pool: dict[int, _Worker] = {}
         self._next_worker_id = 0
         self._entered = False
@@ -323,16 +327,10 @@ class SupervisedPool:
         self._pool.clear()
 
     def _spawn(self) -> _Worker:
-        worker = _Worker(self._ctx, self._next_worker_id, self.fault_plan)
+        worker = _Worker(self._next_worker_id, self.fault_plan)
         self._next_worker_id += 1
         self._pool[worker.id] = worker
         return worker
-
-    def _backoff_delay(self, attempt: int) -> float:
-        base = min(
-            self.backoff_max, self.backoff_base * (2 ** (attempt - 1))
-        )
-        return base * (1.0 + self.jitter * self._rng.random())
 
     # ------------------------------------------------------------------
     def run(
@@ -374,7 +372,9 @@ class SupervisedPool:
                 resolved += 1
                 return
             retries += 1
-            due = time.monotonic() + self._backoff_delay(attempt)
+            due = time.monotonic() + backoff_delay(
+                attempt, self.backoff_base, self.jitter, self._rng
+            )
             delayed.append((due, task, attempt + 1))
 
         def dispatch(worker: _Worker, task: int, attempt: int) -> bool:
@@ -566,12 +566,11 @@ def raise_if_lost(
     )
 
 
-def resolve_policy(policy: str | None, default: str) -> str:
-    """Validate a fault policy, falling back to ``default``."""
-    resolved = default if policy is None else policy
-    if resolved not in FAULT_POLICIES:
+def resolve_policy(policy: str) -> str:
+    """Validate a fault policy."""
+    if policy not in FAULT_POLICIES:
         raise ValidationError(
-            f"unknown fault policy {resolved!r}; "
+            f"unknown fault policy {policy!r}; "
             f"choose from {FAULT_POLICIES}"
         )
-    return resolved
+    return policy

@@ -151,8 +151,13 @@ class ServiceConfig:
     Attributes
     ----------
     confidence, threshold_sigma, normal_rank, min_normal_rank,
-    max_normal_rank, tile_rows:
-        Model parameters, forwarded to the lifecycle manager.
+    max_normal_rank, dtype:
+        Fit settings of a lifecycle bootstrapped by
+        :meth:`DetectionService.from_warmup`; a service restored from a
+        checkpoint takes them from the checkpoint instead.  ``dtype`` is
+        the scoring precision, ``"float64"`` (default) or ``"float32"``:
+        fits always run in float64, and float32 SPE error is bounded by
+        :func:`~repro.core.subspace.float32_spe_band`.
     refit_interval:
         Automatically refit after this many rows ingested since the
         active version was trained; ``None`` leaves refits manual
@@ -174,12 +179,6 @@ class ServiceConfig:
         Automatically checkpoint after this many ingested rows
         (requires ``checkpoint_path``); ``None`` leaves checkpoints
         manual (``POST /checkpoint`` or SIGTERM).
-    dtype:
-        Scoring precision, ``"float64"`` (default) or ``"float32"``.
-        Fits — rank, threshold, components — always run in float64;
-        float32 only changes the per-row projection arithmetic, with
-        SPE error bounded by
-        :func:`~repro.core.subspace.float32_spe_band`.
     """
 
     confidence: float = 0.999
@@ -187,7 +186,6 @@ class ServiceConfig:
     normal_rank: int | None = None
     min_normal_rank: int = 1
     max_normal_rank: int | None = None
-    tile_rows: int = 1024
     refit_interval: int | None = None
     synchronous_refit: bool = False
     max_rows_per_request: int = 4096
@@ -210,7 +208,6 @@ class ServiceConfig:
             "normal_rank": self.normal_rank,
             "min_normal_rank": self.min_normal_rank,
             "max_normal_rank": self.max_normal_rank,
-            "tile_rows": self.tile_rows,
             "dtype": np.dtype(self.dtype),
         }
 
@@ -435,10 +432,12 @@ class DetectionService:
 
         The restored service scores under the same model version (the
         detector is refit bit-identically from the checkpointed rows),
-        exposes the same drift gauges, and resumes at the same stream
-        position — its next assigned bin continues where the
-        checkpointing process stopped.  Unreadable or torn files raise
-        :class:`~repro.exceptions.CheckpointError`.
+        exposes the same drift gauges and version history, and resumes
+        at the same stream position — its next assigned bin continues
+        where the checkpointing process stopped.  The fit settings
+        (confidence, σ, rank clamps, dtype) come from the checkpoint;
+        ``config`` supplies only the serving settings.  Unreadable or
+        torn files raise :class:`~repro.exceptions.CheckpointError`.
         """
         lifecycle = ModelLifecycleManager.restore(path)
         lifecycle.refit_hook = refit_hook
@@ -550,7 +549,7 @@ class DetectionService:
                 normal_rank=version.normal_rank,
                 forgetting=TRACKER_FORGETTING,
                 refresh_interval=TRACKER_INTERVAL,
-                confidence=self.config.confidence,
+                confidence=self.lifecycle.confidence,
             ).warm_up_from_moments(pca.mean, covariance)
             self._tracker_version = version
             self._tracker_row = version.activated_at_row
@@ -1127,11 +1126,11 @@ SubspaceModel.score_block` kernel — one call per contiguous run under
 
     def version_info(self) -> dict:
         """``/version`` payload: the active model plus full history."""
-        history = self.lifecycle.version_history()
+        history = self.lifecycle.version_summaries()
         return {
-            "current": history[-1].summary(),
-            "history": [version.summary() for version in history],
-            "dtype": self.config.dtype,
+            "current": history[-1],
+            "history": history,
+            "dtype": self.lifecycle.dtype.name,
         }
 
     def metrics_text(self) -> str:

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from functools import partial
 from urllib.parse import unquote
 
 import numpy as np
@@ -192,6 +193,9 @@ class ServiceHTTPServer:
     appends the fleet's tenant-labeled counters to ``GET /metrics``.
     ``service`` stays the primary engine: it serves the unprefixed
     routes and accounts transport-level faults (which have no tenant).
+    When it is one of the tenants, an unprefixed ``POST /ingest`` goes
+    through the registry as ``POST /ingest/<its tenant>`` would, so the
+    tenant counters see every row it accepts.
     """
 
     def __init__(
@@ -205,6 +209,13 @@ class ServiceHTTPServer:
         self.host = host
         self.port = port
         self.tenants = tenants
+        # The tenant the primary engine serves, if it is one.
+        self._primary_tenant = None
+        if tenants is not None:
+            self._primary_tenant = next(
+                (t for t in tenants.tenants if tenants.service(t) is service),
+                None,
+            )
         self._server: asyncio.Server | None = None
         self.shutdown_event = asyncio.Event()
         self._routes = {
@@ -400,10 +411,7 @@ class ServiceHTTPServer:
                 "application/json",
             )
         return self._route_ingest(
-            body,
-            ingest_block=lambda rows, bins: self.tenants.ingest_block(
-                tenant_id, rows, bins=bins
-            ),
+            body, ingest_block=partial(self.tenants.ingest_block, tenant_id)
         )
 
     def _route_ingest(
@@ -418,7 +426,11 @@ class ServiceHTTPServer:
         pass, bit-identical to per-row ingestion.
         """
         if ingest_block is None:
-            ingest_block = self.service.ingest_block
+            ingest_block = (
+                self.service.ingest_block
+                if self._primary_tenant is None
+                else partial(self.tenants.ingest_block, self._primary_tenant)
+            )
         try:
             payload = self._parse_json(body)
         except _HTTPError as err:

@@ -112,6 +112,8 @@ class ModelLifecycleManager:
     ``refit_hook`` is a zero-argument callable invoked at the start of
     every candidate fit — the fault-injection tests use it to force a
     refit failure and assert the active model survives untouched.
+    Every fit folds :data:`~repro.core.suffstats.DEFAULT_TILE_ROWS`-row
+    tiles.
     """
 
     def __init__(
@@ -121,7 +123,6 @@ class ModelLifecycleManager:
         normal_rank: int | None = None,
         min_normal_rank: int = 1,
         max_normal_rank: int | None = None,
-        tile_rows: int = DEFAULT_TILE_ROWS,
         refit_hook: Callable[[], None] | None = None,
         dtype: np.dtype | type | str = np.float64,
     ) -> None:
@@ -130,13 +131,15 @@ class ModelLifecycleManager:
         self.requested_rank = normal_rank
         self.min_normal_rank = min_normal_rank
         self.max_normal_rank = max_normal_rank
-        self.tile_rows = tile_rows
         self.refit_hook = refit_hook
         self.dtype = np.dtype(dtype)
         self._lock = threading.RLock()
         self._history: RowStore | None = None
         self._current: ModelVersion | None = None
         self._retired: list[ModelVersion] = []
+        #: Summaries of the versions retired before the checkpoint this
+        #: manager was restored from (their detectors are not kept).
+        self._restored_retired: tuple[dict, ...] = ()
         #: Side-channel state from the checkpoint that restored this
         #: manager ({} when constructed fresh) — the service layer uses
         #: it to resume its own counters (warmup/stream row tallies).
@@ -176,17 +179,27 @@ class ModelLifecycleManager:
             return self._current is not None
 
     def version_history(self) -> list[ModelVersion]:
-        """Every version ever activated, oldest first (active one last)."""
+        """Every version activated in this process, oldest first (active
+        one last); a restored manager starts from the restored version."""
         with self._lock:
             history = list(self._retired)
             if self._current is not None:
                 history.append(self._current)
             return history
 
+    def version_summaries(self) -> list[dict]:
+        """:meth:`ModelVersion.summary` of every version ever activated,
+        oldest first, including those retired before a restore."""
+        with self._lock:
+            return [
+                *self._restored_retired,
+                *(version.summary() for version in self.version_history()),
+            ]
+
     # ------------------------------------------------------------------
     def bootstrap(self, warmup: np.ndarray) -> ModelVersion:
         """Fit version 1 from a ``(t, m)`` warmup block."""
-        history = warmup_history(warmup, self.tile_rows)
+        history = warmup_history(warmup)
         with self._lock:
             if self._current is not None:
                 raise ServiceError("lifecycle is already bootstrapped")
@@ -277,7 +290,6 @@ class ModelLifecycleManager:
             "normal_rank": self.requested_rank,
             "min_normal_rank": self.min_normal_rank,
             "max_normal_rank": self.max_normal_rank,
-            "tile_rows": self.tile_rows,
             "dtype": self.dtype,
         }
 
@@ -340,11 +352,11 @@ class ModelLifecycleManager:
         """Serialize the full lifecycle state to ``path`` atomically.
 
         The payload carries the history's rows as tiles (``"blocks"``:
-        one ``(tile_rows, m)`` array per full tile, then the open tile's
-        rows; restore derives the statistics from them), the version
-        bookkeeping, the fit configuration, and an optional ``extra``
-        dict of caller state (the service stores its row counters
-        there).  The write goes through
+        one ``(DEFAULT_TILE_ROWS, m)`` array per full tile, then the open
+        tile's rows; restore derives the statistics from them), the
+        summaries of every version, the fit configuration, and an
+        optional ``extra`` dict of caller state (the service stores its
+        row counters there).  The write goes through
         :func:`~repro._util.atomic_pickle_dump` — temp file in the same
         directory, fsync, ``os.replace`` — so a crash mid-write leaves
         the previous complete checkpoint, never a torn file.  Returns
@@ -353,13 +365,18 @@ class ModelLifecycleManager:
         with self._lock:
             if self._current is None:
                 raise ServiceError("bootstrap the lifecycle first")
+            *retired, current = self.version_summaries()
             payload = {
                 "schema_version": CHECKPOINT_SCHEMA_VERSION,
-                "config": {**self.fit_config(), "dtype": str(self.dtype)},
+                "config": {
+                    **self.fit_config(),
+                    "tile_rows": DEFAULT_TILE_ROWS,
+                    "dtype": str(self.dtype),
+                },
                 "blocks": list(self._history.snapshot().tiles),
                 "rows": self._history.rows,
-                "current": self._current.summary(),
-                "retired": [v.summary() for v in self._retired],
+                "current": current,
+                "retired": retired,
                 "extra": dict(extra or {}),
             }
         atomic_pickle_dump(path, payload)
@@ -376,10 +393,13 @@ class ModelLifecycleManager:
         prefix* rather than unpickled, which keeps the checkpoint free
         of fitted-model internals; the restored detector is
         bit-identical to the one that wrote the checkpoint (the restore
-        tests pin threshold, mean, and components bitwise).
+        tests pin threshold, mean, and components bitwise).  The fit
+        settings and the retired versions' summaries come from the
+        checkpoint too.
 
         A file that cannot be read or unpickled — truncated, scribbled,
-        missing — raises :class:`~repro.exceptions.CheckpointError`,
+        missing, or written with tiles of another height — raises
+        :class:`~repro.exceptions.CheckpointError`,
         whatever the unpickler tripped on (damaged bytes surface as
         ``OverflowError``, ``TypeError`` and more besides the usual
         ``UnpicklingError``); a readable payload from an incompatible
@@ -405,13 +425,18 @@ class ModelLifecycleManager:
             )
         try:
             config = payload["config"]
+            if config["tile_rows"] != DEFAULT_TILE_ROWS:
+                raise CheckpointError(
+                    f"service checkpoint {path} holds "
+                    f"{config['tile_rows']}-row tiles, not "
+                    f"{DEFAULT_TILE_ROWS}"
+                )
             manager = cls(
                 confidence=config["confidence"],
                 threshold_sigma=config["threshold_sigma"],
                 normal_rank=config["normal_rank"],
                 min_normal_rank=config["min_normal_rank"],
                 max_normal_rank=config["max_normal_rank"],
-                tile_rows=config["tile_rows"],
                 # Schema-1 checkpoints written before the dtype knob
                 # existed carry no entry; those models scored in float64.
                 dtype=config.get("dtype", "float64"),
@@ -419,8 +444,9 @@ class ModelLifecycleManager:
             current = payload["current"]
             rows = int(payload["rows"])
             trained = int(current["trained_rows"])
+            retired = tuple(dict(summary) for summary in payload["retired"])
             blocks = [np.asarray(b, dtype=np.float64) for b in payload["blocks"]]
-            history = RowStore(np.shape(blocks[0])[1], manager.tile_rows)
+            history = RowStore(np.shape(blocks[0])[1])
             for block in blocks:
                 history.append(block)
         except (KeyError, TypeError, ValueError, IndexError, ModelError) as err:
@@ -433,6 +459,7 @@ class ModelLifecycleManager:
                 f"claims {rows} ({trained} trained)"
             )
         manager.restored_extra = dict(payload.get("extra") or {})
+        manager._restored_retired = retired
         with manager._lock:
             manager._history = history
             # Refit on the trained prefix only: rows ingested after the
@@ -462,7 +489,7 @@ def fit_history(config: dict, snapshot: HistorySnapshot) -> SPEDetector:
     return fit.detector
 
 
-def warmup_history(warmup: np.ndarray, tile_rows: int) -> RowStore:
+def warmup_history(warmup: np.ndarray) -> RowStore:
     """The tile-packed history of a ``(t, m)`` warmup of >= 2 rows."""
     warmup = ensure_matrix(
         warmup, name="warmup", error=ServiceError, check_finite=False
@@ -471,6 +498,6 @@ def warmup_history(warmup: np.ndarray, tile_rows: int) -> RowStore:
         raise ServiceError(
             f"warmup needs at least 2 rows, got {warmup.shape[0]}"
         )
-    history = RowStore(warmup.shape[1], tile_rows)
+    history = RowStore(warmup.shape[1])
     history.append(warmup)
     return history

@@ -150,7 +150,7 @@ def bootstrap_lifecycles(
     config = config or ServiceConfig()
     knobs = config.fit_config()
     histories = {
-        _validate_tenant_id(tenant_id): warmup_history(warmup, config.tile_rows)
+        _validate_tenant_id(tenant_id): warmup_history(warmup)
         for tenant_id, warmup in warmups.items()
     }
     payloads = [(knobs, history.snapshot()) for history in histories.values()]
@@ -255,9 +255,10 @@ class MultiTenantService:
     ) -> "MultiTenantService":
         """Rebuild every tenant engine from a namespaced directory.
 
-        Each restored engine refits from its checkpointed rows, so
-        every tenant scores bit-identically to the service that wrote
-        the checkpoints.
+        Each restored engine refits from its checkpointed rows under the
+        fit settings in its checkpoint, so every tenant scores
+        bit-identically to the service that wrote the checkpoints;
+        ``config`` supplies only the serving settings.
         """
         root = Path(checkpoint_dir)
         checkpoints = tenant_checkpoints(root)

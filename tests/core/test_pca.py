@@ -30,10 +30,6 @@ class TestFit:
         pca = PCA().fit(anisotropic_data)
         assert np.allclose(pca.mean, anisotropic_data.mean(axis=0))
 
-    def test_no_centering_option(self, anisotropic_data):
-        pca = PCA(center=False).fit(anisotropic_data)
-        assert np.allclose(pca.mean, 0.0)
-
     def test_captured_variance_matches_projection_norm(self, anisotropic_data):
         """The paper's definition: lambda_i = ||Y v_i||^2 on centered Y."""
         pca = PCA().fit(anisotropic_data)

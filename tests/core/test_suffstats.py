@@ -37,9 +37,6 @@ class TestFromBlock:
             stats.centered_gram(), centered.T @ centered, rtol=1e-10
         )
         assert np.allclose(
-            stats.uncentered_gram(), block.T @ block, rtol=1e-10
-        )
-        assert np.allclose(
             stats.covariance(), np.cov(block, rowvar=False), rtol=1e-10
         )
 
@@ -191,14 +188,6 @@ class TestFitFromStats:
         assert isinstance(finalized, FinalizedStats)
         fitted = PCA().fit_from_stats(finalized)
         assert fitted.num_samples == block.shape[0]
-
-    def test_center_false_consistent(self, block):
-        mono = PCA(center=False, method="gram").fit(block)
-        fitted = PCA(center=False, method="gram").fit_from_stats(
-            SufficientStats.from_block(block)
-        )
-        assert np.array_equal(mono.components, fitted.components)
-        assert np.array_equal(mono.mean, fitted.mean)
 
     def test_rejects_svd_methods(self, block):
         stats = SufficientStats.from_block(block)

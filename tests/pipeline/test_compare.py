@@ -1,9 +1,11 @@
 """Tests for the multi-detector comparison engine."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.exceptions import ValidationError
+from repro.exceptions import SupervisionError, ValidationError
 from repro.pipeline import ComparisonRunner
 from repro.pipeline.compare import ComparisonScenario, scenario_trace
 
@@ -281,6 +283,54 @@ class TestFitOnceEngine:
         with pytest.raises(ValueError, match="read-only"):
             runner.run()
 
+    def test_dead_worker_raises_and_releases_memory(
+        self, small_dataset, monkeypatch
+    ):
+        """A worker that dies mid-fit raises a typed error within the
+        timeout, instead of leaving the run waiting on its task, and
+        every shared-memory block the run created is unlinked."""
+        from multiprocessing import shared_memory
+
+        from repro import detectors
+        from repro.pipeline import compare
+
+        created = []
+        share_array = compare.share_array
+
+        def recording(array, segments):
+            ref = share_array(array, segments)
+            created.append(ref.name)
+            return ref
+
+        monkeypatch.setattr(compare, "share_array", recording)
+        detectors.register(
+            "crashing-fourier", _crashing_factory, overwrite=True
+        )
+        runner = ComparisonRunner(
+            [small_dataset],
+            detectors=("crashing-fourier", "ewma"),
+            injection_sizes=(3.0e7,),
+            num_injections=4,
+            workers=2,
+        )
+        outcome = {}
+
+        def run():
+            try:
+                runner.run()
+            except Exception as err:  # noqa: BLE001 - asserted below
+                outcome["error"] = err
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "run() hung on a dead worker"
+        assert isinstance(outcome.get("error"), SupervisionError)
+        assert created
+        for name in created:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+
     def test_serial_and_parallel_json_byte_identical(self, small_dataset):
         import json
 
@@ -371,6 +421,22 @@ class TestConfidenceLevels:
 def _counting_factory(**kwargs):
     # Module-level so it pickles under any multiprocessing start method.
     return _CountingFourier(**kwargs)
+
+
+def _crashing_factory(**kwargs):
+    # Module-level so it pickles under any multiprocessing start method.
+    return _Crashing()
+
+
+class _Crashing:
+    """A detector whose fit kills the worker process that runs it."""
+
+    name = "crashing-fourier"
+
+    def fit(self, measurements):
+        import os
+
+        os._exit(3)
 
 
 def _mutating_factory(**kwargs):

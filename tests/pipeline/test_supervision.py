@@ -13,6 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.suffstats import DEFAULT_TILE_ROWS, SufficientStats
 from repro.exceptions import (
     CheckpointError,
     ModelError,
@@ -21,6 +22,7 @@ from repro.exceptions import (
 )
 from repro.pipeline.faults import FaultInjector, FaultPlan, WorkerFault
 from repro.pipeline.sharded import (
+    STREAM_CHECKPOINT_SCHEMA_VERSION,
     SpatialCoordinator,
     TemporalCoordinator,
 )
@@ -191,10 +193,9 @@ class TestFaultReport:
             raise_if_lost(lossy, "chunk", "retry")
 
     def test_resolve_policy_validates(self):
-        assert resolve_policy(None, "retry") == "retry"
-        assert resolve_policy("partial", "retry") == "partial"
+        assert resolve_policy("partial") == "partial"
         with pytest.raises(ValidationError):
-            resolve_policy("best-effort", "retry")
+            resolve_policy("best-effort")
 
     def test_fault_plan_matching_window(self):
         fault = WorkerFault(task=2, stage="stats", first_attempt=1,
@@ -268,9 +269,6 @@ class TestTemporalFaultPolicies:
     def test_policy_validation(self, tall_block):
         with pytest.raises(ValidationError):
             TemporalCoordinator(num_shards=2, fault_policy="optimistic")
-        coordinator = TemporalCoordinator(num_shards=2)
-        with pytest.raises(ValidationError):
-            coordinator.fit(tall_block, fault_policy="optimistic")
 
 
 class TestStreamFaults:
@@ -389,18 +387,41 @@ class TestStreamFaults:
         kinds = [f.kind for f in fit.report.fault.faults]
         assert "corrupt_checkpoint" in kinds
 
-    def test_checkpoint_tile_mismatch_is_a_model_error(
+    def test_checkpoint_on_other_tiles_is_a_corrupt_checkpoint(
         self, tall_block, tmp_path
     ):
+        """A stream checkpoint whose statistics fold other tiles than
+        every fit does cannot be resumed: the fit records the fault,
+        starts fresh, and ends on the clean bits."""
         path = tmp_path / "stream.ckpt"
+        with path.open("wb") as handle:
+            pickle.dump(
+                {
+                    "schema_version": STREAM_CHECKPOINT_SCHEMA_VERSION,
+                    "tile_rows": 256,
+                    "dtype": "float64",
+                    "intervals": ((0, 400),),
+                    "stats": SufficientStats.from_block(
+                        tall_block[:400], tile_rows=256
+                    ),
+                    "timings": (),
+                    "merge_seconds": 0.0,
+                },
+                handle,
+            )
         source = FaultInjector.chunk_source(tall_block, self.CHUNK)
-        TemporalCoordinator(
-            num_shards=2, workers=1, tile_rows=256
-        ).fit_stream(source, checkpoint_path=path)
-        with pytest.raises(ModelError, match="tile_rows"):
-            TemporalCoordinator(
-                num_shards=2, workers=1, tile_rows=512
-            ).fit_stream(source, checkpoint_path=path)
+        fit = self.coordinator().fit_stream(
+            source, checkpoint_path=path,
+            expected_rows=tall_block.shape[0],
+        )
+        assert same_model(fit.detector, self.fit_clean(tall_block).detector)
+        faults = fit.report.fault.faults
+        assert [f.kind for f in faults] == ["corrupt_checkpoint"]
+        assert "256-row tiles" in faults[0].detail
+        with path.open("rb") as handle:
+            rewritten = pickle.load(handle)
+        assert rewritten["tile_rows"] == DEFAULT_TILE_ROWS
+        assert rewritten["stats"].tile_rows == DEFAULT_TILE_ROWS
 
     def test_negative_start_row_is_rejected(self, tall_block):
         def source():

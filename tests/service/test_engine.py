@@ -501,6 +501,35 @@ class TestObservability:
         assert [v["version"] for v in info["history"]] == [1, 2]
         assert info["history"][0]["retired_at_row"] == warmup + 1
 
+    def test_version_history_survives_warm_restarts(
+        self, service_split, make_service, tmp_path
+    ):
+        """``/version`` keeps every version across restarts: a restored
+        service reports the writer's history, and its next checkpoint
+        writes that history again."""
+        dataset, warmup = service_split
+        service = make_service()
+        for start in (warmup, warmup + 10):
+            service.ingest_block(dataset.link_traffic[start : start + 10])
+            service.refit()
+        path = tmp_path / "service.ckpt"
+        service.checkpoint(path)
+        restored = DetectionService.from_checkpoint(path)
+        assert restored.version_info() == service.version_info()
+        assert [
+            v["version"] for v in restored.version_info()["history"]
+        ] == [1, 2, 3]
+        restored.ingest_block(dataset.link_traffic[warmup + 20 : warmup + 30])
+        restored.refit()
+        restored.checkpoint(path)
+        again = DetectionService.from_checkpoint(path)
+        assert again.version_info() == restored.version_info()
+        history = again.version_info()["history"]
+        assert [v["version"] for v in history] == [1, 2, 3, 4]
+        assert [v["retired_at_row"] for v in history] == [
+            warmup + 10, warmup + 20, warmup + 30, None
+        ]
+
     def test_metrics_text_exposes_the_catalog(
         self, service_split, make_service
     ):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from repro.core import SufficientStats
-from repro.core.suffstats import DEFAULT_TILE_ROWS
+from repro.core.detection import SPEDetector
+from repro.core.suffstats import DEFAULT_TILE_ROWS, RowStore
 from repro.exceptions import ModelError, ServiceError
 from repro.pipeline import DetectionPipeline
 from repro.service import ModelLifecycleManager
@@ -354,6 +355,23 @@ class TestAtomicCheckpoint:
                 escaped.append((trial, "restored"))
         assert escaped == []
 
+    def test_checkpoint_on_other_tiles_is_refused(self, manager, tmp_path):
+        """Every fit folds DEFAULT_TILE_ROWS-row tiles; a checkpoint that
+        records another tile height cannot restore."""
+        from repro.exceptions import CheckpointError
+
+        _, _, lifecycle = manager
+        path = tmp_path / "state.pkl"
+        lifecycle.checkpoint(path)
+        with path.open("rb") as handle:
+            payload = pickle.load(handle)
+        assert payload["config"]["tile_rows"] == DEFAULT_TILE_ROWS
+        payload["config"]["tile_rows"] = 256
+        with path.open("wb") as handle:
+            pickle.dump(payload, handle)
+        with pytest.raises(CheckpointError, match="256-row tiles"):
+            ModelLifecycleManager.restore(path)
+
     def test_missing_file_raises_checkpoint_error(self, tmp_path):
         from repro.exceptions import CheckpointError
 
@@ -374,8 +392,15 @@ class TestConcurrentSnapshots:
         snapshot holds exactly the rows appended before it, and still
         does after the tiles it viewed have filled and frozen."""
         block = np.random.default_rng(2).normal(size=(4000, 4))
-        lifecycle = ModelLifecycleManager(tile_rows=64, normal_rank=1)
-        lifecycle.bootstrap(block[:10])
+        # 64-row tiles, so about 62 of them freeze while snapshots run.
+        history = RowStore(4, tile_rows=64)
+        history.append(block[:10])
+        lifecycle = ModelLifecycleManager.from_fitted(
+            SPEDetector(normal_rank=1).fit(block[:10]),
+            history,
+            trained_rows=10,
+            normal_rank=1,
+        )
         snapshots = []
         done = threading.Event()
         ready = threading.Barrier(4, timeout=30)

@@ -48,6 +48,24 @@ def fresh_rows(tenant_id, rows=8, start_row=WARMUP):
     )
 
 
+def sample(text, name):
+    """The sample text of one metric (as rendered) in an exposition."""
+    for line in text.splitlines():
+        if line.startswith(name + " "):
+            return line.rsplit(" ", 1)[1]
+    raise AssertionError(f"{name} is not exposed")
+
+
+def drift_gauges(service):
+    """The drift tracker's two gauges, as rendered (shortest round-trip
+    ``repr``, so equal strings are equal bits)."""
+    text = service.metrics_text()
+    return (
+        sample(text, "repro_tracker_threshold"),
+        sample(text, "repro_tracker_drift_radians"),
+    )
+
+
 @pytest.fixture
 def front(tmp_path):
     front = MultiTenantService.from_warmups(
@@ -154,6 +172,29 @@ class TestHTTPRoutes:
         assert 'repro_tenant_ingest_errors_total{tenant="acme"} 1' in text
         assert 'repro_tenant_rows_ingested_total{tenant="acme"} 2' in text
 
+    def test_unprefixed_ingest_counts_under_the_primary_tenant(
+        self, run_server, front
+    ):
+        """``POST /ingest`` on a multi-tenant server is the primary
+        tenant's ingest: its tenant counter sees those rows too."""
+        engine = front.service("acme")
+        server = run_server(engine, tenants=front)
+        rows = fresh_rows("acme", 5)
+        status, body = server.post_json("/ingest", {"rows": rows[:3].tolist()})
+        assert status == 200 and body["accepted"] == 3
+        status, body = server.post_json(
+            "/ingest/acme", {"rows": rows[3:].tolist()}
+        )
+        assert status == 200 and body["accepted"] == 2
+        assert engine.rows_ingested == 5
+        tenant_rows = sample(
+            front.metrics_text(), 'repro_tenant_rows_ingested_total{tenant="acme"}'
+        )
+        assert tenant_rows == sample(
+            engine.metrics_text(), "repro_rows_ingested_total"
+        )
+        assert float(tenant_rows) == 5
+
     def test_unknown_tenant_404_with_reason(self, run_server, front):
         server = run_server(
             front.service(front.tenants[0]), tenants=front
@@ -190,6 +231,32 @@ class TestHTTPRoutes:
 
 
 class TestCheckpointRestore:
+    def test_restore_takes_fit_settings_from_the_checkpoint(
+        self, run_server, tmp_path
+    ):
+        """A service bootstrapped at float32 and confidence 0.99 and
+        restored under a default config — alone, or with every tenant —
+        keeps the writer's fit settings: ``/version`` reports float32
+        and the drift gauges carry the writer's bits."""
+        config = ServiceConfig(dtype="float32", confidence=0.99)
+        writer = MultiTenantService.from_warmups(
+            tenant_warmups("acme"), config, checkpoint_dir=tmp_path
+        )
+        writer.ingest_block("acme", fresh_rows("acme", 80))
+        expected = drift_gauges(writer.service("acme"))
+        path = writer.checkpoint()["acme"]["path"]
+        writer.close()
+
+        alone = DetectionService.from_checkpoint(path, config=ServiceConfig())
+        fleet = MultiTenantService.restore(tmp_path, config=ServiceConfig())
+        for service, tenants in ((alone, None), (fleet.service("acme"), fleet)):
+            assert service.lifecycle.dtype == np.float32
+            assert service.lifecycle.confidence == 0.99
+            server = run_server(service, tenants=tenants)
+            status, info = server.get_json("/version")
+            assert status == 200 and info["dtype"] == "float32"
+            assert drift_gauges(service) == expected
+
     def test_restore_every_tenant_bitwise(self, tmp_path):
         front = MultiTenantService.from_warmups(
             tenant_warmups("acme", "umbrella/eu"), checkpoint_dir=tmp_path
