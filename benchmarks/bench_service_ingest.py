@@ -20,6 +20,12 @@ Measures rows/second through four paths on a sprint-like dataset:
   which the server now feeds through ``ingest_block``) — what an
   operator actually deploys.
 
+It also times one ``GET /metrics`` exposition of a
+``SCRAPE_TENANTS``-tenant ``MultiTenantService`` (the primary engine's
+exposition, then the fleet's tenant-labeled counters, as the server
+renders it), the median of ``SCRAPE_REPEATS`` renders, in process.  It
+is recorded with no floor: this host's timings are too noisy for one.
+
 Three floors are enforced:
 
 * the in-process engine sustains well over the paper's operational
@@ -69,6 +75,10 @@ STORM_LINK = 0
 
 #: Interleaved ordinary/storm block passes; each rate is the median.
 PASSES = 3
+
+#: Tenants behind the timed exposition, and the renders it is timed over.
+SCRAPE_TENANTS = 16
+SCRAPE_REPEATS = 200
 
 WARMUP_ROWS = 720
 STREAM_ROWS = 1000
@@ -128,6 +138,7 @@ def measure_ingest() -> dict[str, float]:
     batch_s = time.perf_counter() - begin
 
     http_rows_per_sec = _measure_http(dataset, warmup, stream[:HTTP_ROWS])
+    scrape_s, exposition_lines = _measure_scrape(warmup, stream[:CHUNK])
 
     engine_rows_per_sec = stream.shape[0] / per_row_s
     block_rows_per_sec = stream.shape[0] / block_s
@@ -151,6 +162,9 @@ def measure_ingest() -> dict[str, float]:
         "storm_ratio": storm_rows_per_sec / block_rows_per_sec,
         "storm_spike_bytes": STORM_SPIKE_BYTES,
         "http_rows_per_sec": http_rows_per_sec,
+        "scrape_tenants": SCRAPE_TENANTS,
+        "scrape_render_p50_seconds": scrape_s,
+        "exposition_lines": exposition_lines,
         "min_engine_rows_per_sec": MIN_ENGINE_ROWS_PER_SEC,
         "min_block_speedup": MIN_BLOCK_SPEEDUP,
         "min_storm_ratio": MIN_STORM_RATIO,
@@ -225,6 +239,33 @@ def _measure_http(dataset, warmup, stream) -> float:
     return stream.shape[0] / elapsed
 
 
+def _measure_scrape(warmup, block) -> tuple[float, int]:
+    """Median seconds of one multi-tenant exposition, and its lines.
+
+    Every tenant bootstraps on ``warmup`` and ingests ``block``, so each
+    tenant-labeled counter has a child per tenant."""
+    from repro.service.tenants import MultiTenantService
+
+    fleet = MultiTenantService.from_warmups(
+        {f"tenant-{index:02d}": warmup for index in range(SCRAPE_TENANTS)}
+    )
+    for tenant in fleet.tenants:
+        fleet.ingest_block(tenant, block)
+    primary = fleet.service(fleet.tenants[0])
+
+    def scrape() -> str:
+        return primary.metrics_text() + fleet.metrics_text()
+
+    lines = len(scrape().splitlines())
+    samples = []
+    for _ in range(SCRAPE_REPEATS):
+        begin = time.perf_counter()
+        scrape()
+        samples.append(time.perf_counter() - begin)
+    fleet.close()
+    return float(np.median(samples)), lines
+
+
 def check_floors(stats: dict[str, float]) -> list[str]:
     """Violations (empty = pass)."""
     failures: list[str] = []
@@ -269,6 +310,9 @@ def render(stats: dict[str, float]) -> str:
             f"engine batched:   {stats['engine_batch_rows_per_sec']:>10.0f}"
             " rows/s",
             f"http loopback:    {stats['http_rows_per_sec']:>10.0f} rows/s",
+            f"scrape:           {stats['scrape_render_p50_seconds'] * 1e6:>10.1f}"
+            f" us p50 ({stats['exposition_lines']} lines, "
+            f"{stats['scrape_tenants']} tenants + primary)",
             f"floors:           {stats['min_engine_rows_per_sec']:>10.0f}"
             " rows/s (engine per-row), "
             f"{stats['min_block_speedup']:.0f}x per-row (block path), "

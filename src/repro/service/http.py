@@ -1,6 +1,6 @@
 """Stdlib-asyncio HTTP front end for :class:`DetectionService`.
 
-A deliberately small HTTP/1.1 server on ``asyncio.start_server`` — the
+A deliberately small HTTP/1.1 server on ``loop.create_server`` — the
 container ships no web framework, and the service needs exactly seven
 routes:
 
@@ -13,8 +13,8 @@ GET    /metrics    Prometheus text exposition (format 0.0.4).
 GET    /health     Liveness JSON; ``status: ok`` whenever serving.
 GET    /version    Active model version + full swap history.
 POST   /refit      Refit now (``{"wait": false}`` → background, 202).
-POST   /checkpoint Persist the lifecycle atomically (``{"path": ...}``
-                   overrides the configured destination).
+POST   /checkpoint Persist the lifecycle atomically to the configured
+                   path (a body naming a path is a 400).
 POST   /shutdown   Graceful stop after the response is written (a
                    configured checkpoint path makes the stop warm).
 ====== =========== ====================================================
@@ -26,13 +26,21 @@ one is configured, so an orchestrator's ordinary kill restarts warm.
 
 Transport faults never reach the engine as crashes: oversized bodies,
 stalled reads, malformed framing, and mid-request disconnects each map
-to one reason token on the service's error counter, and the connection
-handler survives to serve the next client.
+to one reason token on the service's error counter, and the server
+survives to serve the next client.
 
-Every read of a request (its line, each header line, the body) runs
-under its own ``read_timeout`` deadline; a read whose bytes are already
-buffered returns without an event-loop iteration, so after each
-response the connection yields once to let other connections in.
+Each connection is one :class:`asyncio.Protocol`.  When bytes arrive,
+the same callback parses the next whole request from the connection's
+buffer, dispatches it and writes the response; a request is one
+synchronous step, with no task wake-up per read.  Each piece of a
+request (its line, each header line, the body) must arrive within
+``read_timeout`` of the previous piece, kept by one timer per
+connection: a request that stalls part-way gets a 408, while a
+connection idle between requests is closed quietly and counts nothing.
+When another request is already buffered, the connection answers it on
+the next event-loop iteration, so a pipelining client cannot hold off
+other connections.  While the client does not read its responses, the
+connection stops reading too, so its buffers stay bounded.
 
 The 200 body of an ingest is formatted straight from the engine's
 :class:`~repro.service.engine.BlockSegment` arrays by
@@ -56,7 +64,15 @@ from repro.service.engine import BlockResult, DetectionService
 __all__ = ["ServiceHTTPServer", "serve", "encode_ingest_response"]
 
 _MAX_HEADER_LINES = 100
+#: The longest request line and header line, terminator included.
 _MAX_REQUEST_LINE = 8192
+_MAX_HEADER_LINE = 1 << 16
+#: A connection with a request queued stops reading once it buffers
+#: more than this, until it has answered what it holds.
+_READ_AHEAD = 1 << 16
+
+#: The pieces of a request, in the order they arrive.
+_REQUEST_LINE, _HEADERS, _BODY = range(3)
 
 
 class _HTTPError(Exception):
@@ -173,15 +189,270 @@ def _alarm_rows(
     )
 
 
-async def _read_line(
-    reader: asyncio.StreamReader, timeout: float, what: str
+def _response(
+    status: int,
+    payload: object,
+    content_type: str = "application/json",
+    close: bool = False,
 ) -> bytes:
-    """One line under its own deadline; over-long lines are a 400."""
-    try:
-        async with asyncio.timeout(timeout):
-            return await reader.readline()
-    except ValueError as err:  # the line overran the reader's buffer
-        raise _HTTPError(400, "bad_request", f"{what} too long") from err
+    """One HTTP/1.1 response: a str payload is the body, anything else
+    is sent as sorted-key JSON."""
+    if isinstance(payload, str):
+        body = payload.encode("utf-8")
+    else:
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    head = (
+        f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: {'close' if close else 'keep-alive'}\r\n"
+        "\r\n"
+    ).encode("latin-1")
+    return head + body
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection, served from its receive buffer.
+
+    ``_serve`` answers at most one request per call: it parses the next
+    whole request, dispatches it and writes the response, then queues
+    itself for the next loop iteration if more bytes are buffered.  One
+    timer keeps the read deadline: ``_deadline`` moves forward each time
+    a piece of a request completes, and the timer re-arms itself when
+    it fires before the current deadline.
+    """
+
+    def __init__(self, server: "ServiceHTTPServer") -> None:
+        self._server = server
+        self._service = server.service
+        self._timeout = server.service.config.read_timeout
+        self._buffer = bytearray()
+        #: Where the search for the current line's end resumes.
+        self._scan = 0
+        self._part = _REQUEST_LINE
+        self._request: tuple[str, str] = ("", "")
+        self._header_lines = 0
+        self._content_length = ""
+        self._body_length = 0
+        #: A piece of a request completed since the deadline was set.
+        self._progress = False
+        self._deadline = 0.0
+        self._timer: asyncio.TimerHandle | None = None
+        #: A ``_serve`` call is queued on the loop.
+        self._scheduled = False
+        #: The client is not reading; nor is the connection.
+        self._paused = False
+        self._eof = False
+        self._closed = False
+
+    # -- asyncio.Protocol ------------------------------------------------
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+        self._loop = asyncio.get_running_loop()
+        self._server._connections.add(self)
+        self._arm()
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        if not (self._scheduled or self._paused):
+            self._serve()
+        elif len(self._buffer) > _READ_AHEAD:
+            self._transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        if not (self._scheduled or self._paused):
+            self._await_bytes()
+        return True  # stay open to finish writing; _await_bytes closes
+
+    def pause_writing(self) -> None:
+        self._paused = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._schedule()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._server._connections.discard(self)
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        if not self._closed:
+            self._closed = True
+            if self._mid_request or exc is not None:
+                self._service.record_error(
+                    "client_disconnect",
+                    detail="connection dropped mid-request"
+                    if self._mid_request
+                    else "connection dropped",
+                )
+
+    # ------------------------------------------------------------------
+    @property
+    def _mid_request(self) -> bool:
+        """Bytes of a request have arrived that no response answered."""
+        return bool(self._buffer) or self._part != _REQUEST_LINE
+
+    def close(self) -> None:
+        """Close after writing what is buffered; counts nothing."""
+        self._closed = True
+        self._transport.close()
+
+    def _schedule(self) -> None:
+        self._scheduled = True
+        self._loop.call_soon(self._serve)
+
+    def _serve(self) -> None:
+        self._scheduled = False
+        if self._closed:
+            return
+        if self._server.shutdown_event.is_set():
+            self.close()
+            return
+        try:
+            request = self._parse()
+        except _HTTPError as err:
+            self._service.record_error(err.reason, detail=err.detail)
+            self._fail(
+                err.status,
+                {"error": err.detail or err.reason, "reason": err.reason},
+            )
+            return
+        if request is None:
+            self._await_bytes()
+            return
+        method, path, body = request
+        try:
+            status, payload, content_type = self._server._dispatch(
+                method, path, body
+            )
+        except BaseException:
+            self.close()
+            raise
+        self._transport.write(_response(status, payload, content_type))
+        if path == "/shutdown" and status == 200:
+            self.close()
+            self._server.shutdown_event.set()
+        elif self._paused:
+            pass  # resume_writing serves the rest
+        elif self._buffer:
+            # Another request is already here: answer it on the next
+            # loop iteration, so other connections get a turn.
+            self._schedule()
+        else:
+            self._await_bytes()
+
+    def _await_bytes(self) -> None:
+        """Wait for the rest of the next request, or end the connection
+        when the client has sent its last byte."""
+        if self._eof:
+            if self._mid_request:
+                self._service.record_error(
+                    "client_disconnect",
+                    detail="connection dropped mid-request",
+                )
+            self.close()
+            return
+        self._transport.resume_reading()
+        if self._progress:
+            self._progress = False
+            self._arm()
+
+    def _arm(self) -> None:
+        """Give the next piece of a request ``read_timeout`` to arrive."""
+        self._deadline = self._loop.time() + self._timeout
+        if self._timer is None:
+            self._timer = self._loop.call_at(self._deadline, self._expire)
+
+    def _expire(self) -> None:
+        self._timer = None
+        if self._closed or self._scheduled or self._paused:
+            return  # the connection re-arms when it next awaits bytes
+        if self._loop.time() < self._deadline:
+            self._timer = self._loop.call_at(self._deadline, self._expire)
+        elif self._mid_request:
+            self._service.record_error(
+                "read_timeout", detail="request read stalled"
+            )
+            self._fail(408, {"error": "request read timed out"})
+        else:
+            self.close()  # idle between requests: not a fault
+
+    def _fail(self, status: int, payload: dict) -> None:
+        self._transport.write(_response(status, payload, close=True))
+        self.close()
+
+    # ------------------------------------------------------------------
+    def _parse(self) -> tuple[str, str, bytes] | None:
+        """The next whole request as ``(method, path, body)``, or None
+        until more bytes arrive; a framing fault raises ``_HTTPError``."""
+        buffer = self._buffer
+        while self._part != _BODY:
+            if self._part == _REQUEST_LINE:
+                limit, what = _MAX_REQUEST_LINE, "request line"
+            else:
+                limit, what = _MAX_HEADER_LINE, "header line"
+            end = buffer.find(b"\n", self._scan) + 1
+            if not end:
+                if len(buffer) >= limit:
+                    raise _HTTPError(400, "bad_request", f"{what} too long")
+                self._scan = len(buffer)
+                return None
+            if end > limit:
+                raise _HTTPError(400, "bad_request", f"{what} too long")
+            line = buffer[:end].decode("latin-1")
+            del buffer[:end]
+            self._scan = 0
+            self._progress = True
+            if self._part == _REQUEST_LINE:
+                self._start_request(line)
+            elif line in ("\r\n", "\n"):
+                self._end_head()
+            else:
+                self._header_lines += 1
+                if self._header_lines == _MAX_HEADER_LINES:
+                    raise _HTTPError(400, "bad_request", "too many headers")
+                name, _, value = line.partition(":")
+                if name.strip().lower() == "content-length":
+                    self._content_length = value.strip()
+        length = self._body_length
+        if len(buffer) < length:
+            return None
+        body = bytes(buffer[:length])
+        del buffer[:length]
+        self._progress = True
+        self._part = _REQUEST_LINE
+        return (*self._request, body)
+
+    def _start_request(self, line: str) -> None:
+        parts = line.strip().split()
+        if len(parts) != 3:
+            raise _HTTPError(
+                400, "bad_request", f"malformed request line: {parts}"
+            )
+        method, target, _version = parts
+        self._request = (method, target.split("?", 1)[0])
+        self._header_lines = 0
+        self._content_length = ""
+        self._part = _HEADERS
+
+    def _end_head(self) -> None:
+        declared = self._content_length or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _HTTPError(
+                400, "bad_request", f"invalid Content-Length {declared!r}"
+            )
+        length = int(declared)
+        cap = self._service.config.max_body_bytes
+        if length > cap:
+            raise _HTTPError(
+                413,
+                "body_too_large",
+                f"body of {length} bytes exceeds the {cap}-byte cap",
+            )
+        self._body_length = length
+        self._part = _BODY
 
 
 class ServiceHTTPServer:
@@ -217,6 +488,7 @@ class ServiceHTTPServer:
                 None,
             )
         self._server: asyncio.Server | None = None
+        self._connections: set[_Connection] = set()
         self.shutdown_event = asyncio.Event()
         self._routes = {
             "/ingest": ("POST", self._route_ingest),
@@ -239,8 +511,9 @@ class ServiceHTTPServer:
     # ------------------------------------------------------------------
     async def start(self) -> tuple[str, int]:
         """Bind the socket; returns the bound (host, port)."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            partial(_Connection, self), self.host, self.port
         )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
@@ -251,114 +524,12 @@ class ServiceHTTPServer:
         if self._server is None:
             await self.start()
         async with self._server:
-            await self.shutdown_event.wait()
-        self.service.close()
-
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        timeout = self.service.config.read_timeout
-        try:
-            while not self.shutdown_event.is_set():
-                try:
-                    request = await self._read_request(reader, timeout)
-                except asyncio.TimeoutError:
-                    self.service.record_error(
-                        "read_timeout", detail="request read stalled"
-                    )
-                    await self._respond_safe(
-                        writer,
-                        408,
-                        {"error": "request read timed out"},
-                        close=True,
-                    )
-                    return
-                except (
-                    asyncio.IncompleteReadError,
-                    ConnectionResetError,
-                    BrokenPipeError,
-                ):
-                    self.service.record_error(
-                        "client_disconnect",
-                        detail="connection dropped mid-request",
-                    )
-                    return
-                except _HTTPError as err:
-                    self.service.record_error(err.reason, detail=err.detail)
-                    await self._respond_safe(
-                        writer,
-                        err.status,
-                        {"error": err.detail or err.reason,
-                         "reason": err.reason},
-                        close=True,
-                    )
-                    return
-                if request is None:
-                    return  # clean end of keep-alive connection
-                method, path, body = request
-                status, payload, content_type = self._dispatch(
-                    method, path, body
-                )
-                keep_open = await self._respond_safe(
-                    writer, status, payload, content_type=content_type
-                )
-                if not keep_open:
-                    return
-                if path == "/shutdown" and status == 200:
-                    self.shutdown_event.set()
-                    return
-                # Pipelined requests are already buffered and their reads
-                # never suspend: yield so other connections get a turn.
-                await asyncio.sleep(0)
-        finally:
             try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader, timeout: float
-    ) -> tuple[str, str, bytes] | None:
-        line = await _read_line(reader, timeout, "request line")
-        if not line:
-            return None
-        if len(line) > _MAX_REQUEST_LINE:
-            raise _HTTPError(400, "bad_request", "request line too long")
-        parts = line.decode("latin-1").strip().split()
-        if len(parts) != 3:
-            raise _HTTPError(
-                400, "bad_request", f"malformed request line: {parts}"
-            )
-        method, target, _version = parts
-        headers: dict[str, str] = {}
-        for _ in range(_MAX_HEADER_LINES):
-            header = await _read_line(reader, timeout, "header line")
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        else:
-            raise _HTTPError(400, "bad_request", "too many headers")
-        declared = headers.get("content-length") or "0"
-        if not (declared.isascii() and declared.isdigit()):
-            raise _HTTPError(
-                400, "bad_request", f"invalid Content-Length {declared!r}"
-            )
-        length = int(declared)
-        if length > self.service.config.max_body_bytes:
-            raise _HTTPError(
-                413,
-                "body_too_large",
-                f"body of {length} bytes exceeds the "
-                f"{self.service.config.max_body_bytes}-byte cap",
-            )
-        body = b""
-        if length > 0:
-            async with asyncio.timeout(timeout):
-                body = await reader.readexactly(length)
-        return method, target.split("?", 1)[0], body
+                await self.shutdown_event.wait()
+            finally:
+                for connection in list(self._connections):
+                    connection.close()
+        self.service.close()
 
     # ------------------------------------------------------------------
     def _dispatch(
@@ -541,7 +712,7 @@ class ServiceHTTPServer:
         return 200, {"refit": "done", **version.summary()}, "application/json"
 
     def _route_checkpoint(self, body: bytes) -> tuple[int, object, str]:
-        path = None
+        """Checkpoint to the configured path; a client names no file."""
         if body:
             try:
                 payload = self._parse_json(body)
@@ -551,10 +722,21 @@ class ServiceHTTPServer:
                     {"error": err.detail, "reason": err.reason},
                     "application/json",
                 )
-            if isinstance(payload, dict):
-                path = payload.get("path")
+            if isinstance(payload, dict) and "path" in payload:
+                self.service.record_error(
+                    "bad_payload", detail="checkpoint path in the request"
+                )
+                return (
+                    400,
+                    {
+                        "error": "the checkpoint path is set by the "
+                        "service, not the request",
+                        "reason": "bad_payload",
+                    },
+                    "application/json",
+                )
         try:
-            written = self.service.checkpoint(path)
+            written = self.service.checkpoint()
         except ServiceError as err:
             return (
                 500,
@@ -565,37 +747,6 @@ class ServiceHTTPServer:
 
     def _route_shutdown(self, body: bytes) -> tuple[int, object, str]:
         return 200, {"status": "shutting down"}, "application/json"
-
-    # ------------------------------------------------------------------
-    async def _respond_safe(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: object,
-        content_type: str = "application/json",
-        close: bool = False,
-    ) -> bool:
-        """Write one response; False when the client vanished."""
-        if isinstance(payload, str):
-            body = payload.encode("utf-8")
-        else:
-            body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'close' if close else 'keep-alive'}\r\n"
-            "\r\n"
-        ).encode("latin-1")
-        try:
-            writer.write(head + body)
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            self.service.record_error(
-                "client_disconnect", detail="connection dropped mid-response"
-            )
-            return False
-        return not close
 
 
 async def _serve_async(

@@ -7,6 +7,12 @@ the stdlib.  Rendering is deterministic: metrics appear in registration
 order, labeled children in first-use order, and values format through
 ``repr`` (shortest round-trip), which is what lets the golden-file test
 pin the exposition byte for byte.
+
+Everything on a line except its sample value is fixed text: each metric
+formats its ``# HELP``/``# TYPE`` lines when it is built, a labeled
+child its ``name{label="value"} `` prefix the first time it is rendered,
+and a histogram its bucket prefixes once, so a render formats only the
+sample values.
 """
 
 from __future__ import annotations
@@ -48,25 +54,26 @@ _VALID_TYPES = ("counter", "gauge", "histogram")
 
 
 def _format_value(value: float) -> str:
-    """Prometheus sample value: integers bare, floats via ``repr``."""
+    """Prometheus sample value: integers bare, floats via ``repr``.
+
+    Most samples are counts, so the integer form is tried first; NaN
+    and the infinities are not integers and fall through to their
+    spellings."""
+    value = float(value)
+    if value.is_integer():
+        return str(int(value)) if -1e15 < value < 1e15 else repr(value)
     if value != value:  # NaN
         return "NaN"
     if value == math.inf:
         return "+Inf"
     if value == -math.inf:
         return "-Inf"
-    if float(value).is_integer() and abs(value) < 1e15:
-        return str(int(value))
-    return repr(float(value))
+    return repr(value)
 
 
-def _format_labels(labels: tuple[tuple[str, str], ...]) -> str:
-    if not labels:
-        return ""
-    body = ",".join(
-        f'{key}="{_escape_label(value)}"' for key, value in labels
-    )
-    return "{" + body + "}"
+def _labeled_prefix(name: str, label: str, value: str) -> str:
+    """The fixed text ``name{label="value"} `` of a labeled sample."""
+    return f'{name}{{{label}="{_escape_label(value)}"}} '
 
 
 def _escape_label(value: str) -> str:
@@ -89,12 +96,15 @@ class _Metric:
         self.name = name
         self.help_text = help_text
         self._lock = threading.Lock()
+        self._header = (
+            f"# HELP {name} {help_text}",
+            f"# TYPE {name} {self.kind}",
+        )
+        #: The text before an unlabeled sample's value.
+        self._prefix = name + " "
 
     def header(self) -> list[str]:
-        return [
-            f"# HELP {self.name} {self.help_text}",
-            f"# TYPE {self.name} {self.kind}",
-        ]
+        return list(self._header)
 
     def render(self) -> list[str]:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -112,6 +122,7 @@ class Counter(_Metric):
         self._label = label
         self._value = 0.0
         self._children: dict[str, float] = {}
+        self._child_prefixes: dict[str, str] = {}
 
     def inc(self, amount: float = 1.0, label_value: str | None = None) -> None:
         if amount < 0:
@@ -146,16 +157,19 @@ class Counter(_Metric):
             return sum(self._children.values())
 
     def render(self) -> list[str]:
-        lines = self.header()
+        lines = [*self._header]
         with self._lock:
             if self._label is None:
-                lines.append(f"{self.name} {_format_value(self._value)}")
-            else:
-                for label_value, count in self._children.items():
-                    labels = _format_labels(((self._label, label_value),))
-                    lines.append(
-                        f"{self.name}{labels} {_format_value(count)}"
+                lines.append(self._prefix + _format_value(self._value))
+                return lines
+            prefixes = self._child_prefixes
+            for label_value, count in self._children.items():
+                prefix = prefixes.get(label_value)
+                if prefix is None:
+                    prefix = prefixes[label_value] = _labeled_prefix(
+                        self.name, self._label, label_value
                     )
+                lines.append(prefix + _format_value(count))
         return lines
 
 
@@ -179,7 +193,7 @@ class Gauge(_Metric):
     def render(self) -> list[str]:
         with self._lock:
             value = self._value
-        return [*self.header(), f"{self.name} {_format_value(value)}"]
+        return [*self._header, self._prefix + _format_value(value)]
 
 
 class Histogram(_Metric):
@@ -203,6 +217,14 @@ class Histogram(_Metric):
                 "non-empty sequence"
             )
         self._bounds = bounds
+        bucket = f"{name}_bucket"
+        #: One prefix per line: each bucket, ``+Inf``, the sum, the count.
+        self._line_prefixes = (
+            *(_labeled_prefix(bucket, "le", _format_value(b)) for b in bounds),
+            _labeled_prefix(bucket, "le", "+Inf"),
+            f"{name}_sum ",
+            f"{name}_count ",
+        )
         self._counts = [0] * len(bounds)
         self._sum = 0.0
         self._count = 0
@@ -227,18 +249,13 @@ class Histogram(_Metric):
             return self._sum
 
     def render(self) -> list[str]:
-        lines = self.header()
         with self._lock:
             # ``observe`` increments every bucket whose bound admits the
             # value, so the stored counts are already cumulative.
-            for bound, count in zip(self._bounds, self._counts):
-                labels = _format_labels((("le", _format_value(bound)),))
-                lines.append(f"{self.name}_bucket{labels} {count}")
-            labels = _format_labels((("le", "+Inf"),))
-            lines.append(f"{self.name}_bucket{labels} {self._count}")
-            lines.append(f"{self.name}_sum {_format_value(self._sum)}")
-            lines.append(f"{self.name}_count {self._count}")
-        return lines
+            counts = [*self._counts, self._count]
+            total = self._sum
+        values = [*map(str, counts), _format_value(total), str(counts[-1])]
+        return [*self._header, *map(str.__add__, self._line_prefixes, values)]
 
 
 class MetricsRegistry:

@@ -10,6 +10,7 @@ ingests — never a crash.
 """
 
 import json
+import select
 import socket
 
 import pytest
@@ -176,6 +177,29 @@ class TestPayloadFaults:
         assert body["accepted"] == 0
         assert_still_serving(server, service_split)
 
+    def test_checkpoint_body_naming_a_path_writes_nothing(
+        self, service_split, make_service, run_server, tmp_path
+    ):
+        """``POST /checkpoint`` writes only the configured path: a body
+        naming another file is a counted 400, and that file keeps its
+        bytes."""
+        configured = tmp_path / "service.ckpt"
+        victim = tmp_path / "victim.txt"
+        victim.write_bytes(b"not a checkpoint\n")
+        server = run_server(
+            make_service(config=ServiceConfig(checkpoint_path=str(configured)))
+        )
+        status, body = server.post_json("/checkpoint", {"path": str(victim)})
+        assert status == 400
+        assert body["reason"] == "bad_payload"
+        assert error_count(server, "bad_payload") == 1
+        assert victim.read_bytes() == b"not a checkpoint\n"
+        assert not configured.exists()
+        status, body = server.post_json("/checkpoint", {})
+        assert status == 200
+        assert body["path"] == str(configured) and configured.exists()
+        assert_still_serving(server, service_split)
+
     def test_oversized_body(self, service_split, make_service, run_server):
         # The cap must still admit one real row for the liveness probe.
         config = ServiceConfig(max_body_bytes=4096)
@@ -221,6 +245,34 @@ class TestTransportFaults:
         assert b"408" in response.split(b"\r\n", 1)[0]
         raw.close()
         assert error_count(server, "read_timeout") == 1
+        assert_still_serving(server, service_split)
+
+    @pytest.mark.parametrize(
+        "first_request",
+        [b"GET /health HTTP/1.1\r\n\r\n", b""],
+        ids=["after_a_request", "before_any_request"],
+    )
+    def test_idle_keep_alive_connection_closes_quietly(
+        self, service_split, make_service, run_server, first_request
+    ):
+        """A connection idle between requests for ``read_timeout`` is
+        closed without a response and counts no fault; only a request
+        that stalls part-way is a 408."""
+        config = ServiceConfig(read_timeout=0.2)
+        server = run_server(make_service(config=config))
+        raw = socket.create_connection(
+            (server.host, server.port), timeout=10
+        )
+        raw.sendall(first_request)
+        response = read_until_closed(raw)  # idles past read_timeout
+        raw.close()
+        if first_request:
+            assert response.startswith(b"HTTP/1.1 200 OK\r\n")
+            assert response.count(b"HTTP/1.1") == 1
+        else:
+            assert response == b""
+        errors = server.service.metrics["repro_ingest_errors_total"]
+        assert errors.total() == 0
         assert_still_serving(server, service_split)
 
     def test_garbage_request_line(self, server, service_split):
@@ -288,6 +340,38 @@ class TestFramingFaults:
             (server.host, server.port), timeout=10
         )
         raw.sendall(head)
+        response = read_until_closed(raw)
+        raw.close()
+        assert response.split(b"\r\n", 1)[0] == (
+            b"HTTP/1.1 408 Request Timeout"
+        )
+        errors = server.service.metrics["repro_ingest_errors_total"]
+        assert errors.value("read_timeout") == 1
+        assert errors.total() == 1
+        assert_still_serving(server, service_split)
+
+
+    def test_a_trickled_header_line_times_out(
+        self, service_split, make_service, run_server
+    ):
+        """The deadline is per piece, not per byte: a header line sent
+        one byte every 0.1 s gets its 408 at ``read_timeout=0.2``, long
+        before the line could end."""
+        config = ServiceConfig(read_timeout=0.2)
+        server = run_server(make_service(config=config))
+        raw = socket.create_connection(
+            (server.host, server.port), timeout=10
+        )
+        raw.sendall(b"GET /health HTTP/1.1\r\n")
+        # Half a period first, so no byte is due when the deadline is.
+        wait = 0.05
+        for byte in b"X-Slow: " + b"a" * 22:
+            if select.select([raw], [], [], wait)[0]:
+                break  # the server answered
+            raw.sendall(bytes([byte]))
+            wait = 0.1
+        else:
+            pytest.fail("the whole header line went out unanswered")
         response = read_until_closed(raw)
         raw.close()
         assert response.split(b"\r\n", 1)[0] == (

@@ -2,6 +2,8 @@
 
 import json
 import socket
+import threading
+import time
 
 import numpy as np
 
@@ -285,6 +287,51 @@ class TestFraming:
         assert [json.loads(body)["results"][0]["bin"] for _, body in answers] == (
             list(range(60))
         )
+
+    def test_a_client_that_stops_reading_is_paused_not_buffered(
+        self, service_split, make_service, run_server
+    ):
+        """Backpressure: one connection pipelines ingest-then-scrape
+        rounds whose responses overflow the socket buffers and the
+        transport's write high-water mark, and reads nothing for a
+        while.  The server stops serving it part-way (no more rows are
+        ingested) and answers another connection meanwhile; the first
+        connection then reads every response, in order."""
+        dataset, warmup = service_split
+        server = run_server(make_service())
+        # About 7.5 MB of responses: twice what Linux lets the server's
+        # socket buffer grow to (4 MiB, tcp_wmem) plus the high-water mark.
+        rounds = 2000
+        scrape = b"GET /metrics HTTP/1.1\r\n\r\n"
+        pipeline = (ingest_request(dataset.link_traffic[warmup]) + scrape) * rounds
+        slow = socket.socket()
+        slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        slow.settimeout(10)
+        slow.connect((server.host, server.port))
+        probe = socket.create_connection(
+            (server.host, server.port), timeout=10
+        )
+        # Sent from a thread: once the server stops reading, the rest of
+        # the pipeline waits in the socket buffers until the client reads.
+        sender = threading.Thread(target=slow.sendall, args=(pipeline,))
+        with slow, probe, slow.makefile("rb") as slow_stream, (
+            probe.makefile("rb")
+        ) as probe_stream:
+            sender.start()
+            time.sleep(0.5)
+            probe.sendall(b"GET /health HTTP/1.1\r\n\r\n")
+            status, body = read_response(probe_stream)
+            answers = [read_response(slow_stream) for _ in range(2 * rounds)]
+            sender.join(timeout=10)
+        assert not sender.is_alive()
+        assert status == 200
+        assert json.loads(body)["rows_ingested"] < rounds
+        assert [status for status, _ in answers] == [200] * (2 * rounds)
+        bins = [json.loads(body)["results"][0]["bin"] for _, body in answers[::2]]
+        assert bins == list(range(rounds))
+        for ingested, (_, text) in enumerate(answers[1::2], start=1):
+            lines = text.decode("utf-8").splitlines()
+            assert f"repro_rows_ingested_total {ingested}" in lines
 
 
 class TestObservabilityRoutes:

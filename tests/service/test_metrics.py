@@ -3,9 +3,34 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.exceptions import ServiceError
 from repro.service import Counter, Gauge, Histogram, MetricsRegistry
+from repro.service.metrics import _format_value
+
+
+def reference_format_value(value: float) -> str:
+    """The sample spelling, special values tested first."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "+Inf"
+    if value == -math.inf:
+        return "-Inf"
+    if float(value).is_integer() and abs(value) < 1e15:
+        return str(int(value))
+    return repr(float(value))
+
+
+class TestSampleValues:
+    @given(
+        st.floats()
+        | st.integers(-(2**60), 2**60).map(float)
+        | st.sampled_from([1e15, -1e15, 1e15 - 1, -0.0])
+    )
+    def test_integer_first_spelling_matches_the_reference(self, value):
+        assert _format_value(value) == reference_format_value(value)
 
 
 class TestCounter:
