@@ -75,9 +75,9 @@ def ensure_matrix(
     When ``values`` is already a 2-D ndarray (or ndarray subclass such
     as ``np.memmap``) of ``dtype``, the returned array *shares its
     memory* — ``np.asarray`` only converts, never clones, so memory-
-    mapped datasets stream through block scoring and
-    :meth:`~repro.pipeline.sharded.TemporalCoordinator.fit_stream`
-    zero-copy (the out-of-core regression tests pin this with
+    mapped datasets go through block scoring and
+    :meth:`~repro.pipeline.sharded.TemporalCoordinator.fit` zero-copy
+    (the out-of-core regression tests pin this with
     ``np.shares_memory``).  Non-conforming inputs (lists, wrong dtype)
     are converted, which necessarily allocates.
 

@@ -352,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos_run.add_argument(
         "--planes", nargs="+", default=None, metavar="PLANE",
-        help="restrict to these planes: temporal, spatial, stream, "
-        "service (default: all)",
+        help="restrict to these planes: temporal, spatial, service "
+        "(default: all)",
     )
     chaos_run.add_argument(
         "--max-scenarios", type=int, default=None,

@@ -45,7 +45,7 @@ histories.  All participants of a merge must share ``tile_rows``.
 **Histories.**  :class:`RowStore` keeps an append-only history packed
 into the same tiles: each tile's statistics are computed once, when it
 fills, and a :class:`HistorySnapshot` hands a fit the statistics and
-the tiles together — the rows the 3σ separation pass replays.
+the tiles together — the rows the 3σ separation pass scores.
 
 **Precision.**  Each tile stores its second moment centered at its own
 tile mean (the parallel Welford / Chan et al. form), and
@@ -117,8 +117,8 @@ def canonical_units(
     is a whole tile (the last one what is left over); a gap cuts the
     tile it falls in, exactly as :meth:`SufficientStats.finalize`
     (``allow_gaps=True``) cuts its fragment runs.  ``runs`` are the
-    maximal covered ``[start, stop)`` ranges, ascending — a merged
-    coverage ledger; this only splits them at tile edges.
+    maximal covered ``[start, stop)`` ranges, ascending, with touching
+    ranges merged; this only splits them at tile edges.
     """
     return [
         (max(start, k * tile_rows), min(stop, (k + 1) * tile_rows))
@@ -471,9 +471,9 @@ class HistorySnapshot:
 
     ``tiles`` are the rows in canonical units: one ``(tile_rows, m)``
     block per whole tile, then the rows of the open tile; ``stats``
-    covers exactly those rows (``stats.count`` of them).  A fit replays
-    ``tiles`` for the separation pass, so each tile is one
-    :func:`~repro.core.subspace.score_moments` call.
+    covers exactly those rows (``stats.count`` of them).  A fit scores
+    ``tiles`` in its separation pass, one
+    :func:`~repro.core.subspace.score_moments` call per tile.
     """
 
     stats: SufficientStats

@@ -9,12 +9,12 @@ For traffic matrices too large to hold in memory, the raw ``(t, m)``
 link-measurement block additionally round-trips through a plain ``.npy``
 file opened as a read-only :class:`numpy.memmap`
 (:func:`save_traffic_memmap` / :func:`open_traffic_memmap`): row slices
-of the map are ordinary float64 views that stream zero-copy through
+of the map are ordinary float64 views that go zero-copy through
 :func:`~repro._util.ensure_matrix` into block scoring and
-:meth:`~repro.pipeline.sharded.TemporalCoordinator.fit_stream` — the OS
-pages rows in and out on demand and the matrix is never materialized.
-:func:`traffic_chunks` packages the re-iterable chunk source those
-streaming fits expect.
+:meth:`~repro.pipeline.sharded.TemporalCoordinator.fit`, which reads
+the map one row range at a time — the OS pages rows in and out on
+demand and the matrix is never materialized.  :func:`traffic_chunks`
+cuts a block into row slices for chunked scoring.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ def open_traffic_memmap(path: str | Path) -> np.ndarray:
     """Open a :func:`save_traffic_memmap` file as a read-only memmap.
 
     The returned array reads pages from disk on demand; row slices are
-    views onto the map, so chunked scoring and streaming fits touch only
-    the rows they are currently processing.
+    views onto the map, so chunked scoring and fits touch only the rows
+    they are currently processing.
     """
     path = Path(path)
     if not path.exists():
@@ -91,11 +91,13 @@ def open_traffic_memmap(path: str | Path) -> np.ndarray:
 def traffic_chunks(source: np.ndarray | str | Path, chunk_rows: int = 8192):
     """A re-iterable chunk source over a traffic block or ``.npy`` path.
 
-    Returns the zero-argument callable
-    :meth:`~repro.pipeline.sharded.TemporalCoordinator.fit_stream`
-    expects: each call yields fresh ``(k, m)`` row slices, oldest first.
+    Returns a zero-argument callable; each call yields fresh ``(k, m)``
+    row slices, oldest first, for chunked scoring
+    (:meth:`~repro.core.subspace.SubspaceModel.score_block` per slice).
     Slices are views (zero-copy) whether ``source`` is an in-memory
-    array or a path opened through :func:`open_traffic_memmap`.
+    array or a path opened through :func:`open_traffic_memmap`.  A fit
+    needs no chunks: pass the map itself to
+    :meth:`~repro.pipeline.sharded.TemporalCoordinator.fit`.
     """
     if chunk_rows < 1:
         raise DatasetError(f"chunk_rows must be >= 1, got {chunk_rows}")

@@ -65,12 +65,7 @@ __getattr__, __dir__ = lazy_exports(
             "ComparisonScenario",
         ),
         "repro.pipeline.chaos": ("ChaosOutcome", "ChaosReport", "run_chaos_suite"),
-        "repro.pipeline.faults": (
-            "CHUNK_FAULTS",
-            "FaultInjector",
-            "FaultPlan",
-            "WorkerFault",
-        ),
+        "repro.pipeline.faults": ("FaultInjector", "FaultPlan", "WorkerFault"),
         "repro.pipeline.fleet": ("run_fleet_check",),
         "repro.pipeline.pipeline": ("DetectionPipeline", "PipelineResult"),
         "repro.pipeline.sharded": (
@@ -107,7 +102,6 @@ __all__ = [
     "ComparisonScenario",
     "StreamingDetector",
     "StreamWindow",
-    "CHUNK_FAULTS",
     "ChaosOutcome",
     "ChaosReport",
     "FAULT_POLICIES",

@@ -1,11 +1,10 @@
 """The chaos harness: every fault kind against every detection plane.
 
 ``repro chaos run`` drives this module: the scenario suite's traces are
-pushed through the temporal parallel fit, the spatial zone fit, the
-resumable streaming fit and the service checkpoint/restore cycle while
-:mod:`repro.pipeline.faults` injects one fault at a time — worker
-crashes, hung tasks, in-kernel errors, dropped / duplicated / reordered
-chunks, corrupted checkpoints.  The harness asserts the robustness
+pushed through the temporal parallel fit, the spatial zone fit and the
+service checkpoint/restore cycle while :mod:`repro.pipeline.faults`
+injects one fault at a time — worker crashes, hung tasks, in-kernel
+errors, corrupted checkpoints.  The harness asserts the robustness
 contract end to end:
 
 * every run **terminates** with a typed report (no hangs — hung tasks
@@ -63,26 +62,20 @@ CHAOS_FAULTS = (
     "kill_worker",
     "hang_task",
     "fail_task",
-    "drop_chunk",
-    "duplicate_chunk",
-    "delay_chunk",
     "corrupt_checkpoint",
 )
 
 #: Detection-plane entry points the harness drives.
-CHAOS_PLANES = ("temporal", "spatial", "stream", "service")
+CHAOS_PLANES = ("temporal", "spatial", "service")
 
 #: Which planes each fault kind applies to.  Worker faults hit the
-#: supervised pools; chunk faults hit the streaming source; checkpoint
-#: corruption hits the stream-resume and service-restart cycles.
+#: supervised pools; checkpoint corruption hits the service-restart
+#: cycle.
 _FAULT_PLANES = {
     "kill_worker": ("temporal", "spatial"),
     "hang_task": ("temporal", "spatial"),
     "fail_task": ("temporal", "spatial"),
-    "drop_chunk": ("stream",),
-    "duplicate_chunk": ("stream",),
-    "delay_chunk": ("stream",),
-    "corrupt_checkpoint": ("stream", "service"),
+    "corrupt_checkpoint": ("service",),
 }
 
 
@@ -288,43 +281,6 @@ def _run_spatial(traffic, fault, policy, deadline, workers):
     )
 
 
-def _run_stream(traffic, fault, policy, chunk_rows, workdir):
-    clean = TemporalCoordinator(num_shards=2, workers=1).fit(traffic)
-    coordinator = TemporalCoordinator(
-        num_shards=2,
-        workers=1,
-        fault_policy=policy,
-        max_retries=1,
-        backoff_base=0.01,
-    )
-    if fault == "corrupt_checkpoint":
-        path = Path(workdir) / "stream.ckpt"
-        source = FaultInjector.chunk_source(traffic, chunk_rows)
-        coordinator.fit_stream(
-            source, checkpoint_path=path, expected_rows=traffic.shape[0]
-        )
-        FaultInjector.corrupt_checkpoint(path, mode="truncate")
-        fit = coordinator.fit_stream(
-            source, checkpoint_path=path, expected_rows=traffic.shape[0]
-        )
-    else:
-        kind = fault.removesuffix("_chunk")
-        drop_always = kind == "drop" and policy == "partial"
-        source = FaultInjector.chunk_source(
-            traffic, chunk_rows, fault=kind, target=1, drop_always=drop_always
-        )
-        fit = coordinator.fit_stream(
-            source, expected_rows=traffic.shape[0]
-        )
-    report = fit.report
-    return (
-        True,
-        _detectors_match(fit.detector, clean.detector),
-        report.coverage,
-        0 if report.fault is None else len(report.fault.faults),
-    )
-
-
 def _run_service(traffic, fault, policy, workdir):
     """Checkpoint/restore cycle of the always-on service's lifecycle."""
     from repro.exceptions import CheckpointError, ServiceError
@@ -334,7 +290,7 @@ def _run_service(traffic, fault, policy, workdir):
     lifecycle.bootstrap(traffic[: max(64, traffic.shape[0] // 2)])
     path = Path(workdir) / "service.ckpt"
     lifecycle.checkpoint(path)
-    FaultInjector.corrupt_checkpoint(path, mode="scribble")
+    FaultInjector.corrupt_checkpoint(path)
     try:
         ModelLifecycleManager.restore(path)
     except (CheckpointError, ServiceError):
@@ -358,7 +314,6 @@ def run_chaos_suite(
     max_scenarios: int | None = None,
     workers: int = 2,
     deadline: float = 5.0,
-    chunk_rows: int = 64,
     degraded_tolerance: float = 0.05,
     probe_degraded_recall: bool = True,
 ) -> ChaosReport:
@@ -414,10 +369,6 @@ def run_chaos_suite(
                         elif plane == "spatial":
                             out = _run_spatial(
                                 traffic, fault, policy, deadline, workers
-                            )
-                        elif plane == "stream":
-                            out = _run_stream(
-                                traffic, fault, policy, chunk_rows, workdir
                             )
                         else:
                             out = _run_service(

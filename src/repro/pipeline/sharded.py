@@ -16,9 +16,12 @@ docs), the fitted PCA is *bit-identical* to the monolithic
 order.  The 3σ separation runs as a second distributed pass on the same
 canonical tiles: one :func:`~repro.core.subspace.score_moments` call per
 tile, folded in ascending tile order, so it too is bit-identical to the
-monolithic fit on every route.  The same machinery drives
-:meth:`TemporalCoordinator.fit_stream`, an out-of-core fit over a chunk
-iterator for matrices that never fully materialize.
+monolithic fit on every route.  A memory-mapped matrix
+(:func:`~repro.datasets.io.open_traffic_memmap`) goes through the same
+:meth:`TemporalCoordinator.fit`: every pass reads row ranges of the map,
+so the fit runs out of core.  :meth:`TemporalCoordinator.fit_from_stats`
+fits the service's histories, whose statistics are already merged, by
+scoring their tiles in order.
 
 **Spatial sharding** (:class:`SpatialCoordinator`) partitions the
 *columns* (links) into zones.  Each zone fits its own local subspace
@@ -53,17 +56,15 @@ byte-stable across worker layouts, the same contract
 from __future__ import annotations
 
 import math
-import random
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
-from repro._util import atomic_pickle_dump, ensure_matrix
+from repro._util import ensure_matrix
 from repro.core.detection import SPEDetector
 from repro.core.pca import PCA
 from repro.core.qstatistic import q_threshold
@@ -80,21 +81,13 @@ from repro.core.suffstats import (
     SufficientStats,
     canonical_units,
 )
-from repro.exceptions import (
-    CheckpointError,
-    ModelError,
-    ReproError,
-    SupervisionError,
-    ValidationError,
-)
+from repro.exceptions import ModelError, SupervisionError, ValidationError
 from repro.pipeline.shm import SharedArray, attach_array, release, share_array
 from repro.pipeline.supervision import (
     FAULT_POLICIES,
     FaultReport,
     PoolRun,
     SupervisedPool,
-    TaskFault,
-    backoff_delay,
     raise_if_lost,
     resolve_policy,
 )
@@ -103,7 +96,6 @@ __all__ = [
     "FAULT_POLICIES",
     "FUSION_MODES",
     "SHARD_SCHEMA_VERSION",
-    "STREAM_CHECKPOINT_SCHEMA_VERSION",
     "ShardReport",
     "SpatialCoordinator",
     "SpatialShardedModel",
@@ -118,10 +110,6 @@ __all__ = [
 #: Version of the :meth:`ShardReport.to_json` payload layout.  Bump on
 #: any structural change.
 SHARD_SCHEMA_VERSION = 1
-
-#: Version of the :meth:`TemporalCoordinator.fit_stream` checkpoint
-#: payload.  Bump on any shape change.
-STREAM_CHECKPOINT_SCHEMA_VERSION = 1
 
 #: The pluggable alarm-fusion stages of the spatial plane.
 FUSION_MODES = ("union", "vote", "rescore")
@@ -389,185 +377,40 @@ def _shard_bounds(num_rows: int, num_shards: int) -> list[tuple[int, int]]:
     ]
 
 
-class _CoverageLedger:
-    """Disjoint, sorted covered intervals of absolute row indices.
-
-    The exactly-once accounting behind the resilient
-    :meth:`TemporalCoordinator.fit_stream`: every incoming chunk is
-    sliced to its *uncovered* sub-intervals before folding, which makes
-    duplicated, re-delivered (retry), and out-of-order chunks all fold
-    each row exactly once — and therefore bit-identically to a clean
-    sequential pass, by the order-invariance of the statistics merge.
-    """
-
-    def __init__(self, intervals: Iterable[tuple[int, int]] = ()) -> None:
-        self._intervals: list[list[int]] = []
-        for start, stop in intervals:
-            self.add(int(start), int(stop))
-
-    def add(self, start: int, stop: int) -> None:
-        """Mark ``[start, stop)`` covered (merging neighbors)."""
-        if stop <= start:
-            return
-        merged: list[list[int]] = []
-        placed = False
-        for a, b in self._intervals:
-            if b < start or a > stop:
-                if not placed and a > stop:
-                    merged.append([start, stop])
-                    placed = True
-                merged.append([a, b])
-            else:
-                start, stop = min(a, start), max(b, stop)
-        if not placed:
-            merged.append([start, stop])
-            merged.sort()
-        self._intervals = merged
-
-    def uncovered(self, start: int, stop: int) -> list[tuple[int, int]]:
-        """Sub-intervals of ``[start, stop)`` not yet covered."""
-        out: list[tuple[int, int]] = []
-        cursor = start
-        for a, b in self._intervals:
-            if b <= cursor:
-                continue
-            if a >= stop:
-                break
-            if a > cursor:
-                out.append((cursor, min(a, stop)))
-            cursor = max(cursor, b)
-            if cursor >= stop:
-                break
-        if cursor < stop:
-            out.append((cursor, stop))
-        return out
-
-    @property
-    def covered_rows(self) -> int:
-        return sum(b - a for a, b in self._intervals)
-
-    @property
-    def max_stop(self) -> int:
-        return self._intervals[-1][1] if self._intervals else 0
-
-    def intervals(self) -> tuple[tuple[int, int], ...]:
-        return tuple((int(a), int(b)) for a, b in self._intervals)
-
-
-class _UnitReplay:
-    """The separation pass of a replayed source, one canonical unit at a time.
-
-    Incoming rows are stitched into the canonical units of pass 1's
-    coverage; a unit is scored by :func:`score_moments` once all of its
-    rows have arrived — straight from the chunk when one chunk holds the
-    whole unit, else from a buffer the pieces are copied into.  Rows
-    already received are skipped, so duplicated, re-delivered and
-    out-of-order chunks score each unit exactly once, from the same
-    contiguous rows an in-memory fit reads.  A sequential source keeps
-    at most one unit open.
-    """
-
-    def __init__(
-        self,
-        units: list[tuple[int, int]],
-        mean: np.ndarray,
-        components: np.ndarray,
-    ) -> None:
-        self._units = units
-        self._starts = [lo for lo, _ in units]
-        self._mean = mean
-        self._components = components
-        self._received = _CoverageLedger()
-        self._buffers: dict[int, np.ndarray] = {}
-        self._done: dict[int, ScoreMoments] = {}
-        self._pass_rows = self._pass_strays = 0
-
-    def add(self, start: int, chunk: np.ndarray) -> None:
-        """Take one replayed chunk; rows outside pass 1's coverage are
-        counted as strays."""
-        # Checked here, not only by the kernel: a narrower chunk would
-        # broadcast into a unit buffer.
-        width = self._components.shape[0]
-        if chunk.shape[1] != width:
+def _check_tiles(tiles: Sequence[np.ndarray], stats: SufficientStats) -> None:
+    """Raise :class:`ModelError` unless ``tiles`` are the canonical units
+    of the statistics' rows from row 0, at the statistics' width."""
+    count, width = stats.count, stats.num_columns
+    units = [
+        hi - lo for lo, hi in canonical_units([(0, count)], DEFAULT_TILE_ROWS)
+    ]
+    for index, tile in enumerate(tiles):
+        shape = np.shape(tile)
+        if shape[1:] != (width,):
             raise ModelError(
-                f"replayed chunk has {chunk.shape[1]} links, the fitted "
-                f"model covers {width}"
+                f"tile {index} has shape {shape}, the statistics cover "
+                f"{width} links"
             )
-        stop = start + chunk.shape[0]
-        self._pass_rows += chunk.shape[0]
-        self._pass_strays += chunk.shape[0]
-        first = max(0, bisect_right(self._starts, start) - 1)
-        for index in range(first, bisect_left(self._starts, stop)):
-            lo, hi = self._units[index]
-            a, b = max(lo, start), min(hi, stop)
-            if a >= b:
-                continue
-            self._pass_strays -= b - a
-            missing = self._received.uncovered(a, b)
-            if not missing:
-                continue  # a duplicate: these rows were received before
-            if (a, b) == (lo, hi):
-                rows = chunk[a - start : b - start]
-            else:
-                rows = self._buffers.setdefault(
-                    index, np.empty((hi - lo, width))
-                )
-                for x, y in missing:
-                    rows[x - lo : y - lo] = chunk[x - start : y - start]
-            for x, y in missing:
-                self._received.add(x, y)
-            if not self._received.uncovered(lo, hi):
-                self._done[index] = score_moments(
-                    rows, self._mean, self._components
-                )
-                self._buffers.pop(index, None)
-
-    def end_pass(self) -> str | None:
-        """Close one pass: ``None`` when every unit is scored and no row
-        strayed, else what went wrong.  Resets the per-pass counts."""
-        rows, strays = self._pass_rows, self._pass_strays
-        self._pass_rows = self._pass_strays = 0
-        if strays == 0 and len(self._done) == len(self._units):
-            return None
-        return (
-            f"saw {rows} rows ({strays} outside the statistics), the "
-            f"moments cover {self._received.covered_rows} of "
-            f"{sum(hi - lo for lo, hi in self._units)}"
+        if index >= len(units) or shape[0] != units[index]:
+            raise ModelError(
+                f"tile {index} has {shape[0]} rows; the statistics' {count} "
+                f"rows make {len(units)} tiles of {DEFAULT_TILE_ROWS} rows, "
+                "the last one what is left"
+            )
+    if len(tiles) < len(units):
+        raise ModelError(
+            f"{len(tiles)} tiles cover fewer rows than the statistics' "
+            f"{count}; the 3σ separation scores every row (or set an "
+            "explicit normal_rank)"
         )
-
-    def moments(self) -> list[ScoreMoments]:
-        """Moments of the completed units, in ascending row order."""
-        return [self._done[index] for index in sorted(self._done)]
-
-
-def _stream_item(item, position: int) -> tuple[int, np.ndarray]:
-    """Decode one chunk-source item into ``(start_row, chunk)``.
-
-    Plain array chunks are sequential (the classic protocol): their
-    start row is the running position.  ``(start_row, chunk)`` tuples
-    are the resilient indexed protocol, required for sources that may
-    deliver chunks late, twice, or out of order.
-    """
-    if (
-        isinstance(item, tuple)
-        and len(item) == 2
-        and np.isscalar(item[0])
-    ):
-        start = int(item[0])
-        if start < 0:
-            raise ModelError(f"chunk start_row must be >= 0, got {start}")
-        chunk = item[1]
-    else:
-        start = position
-        chunk = item
-    chunk = ensure_matrix(
-        chunk, name="chunk", error=ModelError, check_finite=False
-    )
-    return start, chunk
 
 
 class TemporalCoordinator:
     """Fit the subspace model from per-time-chunk statistics.
+
+    Two entry points share one fit: :meth:`fit` takes a ``(t, m)``
+    matrix, in memory or memory-mapped, and :meth:`fit_from_stats` takes
+    statistics that are already accumulated, with their rows as tiles.
 
     Parameters
     ----------
@@ -592,7 +435,7 @@ class TemporalCoordinator:
         eigendecomposition, separation, threshold — always runs in
         float64.
     fault_policy:
-        Degraded-mode policy of the parallel/streaming fit paths (see
+        Degraded-mode policy of the parallel fit path (see
         :data:`~repro.pipeline.supervision.FAULT_POLICIES`):
         ``"fail-fast"`` (default — no retries, any lost work aborts),
         ``"retry"`` (bounded retries; a retried-to-success run is
@@ -603,9 +446,8 @@ class TemporalCoordinator:
         Per-task wall-clock budget in seconds for the supervised
         workers; ``None`` disables deadlines.
     max_retries, backoff_base:
-        Retry budget and first retry delay of the supervised pool (and
-        of streaming-source retries in :meth:`fit_stream`); delays
-        double per attempt up to
+        Retry budget and first retry delay of the supervised pool;
+        delays double per attempt up to
         :data:`~repro.pipeline.supervision.BACKOFF_MAX_SECONDS`, with
         jitter drawn from fixed seeds.
     fault_plan:
@@ -709,9 +551,12 @@ class TemporalCoordinator:
                 # A shard folds the canonical units that start inside it,
                 # reading past its stop to finish its last tile, so the
                 # units — and the bits — never depend on the shard bounds.
-                units = canonical_units(
-                    _CoverageLedger(live_bounds).intervals(), DEFAULT_TILE_ROWS
-                )
+                runs: list[tuple[int, int]] = []
+                for a, b in live_bounds:  # units need maximal runs
+                    if runs and runs[-1][1] == a:
+                        a = runs.pop()[0]
+                    runs.append((a, b))
+                units = canonical_units(runs, DEFAULT_TILE_ROWS)
                 starts = [lo for lo, _ in units]
                 cuts = [bisect_left(starts, a) for a, _ in live_bounds]
                 cuts.append(len(units))
@@ -763,239 +608,27 @@ class TemporalCoordinator:
             worker_timings=tuple(timings),
         )
 
-    def fit_stream(
-        self,
-        chunk_source: Callable[[], Iterable],
-        expected_rows: int | None = None,
-        checkpoint_path: str | Path | None = None,
-    ) -> TemporalShardFit:
-        """Out-of-core fit over a re-iterable chunk source.
-
-        ``chunk_source()`` must return a fresh iterator each time it is
-        called, yielding either plain ``(k, m)`` row chunks (oldest
-        first — the sequential protocol) or ``(start_row, chunk)`` pairs
-        (the resilient indexed protocol for sources that may deliver
-        chunks late, twice, or out of order).  The matrix is never
-        materialized.  One pass accumulates sufficient statistics; when
-        the separation rule is needed, a second pass stitches the rows
-        into canonical tiles and scores each tile once.  Both passes
-        are exact, so the result matches :meth:`fit` on the
-        concatenated chunks bit for bit.
-
-        A coverage ledger slices every incoming chunk to its not-yet-
-        covered rows before folding, so duplicated, re-delivered and
-        out-of-order chunks fold each row exactly once — a faulty
-        source retried to success is bit-identical to a clean pass.
-
-        A source that raises mid-iteration (or leaves a coverage gap) is
-        re-iterated up to ``max_retries`` times under the ``retry`` and
-        ``partial`` policies; under ``partial`` a stream that never
-        completes still fits from the surviving rows and records the
-        coverage fraction.
-
-        Parameters
-        ----------
-        expected_rows:
-            Total rows the source is supposed to deliver.  Without it a
-            *trailing* loss is undetectable (the stream just looks
-            shorter); interior gaps are detected either way.
-        checkpoint_path:
-            When set, the accumulated statistics are checkpointed
-            atomically after every folded chunk, and a fit that finds
-            the file already there resumes from it: an interrupted fit
-            re-run picks up from the last completed chunk boundary —
-            bit-identically to an uninterrupted run, because already-
-            covered rows are skipped by the same exactly-once ledger.
-            A corrupt or unreadable checkpoint, or one whose statistics
-            use another tile height, is recorded as a fault and the fit
-            starts fresh.
-        """
-        begin = time.perf_counter()
-        path = None if checkpoint_path is None else Path(checkpoint_path)
-
-        stats: SufficientStats | None = None
-        ledger = _CoverageLedger()
-        timings: list[WorkerTiming] = []
-        merge_s = 0.0
-        stream_faults: list[TaskFault] = []
-
-        if path is not None and path.exists():
-            try:
-                stats, ledger, timings, merge_s = (
-                    self._load_stream_checkpoint(path)
-                )
-            except CheckpointError as err:
-                stream_faults.append(
-                    TaskFault(
-                        task=-1,
-                        attempt=0,
-                        kind="corrupt_checkpoint",
-                        worker=-1,
-                        detail=str(err),
-                    )
-                )
-
-        def fold(start: int, chunk: np.ndarray) -> None:
-            nonlocal stats, merge_s
-            for lo, hi in ledger.uncovered(start, start + chunk.shape[0]):
-                piece = chunk[lo - start : hi - start]
-                pass_begin = time.perf_counter()
-                piece_stats = SufficientStats.from_block(piece, start_row=lo)
-                stats_s = time.perf_counter() - pass_begin
-                merge_begin = time.perf_counter()
-                stats = (
-                    piece_stats
-                    if stats is None
-                    else stats.merge(piece_stats)
-                )
-                merge_s += time.perf_counter() - merge_begin
-                ledger.add(lo, hi)
-                timings.append(
-                    WorkerTiming(
-                        worker=len(timings),
-                        start=lo,
-                        size=hi - lo,
-                        stats_seconds=stats_s,
-                    )
-                )
-                if path is not None:
-                    self._write_stream_checkpoint(
-                        path, stats, ledger, timings, merge_s
-                    )
-
-        def gap() -> str | None:
-            expected = (
-                ledger.max_stop if expected_rows is None else expected_rows
-            )
-            intervals = ledger.intervals()
-            if (
-                stats is not None
-                and len(intervals) == 1
-                and intervals[0] == (0, max(expected, intervals[0][1]))
-            ):
-                return None
-            return (
-                f"covered {ledger.covered_rows} of {expected} rows "
-                f"in {len(intervals)} interval(s)"
-            )
-
-        attempts, faults, detail = self._drive(chunk_source, fold, gap, seed=0)
-        stream_faults.extend(faults)
-        if detail is not None and self.fault_policy != "partial":
-            if stats is None:
-                raise ModelError("chunk source yielded no chunks")
-            raise SupervisionError(
-                f"stream coverage is incomplete after {attempts} "
-                f"pass(es): {detail}"
-            )
-        if stats is None:
-            raise SupervisionError(
-                "no chunks survived the faulty stream; nothing to fit"
-            )
-
-        expected = (
-            ledger.max_stop if expected_rows is None else expected_rows
-        )
-        coverage = (
-            min(1.0, ledger.covered_rows / expected) if expected else 1.0
-        )
-        fault: FaultReport | None = None
-        if stream_faults:
-            fault = FaultReport(
-                tasks=len(timings),
-                attempts=attempts,
-                retries=attempts - 1,
-                faults=tuple(stream_faults),
-            )
-        return self._fit_accumulated(
-            stats,
-            chunk_source,
-            tuple(timings),
-            merge_s,
-            begin,
-            ledger=ledger,
-            coverage=coverage,
-            fault=fault,
-        )
-
-    def _write_stream_checkpoint(
-        self, path: Path, stats, ledger, timings, merge_s: float
-    ) -> None:
-        atomic_pickle_dump(
-            path,
-            {
-                "schema_version": STREAM_CHECKPOINT_SCHEMA_VERSION,
-                "tile_rows": DEFAULT_TILE_ROWS,
-                "dtype": self.dtype.name,
-                "intervals": ledger.intervals(),
-                "stats": stats,
-                "timings": tuple(timings),
-                "merge_seconds": merge_s,
-            },
-        )
-
-    def _load_stream_checkpoint(self, path: Path):
-        """Load a stream checkpoint; :class:`CheckpointError` on damage."""
-        import pickle
-
-        try:
-            with Path(path).open("rb") as handle:
-                payload = pickle.load(handle)
-        except Exception as err:  # noqa: BLE001 - any damage mode
-            raise CheckpointError(
-                f"stream checkpoint {path} is unreadable: "
-                f"{type(err).__name__}: {err}"
-            ) from err
-        if (
-            not isinstance(payload, dict)
-            or payload.get("schema_version")
-            != STREAM_CHECKPOINT_SCHEMA_VERSION
-        ):
-            raise CheckpointError(
-                f"stream checkpoint {path} has an unsupported layout "
-                f"(expected schema_version "
-                f"{STREAM_CHECKPOINT_SCHEMA_VERSION})"
-            )
-        try:
-            stats = payload["stats"]
-            ledger = _CoverageLedger(payload["intervals"])
-            timings = list(payload["timings"])
-            merge_s = float(payload["merge_seconds"])
-        except (KeyError, TypeError, ValueError) as err:
-            raise CheckpointError(
-                f"stream checkpoint {path} is malformed: {err}"
-            ) from err
-        if not isinstance(stats, SufficientStats):
-            raise CheckpointError(
-                f"stream checkpoint {path} does not hold sufficient "
-                f"statistics (got {type(stats).__name__})"
-            )
-        if stats.tile_rows != DEFAULT_TILE_ROWS:
-            raise CheckpointError(
-                f"stream checkpoint {path} holds statistics on "
-                f"{stats.tile_rows}-row tiles, not {DEFAULT_TILE_ROWS}"
-            )
-        return stats, ledger, timings, merge_s
-
     def fit_from_stats(
-        self,
-        stats: SufficientStats,
-        chunk_source: Callable[[], Iterable[np.ndarray]] | None = None,
+        self, stats: SufficientStats, tiles: Sequence[np.ndarray] = ()
     ) -> TemporalShardFit:
         """Fit from *already accumulated* sufficient statistics.
 
-        This is the refit entry point of the always-on service
-        (:mod:`repro.service`): its tile-packed history computes each
-        tile's statistics once as the tile fills, so by refit time
-        pass 1 of :meth:`fit_stream` has effectively already run.
-        ``chunk_source`` must replay exactly the rows the statistics
-        cover and is only consulted when the 3σ separation rule needs
-        its score-moments pass (``normal_rank=None``); with an explicit
-        rank the fit is a pure function of ``stats``.
+        This is the fit of the always-on service (:mod:`repro.service`):
+        its tile-packed history computes each tile's statistics once, as
+        the tile fills, and a
+        :class:`~repro.core.suffstats.HistorySnapshot` hands over the
+        statistics and their rows together.  ``tiles`` are those rows,
+        from row 0, in canonical units: one
+        :data:`~repro.core.suffstats.DEFAULT_TILE_ROWS`-row block per
+        whole tile, then the rows of the open tile.  Only the 3σ
+        separation rule (``normal_rank=None``) reads them, one
+        :func:`~repro.core.subspace.score_moments` call per tile in
+        order; with an explicit rank the fit is a pure function of
+        ``stats``.
 
-        The result is bit-identical to :meth:`fit` /
-        :meth:`fit_stream` on the same rows, by the sufficient-statistics
-        exactness guarantees.
+        The result is bit-identical to :meth:`fit` on the same rows, by
+        the sufficient-statistics exactness guarantees.  No fault policy
+        applies: nothing here can be lost or retried.
         """
         begin = time.perf_counter()
         if not isinstance(stats, SufficientStats):
@@ -1007,150 +640,25 @@ class TemporalCoordinator:
                 f"tile_rows mismatch: statistics use {stats.tile_rows}, "
                 f"every fit folds {DEFAULT_TILE_ROWS}"
             )
-        if self.normal_rank is None and chunk_source is None:
-            raise ModelError(
-                "the 3σ separation rule needs a chunk_source replaying "
-                "the statistics' rows; pass one or set an explicit "
-                "normal_rank"
-            )
-        return self._fit_accumulated(stats, chunk_source, (), 0.0, begin)
-
-    def _fit_accumulated(
-        self,
-        stats: SufficientStats,
-        chunk_source: Callable[[], Iterable] | None,
-        timings: tuple[WorkerTiming, ...],
-        merge_s: float,
-        begin: float,
-        ledger: "_CoverageLedger | None" = None,
-        coverage: float = 1.0,
-        fault: FaultReport | None = None,
-    ) -> TemporalShardFit:
-        """Shared tail of the streaming/accumulated fit routes.
-
-        ``ledger`` is pass 1's coverage (absolute row intervals the
-        statistics fold); the separation pass scores the canonical units
-        of exactly those rows, each once, so a faulty source replayed
-        for pass 2 still yields the clean-run moments.  ``None`` means
-        the statistics cover ``[0, num_samples)`` contiguously (the
-        accumulated route).
-        """
-        pca, _, fit_s = self._fit_merged([stats], allow_gaps=coverage < 1.0)
-
+        pca, _, fit_s = self._fit_merged([stats])
         unit_moments: list[ScoreMoments] | None = None
         sep_begin = time.perf_counter()
         if self.normal_rank is None:
-            covered = (
-                ledger.intervals()
-                if ledger is not None
-                else [(0, pca.num_samples)]
-            )
-            replay = _UnitReplay(
-                canonical_units(covered, DEFAULT_TILE_ROWS),
-                pca.mean,
-                pca.components,
-            )
-            attempts, faults, detail = self._drive(
-                chunk_source, replay.add, replay.end_pass, seed=1
-            )
-            if detail is not None and self.fault_policy != "partial":
-                raise ModelError(
-                    f"chunk source changed between passes: {detail}"
-                )
-            unit_moments = replay.moments()
-            if not unit_moments:
-                raise SupervisionError(
-                    "no score moments survived the faulty stream; the 3σ "
-                    "separation cannot run (set an explicit normal_rank "
-                    "to fit without it)"
-                )
-            if faults:
-                extra = FaultReport(
-                    attempts=attempts,
-                    retries=attempts - 1,
-                    faults=tuple(faults),
-                )
-                fault = extra if fault is None else fault.merge(extra)
+            _check_tiles(tiles, stats)
+            unit_moments = [
+                score_moments(tile, pca.mean, pca.components)
+                for tile in tiles
+            ]
         return self._finish(
             pca,
             unit_moments,
             begin,
             sep_begin,
-            num_shards=len(timings),
+            num_shards=0,
             workers=1,
             num_rows=pca.num_samples,
-            coverage=coverage,
-            fault=fault,
-            merge_seconds=merge_s,
             fit_seconds=fit_s,
-            worker_timings=tuple(timings),
         )
-
-    def _drive(
-        self,
-        chunk_source: Callable[[], Iterable],
-        fold: Callable[[int, np.ndarray], None],
-        gap: Callable[[], str | None],
-        seed: int,
-    ) -> tuple[int, list[TaskFault], str | None]:
-        """Run passes over a re-iterable source until a pass is complete.
-
-        Each pass feeds every non-empty ``(start_row, chunk)`` to
-        ``fold``; ``gap()`` is called once after every pass and returns
-        ``None`` when nothing is missing, else what is.  A source that
-        raises, or a pass with a gap, is a fault, and the source is
-        re-iterated up to ``max_retries`` times (none under
-        ``fail-fast``) with jittered exponential backoff, the jitter
-        drawn from ``random.Random(seed)``.  Returns the passes made,
-        the faults, and the last pass's unresolved fault (``None`` when
-        it completed).  A source error that exhausts the retries is
-        re-raised unless the policy is ``partial``.
-        """
-        policy = self.fault_policy
-        allowed = 0 if policy == "fail-fast" else self.max_retries
-        backoff_rng = random.Random(seed)
-        faults: list[TaskFault] = []
-        attempt = 0
-        while True:
-            attempt += 1
-            source_error: Exception | None = None
-            position = 0
-            try:
-                for item in chunk_source():
-                    # Zero-copy for conforming chunks: memmap slices
-                    # stream straight into the kernels.
-                    start, chunk = _stream_item(item, position)
-                    position = start + chunk.shape[0]
-                    if chunk.shape[0]:  # an empty shard contributes nothing
-                        fold(start, chunk)
-            except ReproError:
-                raise  # our own validation errors are never retried
-            except Exception as err:  # noqa: BLE001 - source fault
-                source_error = err
-            missing = gap()
-            if source_error is not None:
-                missing = f"{type(source_error).__name__}: {source_error}"
-            if missing is None:
-                return attempt, faults, None
-            faults.append(
-                TaskFault(
-                    task=-1,
-                    attempt=attempt,
-                    kind=(
-                        "stream_gap" if source_error is None else "stream_error"
-                    ),
-                    worker=-1,
-                    detail=missing,
-                )
-            )
-            if attempt <= allowed:
-                time.sleep(
-                    backoff_delay(attempt, self.backoff_base, 0.25, backoff_rng)
-                )
-                continue
-            if source_error is not None and policy != "partial":
-                raise source_error
-            return attempt, faults, missing
 
     # ------------------------------------------------------------------
     def _fit_merged(

@@ -531,8 +531,8 @@ class DetectionService:
         )
         self._h_latency = registry.histogram(
             "repro_ingest_latency_seconds",
-            "Wall-clock seconds spent handling one ingested row, "
-            "accepted or rejected.",
+            "Wall-clock seconds spent handling one ingest call (a row "
+            "or a block), accepted or rejected.",
         )
 
     def _advance_tracker(self) -> ModelVersion:

@@ -12,7 +12,7 @@ wrapping a fully fitted :class:`~repro.core.detection.SPEDetector`, and
     Copy freshly ingested rows into the tile-packed history
     (:class:`~repro.core.suffstats.RowStore`): each full tile computes
     its statistics once, so pass 1 of a future refit is paid
-    incrementally, and the tiles are what the separation pass replays.
+    incrementally, and the tiles are what the separation pass scores.
 ``refit``
     Fit a candidate from a history snapshot via
     :meth:`TemporalCoordinator.fit_from_stats
@@ -480,11 +480,12 @@ def fit_history(config: dict, snapshot: HistorySnapshot) -> SPEDetector:
     The one fit of service bootstraps, refits and restores and of
     pooled tenant bootstraps (module-level, so a worker pool can run
     it): the statistics come with the snapshot, and the 3σ separation
-    pass replays its tiles, one
-    :func:`~repro.core.subspace.score_moments` call each.
+    pass scores its tiles, one
+    :func:`~repro.core.subspace.score_moments` call each.  Only the
+    snapshot is read, never the live history it came from.
     """
     fit = TemporalCoordinator(workers=1, **config).fit_from_stats(
-        snapshot.stats, lambda: iter(snapshot.tiles)
+        snapshot.stats, snapshot.tiles
     )
     return fit.detector
 

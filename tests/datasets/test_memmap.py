@@ -5,13 +5,13 @@ Three layers of guarantees:
 * persistence — :func:`save_traffic_memmap` / :func:`open_traffic_memmap`
   round-trip bitwise and hand back read-only maps whose row slices are
   views, not copies;
-* equivalence — streaming a memmap through
-  :meth:`TemporalCoordinator.fit_stream` and the fused
-  :func:`score_block` kernel is bit-identical to the in-memory paths;
+* equivalence — passing a memmap to :meth:`TemporalCoordinator.fit`
+  and the fused :func:`score_block` kernel is bit-identical to the
+  in-memory paths;
 * out-of-core — under an address-space budget smaller than the matrix
   (``RLIMIT_DATA``, which counts anonymous memory but not file-backed
   maps), materializing the matrix dies with ``MemoryError`` while the
-  chunked memmap pipeline completes.
+  fit and scoring of the memmap complete.
 """
 
 import os
@@ -87,18 +87,19 @@ class TestRoundTrip:
 
 
 class TestStreamingEquivalence:
-    def test_fit_stream_from_memmap_matches_in_memory_fit(
-        self, traffic, tmp_path
-    ):
+    def test_fit_from_memmap_matches_in_memory_fit(self, traffic, tmp_path):
         path = save_traffic_memmap(traffic, tmp_path / "traffic")
         coordinator = TemporalCoordinator(num_shards=4, workers=1)
         in_memory = coordinator.fit(traffic)
-        streamed = coordinator.fit_stream(traffic_chunks(path, chunk_rows=96))
-        ours, theirs = streamed.detector.model, in_memory.detector.model
+        mapped = coordinator.fit(open_traffic_memmap(path))
+        ours, theirs = mapped.detector.model, in_memory.detector.model
         assert np.array_equal(ours.pca.mean, theirs.pca.mean)
         assert np.array_equal(ours.pca.components, theirs.pca.components)
+        assert np.array_equal(
+            ours.separation.max_deviations, theirs.separation.max_deviations
+        )
         assert ours.normal_rank == theirs.normal_rank
-        assert streamed.detector.threshold == in_memory.detector.threshold
+        assert mapped.detector.threshold == in_memory.detector.threshold
 
     def test_block_scoring_from_memmap_is_bit_identical(
         self, traffic, tmp_path
@@ -132,8 +133,8 @@ class TestOutOfCore:
 
     ``RLIMIT_DATA`` counts ``brk`` plus anonymous private mappings —
     a full ``np.array`` materialization — but not read-only file-backed
-    maps, so it is exactly the right rlimit to prove the streaming path
-    never materializes the matrix.
+    maps, so it is exactly the right rlimit to prove that a fit of the
+    memmap never materializes the matrix.
     """
 
     ROWS, COLS = 65_536, 64  # 32 MiB of float64
@@ -174,7 +175,7 @@ class TestOutOfCore:
         import resource, sys
         import numpy as np
         sys.path.insert(0, {str(Path.cwd() / "src")!r})
-        from repro.datasets.io import open_traffic_memmap, traffic_chunks
+        from repro.datasets.io import open_traffic_memmap
         from repro.pipeline.sharded import TemporalCoordinator
 
         # Warm the BLAS work-buffer pool before measuring the baseline:
@@ -200,26 +201,36 @@ class TestOutOfCore:
         else:
             raise SystemExit("FAIL: full materialization fit in budget")
 
-        fit = TemporalCoordinator(num_shards=4, workers=1).fit_stream(
-            traffic_chunks({str(big_traffic)!r}, chunk_rows=4096)
-        )
+        fit = TemporalCoordinator(num_shards=4, workers=1).fit(mapped)
         spe_head = fit.detector.model.score_block(
             mapped[:4096], threshold=float(fit.detector.threshold)
         ).spe
-        print(fit.detector.normal_rank, float(spe_head.sum()))
+        pca = fit.detector.model.pca
+        print(repr(fit.detector.normal_rank), repr(fit.detector.threshold))
+        for array in (pca.mean, pca.components, pca.captured_variance(), spe_head):
+            print(array.tobytes().hex())
         """
         result = self._run(script)
         assert result.returncode == 0, result.stderr or result.stdout
-        rank, checksum = result.stdout.split()
+        lines = result.stdout.splitlines()
 
         # Same fit without any rlimit, fully in memory: bit-identical.
         mapped = open_traffic_memmap(big_traffic)
         reference = TemporalCoordinator(num_shards=4, workers=1).fit(
             np.array(mapped)
         )
-        assert int(rank) == reference.detector.normal_rank
+        pca = reference.detector.model.pca
         expected = reference.detector.model.score_block(
             np.array(mapped[:4096]),
             threshold=float(reference.detector.threshold),
         ).spe
-        assert float(checksum) == float(expected.sum())
+        assert lines[0] == (
+            f"{reference.detector.normal_rank!r} "
+            f"{reference.detector.threshold!r}"
+        )
+        for line, array in zip(
+            lines[1:],
+            (pca.mean, pca.components, pca.captured_variance(), expected),
+            strict=True,
+        ):
+            assert line == array.tobytes().hex()

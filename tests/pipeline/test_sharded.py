@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import SPEDetector, SufficientStats
+from repro.core.suffstats import DEFAULT_TILE_ROWS, canonical_units
 from repro.exceptions import ModelError, ValidationError
 from repro.pipeline.sharded import (
     FUSION_MODES,
@@ -29,6 +30,14 @@ def tall_block():
     block[1200] *= 2.5
     block[2000, :6] *= 3.0
     return block
+
+
+def canonical_tiles(block):
+    """A block's rows as the canonical units ``fit_from_stats`` scores."""
+    return tuple(
+        block[lo:hi]
+        for lo, hi in canonical_units([(0, len(block))], DEFAULT_TILE_ROWS)
+    )
 
 
 class TestTemporal:
@@ -130,79 +139,56 @@ class TestTemporal:
             replace(fit, detector=ulp_detector), tall_block
         )
 
-    def test_fit_stream_matches_in_memory_fit(self, tall_block):
-        def chunks():
-            for start in range(0, tall_block.shape[0], 333):
-                yield tall_block[start : start + 333]
-
-        stream = TemporalCoordinator().fit_stream(chunks)
-        memory = TemporalCoordinator(num_shards=4, workers=1).fit(
-            tall_block
-        )
-        assert np.array_equal(stream.pca.components, memory.pca.components)
-        assert stream.detector.threshold == memory.detector.threshold
-        assert stream.detector.normal_rank == memory.detector.normal_rank
-
-    def test_fit_stream_rejects_unstable_source(self, tall_block):
-        calls = []
-
-        def flaky():
-            calls.append(None)
-            rows = tall_block if len(calls) == 1 else tall_block[:-5]
-            for start in range(0, rows.shape[0], 500):
-                yield rows[start : start + 500]
-
-        with pytest.raises(ModelError, match="changed between passes"):
-            TemporalCoordinator().fit_stream(flaky)
-
-    @pytest.mark.parametrize("policy", ["fail-fast", "retry"])
-    @pytest.mark.parametrize("width", [1, 17])
-    def test_replay_of_another_width_is_a_model_error(
-        self, tall_block, policy, width
-    ):
-        """A replay whose width changed raises ModelError after one
-        replay — never broadcast into the moments, never retried."""
-        calls = []
-
-        def source():
-            calls.append(None)
-            rows = tall_block if len(calls) == 1 else tall_block[:, :width]
-            for start in range(0, rows.shape[0], 500):
-                yield rows[start : start + 500]
-
-        with pytest.raises(ModelError, match=f"{width} links.* 18"):
-            TemporalCoordinator(fault_policy=policy).fit_stream(source)
-        assert len(calls) == 2
-
     @pytest.mark.parametrize("width", [1, 17])
     def test_fit_from_stats_rejects_a_replay_of_another_width(
         self, tall_block, width
     ):
         stats = SufficientStats.from_block(tall_block)
-        with pytest.raises(ModelError, match=f"{width} links.* 18"):
+        with pytest.raises(ModelError, match=rf"\(1024, {width}\).* 18 links"):
             TemporalCoordinator().fit_from_stats(
-                stats, lambda: iter([tall_block[:, :width]])
+                stats, canonical_tiles(tall_block[:, :width])
             )
 
-    def test_fit_stream_rejects_empty_source(self):
-        with pytest.raises(ModelError, match="no chunks"):
-            TemporalCoordinator().fit_stream(lambda: iter(()))
-
-    def test_fit_stream_skips_empty_chunks(self, tall_block):
-        """A zero-row shard (e.g. an empty file) is ignored by both
-        passes instead of crashing the separation pass."""
-
-        def chunks():
-            yield tall_block[:900]
-            yield tall_block[:0]
-            yield tall_block[900:]
-
-        stream = TemporalCoordinator().fit_stream(chunks)
-        memory = TemporalCoordinator(num_shards=2, workers=1).fit(
-            tall_block
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            pytest.param(lambda b: (b[:1000], b[1000:]), id="short_first_tile"),
+            pytest.param(lambda b: canonical_tiles(b)[:-1], id="missing_tail"),
+            pytest.param(lambda b: canonical_tiles(b[:-5]), id="short_tail"),
+            pytest.param(lambda b: (), id="no_tiles"),
+        ],
+    )
+    def test_fit_from_stats_scores_only_canonical_tiles(
+        self, tall_block, monkeypatch, cut
+    ):
+        """Tiles that are not the statistics' rows in canonical units
+        raise before any of them is scored."""
+        scored = []
+        monkeypatch.setattr(
+            "repro.pipeline.sharded.score_moments",
+            lambda *args: scored.append(args),
         )
-        assert np.array_equal(stream.pca.components, memory.pca.components)
-        assert stream.detector.threshold == memory.detector.threshold
+        stats = SufficientStats.from_block(tall_block)
+        with pytest.raises(ModelError, match="rows"):
+            TemporalCoordinator().fit_from_stats(stats, cut(tall_block))
+        assert scored == []
+
+    def test_fit_from_stats_with_a_rank_needs_no_tiles(
+        self, tall_block, monkeypatch
+    ):
+        scored = []
+        monkeypatch.setattr(
+            "repro.pipeline.sharded.score_moments",
+            lambda *args: scored.append(args),
+        )
+        coordinator = TemporalCoordinator(workers=1, normal_rank=3)
+        fit = coordinator.fit_from_stats(SufficientStats.from_block(tall_block))
+        reference = coordinator.fit(tall_block)
+        assert scored == []
+        assert fit.separation is None
+        assert np.array_equal(fit.pca.components, reference.pca.components)
+        assert fit.detector.normal_rank == reference.detector.normal_rank == 3
+        assert fit.detector.threshold == reference.detector.threshold
 
     def test_validation(self, tall_block):
         with pytest.raises(ValidationError):

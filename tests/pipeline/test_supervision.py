@@ -1,5 +1,5 @@
 """Tests for the fault-tolerance layer: supervised pool, fault policies,
-degraded fits, stream resume, and the chaos harness.
+degraded fits, and the chaos harness.
 
 Everything here injects faults deterministically through
 :mod:`repro.pipeline.faults`, so a failure replays exactly; the
@@ -8,24 +8,13 @@ spectrum, rank, threshold) rather than summaries.
 """
 
 import json
-import pickle
 
 import numpy as np
 import pytest
 
-from repro.core.suffstats import DEFAULT_TILE_ROWS, SufficientStats
-from repro.exceptions import (
-    CheckpointError,
-    ModelError,
-    SupervisionError,
-    ValidationError,
-)
+from repro.exceptions import ModelError, SupervisionError, ValidationError
 from repro.pipeline.faults import FaultInjector, FaultPlan, WorkerFault
-from repro.pipeline.sharded import (
-    STREAM_CHECKPOINT_SCHEMA_VERSION,
-    SpatialCoordinator,
-    TemporalCoordinator,
-)
+from repro.pipeline.sharded import SpatialCoordinator, TemporalCoordinator
 from repro.pipeline.supervision import (
     FaultReport,
     SupervisedPool,
@@ -271,166 +260,6 @@ class TestTemporalFaultPolicies:
             TemporalCoordinator(num_shards=2, fault_policy="optimistic")
 
 
-class TestStreamFaults:
-    CHUNK = 200
-
-    def fit_clean(self, block):
-        return TemporalCoordinator(num_shards=2, workers=1).fit(block)
-
-    def coordinator(self, policy="retry"):
-        return TemporalCoordinator(
-            num_shards=2,
-            workers=1,
-            fault_policy=policy,
-            max_retries=1,
-            backoff_base=0.01,
-        )
-
-    def test_duplicate_chunk_folds_exactly_once(self, tall_block):
-        source = FaultInjector.chunk_source(
-            tall_block, self.CHUNK, fault="duplicate"
-        )
-        fit = self.coordinator().fit_stream(
-            source, expected_rows=tall_block.shape[0]
-        )
-        assert same_model(fit.detector, self.fit_clean(tall_block).detector)
-        assert fit.report.coverage == 1.0
-
-    def test_delayed_chunk_is_reordered_exactly(self, tall_block):
-        source = FaultInjector.chunk_source(
-            tall_block, self.CHUNK, fault="delay"
-        )
-        fit = self.coordinator().fit_stream(
-            source, expected_rows=tall_block.shape[0]
-        )
-        assert same_model(fit.detector, self.fit_clean(tall_block).detector)
-
-    def test_dropped_chunk_is_recovered_by_retry(self, tall_block):
-        source = FaultInjector.chunk_source(
-            tall_block, self.CHUNK, fault="drop"
-        )
-        fit = self.coordinator().fit_stream(
-            source, expected_rows=tall_block.shape[0]
-        )
-        assert same_model(fit.detector, self.fit_clean(tall_block).detector)
-        assert fit.report.fault is not None
-        assert fit.report.fault.retries >= 1
-
-    def test_permanent_drop_degrades_under_partial(self, tall_block):
-        source = FaultInjector.chunk_source(
-            tall_block, self.CHUNK, fault="drop", drop_always=True
-        )
-        fit = self.coordinator("partial").fit_stream(
-            source, expected_rows=tall_block.shape[0]
-        )
-        assert fit.report.coverage < 1.0
-        assert fit.report.fault is not None
-
-    def test_permanent_drop_aborts_under_fail_fast(self, tall_block):
-        source = FaultInjector.chunk_source(
-            tall_block, self.CHUNK, fault="drop", drop_always=True
-        )
-        with pytest.raises(SupervisionError):
-            TemporalCoordinator(
-                num_shards=2, workers=1, fault_policy="fail-fast"
-            ).fit_stream(source, expected_rows=tall_block.shape[0])
-
-    def test_legacy_errors_are_preserved(self, tall_block):
-        with pytest.raises(ModelError, match="yielded no chunks"):
-            TemporalCoordinator(num_shards=2, workers=1).fit_stream(
-                lambda: iter(())
-            )
-
-    def test_resume_from_checkpoint_is_bit_identical(
-        self, tall_block, tmp_path
-    ):
-        path = tmp_path / "stream.ckpt"
-        half = tall_block.shape[0] // 2
-
-        def first_half():
-            for start in range(0, half, self.CHUNK):
-                yield (start, tall_block[start : start + self.CHUNK])
-
-        # Interrupted run: only the first half arrives, partial policy
-        # persists what was covered.
-        self.coordinator("partial").fit_stream(
-            first_half,
-            checkpoint_path=path,
-            expected_rows=tall_block.shape[0],
-        )
-        assert path.exists()
-
-        def full():
-            for start in range(0, tall_block.shape[0], self.CHUNK):
-                yield (start, tall_block[start : start + self.CHUNK])
-
-        fit = self.coordinator().fit_stream(
-            full, checkpoint_path=path, expected_rows=tall_block.shape[0]
-        )
-        assert same_model(fit.detector, self.fit_clean(tall_block).detector)
-
-    def test_corrupt_checkpoint_recovers_fresh_with_fault(
-        self, tall_block, tmp_path
-    ):
-        path = tmp_path / "stream.ckpt"
-        source = FaultInjector.chunk_source(tall_block, self.CHUNK)
-        self.coordinator().fit_stream(
-            source, checkpoint_path=path,
-            expected_rows=tall_block.shape[0],
-        )
-        FaultInjector.corrupt_checkpoint(path, mode="truncate")
-        fit = self.coordinator().fit_stream(
-            source, checkpoint_path=path,
-            expected_rows=tall_block.shape[0],
-        )
-        assert same_model(fit.detector, self.fit_clean(tall_block).detector)
-        kinds = [f.kind for f in fit.report.fault.faults]
-        assert "corrupt_checkpoint" in kinds
-
-    def test_checkpoint_on_other_tiles_is_a_corrupt_checkpoint(
-        self, tall_block, tmp_path
-    ):
-        """A stream checkpoint whose statistics fold other tiles than
-        every fit does cannot be resumed: the fit records the fault,
-        starts fresh, and ends on the clean bits."""
-        path = tmp_path / "stream.ckpt"
-        with path.open("wb") as handle:
-            pickle.dump(
-                {
-                    "schema_version": STREAM_CHECKPOINT_SCHEMA_VERSION,
-                    "tile_rows": 256,
-                    "dtype": "float64",
-                    "intervals": ((0, 400),),
-                    "stats": SufficientStats.from_block(
-                        tall_block[:400], tile_rows=256
-                    ),
-                    "timings": (),
-                    "merge_seconds": 0.0,
-                },
-                handle,
-            )
-        source = FaultInjector.chunk_source(tall_block, self.CHUNK)
-        fit = self.coordinator().fit_stream(
-            source, checkpoint_path=path,
-            expected_rows=tall_block.shape[0],
-        )
-        assert same_model(fit.detector, self.fit_clean(tall_block).detector)
-        faults = fit.report.fault.faults
-        assert [f.kind for f in faults] == ["corrupt_checkpoint"]
-        assert "256-row tiles" in faults[0].detail
-        with path.open("rb") as handle:
-            rewritten = pickle.load(handle)
-        assert rewritten["tile_rows"] == DEFAULT_TILE_ROWS
-        assert rewritten["stats"].tile_rows == DEFAULT_TILE_ROWS
-
-    def test_negative_start_row_is_rejected(self, tall_block):
-        def source():
-            yield (-1, tall_block[:10])
-
-        with pytest.raises(ModelError):
-            TemporalCoordinator(num_shards=2, workers=1).fit_stream(source)
-
-
 class TestSpatialZoneLoss:
     def test_partial_fit_survives_a_dead_zone(self, tall_block):
         plan = FaultInjector.kill_worker(task=1, stage="zones", attempts=99)
@@ -495,29 +324,6 @@ class TestSpatialZoneLoss:
         )
 
 
-class TestStreamCheckpointFormat:
-    def test_checkpoint_is_a_versioned_pickle(self, tall_block, tmp_path):
-        from repro.pipeline.sharded import STREAM_CHECKPOINT_SCHEMA_VERSION
-
-        path = tmp_path / "stream.ckpt"
-        source = FaultInjector.chunk_source(tall_block, 200)
-        TemporalCoordinator(num_shards=2, workers=1).fit_stream(
-            source, checkpoint_path=path
-        )
-        payload = pickle.loads(path.read_bytes())
-        assert payload["schema_version"] == STREAM_CHECKPOINT_SCHEMA_VERSION
-        assert [tuple(span) for span in payload["intervals"]] == [
-            (0, tall_block.shape[0])
-        ]
-
-    def test_bad_schema_is_a_checkpoint_error(self, tmp_path):
-        path = tmp_path / "stream.ckpt"
-        path.write_bytes(pickle.dumps({"schema_version": 999}))
-        coordinator = TemporalCoordinator(num_shards=2, workers=1)
-        with pytest.raises(CheckpointError):
-            coordinator._load_stream_checkpoint(path)
-
-
 class TestChaosHarness:
     def test_retry_matrix_smoke(self):
         from repro.pipeline.chaos import run_chaos_suite
@@ -526,13 +332,11 @@ class TestChaosHarness:
             policy="retry",
             max_scenarios=1,
             deadline=2.0,
-            faults=("kill_worker", "drop_chunk", "corrupt_checkpoint"),
+            faults=("kill_worker", "fail_task", "corrupt_checkpoint"),
             probe_degraded_recall=False,
         )
         assert report.all_ok, report.table()
-        assert {o.plane for o in report} == {
-            "temporal", "spatial", "stream", "service"
-        }
+        assert {o.plane for o in report} == {"temporal", "spatial", "service"}
         payload = report.to_json()
         assert payload["failures"] == 0
         assert report.table()  # renders without raising
@@ -544,7 +348,7 @@ class TestChaosHarness:
             policy="partial",
             max_scenarios=1,
             deadline=2.0,
-            faults=("fail_task", "drop_chunk"),
+            faults=("fail_task", "kill_worker"),
             probe_degraded_recall=False,
         )
         assert report.all_ok, report.table()
@@ -566,3 +370,8 @@ class TestChaosHarness:
             run_chaos_suite(faults=("melt_cpu",))
         with pytest.raises(ValidationError):
             run_chaos_suite(planes=("orbital",))
+        # The chunk-stream plane and its fault kinds are gone.
+        with pytest.raises(ValidationError):
+            run_chaos_suite(faults=("drop_chunk",))
+        with pytest.raises(ValidationError):
+            run_chaos_suite(planes=("stream",))

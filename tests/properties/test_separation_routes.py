@@ -3,10 +3,9 @@
 Every fit computes one score-moments call per canonical tile and folds
 the tiles in ascending order, so the separation is a pure function of
 the rows, as the PCA is: the monolithic detector, the sharded
-coordinator at any shard and worker count, streaming fits over any
-chunking (sequential, or indexed with duplicated and shuffled chunks),
-fits from accumulated statistics, service histories built from any
-request sizes (refitted and restored) and pooled tenant bootstraps agree on
+coordinator at any shard and worker count, fits from statistics merged
+over any chunking, service histories built from any request sizes
+(refitted and restored) and pooled tenant bootstraps agree on
 ``max_deviations``, the first anomalous axis, the rank, the threshold,
 the mean and the components.  The histories span two to six tiles,
 so some shards hold several tiles and some none.
@@ -20,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import SPEDetector, SufficientStats
-from repro.core.suffstats import DEFAULT_TILE_ROWS
+from repro.core.suffstats import DEFAULT_TILE_ROWS, canonical_units
 from repro.pipeline.sharded import TemporalCoordinator
 from repro.service.lifecycle import ModelLifecycleManager
 from repro.service.tenants import bootstrap_lifecycles
@@ -90,22 +89,14 @@ def test_every_fit_route_gives_the_same_separation_bits(block, seed):
             )
             routes[f"fit shards={shards} workers={workers}"] = fit.detector
 
-    sizes = chunk_sizes(rng, t)
-    routes["fit_stream sequential"] = TemporalCoordinator().fit_stream(
-        lambda: (chunk for _, chunk in pieces(block, sizes))
-    ).detector
-    items = list(pieces(block, chunk_sizes(rng, t)))
-    items += rng.sample(items, min(3, len(items)))
-    rng.shuffle(items)
-    routes["fit_stream indexed"] = TemporalCoordinator().fit_stream(
-        lambda: iter(items), expected_rows=t
-    ).detector
-
     stats = SufficientStats.empty(block.shape[1])
     for start, chunk in pieces(block, chunk_sizes(rng, t)):
         stats = stats.merge(SufficientStats.from_block(chunk, start_row=start))
+    tiles = [
+        block[lo:hi] for lo, hi in canonical_units([(0, t)], DEFAULT_TILE_ROWS)
+    ]
     routes["fit_from_stats"] = TemporalCoordinator().fit_from_stats(
-        stats, lambda: iter([block])
+        stats, tiles
     ).detector
 
     requests = list(pieces(block, chunk_sizes(rng, t)))

@@ -171,13 +171,16 @@ class TestIngestScoring:
         spike = dataset.link_traffic[warmup] + 5.0e8 * dataset.routing.column(
             flow
         )
-        service.ingest_row(spike)
-        kinds = [e["kind"] for e in EventLog.read_jsonl(path)]
-        assert kinds == ["service_start", "alarm"]
-        with pytest.raises(IngestError):
-            service.ingest_row([1.0, 2.0])
-        kinds = [e["kind"] for e in EventLog.read_jsonl(path)]
-        assert kinds == ["service_start", "alarm", "ingest_error"]
+        try:
+            service.ingest_row(spike)
+            kinds = [e["kind"] for e in EventLog.read_jsonl(path)]
+            assert kinds == ["service_start", "alarm"]
+            with pytest.raises(IngestError):
+                service.ingest_row([1.0, 2.0])
+            kinds = [e["kind"] for e in EventLog.read_jsonl(path)]
+            assert kinds == ["service_start", "alarm", "ingest_error"]
+        finally:
+            service.close()
 
 
 class TestIngestValidation:

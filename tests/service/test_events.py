@@ -76,7 +76,9 @@ class TestFileSink:
 
     def test_appends_across_instances(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        EventLog(path).emit("service_start")
+        first = EventLog(path)
+        first.emit("service_start")
+        first.close()
         log = EventLog(path)
         log.emit("service_stop")
         log.close()
@@ -110,18 +112,21 @@ class TestFailSoftWrites:
             def close(self):
                 pass
 
-        log._handle = DeadHandle()
-        record = log.emit("alarm", bin=2)  # must not raise
-        assert record["bin"] == 2
-        assert log.write_errors == 1
-        log.emit("alarm", bin=3)
-        assert log.write_errors == 2
-        # The memory tail kept every event despite the failed writes.
-        assert [e["bin"] for e in log.tail()] == [1, 2, 3]
-        # Counters: every emit counted, only the first line persisted.
-        assert log.emitted == 3
-        lines = (tmp_path / "events.jsonl").read_text().splitlines()
-        assert len(lines) == 1
+        real_handle, log._handle = log._handle, DeadHandle()
+        try:
+            record = log.emit("alarm", bin=2)  # must not raise
+            assert record["bin"] == 2
+            assert log.write_errors == 1
+            log.emit("alarm", bin=3)
+            assert log.write_errors == 2
+            # The memory tail kept every event despite the failed writes.
+            assert [e["bin"] for e in log.tail()] == [1, 2, 3]
+            # Counters: every emit counted, only the first line persisted.
+            assert log.emitted == 3
+            lines = (tmp_path / "events.jsonl").read_text().splitlines()
+            assert len(lines) == 1
+        finally:
+            real_handle.close()
 
     def test_memory_only_log_never_counts_write_errors(self):
         log = EventLog()
