@@ -4,11 +4,10 @@ Measures rows/second through four paths on a sprint-like dataset:
 
 * the bare engine one row at a time (``ingest_row`` in-process, no
   transport) — each call is a one-row ``ingest_block``, so this is the
-  scoring + accounting cost of an arrival that travels alone (every
-  36th also pays the drift tracker's fold of the interval it
-  completes);
+  scoring + accounting cost of an arrival that travels alone (ingest
+  does no drift-telemetry work);
 * the engine block path (``ingest_block``) — one fused kernel pass,
-  one suffstats fold, and one buffered event write per chunk, with
+  one history append, and one buffered event write per chunk, with
   per-block p50/p99 latency recorded (about 1% of these rows alarm);
 * the same blocks in an alarm storm — every row plus a
   ``STORM_SPIKE_BYTES`` spike on one link, so every row alarms and is

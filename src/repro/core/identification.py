@@ -278,23 +278,25 @@ class IdentificationState:
 
         BLAS products over several rows need not match one-row products
         in the last bit, so each row's residual and candidate product
-        run as one-row calls: row ``i`` of the result is bit for bit
-        ``identify(measurements[i])``, whatever block it came in.  The
-        scoring and the argmax are elementwise per row, so they run
-        once over the block.  The service identifies its alarms this
-        way, so an alarm does not depend on the request that carried it.
+        run as one-row calls on ``(1, m)`` operands: row ``i`` of the
+        result is bit for bit ``identify(measurements[i])``, whatever
+        block it came in.  Centering, the scoring and the argmax are
+        elementwise per row, so they run once over the block.  The
+        service identifies its alarms this way, so an alarm does not
+        depend on the request that carried it.
         """
         measurements = self._check(measurements)
         if measurements.shape[0] < 2:  # one row (or none) is row by row
             return self.identify(measurements)
-        residuals = [self.model.residual(values[None, :]) for values in measurements]
-        inner = [residual @ self.directions for residual in residuals]
-        return _identify_scored(
-            np.concatenate(residuals),
-            np.concatenate(inner),
-            self.valid,
-            self.inv_energy,
-        )
+        centered = measurements - self.model.pca.mean
+        projector = self.model.anomalous_projector.T
+        residuals = np.empty_like(centered)
+        inner = np.empty((centered.shape[0], self.directions.shape[1]))
+        for row in range(centered.shape[0]):
+            residual = centered[row : row + 1] @ projector
+            residuals[row] = residual[0]
+            inner[row] = (residual @ self.directions)[0]
+        return _identify_scored(residuals, inner, self.valid, self.inv_energy)
 
     def _check(self, measurements: np.ndarray) -> np.ndarray:
         measurements = np.asarray(measurements, dtype=np.float64)

@@ -14,10 +14,10 @@ refreshes, each arrival costs one matrix-vector product, exactly the
 online regime the paper describes.
 
 A refresh is lazy: it snapshots the covariance and the eigensolve (and
-Q-limit) runs on the first read of the model, so a fold-only caller
-such as the service's drift telemetry pays for no eigensolve it never
-reads.  Every read sees exactly the model an eager refresh would have
-produced at the same point, since the solve runs on the snapshot.
+Q-limit) runs on the first read of the model, so a caller that folds
+several windows between reads pays for no eigensolve it never reads.
+Every read sees exactly the model an eager refresh would have produced
+at the same point, since the solve runs on the snapshot.
 
 :func:`principal_angles` quantifies subspace drift — the paper's
 stability claim ("reasonably stable from week to week") in degrees.
@@ -32,7 +32,7 @@ from repro.core.qstatistic import q_threshold
 from repro.core.subspace import score_block
 from repro.exceptions import ModelError, NotFittedError
 
-__all__ = ["IncrementalSubspaceTracker", "principal_angles"]
+__all__ = ["IncrementalSubspaceTracker", "covariance_spectrum", "principal_angles"]
 
 
 def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
@@ -53,6 +53,14 @@ def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
         )
     cosines = np.linalg.svd(basis_a.T @ basis_b, compute_uv=False)
     return np.arccos(np.clip(cosines, -1.0, 1.0))
+
+
+def covariance_spectrum(covariance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending, clamped at 0) and eigenvectors of a
+    symmetric covariance matrix, one ``eigh`` call."""
+    eigenvalues, eigenvectors = np.linalg.eigh(covariance)
+    order = np.argsort(eigenvalues)[::-1]
+    return np.maximum(eigenvalues[order], 0.0), eigenvectors[:, order]
 
 
 class IncrementalSubspaceTracker:
@@ -162,10 +170,7 @@ class IncrementalSubspaceTracker:
 
     def _solve(self) -> None:
         """Eigendecompose the pending snapshot into basis and Q-limit."""
-        eigenvalues, eigenvectors = np.linalg.eigh(self._pending)
-        order = np.argsort(eigenvalues)[::-1]
-        eigenvalues = np.maximum(eigenvalues[order], 0.0)
-        eigenvectors = eigenvectors[:, order]
+        eigenvalues, eigenvectors = covariance_spectrum(self._pending)
         self._eigenvalues = eigenvalues
         self._basis = eigenvectors[:, : self.normal_rank]
         self._axes = np.ascontiguousarray(self._basis.T)
@@ -291,7 +296,10 @@ class IncrementalSubspaceTracker:
         block — unlike the per-arrival loop, whose running mean drifts
         between samples; with windows much shorter than ``1/forgetting``
         the difference is negligible, and it is what lets the scoring
-        itself vectorize.  The fold is :meth:`fold_block`'s.
+        itself vectorize.  The fold unrolls the exponential recursions
+        in closed form, ``Σ_k = (1−η)^k Σ₀ + Dᵀ diag(η (1−η)^{k−j}) D``:
+        one cumulative filter and one weighted Gram product instead of
+        ``k`` rank-one updates, matching :meth:`update` to rounding.
 
         Parameters
         ----------
@@ -312,25 +320,6 @@ class IncrementalSubspaceTracker:
         flags = spe > self._threshold
         self._fold(np.asarray(measurements, dtype=np.float64), refresh)
         return spe, flags
-
-    def fold_block(self, measurements: np.ndarray) -> None:
-        """Fold a window into the running statistics without scoring it.
-
-        The exponential recursions ``μ_j = (1−η)μ_{j−1} + η y_j`` and
-        ``Σ_j = (1−η)Σ_{j−1} + η d_j d_jᵀ`` (``d_j = y_j − μ_j``) unroll in
-        closed form over a block of ``k`` arrivals:
-
-            μ_k = (1−η)^k μ₀ + η Σ_j (1−η)^{k−j} y_j
-            Σ_k = (1−η)^k Σ₀ + Dᵀ diag(η (1−η)^{k−j}) D
-
-        so the fold costs one cumulative filter plus one weighted Gram
-        product instead of ``k`` rank-one updates.  The resulting moments
-        match the sequential :meth:`update` loop to rounding.  Refreshes
-        keep their ``refresh_interval`` cadence; the model itself is not
-        touched until something reads it.
-        """
-        self._require_ready()
-        self._fold(self._as_block(measurements), refresh=False)
 
     def _fold(self, measurements: np.ndarray, refresh: bool) -> None:
         if measurements.shape[0] == 0:

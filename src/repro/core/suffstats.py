@@ -550,6 +550,15 @@ class RowStore:
         ]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
+    def last_tile_stats(self) -> FinalizedStats | None:
+        """The last complete tile's statistics, ``start_row`` its first
+        row; None before the first tile completes."""
+        if not self._tile_stats:
+            return None
+        stat = self._tile_stats[-1]
+        start = (len(self._tile_stats) - 1) * self.tile_rows
+        return FinalizedStats(stat.count, stat.total, stat.m2, start)
+
     def snapshot(self, rows: int | None = None) -> HistorySnapshot:
         """The first ``rows`` rows (default: all) as a :class:`HistorySnapshot`."""
         total = self.rows

@@ -2,9 +2,9 @@
 
 :class:`DetectionService` is everything the daemon does minus the HTTP:
 validate one arriving row, score it against the *pinned active model
-version*, identify/quantify it when flagged, fold it into the drift
-tracker and the refit statistics, and keep every step observable through
-Prometheus metrics and the JSONL event log.  The HTTP layer
+version*, identify/quantify it when flagged, append it to the history
+the refits fit from, and keep every step observable through Prometheus
+metrics and the JSONL event log.  The HTTP layer
 (:mod:`repro.service.http`) is a thin adapter over this object, which is
 what makes the fault-injection and parity suites fast: they drive the
 engine directly and only exercise sockets where transport behavior
@@ -24,14 +24,14 @@ statistics, bit-identical to an offline fit on the same prefix; together
 the two guarantees give exact service-vs-batch alarm parity across any
 hot-swap boundary, which the property tests replay.
 
-The exponentially weighted :class:`~repro.core.incremental.\
-IncrementalSubspaceTracker` is deliberately *not* on the scoring path:
-it exposes drift telemetry (its own adaptive threshold, the principal
-angle to the active version's subspace) that tells operators when the
-refit cadence is too slow.  It is a function of the active version and
-the history rows (see :meth:`DetectionService._advance_tracker`), and
-ingest only folds it; the tracker's eigensolve and the principal-angle
-SVD run when the gauges are computed, at exposition time.
+Drift telemetry is deliberately *not* on the scoring path: two gauges,
+computed from the last complete history tile (1,024 rows, about a week
+of 10-minute bins; the paper finds the subspace stable week to week,
+§7.1) and the active version, tell operators when the refit cadence is
+too slow.  Ingest does no drift work: the history append computes each
+tile's statistics, and :meth:`DetectionService._refresh_model_gauges`
+solves a tile once and reruns the Q-limit and principal angles only
+when the tile or the version changed.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ from repro.core.identification import IdentificationState
 # perfbench's layer table times ``identify_block`` in this module; the
 # name stays bound here until that table follows IdentificationState.
 from repro.core.identification import identify_block  # noqa: F401
-from repro.core.incremental import IncrementalSubspaceTracker
+from repro.core.incremental import covariance_spectrum, principal_angles
+from repro.core.qstatistic import q_threshold
 from repro.core.subspace import ScoreBlockResult
 from repro.exceptions import IngestError, ServiceError
 from repro.routing.routing_matrix import RoutingMatrix
@@ -98,14 +99,6 @@ ERROR_REASONS = (
 #: ``4 m MAX_LINK_COUNT**2``, stays finite for any network under about
 #: a million links.
 MAX_LINK_COUNT = float(2**53)
-
-#: Drift-tracker forgetting factor: a memory of one week of 10-minute
-#: bins, the span over which the paper finds the subspace stable (§7.1).
-TRACKER_FORGETTING = 1.0 / 1008.0
-#: Rows per drift-tracker fold and refresh: six hours of 10-minute bins.
-TRACKER_INTERVAL = 36
-#: Most rows one history read copies (within one default tile).
-_TRACKER_READ_ROWS = 28 * TRACKER_INTERVAL
 
 
 def _value_reject(values: np.ndarray) -> IngestError | None:
@@ -349,7 +342,7 @@ class BlockResult:
 
 
 class DetectionService:
-    """Score → diagnose → fold → account, for every arriving row.
+    """Score → diagnose → append → account, for every arriving row.
 
     Build via :meth:`from_warmup`.  All entry points are thread-safe;
     rows are serialized through one lock so stream bins are assigned in
@@ -404,10 +397,10 @@ class DetectionService:
         # refits fall due ``refit_interval`` rows after the later of it
         # and the active version's training.
         self._failed_refit_row = 0
-        self._tracker: IncrementalSubspaceTracker | None = None
-        self._tracker_version: ModelVersion | None = None
-        self._tracker_row = 0
-        self._drift_key: tuple[int, int] | None = None
+        # (first row, eigenvalues, eigenvectors) of the last tile solved,
+        # and the (tile, version) the drift gauges were computed for.
+        self._spectrum: tuple[int, np.ndarray, np.ndarray] | None = None
+        self._drift_key: tuple[int | None, int] | None = None
         self._build_metrics()
         self._refresh_model_gauges()
         self.events.emit(
@@ -522,12 +515,15 @@ class DetectionService:
         )
         self._g_tracker_threshold = registry.gauge(
             "repro_tracker_threshold",
-            "Adaptive SPE limit of the drift tracker.",
+            "Q-limit of the last complete history tile's residual "
+            "spectrum at the active version's rank; the version's own "
+            "threshold before the first tile completes.",
         )
         self._g_drift = registry.gauge(
             "repro_tracker_drift_radians",
-            "Largest principal angle between the drift tracker's "
-            "subspace and the active model's.",
+            "Largest principal angle between the last complete history "
+            "tile's top axes and the active normal subspace; 0 before "
+            "the first tile completes.",
         )
         self._h_latency = registry.histogram(
             "repro_ingest_latency_seconds",
@@ -535,50 +531,47 @@ class DetectionService:
             "or a block), accepted or rejected.",
         )
 
-    def _advance_tracker(self) -> ModelVersion:
-        """Fold the drift tracker up to the history; returns its version.
-
-        The one place it changes: seeded from the active version, it
-        folds each whole :data:`TRACKER_INTERVAL`-row interval of history
-        since ``activated_at_row``, and any swap reseeds it."""
-        version = self.lifecycle.current
-        if version is not self._tracker_version:
-            pca = version.detector.model.pca
-            covariance = (pca.components * pca.eigenvalues()) @ pca.components.T
-            self._tracker = IncrementalSubspaceTracker(
-                normal_rank=version.normal_rank,
-                forgetting=TRACKER_FORGETTING,
-                refresh_interval=TRACKER_INTERVAL,
-                confidence=self.lifecycle.confidence,
-            ).warm_up_from_moments(pca.mean, covariance)
-            self._tracker_version = version
-            self._tracker_row = version.activated_at_row
-        whole = (self.lifecycle.rows - self._tracker_row) // TRACKER_INTERVAL
-        stop = self._tracker_row + whole * TRACKER_INTERVAL
-        for row in range(self._tracker_row, stop, _TRACKER_READ_ROWS):
-            rows = self.lifecycle.read_rows(row, min(row + _TRACKER_READ_ROWS, stop))
-            for offset in range(0, rows.shape[0], TRACKER_INTERVAL):
-                self._tracker.fold_block(rows[offset : offset + TRACKER_INTERVAL])
-        self._tracker_row = stop
-        return version
-
     def _refresh_model_gauges(self) -> None:
-        """Set every model gauge; the only place tracker gauges are set.
+        """Set every model gauge; the only place drift gauges are set.
 
-        Reading the tracker runs the eigensolve of its last refresh
-        point, if one is pending.  The drift SVD reruns only when the
-        folded row or the active version changed since the last call.
+        With ``r`` the active version's rank, the tile's covariance
+        ``m2 / (count − 1)`` (the fit's normalisation) is solved once
+        per tile; the threshold gauge is the Q-limit of its eigenvalues
+        past ``r``, and the drift gauge the largest principal angle
+        between its top ``r`` axes and the version's.  Both rerun only
+        when the tile or the version changed since the last call.
+        Before the first tile completes they read the version's own
+        threshold and 0.
         """
-        version = self._advance_tracker()
+        version = self.lifecycle.current
         self._g_threshold.set(version.threshold)
         self._g_rank.set(version.normal_rank)
         self._g_version.set(version.version)
         self._g_refresh_age.set(self.lifecycle.rows - version.trained_rows)
-        self._g_tracker_threshold.set(self._tracker.threshold)
-        if (self._tracker_row, version.version) != self._drift_key:
-            basis = version.detector.model.pca.components[:, : version.normal_rank]
-            self._g_drift.set(self._tracker.drift_from(basis))
-            self._drift_key = (self._tracker_row, version.version)
+        tile = self.lifecycle.last_tile_stats()
+        key = (None if tile is None else tile.start_row, version.version)
+        if key == self._drift_key:
+            return
+        if tile is None:
+            threshold, drift = version.threshold, 0.0
+        else:
+            if self._spectrum is None or self._spectrum[0] != tile.start_row:
+                self._spectrum = (
+                    tile.start_row,
+                    *covariance_spectrum(tile.covariance()),
+                )
+            _, eigenvalues, axes = self._spectrum
+            rank = version.normal_rank
+            threshold = q_threshold(
+                eigenvalues[rank:], confidence=self.lifecycle.confidence
+            )
+            angles = principal_angles(
+                axes[:, :rank], version.detector.model.pca.components[:, :rank]
+            )
+            drift = float(angles.max()) if angles.size else 0.0
+        self._g_tracker_threshold.set(threshold)
+        self._g_drift.set(drift)
+        self._drift_key = key
 
     # ------------------------------------------------------------------
     @property
@@ -611,7 +604,7 @@ class DetectionService:
         self.events.emit("ingest_error", reason=reason, detail=detail)
 
     def ingest_row(self, row, bin_id: int | None = None) -> RowOutcome:
-        """Validate, score, diagnose, and fold one arriving row.
+        """Validate, score, diagnose, and append one arriving row.
 
         A one-row :meth:`ingest_block`.  Raises
         :class:`~repro.exceptions.IngestError` on rejection — the error
@@ -650,7 +643,7 @@ class DetectionService:
 
     # -- the ingest path -----------------------------------------------
     def ingest_block(self, rows, bins=None) -> BlockResult:
-        """Validate, score, diagnose, and fold a block of rows at once.
+        """Validate, score, diagnose, and append a block of rows at once.
 
         **Exact by construction.**  The accepted rows are scored through
         the row-decomposable :meth:`~repro.core.subspace.\
@@ -833,14 +826,12 @@ SubspaceModel.score_block` kernel — one call per contiguous run under
     def _ingest_accepted(
         self, accepted: np.ndarray, pending: list
     ) -> tuple[BlockSegment, ...]:
-        """Score and fold an accepted run, splitting at refit boundaries.
+        """Score and append an accepted run, splitting at refit boundaries.
 
         Each sub-run is every row up to the next synchronous-refit due
         point: one fused ``score_block`` call, one history append, then
-        either the refit (if due), which swaps the version exactly where
-        a row-by-row replay would have swapped it and reseeds the drift
-        tracker, or the tracker's folds of any completed interval.  A
-        refit that fails is counted and logged by :meth:`_do_refit`;
+        the refit if one is due, which swaps the version exactly where
+        a row-by-row replay would have swapped it.  A refit that fails is counted and logged by :meth:`_do_refit`;
         the active version keeps scoring and the next attempt falls due
         ``refit_interval`` rows later, so every accepted row still gets
         its outcome.  Each sub-run becomes one :class:`BlockSegment`
@@ -878,17 +869,11 @@ SubspaceModel.score_block` kernel — one call per contiguous run under
             if synchronous and (
                 self._rows_since_refit() >= self.config.refit_interval
             ):
-                # The swap reseeds the tracker and folds from the new
-                # version's first row, so the retiring tracker is not
-                # advanced; after a failed refit the next advance
-                # catches it up.
                 self._drain_events(pending)
                 try:
                     self._do_refit()
                 except ServiceError:
                     pass  # counted and logged; the active version serves
-            else:
-                self._advance_tracker()
         return tuple(segments)
 
     def _segment(

@@ -40,7 +40,12 @@ import numpy as np
 
 from repro._util import atomic_pickle_dump, ensure_matrix
 from repro.core.detection import SPEDetector
-from repro.core.suffstats import DEFAULT_TILE_ROWS, HistorySnapshot, RowStore
+from repro.core.suffstats import (
+    DEFAULT_TILE_ROWS,
+    FinalizedStats,
+    HistorySnapshot,
+    RowStore,
+)
 from repro.exceptions import CheckpointError, ModelError, ServiceError
 from repro.pipeline.sharded import TemporalCoordinator
 
@@ -276,10 +281,13 @@ class ModelLifecycleManager:
                 )
             history.append(block)
 
-    def read_rows(self, start: int, stop: int) -> np.ndarray:
-        """History rows ``[start, stop)``, read under the manager lock."""
+    def last_tile_stats(self) -> FinalizedStats | None:
+        """Statistics of the history's last complete tile (see
+        :meth:`RowStore.last_tile_stats
+        <repro.core.suffstats.RowStore.last_tile_stats>`), read under
+        the manager lock; None before the first tile completes."""
         with self._lock:
-            return self._require_history().read(start, stop)
+            return self._require_history().last_tile_stats()
 
     # ------------------------------------------------------------------
     def fit_config(self) -> dict:

@@ -10,6 +10,7 @@ from repro.core import (
     identify_single_flow,
 )
 from repro.core.identification import (
+    IdentificationState,
     _identify_multi_flow_loop,
     identify_single_flow_naive,
     residual_scores,
@@ -234,3 +235,33 @@ class TestMultiFlowVectorized:
             identify_multi_flow_block(
                 model, [theta[:, [0]]], sprint1.link_traffic[:5, :7]
             )
+
+
+class TestIdentifyEachAtServiceWidth:
+    @pytest.mark.parametrize("size", [2, 3, 7, 50, 51, 64])
+    def test_rows_equal_their_one_row_identification(
+        self, fitted, sprint1, size
+    ):
+        """At the service's width (sprint-1: 49 links, 169 flows), row
+        ``i`` of ``identify_each(block)`` is ``identify(block[i])`` bit
+        for bit: flow, magnitude, residual SPE and scores.  The rows of
+        a centered block sit at 8-byte offsets that a fresh one-row
+        array never has, so this pins that no BLAS path at this width
+        depends on the offset.  Every row carries a storm spike, as in
+        the service's alarm-storm bench, so every row is identified."""
+        model, theta = fitted
+        state = IdentificationState(model, theta)
+        rows = sprint1.link_traffic.copy()
+        rows[:, 0] += 5e8
+        for start in range(0, rows.shape[0] - size + 1, size):
+            block = rows[start : start + size]
+            each = state.identify_each(block)
+            for i in range(size):
+                alone = state.identify(block[i])
+                for name in (
+                    "flow_indices", "magnitudes", "residual_spe", "scores"
+                ):
+                    got = getattr(each, name)[i : i + 1]
+                    want = getattr(alone, name)
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want), (name, start + i)

@@ -41,11 +41,11 @@ def _reads(tracker, reference, probe, first: int = 0) -> list[bytes]:
 def schedules(draw):
     """Tracker settings plus a stream of (rows, op, lazy read) steps.
 
-    ``op`` is a fold-only ``fold_block`` or a scoring ``update_block``
-    with or without a forced refresh; zero-row steps are empty windows.
-    The lazy read is None (no read) or the reader that goes first.
-    Folds of up to 50 rows against intervals of 1 and 36 put several
-    refresh crossings between most lazy reads.
+    ``op`` is a scoring ``update_block`` with or without a forced
+    refresh; zero-row steps are empty windows.  The lazy read is None
+    (no read) or the reader that goes first.  Windows of up to 50 rows
+    against intervals of 1 and 36 put several refresh crossings between
+    most lazy reads.
     """
     return {
         "seed": draw(st.integers(0, 2**32 - 1)),
@@ -56,7 +56,7 @@ def schedules(draw):
             st.lists(
                 st.tuples(
                     st.integers(0, 50),
-                    st.sampled_from(["fold", "update", "update_refresh"]),
+                    st.sampled_from(["update", "update_refresh"]),
                     st.one_of(st.none(), st.integers(0, 4)),
                 ),
                 min_size=1,
@@ -94,12 +94,9 @@ def test_lazy_refresh_reads_bitwise_equal_to_eager(schedule):
             for size, op, first in schedule["steps"]:
                 block = rows[position : position + size]
                 position += size
-                if op == "fold":
-                    tracker.fold_block(block)
-                else:
-                    refresh = op == "update_refresh"
-                    spe, flags = tracker.update_block(block, refresh=refresh)
-                    seen.append((_bits(spe), flags.tobytes()))
+                refresh = op == "update_refresh"
+                spe, flags = tracker.update_block(block, refresh=refresh)
+                seen.append((_bits(spe), flags.tobytes()))
                 if eager:
                     tracker.threshold  # the eager schedule: solve now
                 seen.append(tracker.since_refresh)

@@ -17,9 +17,10 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.core import IncrementalSubspaceTracker
+from repro.core.incremental import principal_angles
+from repro.core.qstatistic import q_threshold
+from repro.core.suffstats import DEFAULT_TILE_ROWS
 from repro.service import DetectionService, ServiceConfig
-from repro.service.engine import TRACKER_FORGETTING, TRACKER_INTERVAL
 from repro.service.http import ServiceHTTPServer
 
 
@@ -54,29 +55,40 @@ def drift_replay():
     """``replay(version, history) -> (threshold, drift)``: the drift
     gauges by their rule, recomputed from the rows.
 
-    A fresh tracker seeded from ``version``'s moments folds each whole
-    ``TRACKER_INTERVAL``-row interval of ``history`` (warmup rows, then
-    every accepted row) from the version's ``activated_at_row``, oldest
-    first — however the rows were split into requests.
+    ``history`` is the warmup rows, then every accepted row, however
+    the rows were split into requests.  The reference takes the last
+    complete ``DEFAULT_TILE_ROWS``-row tile of it, computes the tile's
+    centered second moment with the history's per-tile arithmetic (sum,
+    deviations from the tile mean, ``Dᵀ D``) without a ``RowStore``, and
+    solves its covariance: the threshold is the Q-limit of the
+    eigenvalues past ``version``'s normal rank, and the drift the
+    largest principal angle between the tile's top axes and the
+    version's normal basis.  Before the first tile completes the gauges
+    read the version's threshold and 0.
     """
 
     def replay(version, history):
-        pca = version.detector.model.pca
-        tracker = IncrementalSubspaceTracker(
-            normal_rank=version.normal_rank,
-            forgetting=TRACKER_FORGETTING,
-            refresh_interval=TRACKER_INTERVAL,
-            confidence=ServiceConfig().confidence,
-        ).warm_up_from_moments(
-            pca.mean, (pca.components * pca.eigenvalues()) @ pca.components.T
-        )
         history = np.asarray(history, dtype=np.float64)
-        start = version.activated_at_row
-        while start + TRACKER_INTERVAL <= history.shape[0]:
-            tracker.fold_block(history[start : start + TRACKER_INTERVAL])
-            start += TRACKER_INTERVAL
-        reference = pca.components[:, : version.normal_rank]
-        return tracker.threshold, tracker.drift_from(reference)
+        tiles = history.shape[0] // DEFAULT_TILE_ROWS
+        if tiles == 0:
+            return float(version.threshold), 0.0
+        start = (tiles - 1) * DEFAULT_TILE_ROWS
+        rows = history[start : start + DEFAULT_TILE_ROWS].copy()
+        deviations = rows - rows.sum(axis=0) / DEFAULT_TILE_ROWS
+        covariance = (deviations.T @ deviations) / (DEFAULT_TILE_ROWS - 1)
+        eigenvalues, eigenvectors = np.linalg.eigh(covariance)
+        order = np.argsort(eigenvalues)[::-1]
+        eigenvalues = np.maximum(eigenvalues[order], 0.0)
+        rank = version.normal_rank
+        angles = principal_angles(
+            eigenvectors[:, order][:, :rank],
+            version.detector.model.pca.components[:, :rank],
+        )
+        confidence = ServiceConfig().confidence
+        return (
+            q_threshold(eigenvalues[rank:], confidence=confidence),
+            float(angles.max()) if angles.size else 0.0,
+        )
 
     return replay
 

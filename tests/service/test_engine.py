@@ -7,7 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import IncrementalSubspaceTracker
+import repro.service.engine as engine
+from repro.core.suffstats import DEFAULT_TILE_ROWS, RowStore
 from repro.exceptions import IngestError, ServiceError
 from repro.pipeline import DetectionPipeline
 from repro.service import (
@@ -26,14 +27,13 @@ def exposed(text: str, name: str) -> float:
     raise AssertionError(f"{name} is not exposed")
 
 
-class TrackerReplay:
+class DriftReplay:
     """The engine's drift telemetry, replayed from the rows by its rule.
 
-    Keeps the warmup rows and every accepted row.  Each check seeds a
-    fresh tracker from the active version and folds every whole
-    ``TRACKER_INTERVAL``-row interval from the version's
-    ``activated_at_row`` (the ``drift_replay`` fixture), so the
-    reference knows nothing of how requests split the rows.
+    Keeps the warmup rows and every accepted row.  Each check recomputes
+    the gauges from the last complete tile of those rows and the active
+    version (the ``drift_replay`` fixture), so the reference knows
+    nothing of how requests split the rows or where the engine solved.
     """
 
     def __init__(self, service, warmup, replay) -> None:
@@ -51,6 +51,19 @@ class TrackerReplay:
         )
         assert exposed(text, "repro_tracker_threshold") == threshold
         assert exposed(text, "repro_tracker_drift_radians") == drift
+
+
+def long_stream(dataset, warmup: int, rows: int) -> np.ndarray:
+    """``rows`` stream rows: the dataset's stream rows, then scaled and
+    reversed copies of them, so every tile of the history differs."""
+    stream = dataset.link_traffic[warmup:]
+    copies = -(-rows // stream.shape[0])
+    return np.vstack(
+        [
+            (stream if k % 2 == 0 else stream[::-1]) * (1.0 + 0.01 * k)
+            for k in range(copies)
+        ]
+    )[:rows]
 
 
 def assert_served_where_recorded(outcomes, history, warmup) -> None:
@@ -561,27 +574,33 @@ class TestObservability:
     def test_drift_tracker_follows_but_never_scores(
         self, service_split, make_service, drift_replay
     ):
-        """The tracker folds every whole interval of arrivals — its
-        gauges, read through the exposition, move and match the replay
-        — while the scoring threshold stays pinned to the active
+        """The drift gauges read the version's own threshold and 0 until
+        the history's first tile completes; then they follow that tile
+        — read through the exposition, they move and match the replay —
+        while the scoring threshold stays pinned to the active
         version."""
         dataset, warmup = service_split
         service = make_service()
-        replay = TrackerReplay(
+        replay = DriftReplay(
             service, dataset.link_traffic[:warmup], drift_replay
         )
         version = service.lifecycle.current
-        seeded = exposed(service.metrics_text(), "repro_tracker_threshold")
+        text = service.metrics_text()
+        replay.assert_matches(text)
+        assert exposed(text, "repro_tracker_threshold") == version.threshold
+        assert exposed(text, "repro_tracker_drift_radians") == 0.0
         thresholds = set()
-        for row in dataset.link_traffic[warmup : warmup + 40]:
-            thresholds.add(service.ingest_row(row).threshold)
-            replay.accept(row)
+        stream = long_stream(dataset, warmup, DEFAULT_TILE_ROWS - warmup + 40)
+        for start in range(0, stream.shape[0], 50):
+            result = service.ingest_block(stream[start : start + 50])
+            thresholds.update(o.threshold for o in result.outcomes)
+            replay.accept(stream[start : start + 50])
         assert thresholds == {version.threshold}  # scoring never drifted
         text = service.metrics_text()
         replay.assert_matches(text)
-        # The interval that completed at row 36 moved the telemetry off
-        # its seed.
-        assert exposed(text, "repro_tracker_threshold") != seeded
+        # The tile that completed at history row 1024 moved both gauges.
+        assert exposed(text, "repro_tracker_threshold") != version.threshold
+        assert exposed(text, "repro_tracker_drift_radians") > 0.0
 
     def test_close_emits_stop_event(self, service_split, make_service):
         dataset, warmup = service_split
@@ -617,56 +636,58 @@ class TestObservability:
 
 
 class TestTrackerTelemetry:
-    """The gauges are a function of the active version and the rows:
-    ingest folds whole intervals only, exposition computes them."""
+    """The gauges are a function of the last complete tile and the
+    active version: ingest does no drift work, a gauge refresh solves
+    each tile once."""
 
     def test_gauges_match_an_eager_replay_at_every_scrape(
         self, service_split, make_service, drift_replay
     ):
         dataset, warmup = service_split
         service = make_service(
-            config=ServiceConfig(refit_interval=90, synchronous_refit=True)
+            config=ServiceConfig(refit_interval=300, synchronous_refit=True)
         )
-        replay = TrackerReplay(
+        replay = DriftReplay(
             service, dataset.link_traffic[:warmup], drift_replay
         )
-        stream = dataset.link_traffic[warmup:]
-        stream = np.vstack([stream, stream[::-1] * 1.01, stream * 0.99])
-        # Rows 0-240 in requests of every shape.  Swaps: synchronous at
-        # 90, manual at 140, synchronous at 230 (inside a request).  The
-        # scrapes at 40, 76, 130, 185 and 223 come 36 or more rows after
-        # the last swap, so each reads a folded interval.
-        sizes = [7, 0, 13, 20, 1, 1, 34, 14, 40, 10, 20, 25, 35, 3, 2, 15]
-        scrape_after = {0, 3, 5, 6, 8, 11, 13}
+        # Tiles complete at stream rows 824 and 1848: the first edge
+        # ends a request, the second falls inside one.  Synchronous
+        # swaps at 300, 600, 900 and 1200 (inside requests), a manual
+        # one at 1300, then synchronous ones at 1600 (inside a request)
+        # and 1900 (where one ends); scrapes on both sides of each edge.
+        ends = [7, 7, 20, 420, 421, 422, 700, 823, 824, 860, 861, 1300,
+                1500, 1847, 1900, 2000]
+        scrape_after = {1, 3, 7, 8, 9, 11, 13, 14}
+        stream = long_stream(dataset, warmup, ends[-1])
         position = 0
-        for step, size in enumerate(sizes):
-            block = stream[position : position + size]
-            position += size
-            if size == 1:
+        for step, end in enumerate(ends):
+            block = stream[position:end]
+            if block.shape[0] == 1:
                 service.ingest_row(block[0])
             else:
-                assert service.ingest_block(block).accepted == size
+                assert service.ingest_block(block).accepted == end - position
+            position = end
             replay.accept(block)
-            if step == 9:
+            if end == 1300:
                 service.refit()  # a manual hot-swap between requests
             if step in scrape_after:
                 replay.assert_matches(service.metrics_text())
         history = service.lifecycle.version_history()
         assert [v.activated_at_row - warmup for v in history] == [
-            0, 90, 140, 230,
+            0, 300, 600, 900, 1200, 1300, 1600, 1900,
         ]
         replay.assert_matches(service.metrics_text())
 
     def test_drift_follows_a_swap_made_behind_the_engine(
         self, service_split, make_service, drift_replay
     ):
-        """A version activated on the lifecycle directly reseeds the
-        tracker as an engine refit does: the gauges equal those of a
-        twin that called ``refit()`` at the same row, at the swap and
-        after the next interval completes."""
+        """A version activated on the lifecycle directly moves the
+        gauges as an engine refit does: they equal those of a twin that
+        called ``refit()`` at the same row, before and after the next
+        tile completes."""
         dataset, warmup = service_split
         behind, twin = make_service(), make_service()
-        replay = TrackerReplay(
+        replay = DriftReplay(
             behind, dataset.link_traffic[:warmup], drift_replay
         )
 
@@ -678,31 +699,31 @@ class TestTrackerTelemetry:
                 exposed(text, "repro_tracker_drift_radians"),
             )
 
-        first = dataset.link_traffic[warmup : warmup + 40]
-        for service in (behind, twin):
-            service.ingest_block(first)
-        replay.accept(first)
-        behind.lifecycle.refit()
-        twin.refit()
-        assert gauges(behind) == gauges(twin)
-        second = dataset.link_traffic[warmup + 40 : warmup + 80]
-        for service in (behind, twin):
-            service.ingest_block(second)
-        replay.accept(second)
-        assert gauges(behind) == gauges(twin)
+        stream = long_stream(dataset, warmup, 1900)
+        for part in (stream[:900], stream[900:]):
+            for service in (behind, twin):
+                service.ingest_block(part)
+            replay.accept(part)
+            before = gauges(behind)
+            assert before == gauges(twin)
+            behind.lifecycle.refit()
+            twin.refit()
+            assert gauges(behind) == gauges(twin) != before
 
     def test_ingest_runs_no_eigensolve_until_the_scrape(
         self, service_split, make_service, monkeypatch
     ):
-        """Repeatable counts, independent of host speed: 35 one-row
-        ingests fold nothing and the 36th folds one interval; 1000 more
-        rows in 50-row blocks fold 27 intervals and run no eigensolve
-        and no principal-angle SVD; the next scrape runs one of each,
-        and a scrape with no new rows runs none."""
+        """Repeatable counts, independent of host speed.  From a 200-row
+        warmup, 35 one-row ingests and 1,001 rows in 50-row blocks read
+        no history rows and run no eigensolve and no SVD.  The history
+        then holds a complete tile: the next scrape solves it (one
+        ``eigh``) and takes the principal angles (one ``svd``); a second
+        scrape runs neither.  A swap adds one ``svd`` and no ``eigh``
+        to the next scrape (the candidate is fitted before counting)."""
         dataset, warmup = service_split
         service = make_service()
         service.metrics_text()
-        counts = {"eigh": 0, "svd": 0, "fold_block": 0}
+        counts = {"eigh": 0, "svd": 0, "read": 0}
 
         def counted(owner, name):
             real = getattr(owner, name)
@@ -715,52 +736,57 @@ class TestTrackerTelemetry:
 
         counted(np.linalg, "eigh")
         counted(np.linalg, "svd")
-        counted(IncrementalSubspaceTracker, "fold_block")
-        stream = np.tile(dataset.link_traffic[warmup:], (12, 1))[:1036]
+        counted(RowStore, "read")
+        stream = long_stream(dataset, warmup, 1036)
         for row in stream[:35]:
             service.ingest_row(row)
-        assert counts["fold_block"] == 0
-        service.ingest_row(stream[35])
-        assert counts["fold_block"] == 1
-        for start in range(36, 1036, 50):
+        for start in range(35, 1036, 50):
             assert service.ingest_block(stream[start : start + 50]).accepted
         assert service.rows_ingested == 1036
-        assert counts == {"eigh": 0, "svd": 0, "fold_block": 1 + 27}
+        assert service.lifecycle.rows >= DEFAULT_TILE_ROWS
+        assert counts == {"eigh": 0, "svd": 0, "read": 0}
         service.metrics_text()
-        assert counts == {"eigh": 1, "svd": 1, "fold_block": 1 + 27}
+        assert counts == {"eigh": 1, "svd": 1, "read": 0}
         service.metrics_text()
-        assert counts == {"eigh": 1, "svd": 1, "fold_block": 1 + 27}
+        assert counts == {"eigh": 1, "svd": 1, "read": 0}
+        monkeypatch.undo()
+        detector, trained = service.lifecycle.fit_candidate()
+        counted(np.linalg, "eigh")
+        counted(np.linalg, "svd")
+        service.lifecycle.activate(detector, trained)
+        service.metrics_text()
+        assert counts == {"eigh": 1, "svd": 2, "read": 0}
 
-    def test_a_synchronous_swap_folds_no_interval_it_discards(
+    def test_synchronous_swaps_solve_each_tile_once(
         self, service_split, make_service, drift_replay, monkeypatch
     ):
-        """288 one-row ingests at ``refit_interval=144`` complete eight
-        intervals, and a swap falls where the fourth and the eighth end:
-        the retiring tracker does not fold those two, because the swap
-        reseeds it, so ingest makes 6 folds — and the gauges still equal
-        the replay."""
+        """1,100 one-row ingests at ``refit_interval=144`` swap at every
+        144th row.  The history's first tile completes at stream row
+        824; the swap at 864 solves it, inside the refit's gauge
+        refresh, and neither the swap at 1008 nor the scrape solves it
+        again — and the gauges still equal the replay."""
         dataset, warmup = service_split
         service = make_service(
             config=ServiceConfig(refit_interval=144, synchronous_refit=True)
         )
-        replay = TrackerReplay(
+        replay = DriftReplay(
             service, dataset.link_traffic[:warmup], drift_replay
         )
-        folds = []
-        real = IncrementalSubspaceTracker.fold_block
+        solved = []
+        real = engine.covariance_spectrum
 
-        def counted(tracker, block):
-            folds.append(block.shape[0])
-            return real(tracker, block)
+        def counted(covariance):
+            solved.append(service.rows_ingested)
+            return real(covariance)
 
-        monkeypatch.setattr(IncrementalSubspaceTracker, "fold_block", counted)
-        traffic = dataset.link_traffic
-        stream = np.vstack([traffic[warmup:], traffic[::-1], traffic])[:288]
-        for row in stream:
+        monkeypatch.setattr(engine, "covariance_spectrum", counted)
+        for row in long_stream(dataset, warmup, 1100):
             service.ingest_row(row)
             replay.accept(row)
         history = service.lifecycle.version_history()
-        assert [v.activated_at_row - warmup for v in history] == [0, 144, 288]
-        assert folds == [36] * 6
+        assert [v.activated_at_row - warmup for v in history] == [
+            144 * k for k in range(8)
+        ]
+        assert solved == [864]
         replay.assert_matches(service.metrics_text())
-        assert folds == [36] * 6
+        assert solved == [864]

@@ -6,9 +6,9 @@ threshold, and flagged bins bit for bit — including across hot-swap
 boundaries (synchronous refits make the boundary a deterministic
 function of the stream) and under concurrent multi-threaded ingestion.
 
-The drift-tracker gauges belong to the same chain: they are a function
-of the active version and the rows, equal across request sizes,
-restores and the way a swap was made.
+The drift gauges belong to the same chain: they are a function of the
+active version and the history's last complete tile, equal across
+request sizes, restores and the way a swap was made.
 
 Two pillars make this exact rather than approximate, each pinned here:
 
@@ -26,8 +26,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from repro.core.suffstats import DEFAULT_TILE_ROWS
 from repro.exceptions import IngestError
 from repro.pipeline import DetectionPipeline
 from repro.routing.routing_matrix import RoutingMatrix
@@ -400,29 +401,49 @@ def served_gauges(service) -> tuple[float, float]:
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=row_streams(min_stream=40, max_stream=200), draws=st.data())
-def test_drift_gauges_are_a_function_of_the_rows(drift_replay, data, draws):
+@given(draws=st.data())
+def test_drift_gauges_are_a_function_of_the_rows(drift_replay, draws):
     """Both drift gauges are bitwise equal across per-row ingest,
-    random request sizes (1-60) and a service restored from a
-    checkpoint at a random row — under synchronous refits and an
-    optional ``lifecycle.refit()`` made behind the engine at a random
-    row — and equal the replay of the rule: seed from the active
-    version, then fold each whole 36-row interval of warmup and
-    accepted rows from its ``activated_at_row``."""
-    warmup, stream = data
+    random request sizes and a service restored from a checkpoint at a
+    random row — under synchronous refits and an optional
+    ``lifecycle.refit()`` made behind the engine at a random row — and
+    equal the rule's replay from the rows: the last complete tile's
+    spectrum against the active version, or the version's own
+    threshold and 0 before the first tile completes.  Histories
+    complete 0, 1 or 2 tiles; requests of up to 1,100 rows carry tile
+    edges inside them, and the behind-the-engine swap is drawn near an
+    edge as often as anywhere."""
+    tiles = draws.draw(st.integers(0, 2))
+    event(f"{tiles} complete tiles")
+    low = max(40, tiles * DEFAULT_TILE_ROWS)
+    warmup, stream = draws.draw(
+        row_streams(min_stream=low, max_stream=low + 160)
+    )
     total = stream.shape[0]
+    edges = [
+        k * DEFAULT_TILE_ROWS - warmup.shape[0]
+        for k in range(1, tiles + 1)
+    ]
     config = ServiceConfig(
-        refit_interval=draws.draw(st.sampled_from([None, 45, 90])),
+        refit_interval=draws.draw(st.sampled_from([None, 90, 250])),
         synchronous_refit=True,
     )
-    sizes = st.lists(st.integers(1, 60), min_size=1, max_size=8)
+    sizes = st.lists(
+        st.one_of(st.integers(1, 60), st.integers(61, 1100)),
+        min_size=1,
+        max_size=8,
+    )
     block_sizes, restored_sizes = draws.draw(sizes), draws.draw(sizes)
+    near_edge = [st.integers(e - 40, min(total, e + 40)) for e in edges]
     restore_at = draws.draw(st.one_of(st.none(), st.integers(0, total)))
-    behind_at = draws.draw(st.one_of(st.none(), st.integers(0, total)))
+    behind_at = draws.draw(
+        st.one_of(st.none(), st.integers(0, total), *near_edge)
+    )
 
     def serve(sizes, workdir=None):
         """Ingest the stream in requests of ``sizes`` (cycled), split
-        at the restore and behind-the-engine rows."""
+        at the restore and behind-the-engine rows, where the gauges
+        must equal the replay of the rows so far."""
         service = DetectionService.from_warmup(warmup, config=config)
         requests = itertools.cycle(sizes)
         position = 0
@@ -435,6 +456,10 @@ def test_drift_gauges_are_a_function_of_the_rows(drift_replay, data, draws):
                 block = stream[position : position + size]
                 assert service.ingest_block(block).accepted == size
                 position += size
+            served = np.vstack([warmup, stream[:position]])
+            assert served_gauges(service) == drift_replay(
+                service.lifecycle.current, served
+            )
             if workdir is not None and stop == restore_at:
                 writer = served_gauges(service)
                 path = Path(workdir) / "service.ckpt"
