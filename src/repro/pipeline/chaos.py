@@ -18,7 +18,9 @@ contract end to end:
 * a spatial plane that loses a zone keeps alarming with a
   quorum-adjusted vote and a recall close to the monolithic
   detector's (:func:`measure_degraded_recall` pins the gap over the
-  suite).
+  suite);
+* under every policy, the service refuses a corrupted checkpoint with
+  a typed error, and a fresh checkpoint restores bit for bit.
 
 Everything is deterministic — seeded backoff jitter, picklable fault
 plans keyed on ``(stage, task, attempt)`` — so a failure observed in CI
@@ -100,6 +102,10 @@ class ChaosOutcome:
         """Did this cell uphold the robustness contract?"""
         if not self.terminated:
             return False
+        if self.plane == "service":
+            # The checkpoint cycle takes no fault policy: it must
+            # recover bit for bit under each one.
+            return self.recovered and self.bit_identical is True
         if self.policy == "retry":
             # Transient faults must be retried to a bit-identical fit.
             return self.recovered and self.bit_identical is not False
@@ -281,7 +287,7 @@ def _run_spatial(traffic, fault, policy, deadline, workers):
     )
 
 
-def _run_service(traffic, fault, policy, workdir):
+def _run_service(traffic, workdir):
     """Checkpoint/restore cycle of the always-on service's lifecycle."""
     from repro.exceptions import CheckpointError, ServiceError
     from repro.service.lifecycle import ModelLifecycleManager
@@ -295,8 +301,8 @@ def _run_service(traffic, fault, policy, workdir):
         ModelLifecycleManager.restore(path)
     except (CheckpointError, ServiceError):
         pass  # a typed refusal is the contract for a damaged checkpoint
-    else:  # pragma: no cover - corruption must never restore silently
-        return True, False, None, 1
+    else:  # a damaged file that restores is not a recovery
+        return False, None, None, 1
     # An atomic re-checkpoint over the damaged file must restore warm.
     lifecycle.checkpoint(path)
     restored = ModelLifecycleManager.restore(path)
@@ -371,9 +377,7 @@ def run_chaos_suite(
                                 traffic, fault, policy, deadline, workers
                             )
                         else:
-                            out = _run_service(
-                                traffic, fault, policy, workdir
-                            )
+                            out = _run_service(traffic, workdir)
                     recovered, bit_identical, coverage, recorded = out
                 except ReproError as err:
                     # A typed abort: the run terminated with a report.

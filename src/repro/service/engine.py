@@ -387,7 +387,7 @@ class DetectionService:
             self._quant_ratio = routing.quantification_ratios()
         # (version, its identification state or None when its alarms
         # cannot name a flow): built once per version by
-        # _identification_state.
+        # _identification_state, dropped by each refit's swap.
         self._identification: tuple[
             ModelVersion | None, IdentificationState | None
         ] = (None, None)
@@ -996,7 +996,8 @@ SubspaceModel.score_block` kernel — one call per contiguous run under
 
     def _do_refit(self) -> ModelVersion:
         try:
-            # The fit runs outside the engine lock: ingest keeps flowing.
+            # A background refit fits outside the engine lock, so ingest
+            # keeps flowing; refit() and synchronous refits hold it.
             detector, trained_rows = self.lifecycle.fit_candidate()
         except Exception as err:
             with self._lock:
@@ -1009,6 +1010,8 @@ SubspaceModel.score_block` kernel — one call per contiguous run under
         with self._lock:
             # Between two blocks, so the boundary is where scoring moved.
             version = self.lifecycle.activate(detector, trained_rows)
+            # Release the retired version's model with its state.
+            self._identification = (None, None)
             self._last_refit_error = None
             self._m_refits.inc()
             self._m_swaps.inc()

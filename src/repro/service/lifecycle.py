@@ -1,9 +1,10 @@
 """Versioned model lifecycle for the always-on detection service.
 
 The service never scores a row against a half-updated model.  Instead it
-holds a sequence of immutable :class:`ModelVersion` records, each
-wrapping a fully fitted :class:`~repro.core.detection.SPEDetector`, and
-:class:`ModelLifecycleManager` owns the transitions:
+serves one immutable :class:`ModelVersion` at a time, wrapping a fully
+fitted :class:`~repro.core.detection.SPEDetector`; a retired version is
+kept as its summary only.  :class:`ModelLifecycleManager` owns the
+transitions:
 
 ``bootstrap``
     Fit version 1 from a warmup block (the service will not accept
@@ -77,16 +78,12 @@ class ModelVersion:
         First absolute row index scored under this version — the
         hot-swap boundary.  Equals ``trained_rows`` for the bootstrap
         version (warmup rows are never scored).
-    retired_at_row:
-        First absolute row index *no longer* scored under this version,
-        or ``None`` while active.
     """
 
     version: int
     detector: SPEDetector
     trained_rows: int
     activated_at_row: int
-    retired_at_row: int | None = None
 
     @property
     def threshold(self) -> float:
@@ -99,12 +96,13 @@ class ModelVersion:
         return self.detector.normal_rank
 
     def summary(self) -> dict:
-        """JSON-friendly description (event log / ``/version`` payload)."""
+        """JSON-friendly description (event log / ``/version`` payload);
+        the lifecycle sets ``retired_at_row`` when it retires the version."""
         return {
             "version": self.version,
             "trained_rows": self.trained_rows,
             "activated_at_row": self.activated_at_row,
-            "retired_at_row": self.retired_at_row,
+            "retired_at_row": None,
             "normal_rank": int(self.normal_rank),
             "threshold": float(self.threshold),
         }
@@ -141,10 +139,9 @@ class ModelLifecycleManager:
         self._lock = threading.RLock()
         self._history: RowStore | None = None
         self._current: ModelVersion | None = None
-        self._retired: list[ModelVersion] = []
-        #: Summaries of the versions retired before the checkpoint this
-        #: manager was restored from (their detectors are not kept).
-        self._restored_retired: tuple[dict, ...] = ()
+        #: Summaries of the retired versions, oldest first (their
+        #: detectors are not kept).
+        self._retired: list[dict] = []
         #: Side-channel state from the checkpoint that restored this
         #: manager ({} when constructed fresh) — the service layer uses
         #: it to resume its own counters (warmup/stream row tallies).
@@ -183,23 +180,14 @@ class ModelLifecycleManager:
         with self._lock:
             return self._current is not None
 
-    def version_history(self) -> list[ModelVersion]:
-        """Every version activated in this process, oldest first (active
-        one last); a restored manager starts from the restored version."""
-        with self._lock:
-            history = list(self._retired)
-            if self._current is not None:
-                history.append(self._current)
-            return history
-
     def version_summaries(self) -> list[dict]:
         """:meth:`ModelVersion.summary` of every version ever activated,
         oldest first, including those retired before a restore."""
         with self._lock:
-            return [
-                *self._restored_retired,
-                *(version.summary() for version in self.version_history()),
-            ]
+            summaries = [dict(summary) for summary in self._retired]
+            if self._current is not None:
+                summaries.append(self._current.summary())
+            return summaries
 
     # ------------------------------------------------------------------
     def bootstrap(self, warmup: np.ndarray) -> ModelVersion:
@@ -321,10 +309,10 @@ class ModelLifecycleManager:
         """Fit a candidate and atomically hot-swap it in.
 
         The swap itself is a single reference assignment under the lock:
-        the retiring version records ``retired_at_row`` equal to the new
-        version's ``activated_at_row``, so the boundary partitions the
-        row stream exactly — no row is scored under both models and none
-        is dropped.
+        the retiring version's summary records ``retired_at_row`` equal
+        to the new version's ``activated_at_row``, so the boundary
+        partitions the row stream exactly — no row is scored under both
+        models and none is dropped.
         """
         detector, trained_rows = self.fit_candidate()
         return self.activate(detector, trained_rows)
@@ -339,13 +327,7 @@ class ModelLifecycleManager:
             boundary = self._history.rows
             retiring = self._current
             self._retired.append(
-                ModelVersion(
-                    version=retiring.version,
-                    detector=retiring.detector,
-                    trained_rows=retiring.trained_rows,
-                    activated_at_row=retiring.activated_at_row,
-                    retired_at_row=boundary,
-                )
+                {**retiring.summary(), "retired_at_row": boundary}
             )
             self._current = ModelVersion(
                 version=retiring.version + 1,
@@ -452,7 +434,7 @@ class ModelLifecycleManager:
             current = payload["current"]
             rows = int(payload["rows"])
             trained = int(current["trained_rows"])
-            retired = tuple(dict(summary) for summary in payload["retired"])
+            retired = [dict(summary) for summary in payload["retired"]]
             blocks = [np.asarray(b, dtype=np.float64) for b in payload["blocks"]]
             history = RowStore(np.shape(blocks[0])[1])
             for block in blocks:
@@ -467,7 +449,7 @@ class ModelLifecycleManager:
                 f"claims {rows} ({trained} trained)"
             )
         manager.restored_extra = dict(payload.get("extra") or {})
-        manager._restored_retired = retired
+        manager._retired = retired
         with manager._lock:
             manager._history = history
             # Refit on the trained prefix only: rows ingested after the

@@ -353,6 +353,33 @@ class TestChaosHarness:
         )
         assert report.all_ok, report.table()
 
+    @pytest.mark.parametrize("policy", ["fail-fast", "retry", "partial"])
+    @pytest.mark.parametrize("broken", ["restores_damage", "restore_differs"])
+    def test_service_cell_fails_a_broken_cycle_under_every_policy(
+        self, monkeypatch, policy, broken
+    ):
+        """The service cell's contract does not depend on the policy: a
+        damaged checkpoint that restores, or a warm restore that is not
+        bit-identical, fails the cell under each one."""
+        import repro.pipeline.chaos as chaos
+
+        if broken == "restores_damage":
+            monkeypatch.setattr(
+                FaultInjector, "corrupt_checkpoint", staticmethod(lambda path: None)
+            )
+        else:
+            monkeypatch.setattr(chaos, "_detectors_match", lambda a, b: False)
+        report = chaos.run_chaos_suite(
+            policy=policy,
+            max_scenarios=1,
+            faults=("corrupt_checkpoint",),
+            planes=("service",),
+            probe_degraded_recall=False,
+        )
+        (cell,) = report
+        assert cell.terminated
+        assert not cell.ok, report.table()
+
     def test_degraded_recall_gate(self):
         from repro.pipeline.chaos import measure_degraded_recall
         from repro.scenarios.suite import get_suite

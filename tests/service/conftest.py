@@ -20,8 +20,30 @@ import pytest
 from repro.core.incremental import principal_angles
 from repro.core.qstatistic import q_threshold
 from repro.core.suffstats import DEFAULT_TILE_ROWS
+from repro.pipeline import DetectionPipeline
 from repro.service import DetectionService, ServiceConfig
 from repro.service.http import ServiceHTTPServer
+
+
+def refit_version(summary, rows, warmup, **fit):
+    """``(detector, lo, hi)`` of the model version ``summary`` records.
+
+    ``rows`` is the warmup rows, then every accepted row.  ``detector``
+    is an offline gram fit of the version's recorded slice, rows
+    ``[0, trained_rows)``, with the ``DetectionPipeline`` settings
+    ``fit``: the lifecycle's parity guarantee says it is the detector
+    that version served, bit for bit.  The version served stream rows
+    ``[lo, hi)``, from its activation to its retirement, or to the end
+    of ``rows`` while it is active.
+    """
+    detector = (
+        DetectionPipeline(svd_method="gram", **fit)
+        .fit(rows[: summary["trained_rows"]])
+        .detector
+    )
+    retired = summary["retired_at_row"]
+    end = len(rows) if retired is None else retired
+    return detector, summary["activated_at_row"] - warmup, end - warmup
 
 
 @pytest.fixture(scope="session")

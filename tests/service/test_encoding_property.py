@@ -45,6 +45,7 @@ from repro.service.tenants import MultiTenantService
 from tests.properties.test_identification_properties import (
     frozen_identify_block,
 )
+from tests.service.conftest import refit_version
 
 
 def legacy_body(result) -> str:
@@ -153,13 +154,24 @@ def counters(service) -> str:
     )
 
 
-def assert_frozen_identification(service, block, result):
+def assert_frozen_identification(service, rows, block, result):
     """Each served alarm names the flow, magnitude and bytes the frozen
     arithmetic finds for its row alone, under the version that scored
-    it."""
+    it: an offline refit of that version's recorded slice of ``rows``
+    (the warmup, then every row the service accepted)."""
+    summaries = {
+        summary["version"]: summary
+        for summary in service.lifecycle.version_summaries()
+    }
     models = {
-        version.version: version.detector.model
-        for version in service.lifecycle.version_history()
+        version: refit_version(
+            summaries[version], rows, service.warmup_rows
+        )[0].model
+        for version in {
+            outcome.model_version
+            for outcome in result.outcomes
+            if outcome.flow_index is not None
+        }
     }
     theta = service._routing.normalized_columns()
     ratios = service._routing.quantification_ratios()
@@ -197,9 +209,10 @@ def test_ingest_responses_are_the_legacy_bytes(case):
 
     engines[0].ingest_block = capture(engines[0].ingest_block)
     fleet.ingest_block = capture(fleet.ingest_block)
-    for (server, path), (twin, twin_path), service in zip(
-        routes, twin_routes, engines
+    for (server, path), (twin, twin_path), service, warmup in zip(
+        routes, twin_routes, engines, (warmups[0], *warmups)
     ):
+        accepted = [warmup]
         for block in chunked(stream, chunks):
             status, payload, _ = server._dispatch(
                 "POST", path, request_body(block)
@@ -210,7 +223,10 @@ def test_ingest_responses_are_the_legacy_bytes(case):
             # A rejected block answers 400, but its accepted prefix is
             # still segments: the encoder must hold there too.
             assert encode_ingest_response(result) == expected
-            assert_frozen_identification(service, block, result)
+            accepted.append(block[: result.accepted])
+            assert_frozen_identification(
+                service, np.vstack(accepted), block, result
+            )
             # The one-row route: the accepted rows one request each,
             # then the rejected row, if any.
             sent = block[: result.accepted + (result.rejected is not None)]

@@ -1,8 +1,10 @@
 """The transport-agnostic engine: scoring, accounting, refits, health."""
 
+import gc
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -67,15 +69,15 @@ def long_stream(dataset, warmup: int, rows: int) -> np.ndarray:
 
 
 def assert_served_where_recorded(outcomes, history, warmup) -> None:
-    """Each outcome's ``model_version`` is the one ``history`` records
-    as active at its row."""
+    """Each outcome's ``model_version`` is the one ``history`` (the
+    version summaries) records as active at its row."""
     for outcome in outcomes:
         row = warmup + outcome.bin
         assert [
-            v.version
+            v["version"]
             for v in history
-            if v.activated_at_row <= row
-            and (v.retired_at_row is None or row < v.retired_at_row)
+            if v["activated_at_row"] <= row
+            and (v["retired_at_row"] is None or row < v["retired_at_row"])
         ] == [outcome.model_version]
 
 
@@ -319,8 +321,8 @@ class TestRefits:
         )
         for row in dataset.link_traffic[warmup : warmup + 25]:
             service.ingest_row(row)
-        history = service.lifecycle.version_history()
-        assert [v.activated_at_row for v in history] == [
+        history = service.lifecycle.version_summaries()
+        assert [v["activated_at_row"] for v in history] == [
             warmup,
             warmup + 10,
             warmup + 20,
@@ -340,7 +342,7 @@ class TestRefits:
     ):
         """A background refit whose fit finishes while a block is being
         scored swaps after that block, so every served
-        ``model_version`` agrees with the ``version_history()``
+        ``model_version`` agrees with the ``version_summaries()``
         boundaries.  Two events force the interleaving: the fit waits
         until the block is scored, and the block waits before its
         history append until the swap lands — or, when the swap waits
@@ -385,10 +387,10 @@ class TestRefits:
         monkeypatch.undo()
         outcomes += served[0].outcomes
         outcomes += service.ingest_block(stream[30:]).outcomes
-        history = service.lifecycle.version_history()
+        history = service.lifecycle.version_summaries()
         assert len(history) == 2
         assert_served_where_recorded(outcomes, history, warmup)
-        assert history[1].activated_at_row == warmup + 30
+        assert history[1]["activated_at_row"] == warmup + 30
 
     def test_served_versions_match_boundaries_under_contention(
         self, service_split, make_service
@@ -396,7 +398,7 @@ class TestRefits:
         """Four writers (more than the cores) post blocks while
         background refits swap every 10 rows, under a short switch
         interval: each served row's ``model_version`` is the one
-        ``version_history()`` records for its row."""
+        ``version_summaries()`` records for its row."""
         dataset, warmup = service_split
         service = make_service(config=ServiceConfig(refit_interval=10))
         stream = np.tile(dataset.link_traffic[warmup:], (4, 1))
@@ -429,9 +431,44 @@ class TestRefits:
         assert not any(thread.is_alive() for thread in writers)
         assert not service.health()["refit_in_flight"]
         assert len(outcomes) == stream.shape[0]
-        history = service.lifecycle.version_history()
+        history = service.lifecycle.version_summaries()
         assert len(history) >= 2
         assert_served_where_recorded(outcomes, history, warmup)
+
+    def test_retired_detectors_are_released(
+        self, service_split, make_service
+    ):
+        """Every row is spiked along its own flow, so it alarms and each
+        version builds its identification state; synchronous refits
+        swap every 10 rows, and the run ends on a swap, before the new
+        version scores a row.  After it no retired version's detector
+        is reachable, through the lifecycle or the engine's
+        identification state, and the active one is."""
+        dataset, warmup = service_split
+        service = make_service(
+            config=ServiceConfig(refit_interval=10, synchronous_refit=True)
+        )
+        routing = dataset.routing
+        flows = np.arange(30) * 7 % routing.num_flows
+        spiked = (
+            dataset.link_traffic[warmup : warmup + 30]
+            + 5.0e8 * routing.matrix[:, flows].T
+        )
+        detectors = {}
+
+        def track():
+            version = service.lifecycle.current
+            detectors.setdefault(version.version, weakref.ref(version.detector))
+
+        for row, flow in zip(spiked, flows.tolist()):
+            track()
+            outcome = service.ingest_row(row)
+            assert outcome.flag and outcome.flow_index == flow
+        track()
+        gc.collect()
+        assert {v: ref() is None for v, ref in detectors.items()} == {
+            1: True, 2: True, 3: True, 4: False,
+        }
 
     def test_failed_refit_is_counted_and_survivable(
         self, service_split, make_service
@@ -672,8 +709,8 @@ class TestTrackerTelemetry:
                 service.refit()  # a manual hot-swap between requests
             if step in scrape_after:
                 replay.assert_matches(service.metrics_text())
-        history = service.lifecycle.version_history()
-        assert [v.activated_at_row - warmup for v in history] == [
+        history = service.lifecycle.version_summaries()
+        assert [v["activated_at_row"] - warmup for v in history] == [
             0, 300, 600, 900, 1200, 1300, 1600, 1900,
         ]
         replay.assert_matches(service.metrics_text())
@@ -783,8 +820,8 @@ class TestTrackerTelemetry:
         for row in long_stream(dataset, warmup, 1100):
             service.ingest_row(row)
             replay.accept(row)
-        history = service.lifecycle.version_history()
-        assert [v.activated_at_row - warmup for v in history] == [
+        history = service.lifecycle.version_summaries()
+        assert [v["activated_at_row"] - warmup for v in history] == [
             144 * k for k in range(8)
         ]
         assert solved == [864]

@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.pipeline import DetectionPipeline
 from repro.service import ServiceConfig
+from tests.service.conftest import refit_version
 
 
 class TestIngestRoute:
@@ -459,20 +460,13 @@ class TestHotSwapParityOverHTTP:
         service = server.service
         reference_spe = np.empty(stream.shape[0])
         reference_flags = np.empty(stream.shape[0], dtype=bool)
-        for version in service.lifecycle.version_history():
-            lo = version.activated_at_row - warmup
-            hi = (
-                version.retired_at_row - warmup
-                if version.retired_at_row is not None
-                else stream.shape[0]
+        for summary in service.lifecycle.version_summaries():
+            detector, lo, hi = refit_version(
+                summary, dataset.link_traffic, warmup
             )
             if hi <= lo:
                 continue
-            offline = DetectionPipeline(svd_method="gram").fit(
-                dataset.link_traffic[: version.trained_rows],
-                routing=dataset.routing,
-            )
-            result = offline.detect(stream[lo:hi])
+            result = detector.detect(stream[lo:hi])
             reference_spe[lo:hi] = result.spe
             reference_flags[lo:hi] = result.flags
         assert [r["spe"] for r in collected] == list(reference_spe)

@@ -1,9 +1,11 @@
 """Versioned model lifecycle: exact refits, atomic swaps, checkpoints."""
 
+import gc
 import math
 import pickle
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ class TestBootstrap:
         assert version.version == 1
         assert version.trained_rows == warmup
         assert version.activated_at_row == warmup
-        assert version.retired_at_row is None
+        assert version.summary()["retired_at_row"] is None
         offline = DetectionPipeline(svd_method="gram").fit(
             dataset.link_traffic[:warmup]
         )
@@ -84,13 +86,29 @@ class TestAppendAndRefit:
         lifecycle.refit()
         lifecycle.append_rows(dataset.link_traffic[warmup + 30 : warmup + 70])
         lifecycle.refit()
-        history = lifecycle.version_history()
-        assert [v.version for v in history] == [1, 2, 3]
+        history = lifecycle.version_summaries()
+        assert [v["version"] for v in history] == [1, 2, 3]
         # Each retirement boundary is the successor's activation row: no
         # row scored under two models, none dropped.
         for retiring, incoming in zip(history, history[1:]):
-            assert retiring.retired_at_row == incoming.activated_at_row
-        assert history[-1].retired_at_row is None
+            assert retiring["retired_at_row"] == incoming["activated_at_row"]
+        assert history[-1]["retired_at_row"] is None
+
+    def test_retired_detectors_are_released(self, manager):
+        """A retired version is kept as its summary only: after four
+        refits no retired detector is reachable, and the active one
+        is."""
+        dataset, warmup, lifecycle = manager
+        detectors = [weakref.ref(lifecycle.current.detector)]
+        for start in range(warmup, warmup + 40, 10):
+            lifecycle.append_rows(dataset.link_traffic[start : start + 10])
+            detectors.append(weakref.ref(lifecycle.refit().detector))
+        gc.collect()
+        assert [ref() is None for ref in detectors] == [True] * 4 + [False]
+        assert detectors[-1]() is lifecycle.current.detector
+        assert [v["version"] for v in lifecycle.version_summaries()] == [
+            1, 2, 3, 4, 5,
+        ]
 
     def test_append_guards(self, manager):
         dataset, _, lifecycle = manager
@@ -152,7 +170,7 @@ class TestRefitFailure:
         with pytest.raises(RuntimeError, match="injected"):
             lifecycle.refit()
         assert lifecycle.current is active  # swap never started
-        assert [v.version for v in lifecycle.version_history()] == [1]
+        assert [v["version"] for v in lifecycle.version_summaries()] == [1]
         boom["armed"] = False
         assert lifecycle.refit().version == 2  # recovery needs no reset
 
@@ -228,11 +246,9 @@ class TestCheckpoint:
 
         restored = ModelLifecycleManager.restore(legacy)
         assert restored.rows == lifecycle.rows
-        for each in (restored, lifecycle):
-            each.refit()
-        for left, right in zip(
-            restored.version_history()[-2:], lifecycle.version_history()[-2:]
-        ):
+
+        def assert_same_current():
+            left, right = restored.current, lifecycle.current
             ours, theirs = left.detector.model, right.detector.model
             assert left.threshold == right.threshold
             assert ours.pca.mean.tobytes() == theirs.pca.mean.tobytes()
@@ -244,6 +260,11 @@ class TestCheckpoint:
                 ours.separation.max_deviations.tobytes()
                 == theirs.separation.max_deviations.tobytes()
             )
+
+        assert_same_current()
+        for each in (restored, lifecycle):
+            each.refit()
+        assert_same_current()
 
     @pytest.mark.parametrize("request_rows", [1, 50, 1000])
     def test_refit_scores_each_tile_once(self, monkeypatch, request_rows):

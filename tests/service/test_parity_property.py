@@ -38,6 +38,7 @@ from repro.service import (
     EventLog,
     ServiceConfig,
 )
+from tests.service.conftest import refit_version
 
 
 @st.composite
@@ -68,25 +69,20 @@ def rank_cap(stream) -> int:
     return max(1, stream.shape[1] - 2)
 
 
-def batch_reference(warmup, stream, boundaries, max_normal_rank=None):
-    """Offline refits at the service-reported swap boundaries."""
+def batch_reference(warmup, stream, summaries, max_normal_rank=None):
+    """Offline refits at the swap boundaries the service's version
+    summaries report."""
     history = np.vstack([warmup, stream])
     spe = np.empty(stream.shape[0])
     flags = np.empty(stream.shape[0], dtype=bool)
     thresholds = np.empty(stream.shape[0])
-    for version in boundaries:
-        lo = version.activated_at_row - warmup.shape[0]
-        hi = (
-            version.retired_at_row - warmup.shape[0]
-            if version.retired_at_row is not None
-            else stream.shape[0]
+    for summary in summaries:
+        detector, lo, hi = refit_version(
+            summary, history, warmup.shape[0], max_normal_rank=max_normal_rank
         )
         if hi <= lo:
             continue
-        pipeline = DetectionPipeline(
-            svd_method="gram", max_normal_rank=max_normal_rank
-        ).fit(history[: version.trained_rows])
-        result = pipeline.detect(stream[lo:hi])
+        result = detector.detect(stream[lo:hi])
         spe[lo:hi] = result.spe
         flags[lo:hi] = result.flags
         thresholds[lo:hi] = result.threshold
@@ -155,7 +151,7 @@ def test_parity_survives_hot_swaps_mid_stream(data, refit_interval):
         ),
     )
     outcomes = [service.ingest_row(row) for row in stream]
-    history = service.lifecycle.version_history()
+    history = service.lifecycle.version_summaries()
     if stream.shape[0] >= refit_interval:
         assert len(history) > 1  # at least one swap actually happened
     spe, flags, thresholds = batch_reference(
@@ -332,15 +328,10 @@ def test_block_ingest_matches_per_row_bitwise(data, refit_interval, seed):
     assert [o.to_json() for o in block_outcomes] == [
         o.to_json() for o in row_outcomes
     ]
-    row_history = row_service.lifecycle.version_history()
-    block_history = block_service.lifecycle.version_history()
-    assert [
-        (v.version, v.trained_rows, v.activated_at_row)
-        for v in row_history
-    ] == [
-        (v.version, v.trained_rows, v.activated_at_row)
-        for v in block_history
-    ]
+    assert (
+        block_service.lifecycle.version_summaries()
+        == row_service.lifecycle.version_summaries()
+    )
     assert block_service.events.tail() == row_service.events.tail()
     assert served_state(block_service) == served_state(row_service)
 
@@ -550,7 +541,7 @@ class TestConcurrentIngestion:
         assert len(results) == stream.shape[0]
         results.sort(key=lambda item: item[0])
         assert [r[0] for r in results] == list(range(stream.shape[0]))
-        history = service.lifecycle.version_history()
+        history = service.lifecycle.version_summaries()
         assert len(history) > 1  # hot-swaps really happened mid-stream
         spe, flags, thresholds = batch_reference(warmup, stream, history)
         assert np.array_equal(np.array([r[1] for r in results]), spe)
