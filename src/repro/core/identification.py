@@ -277,26 +277,24 @@ class IdentificationState:
         """Identify every row as if it arrived alone.
 
         BLAS products over several rows need not match one-row products
-        in the last bit, so each row's residual and candidate product
-        run as one-row calls on ``(1, m)`` operands: row ``i`` of the
-        result is bit for bit ``identify(measurements[i])``, whatever
-        block it came in.  Centering, the scoring and the argmax are
-        elementwise per row, so they run once over the block.  The
-        service identifies its alarms this way, so an alarm does not
+        in the last bit, so the residual and candidate products run
+        stacked over ``(1, m)`` slices: numpy sends each slice of a
+        stacked product through the BLAS call a lone row takes, so row
+        ``i`` of the result is bit for bit ``identify(measurements[i])``,
+        whatever block it came in.  Centering, the scoring and the
+        argmax are elementwise per row, so they run once over the block.
+        The service identifies its alarms this way, so an alarm does not
         depend on the request that carried it.
         """
         measurements = self._check(measurements)
         if measurements.shape[0] < 2:  # one row (or none) is row by row
             return self.identify(measurements)
         centered = measurements - self.model.pca.mean
-        projector = self.model.anomalous_projector.T
-        residuals = np.empty_like(centered)
-        inner = np.empty((centered.shape[0], self.directions.shape[1]))
-        for row in range(centered.shape[0]):
-            residual = centered[row : row + 1] @ projector
-            residuals[row] = residual[0]
-            inner[row] = (residual @ self.directions)[0]
-        return _identify_scored(residuals, inner, self.valid, self.inv_energy)
+        residuals = np.matmul(centered[:, None, :], self.model.anomalous_projector.T)
+        inner = residuals @ self.directions
+        return _identify_scored(
+            residuals[:, 0], inner[:, 0], self.valid, self.inv_energy
+        )
 
     def _check(self, measurements: np.ndarray) -> np.ndarray:
         measurements = np.asarray(measurements, dtype=np.float64)

@@ -22,18 +22,24 @@ Box's chi-square approximation ``g·χ²_h`` with ``g = φ₂/φ₁`` and
 ``h = φ₁²/φ₂``, the standard alternative in the process-control
 literature the paper draws on ([7, 8]).
 
-Both quantiles come from :mod:`scipy.special`, the functions
-:mod:`scipy.stats` evaluates them with: ``c_α = ndtri(1 − α)`` and the
-chi-square quantile ``χ²_h(p) = 2·gammaincinv(h/2, p)``, bit for bit
-equal to ``norm.ppf`` and ``chi2.ppf`` without importing
-:mod:`scipy.stats`, which would add about a second to the start-up of
-every process that computes a limit (the service among them).
+The normal quantile ``c_α = ndtri(1 − α)`` is :func:`ndtri` below, a
+port in plain Python floats of the Cephes routine (S. L. Moshier's
+Cephes Math Library) that ``scipy.special.ndtri`` and so
+``scipy.stats.norm.ppf`` evaluate: the same coefficients, the same
+Horner order and the same libm ``log``, so it returns their bits on all
+of ``[0, 1]``.  Box's chi-square quantile ``χ²_h(p) = 2·gammaincinv(h/2,
+p)``, the function ``scipy.stats.chi2.ppf`` evaluates, imports
+:mod:`scipy.special` on its first call.  JM's limit needs no scipy, so
+a process whose limits never fall back to Box (the service, the
+sharded fit and the batch pipeline among them) starts without it; the
+first fallback pays the one-time import, about 0.3–0.4 s.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gammaincinv, ndtri
 
 from repro.exceptions import ModelError
 
@@ -158,11 +164,9 @@ def q_thresholds(
 
     g = phi2 / phi1
     h = phi1**2 / phi2
-    box = g * _chi2_quantile(conf, h)
-
     h0 = 1.0 - (2.0 * phi1 * phi3) / (3.0 * phi2**2)
     if h0 <= 0.0:
-        return box
+        return g * _chi2_quantile(conf, h)
     c_alpha = ndtri(conf)
     bracket = (
         c_alpha * np.sqrt(2.0 * phi2 * h0**2) / phi1
@@ -173,8 +177,12 @@ def q_thresholds(
     jm = np.full(conf.shape, np.nan)
     with np.errstate(invalid="ignore", over="ignore"):
         jm[valid] = phi1 * bracket[valid] ** (1.0 / h0)
-    use_jm = valid & np.isfinite(jm) & (jm >= 0.0)
-    return np.where(use_jm, jm, box)
+    # Box's quantile is elementwise, so evaluating it only at the levels
+    # that fall back gives those levels the bits a full sweep gave them.
+    fallback = ~(valid & np.isfinite(jm) & (jm >= 0.0))
+    if fallback.any():
+        jm[fallback] = g * _chi2_quantile(conf[fallback], h)
+    return jm
 
 
 def box_approx_threshold(
@@ -203,8 +211,129 @@ def box_approx_threshold(
 
 def _chi2_quantile(p, df: float):
     """The chi-square quantile ``χ²_df(p)`` for ``p`` in ``(0, 1)``, as
-    ``chi2.ppf`` computes it."""
+    ``chi2.ppf`` computes it.  Only Box's fallback calls it, so
+    :mod:`scipy.special` loads on the first fallback, not at import."""
+    from scipy.special import gammaincinv
+
     return 2 * gammaincinv(df / 2, p)
+
+
+def ndtri(p):
+    """The standard-normal quantile ``Φ⁻¹(p)``, bit for bit
+    ``scipy.special.ndtri``; a scalar gives a float, an array an array
+    of its shape."""
+    if np.ndim(p) == 0:
+        return _ndtri(float(p))
+    levels = np.asarray(p, dtype=np.float64)
+    return np.array(
+        [_ndtri(level) for level in levels.ravel().tolist()], dtype=np.float64
+    ).reshape(levels.shape)
+
+
+# Cephes ndtri's rational approximations.  P0/Q0 serve e⁻² < p < 1 − e⁻²,
+# in p − ½; P1/Q1 and P2/Q2 serve the tails, in z = 1/x with
+# x = √(−2 ln y) in [2, 8) and [8, 64) for y the smaller of p and 1 − p.
+# Cephes leaves each Q's leading 1 implied (``p1evl``); it is written out
+# here, which rounds the same, because 1·z is exact.
+_S2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189
+_P0 = (
+    -5.99633501014107895267e1,
+    9.80010754185999661536e1,
+    -5.66762857469070293439e1,
+    1.39312609387279679503e1,
+    -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.0,
+    1.95448858338141759834e0,
+    4.67627912898881538453e0,
+    8.63602421390890590575e1,
+    -2.25462687854119370527e2,
+    2.00260212380060660359e2,
+    -8.20372256168333339912e1,
+    1.59056225126211695515e1,
+    -1.18331621121330003142e0,
+)
+_P1 = (
+    4.05544892305962419923e0,
+    3.15251094599893866154e1,
+    5.71628192246421288162e1,
+    4.40805073893200834700e1,
+    1.46849561928858024014e1,
+    2.18663306850790267539e0,
+    -1.40256079171354495875e-1,
+    -3.50424626827848203418e-2,
+    -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.0,
+    1.57799883256466749731e1,
+    4.53907635128879210584e1,
+    4.13172038254672030440e1,
+    1.50425385692907503408e1,
+    2.50464946208309415979e0,
+    -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2,
+    -9.33259480895457427372e-4,
+)
+_P2 = (
+    3.23774891776946035970e0,
+    6.91522889068984211695e0,
+    3.93881025292474443415e0,
+    1.33303460815807542389e0,
+    2.01485389549179081538e-1,
+    1.23716634817820021358e-2,
+    3.01581553508235416007e-4,
+    2.65806974686737550832e-6,
+    6.23974539184983293730e-9,
+)
+_Q2 = (
+    1.0,
+    6.02427039364742014255e0,
+    3.67983563856160859403e0,
+    1.37702099489081330271e0,
+    2.16236993594496635890e-1,
+    1.34204006088543189037e-2,
+    3.28014464682127739104e-4,
+    2.89247864745380683936e-6,
+    6.79019408009981274425e-9,
+)
+
+
+def _ndtri(p: float) -> float:
+    """Cephes ``ndtri`` step for step: every operation in its order, so
+    every rounding is the C routine's."""
+    if p == 0.0:
+        return -math.inf
+    if p == 1.0:
+        return math.inf
+    if not 0.0 < p < 1.0:
+        return math.nan
+    y, lower = p, True
+    if y > 1.0 - _EXP_M2:
+        y, lower = 1.0 - y, False
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
+    x = x0 - x1
+    return -x if lower else x
+
+
+def _polevl(x: float, coefficients) -> float:
+    """Horner's rule from the leading coefficient (Cephes ``polevl``)."""
+    value = coefficients[0]
+    for c in coefficients[1:]:
+        value = value * x + c
+    return value
 
 
 def _check_eigenvalues(residual_eigenvalues: np.ndarray) -> np.ndarray:

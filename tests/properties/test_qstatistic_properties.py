@@ -5,16 +5,18 @@ these properties pin the two contracts grid drivers rely on: loop
 consistency with the scalar :func:`~repro.core.qstatistic.q_threshold`
 (including the Box fallback) and monotonicity in the confidence level.
 A third pins every limit bit for bit to the same formulas with their
-quantiles from :mod:`scipy.stats`.
+quantiles from :mod:`scipy.stats`, and a fourth pins the module's own
+normal quantile to ``scipy.special.ndtri`` on all of ``[0, 1]``.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy import stats
+from scipy import special, stats
 
 from repro.core import qstatistic
 from repro.core.qstatistic import box_approx_threshold, q_threshold, q_thresholds
@@ -131,3 +133,48 @@ def test_limits_bitwise_equal_scipy_stats(spectrum, confidences):
         assert np.asarray(qstatistic._chi2_quantile(p, df)).tobytes() == (
             np.asarray(stats.chi2.ppf(p, df=df)).tobytes()
         )
+
+
+def _neighbours(level: float) -> list[float]:
+    return [math.nextafter(level, 0.0), level, math.nextafter(level, 1.0)]
+
+
+#: The ends, the middle, the two branch edges at e⁻² (the Cephes
+#: constant) and e⁻³² (where √(−2 ln p) reaches 8) with their
+#: neighbouring floats, the smallest subnormal and the largest level
+#: below 1.
+NDTRI_EDGES = (
+    [0.0, 0.5, 1.0, 5e-324, 1.0 - 2.0**-53]
+    + _neighbours(0.13533528323661269189)
+    + _neighbours(1.0 - 0.13533528323661269189)
+    + _neighbours(math.exp(-32.0))
+)
+
+
+def unit_levels():
+    """Levels on all of [0, 1]: uniform (subnormals included), and
+    log-uniform toward 0 and toward 1, where the x ≥ 8 tail branch
+    lives."""
+    return st.one_of(
+        st.floats(0.0, 1.0, allow_subnormal=True),
+        st.floats(0.0, 308.0).map(lambda e: 10.0**-e),
+        st.floats(0.0, 16.0).map(lambda e: 1.0 - 10.0**-e),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(unit_levels(), min_size=1, max_size=8))
+@example(NDTRI_EDGES)
+def test_ndtri_is_scipy_special_ndtri_bitwise(levels):
+    """The port returns ``scipy.special.ndtri``'s bits for a scalar,
+    and for an array of any shape, which it keeps."""
+    for level in levels:
+        assert np.asarray(qstatistic.ndtri(level)).tobytes() == (
+            np.asarray(special.ndtri(level)).tobytes()
+        )
+    grid = np.array(levels)
+    for shaped in (grid, grid[None, :], grid[:, None]):
+        port = qstatistic.ndtri(shaped)
+        assert port.shape == shaped.shape
+        assert port.dtype == np.float64
+        assert port.tobytes() == special.ndtri(shaped).tobytes()
