@@ -16,7 +16,6 @@ shard     sharded detection plane: temporal (exact) / spatial (fusion)
 scenarios list or run declarative anomaly-taxonomy scenario suites
 serve     run the always-on detection daemon (ingest/metrics/health)
 chaos     fault-injection matrix over the sharded detection plane
-fleet     multi-tenant service gates (parity/isolation/restore)
 inject    run a §6.3 injection sweep on a saved or preset dataset
 table2    regenerate the paper's Table 2
 table3    regenerate the paper's Table 3
@@ -375,52 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_run.add_argument(
         "--json", dest="json_path", default=None,
         help="also write the full chaos report as JSON to this path",
-    )
-
-    fleet = commands.add_parser(
-        "fleet",
-        help="multi-tenant service: pooled-bootstrap parity, crash "
-        "isolation and restore gates (see docs/fleet.md)",
-    )
-    fleet_modes = fleet.add_subparsers(dest="fleet_mode", required=True)
-    fleet_run = fleet_modes.add_parser(
-        "run",
-        help="bootstrap a synthetic tenant grid on the shared pool and "
-        "verify the tenant stack's bitwise guarantees (exit 1 on any "
-        "violation)",
-    )
-    fleet_run.add_argument(
-        "--tenants", type=int, default=6,
-        help="tenants in the grid (default 6)",
-    )
-    fleet_run.add_argument(
-        "--warmup-rows", type=int, default=240,
-        help="warmup rows per tenant (default 240)",
-    )
-    fleet_run.add_argument(
-        "--score-rows", type=int, default=96,
-        help="scored rows per tenant (default 96)",
-    )
-    fleet_run.add_argument(
-        "--links", type=int, default=24,
-        help="links per tenant (default 24)",
-    )
-    fleet_run.add_argument(
-        "--workers", type=int, default=2,
-        help="shared-pool workers for the bootstrap fits (default 2)",
-    )
-    fleet_run.add_argument(
-        "--crash-tenant", type=int, default=0,
-        help="tenant index whose fit the isolation gate crashes "
-        "(default 0)",
-    )
-    fleet_run.add_argument(
-        "--checkpoint-dir", default=None,
-        help="directory for the restore gate (default: a temp dir)",
-    )
-    fleet_run.add_argument(
-        "--json", dest="json_path", default=None,
-        help="also write the full fleet report as JSON to this path",
     )
 
     inject = commands.add_parser("inject", help="run a §6.3 injection sweep")
@@ -863,50 +816,6 @@ def _cmd_chaos(args) -> int:
     return 0
 
 
-def _cmd_fleet(args) -> int:
-    import tempfile
-
-    from repro.pipeline.fleet import run_fleet_check
-
-    def _run(checkpoint_dir: str) -> dict:
-        return run_fleet_check(
-            num_tenants=args.tenants,
-            warmup_rows=args.warmup_rows,
-            score_rows=args.score_rows,
-            links=args.links,
-            workers=args.workers,
-            crash_tenant=args.crash_tenant,
-            checkpoint_dir=checkpoint_dir,
-        )
-
-    if args.checkpoint_dir is not None:
-        report = _run(args.checkpoint_dir)
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro-fleet-") as tmp:
-            report = _run(tmp)
-
-    print(
-        f"fleet: {report['tenants']} tenants, {report['workers']} workers, "
-        f"crash injected into {report['crashed_tenant']}"
-    )
-    for gate in ("parity_ok", "isolation_ok", "restore_ok"):
-        status = "ok" if report[gate] else "VIOLATED"
-        print(f"  {gate.replace('_', ' '):<18} {status}")
-    print(f"  crash outcome:     {report['crash_outcome']['status']}")
-    for tenant, count in sorted(report["alarms"].items()):
-        print(f"    {tenant:<24} {count} alarm(s)")
-    if args.json_path:
-        import json
-
-        from pathlib import Path
-
-        Path(args.json_path).write_text(
-            json.dumps(report, indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"wrote {args.json_path}")
-    return 0 if report["ok"] else 1
-
-
 def _cmd_inject(args) -> int:
     import numpy as np
 
@@ -965,7 +874,6 @@ _HANDLERS = {
     "scenarios": _cmd_scenarios,
     "serve": _cmd_serve,
     "chaos": _cmd_chaos,
-    "fleet": _cmd_fleet,
     "inject": _cmd_inject,
     "table2": _cmd_table2,
     "table3": _cmd_table3,

@@ -3,7 +3,10 @@
 :class:`SPEDetector` packages the full detection pipeline: fit a PCA on
 the training measurements, separate the subspaces with the 3-sigma rule,
 compute the Q-statistic threshold, and flag any timestep whose squared
-prediction error exceeds it.
+prediction error exceeds it.  Every fit route — a matrix
+(:meth:`SPEDetector.fit`), accumulated statistics with their tiles
+(:meth:`SPEDetector.fit_from_stats`, the service's fit) and the sharded
+coordinator — ends in :meth:`SPEDetector.fit_from_moments`.
 
 An important property the paper emphasizes: the test never references the
 mean traffic level, so the same detector configuration applies to networks
@@ -12,13 +15,26 @@ of any size and utilization.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.pca import PCA
 from repro.core.qstatistic import q_threshold
-from repro.core.subspace import SubspaceModel
+from repro.core.subspace import (
+    ScoreMoments,
+    SubspaceModel,
+    fold_moments,
+    score_moments,
+    separate_axes_from_moments,
+    tile_moments,
+)
+from repro.core.suffstats import (
+    DEFAULT_TILE_ROWS,
+    SufficientStats,
+    canonical_units,
+)
 from repro.exceptions import ModelError, NotFittedError
 
 __all__ = ["SPEDetector", "DetectionResult"]
@@ -60,6 +76,34 @@ class DetectionResult:
         if self.flags.size == 0:
             return 0.0
         return self.num_alarms / self.flags.size
+
+
+def _check_tiles(tiles: Sequence[np.ndarray], stats: SufficientStats) -> None:
+    """Raise :class:`ModelError` unless ``tiles`` are the canonical units
+    of the statistics' rows from row 0, at the statistics' width."""
+    count, width = stats.count, stats.num_columns
+    units = [
+        hi - lo for lo, hi in canonical_units([(0, count)], DEFAULT_TILE_ROWS)
+    ]
+    for index, tile in enumerate(tiles):
+        shape = np.shape(tile)
+        if shape[1:] != (width,):
+            raise ModelError(
+                f"tile {index} has shape {shape}, the statistics cover "
+                f"{width} links"
+            )
+        if index >= len(units) or shape[0] != units[index]:
+            raise ModelError(
+                f"tile {index} has {shape[0]} rows; the statistics' {count} "
+                f"rows make {len(units)} tiles of {DEFAULT_TILE_ROWS} rows, "
+                "the last one what is left"
+            )
+    if len(tiles) < len(units):
+        raise ModelError(
+            f"{len(tiles)} tiles cover fewer rows than the statistics' "
+            f"{count}; the 3σ separation scores every row (or set an "
+            "explicit normal_rank)"
+        )
 
 
 class SPEDetector:
@@ -120,51 +164,85 @@ class SPEDetector:
         self._threshold: float | None = None
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_model(
-        cls,
-        model: SubspaceModel,
-        confidence: float = 0.999,
-        **kwargs,
-    ) -> "SPEDetector":
-        """A fitted detector wrapped around an existing subspace model.
-
-        The sharded engine fits its model from merged sufficient
-        statistics and distributed separation moments, then packages it
-        through here so downstream consumers (pipelines, comparison
-        grids) see an ordinary fitted :class:`SPEDetector`.
-
-        ``kwargs`` (``threshold_sigma``, ``normal_rank``,
-        ``min_normal_rank``, ``max_normal_rank``) record the
-        *configuration the model was fitted under* — in particular
-        ``normal_rank`` stays ``None`` when a separation rule chose the
-        rank — so refitting a fresh detector from this one's parameters
-        reproduces an equivalently configured fit rather than pinning
-        the already-computed rank.
-        """
-        detector = cls(confidence=confidence, **kwargs)
-        detector._model = model
-        # The model's PCA owns the scoring precision; keep the
-        # detector's record of it consistent.
-        detector.dtype = model.dtype
-        detector._threshold = q_threshold(
-            model.residual_eigenvalues(), confidence=confidence
-        )
-        return detector
-
     def fit(self, measurements: np.ndarray) -> "SPEDetector":
         """Fit PCA, separate subspaces, and compute the SPE limit."""
         pca = PCA(method=self.svd_method, dtype=self.dtype).fit(measurements)
-        if self.requested_rank is not None:
-            model = SubspaceModel.with_rank(pca, self.requested_rank)
-        else:
-            model = SubspaceModel.from_pca(
+        moments = None
+        if self.requested_rank is None:
+            moments = tile_moments(pca, measurements)
+        return self.fit_from_moments(pca, moments)
+
+    def fit_from_stats(
+        self, stats: SufficientStats, tiles: Sequence[np.ndarray] = ()
+    ) -> "SPEDetector":
+        """Fit from *already accumulated* sufficient statistics.
+
+        This is the fit of the always-on service (:mod:`repro.service`):
+        its tile-packed history computes each tile's statistics once, as
+        the tile fills, and a
+        :class:`~repro.core.suffstats.HistorySnapshot` hands over the
+        statistics and their rows together.  ``tiles`` are those rows,
+        from row 0, in canonical units: one
+        :data:`~repro.core.suffstats.DEFAULT_TILE_ROWS`-row block per
+        whole tile, then the rows of the open tile.  Only the 3σ
+        separation rule (no explicit rank) reads them, one
+        :func:`~repro.core.subspace.score_moments` call per tile in
+        order; with an explicit rank the fit is a pure function of
+        ``stats``.  The PCA is always the gram fit, whatever
+        ``svd_method`` says, so the result is bit-identical to
+        ``SPEDetector(svd_method="gram").fit`` on the same rows.
+        """
+        if not isinstance(stats, SufficientStats):
+            raise ModelError(
+                f"stats must be SufficientStats, got {type(stats).__name__}"
+            )
+        if stats.tile_rows != DEFAULT_TILE_ROWS:
+            raise ModelError(
+                f"tile_rows mismatch: statistics use {stats.tile_rows}, "
+                f"every fit folds {DEFAULT_TILE_ROWS}"
+            )
+        pca = PCA(method="gram", dtype=self.dtype).fit_from_stats(stats)
+        moments = None
+        if self.requested_rank is None:
+            _check_tiles(tiles, stats)
+            mean, components = pca.mean, pca.components
+            moments = fold_moments(
+                (score_moments(tile, mean, components) for tile in tiles),
+                pca.num_components,
+            )
+        return self.fit_from_moments(pca, moments)
+
+    def fit_from_moments(
+        self, pca: PCA, moments: ScoreMoments | None
+    ) -> "SPEDetector":
+        """Finish a fit: separate ``pca``'s axes, build the model, and
+        compute the SPE limit.
+
+        ``moments`` are the training rows' score moments, one per
+        canonical tile folded in ascending tile order; they are ``None``
+        exactly when an explicit rank is set.  The detector keeps the
+        *requested* rank (None when the separation rule chose it), so a
+        detector refitted from this one's parameters re-runs the rule
+        rather than pinning the computed rank.
+        """
+        if (moments is None) != (self.requested_rank is not None):
+            raise ModelError(
+                "score moments are needed exactly when no explicit "
+                "normal rank is set"
+            )
+        separation = None
+        rank = self.requested_rank
+        if moments is not None:
+            separation = separate_axes_from_moments(
                 pca,
-                measurements,
+                moments,
                 threshold_sigma=self.threshold_sigma,
                 min_normal_rank=self.min_normal_rank,
                 max_normal_rank=self.max_normal_rank,
             )
+            rank = separation.normal_rank
+        model = SubspaceModel.with_rank(pca, rank)
+        model.separation = separation
         self._model = model
         self._threshold = q_threshold(
             model.residual_eigenvalues(), confidence=self.confidence

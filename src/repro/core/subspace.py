@@ -42,6 +42,7 @@ __all__ = [
     "score_moments",
     "separate_axes",
     "separate_axes_from_moments",
+    "tile_moments",
 ]
 
 #: Rows processed per pass of the fused scoring kernel.  Large enough
@@ -109,23 +110,9 @@ def separate_axes(
         ``r = 0`` case (an empty normal subspace turns SPE into plain
         traffic volume).  Set ``min_normal_rank=0`` for strict fidelity.
     """
-    measurements = ensure_matrix(
-        measurements, name="measurements", error=ModelError,
-        check_finite=False,
-    )
-    mean, components = pca.mean, pca.components
-    moments = fold_moments(
-        (
-            score_moments(measurements[lo:hi], mean, components)
-            for lo, hi in canonical_units(
-                [(0, measurements.shape[0])], DEFAULT_TILE_ROWS
-            )
-        ),
-        pca.num_components,
-    )
     return separate_axes_from_moments(
         pca,
-        moments,
+        tile_moments(pca, measurements),
         threshold_sigma=threshold_sigma,
         min_normal_rank=min_normal_rank,
         max_normal_rank=max_normal_rank,
@@ -184,6 +171,27 @@ def fold_moments(
     for part in parts:
         folded = folded.merge(part)
     return folded
+
+
+def tile_moments(pca: PCA, measurements: np.ndarray) -> ScoreMoments:
+    """Score moments of ``measurements`` under ``pca``'s basis, one
+    :func:`score_moments` call per canonical tile
+    (:data:`~repro.core.suffstats.DEFAULT_TILE_ROWS` rows), folded in
+    ascending row order."""
+    measurements = ensure_matrix(
+        measurements, name="measurements", error=ModelError,
+        check_finite=False,
+    )
+    mean, components = pca.mean, pca.components
+    return fold_moments(
+        (
+            score_moments(measurements[lo:hi], mean, components)
+            for lo, hi in canonical_units(
+                [(0, measurements.shape[0])], DEFAULT_TILE_ROWS
+            )
+        ),
+        pca.num_components,
+    )
 
 
 def _fold_scores(scores: np.ndarray) -> ScoreMoments:
@@ -458,8 +466,9 @@ def separate_axes_from_moments(
 class SubspaceModel:
     """Projectors onto the normal and anomalous subspaces (§5.1).
 
-    Build with :meth:`from_pca` (threshold separation) or
-    :meth:`with_rank` (explicit ``r``, used by ablations).
+    Build with :meth:`with_rank`; a fitted
+    :class:`~repro.core.detection.SPEDetector` holds the model its
+    separation rule chose.
     """
 
     def __init__(self, pca: PCA, normal_rank: int) -> None:
@@ -470,6 +479,10 @@ class SubspaceModel:
             )
         self.pca = pca
         self.normal_rank = normal_rank
+        #: The 3σ separation that chose ``normal_rank``; None when the
+        #: rank was set explicitly.  Assigned only by
+        #: :meth:`~repro.core.detection.SPEDetector.fit_from_moments`.
+        self.separation: SeparationResult | None = None
         #: Precision the scoring kernel runs in (the *fit* is always
         #: float64); inherited from the PCA's ``dtype`` knob.
         self.dtype = np.dtype(getattr(pca, "dtype", np.float64))
@@ -491,27 +504,6 @@ class SubspaceModel:
             self._c_tilde = np.eye(m) - self._c
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_pca(
-        cls,
-        pca: PCA,
-        measurements: np.ndarray,
-        threshold_sigma: float = 3.0,
-        min_normal_rank: int = 1,
-        max_normal_rank: int | None = None,
-    ) -> "SubspaceModel":
-        """Construct via the paper's threshold separation rule."""
-        result = separate_axes(
-            pca,
-            measurements,
-            threshold_sigma=threshold_sigma,
-            min_normal_rank=min_normal_rank,
-            max_normal_rank=max_normal_rank,
-        )
-        model = cls(pca, result.normal_rank)
-        model.separation = result
-        return model
-
     @classmethod
     def with_rank(cls, pca: PCA, normal_rank: int) -> "SubspaceModel":
         """Construct with an explicitly chosen normal rank."""

@@ -65,11 +65,10 @@ class CheckpointError(ReproError):
 
 
 class FleetError(ReproError):
-    """A tenant id or the ``repro fleet run`` harness was misused.
+    """A tenant id or synthetic tenant traffic was misused.
 
-    Raised for tenant ids that are not non-empty strings and for
-    harness arguments out of range (fewer than two tenants, empty
-    synthetic traffic).
+    Raised for tenant ids that are not non-empty strings and for empty
+    synthetic tenant traffic (fewer than one row or link).
     """
 
 

@@ -51,9 +51,9 @@ for the guides.
 
 from repro._lazy import lazy_exports
 
-# Resolved on first access: the service's refits import the sharded fit
-# without loading the comparison engine, the chaos harness or the
-# validation code behind the batch runner.
+# Resolved on first access: importing the sharded fit loads neither the
+# comparison engine, the chaos harness nor the validation code behind
+# the batch runner.
 __getattr__, __dir__ = lazy_exports(
     globals(),
     {
@@ -66,7 +66,6 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "repro.pipeline.chaos": ("ChaosOutcome", "ChaosReport", "run_chaos_suite"),
         "repro.pipeline.faults": ("FaultInjector", "FaultPlan", "WorkerFault"),
-        "repro.pipeline.fleet": ("run_fleet_check",),
         "repro.pipeline.pipeline": ("DetectionPipeline", "PipelineResult"),
         "repro.pipeline.sharded": (
             "FAULT_POLICIES",
@@ -121,6 +120,5 @@ __all__ = [
     "WorkerFault",
     "partition_links",
     "run_chaos_suite",
-    "run_fleet_check",
     "temporal_fit_matches_monolithic",
 ]

@@ -19,9 +19,9 @@ tile, folded in ascending tile order, so it too is bit-identical to the
 monolithic fit on every route.  A memory-mapped matrix
 (:func:`~repro.datasets.io.open_traffic_memmap`) goes through the same
 :meth:`TemporalCoordinator.fit`: every pass reads row ranges of the map,
-so the fit runs out of core.  :meth:`TemporalCoordinator.fit_from_stats`
-fits the service's histories, whose statistics are already merged, by
-scoring their tiles in order.
+so the fit runs out of core.  The merged PCA and the folded moments
+are finished by :meth:`~repro.core.detection.SPEDetector.fit_from_moments`,
+the step every fit route ends in.
 
 **Spatial sharding** (:class:`SpatialCoordinator`) partitions the
 *columns* (links) into zones.  Each zone fits its own local subspace
@@ -74,8 +74,11 @@ from repro.core.subspace import (
     SubspaceModel,
     fold_moments,
     score_moments,
-    separate_axes_from_moments,
 )
+
+# perfbench's layer table times ``separate_axes_from_moments`` in this
+# module; the name stays bound here for it to wrap.
+from repro.core.subspace import separate_axes_from_moments  # noqa: F401
 from repro.core.suffstats import (
     DEFAULT_TILE_ROWS,
     SufficientStats,
@@ -232,8 +235,12 @@ class TemporalShardFit:
     """A model fitted from merged per-chunk sufficient statistics."""
 
     detector: SPEDetector
-    separation: SeparationResult | None
     report: ShardReport
+
+    @property
+    def separation(self) -> SeparationResult | None:
+        """The fitted 3σ separation; None under an explicit rank."""
+        return self.detector.model.separation
 
     @property
     def pca(self) -> PCA:
@@ -377,40 +384,12 @@ def _shard_bounds(num_rows: int, num_shards: int) -> list[tuple[int, int]]:
     ]
 
 
-def _check_tiles(tiles: Sequence[np.ndarray], stats: SufficientStats) -> None:
-    """Raise :class:`ModelError` unless ``tiles`` are the canonical units
-    of the statistics' rows from row 0, at the statistics' width."""
-    count, width = stats.count, stats.num_columns
-    units = [
-        hi - lo for lo, hi in canonical_units([(0, count)], DEFAULT_TILE_ROWS)
-    ]
-    for index, tile in enumerate(tiles):
-        shape = np.shape(tile)
-        if shape[1:] != (width,):
-            raise ModelError(
-                f"tile {index} has shape {shape}, the statistics cover "
-                f"{width} links"
-            )
-        if index >= len(units) or shape[0] != units[index]:
-            raise ModelError(
-                f"tile {index} has {shape[0]} rows; the statistics' {count} "
-                f"rows make {len(units)} tiles of {DEFAULT_TILE_ROWS} rows, "
-                "the last one what is left"
-            )
-    if len(tiles) < len(units):
-        raise ModelError(
-            f"{len(tiles)} tiles cover fewer rows than the statistics' "
-            f"{count}; the 3σ separation scores every row (or set an "
-            "explicit normal_rank)"
-        )
-
-
 class TemporalCoordinator:
     """Fit the subspace model from per-time-chunk statistics.
 
-    Two entry points share one fit: :meth:`fit` takes a ``(t, m)``
-    matrix, in memory or memory-mapped, and :meth:`fit_from_stats` takes
-    statistics that are already accumulated, with their rows as tiles.
+    :meth:`fit` takes a ``(t, m)`` matrix, in memory or memory-mapped,
+    and hands the merged PCA and folded moments to
+    :meth:`~repro.core.detection.SPEDetector.fit_from_moments`.
 
     Parameters
     ----------
@@ -545,7 +524,7 @@ class TemporalCoordinator:
                 [stats_run.results[index][0] for index in surviving],
                 allow_gaps=coverage < 1.0,
             )
-            unit_moments: list[ScoreMoments] | None = None
+            moments: ScoreMoments | None = None
             sep_begin = time.perf_counter()
             if self.normal_rank is None:
                 # A shard folds the canonical units that start inside it,
@@ -590,14 +569,14 @@ class TemporalCoordinator:
                         "separation cannot run",
                         report=moments_run.report,
                     )
+                moments = fold_moments(unit_moments, pca.num_components)
         fault = reports[0]
         for extra in reports[1:]:
             fault = fault.merge(extra)
-        return self._finish(
-            pca,
-            unit_moments,
+        detector = self._detector().fit_from_moments(pca, moments)
+        return self._packaged(
+            detector,
             begin,
-            sep_begin,
             num_shards=len(bounds),
             workers=workers,
             num_rows=measurements.shape[0],
@@ -605,62 +584,47 @@ class TemporalCoordinator:
             fault=fault,
             merge_seconds=merge_s,
             fit_seconds=fit_s,
+            separation_seconds=(
+                0.0 if moments is None else time.perf_counter() - sep_begin
+            ),
             worker_timings=tuple(timings),
         )
 
     def fit_from_stats(
         self, stats: SufficientStats, tiles: Sequence[np.ndarray] = ()
     ) -> TemporalShardFit:
-        """Fit from *already accumulated* sufficient statistics.
+        """:meth:`SPEDetector.fit_from_stats
+        <repro.core.detection.SPEDetector.fit_from_stats>` under this
+        coordinator's settings, with a :class:`ShardReport` whose
+        ``fit_seconds`` time the whole fit.
 
-        This is the fit of the always-on service (:mod:`repro.service`):
-        its tile-packed history computes each tile's statistics once, as
-        the tile fills, and a
-        :class:`~repro.core.suffstats.HistorySnapshot` hands over the
-        statistics and their rows together.  ``tiles`` are those rows,
-        from row 0, in canonical units: one
-        :data:`~repro.core.suffstats.DEFAULT_TILE_ROWS`-row block per
-        whole tile, then the rows of the open tile.  Only the 3σ
-        separation rule (``normal_rank=None``) reads them, one
-        :func:`~repro.core.subspace.score_moments` call per tile in
-        order; with an explicit rank the fit is a pure function of
-        ``stats``.
-
-        The result is bit-identical to :meth:`fit` on the same rows, by
-        the sufficient-statistics exactness guarantees.  No fault policy
-        applies: nothing here can be lost or retried.
+        No fault policy applies: nothing here can be lost or retried.
+        The service fits with the detector itself; this wrapper stays
+        because perfbench's layer table times it.
         """
         begin = time.perf_counter()
-        if not isinstance(stats, SufficientStats):
-            raise ModelError(
-                f"stats must be SufficientStats, got {type(stats).__name__}"
-            )
-        if stats.tile_rows != DEFAULT_TILE_ROWS:
-            raise ModelError(
-                f"tile_rows mismatch: statistics use {stats.tile_rows}, "
-                f"every fit folds {DEFAULT_TILE_ROWS}"
-            )
-        pca, _, fit_s = self._fit_merged([stats])
-        unit_moments: list[ScoreMoments] | None = None
-        sep_begin = time.perf_counter()
-        if self.normal_rank is None:
-            _check_tiles(tiles, stats)
-            unit_moments = [
-                score_moments(tile, pca.mean, pca.components)
-                for tile in tiles
-            ]
-        return self._finish(
-            pca,
-            unit_moments,
+        detector = self._detector().fit_from_stats(stats, tiles)
+        return self._packaged(
+            detector,
             begin,
-            sep_begin,
             num_shards=0,
             workers=1,
-            num_rows=pca.num_samples,
-            fit_seconds=fit_s,
+            num_rows=detector.model.pca.num_samples,
+            fit_seconds=time.perf_counter() - begin,
         )
 
     # ------------------------------------------------------------------
+    def _detector(self) -> SPEDetector:
+        """An unfitted detector under this coordinator's model settings."""
+        return SPEDetector(
+            confidence=self.confidence,
+            threshold_sigma=self.threshold_sigma,
+            normal_rank=self.normal_rank,
+            min_normal_rank=self.min_normal_rank,
+            max_normal_rank=self.max_normal_rank,
+            dtype=self.dtype,
+        )
+
     def _fit_merged(
         self, stats_parts: Sequence[SufficientStats], allow_gaps: bool = False
     ) -> tuple[PCA, float, float]:
@@ -681,60 +645,20 @@ class TemporalCoordinator:
         pca = PCA(method="gram", dtype=self.dtype).fit_from_stats(source)
         return pca, merge_s, time.perf_counter() - fit_begin
 
-    def _finish(
-        self,
-        pca: PCA,
-        unit_moments: list[ScoreMoments] | None,
-        begin: float,
-        sep_begin: float,
-        **report,
+    def _packaged(
+        self, detector: SPEDetector, begin: float, **report
     ) -> TemporalShardFit:
-        """Separate (from the per-unit moments, in row order), package
-        and report.
-
-        ``unit_moments`` is ``None`` when the coordinator has an
-        explicit rank and the separation rule does not run.  The
-        detector records the *requested* parameters (rank None when the
-        separation rule ran, the coordinator's sigma and clamps), so an
-        equivalence checker refitting from them reproduces the full
-        monolithic procedure instead of pinning the computed rank.
-        ``report`` holds the route's own :class:`ShardReport` fields.
-        """
-        separation: SeparationResult | None = None
-        rank = self.normal_rank
-        if unit_moments is not None:
-            separation = separate_axes_from_moments(
-                pca,
-                fold_moments(unit_moments, pca.num_components),
-                threshold_sigma=self.threshold_sigma,
-                min_normal_rank=self.min_normal_rank,
-                max_normal_rank=self.max_normal_rank,
-            )
-            rank = separation.normal_rank
-        sep_s = 0.0 if separation is None else time.perf_counter() - sep_begin
-        model = SubspaceModel.with_rank(pca, rank)
-        if separation is not None:
-            model.separation = separation
-        detector = SPEDetector.from_model(
-            model,
-            confidence=self.confidence,
-            threshold_sigma=self.threshold_sigma,
-            normal_rank=self.normal_rank,
-            min_normal_rank=self.min_normal_rank,
-            max_normal_rank=self.max_normal_rank,
-            dtype=self.dtype,
-        )
+        """The fitted detector with its :class:`ShardReport`; ``report``
+        holds the route's own fields."""
         return TemporalShardFit(
             detector=detector,
-            separation=separation,
             report=ShardReport(
                 mode="temporal",
-                num_links=pca.num_components,
+                num_links=detector.model.num_links,
                 confidence=self.confidence,
                 normal_rank=detector.normal_rank,
                 threshold=float(detector.threshold),
                 tile_rows=DEFAULT_TILE_ROWS,
-                separation_seconds=sep_s,
                 elapsed_seconds=time.perf_counter() - begin,
                 **report,
             ),
@@ -767,8 +691,7 @@ def temporal_fit_matches_monolithic(
         dtype=fit.detector.dtype,
     ).fit(measurements)
     ours, theirs = fit.detector.model, reference.model
-    ours_sep = getattr(ours, "separation", None)
-    theirs_sep = getattr(theirs, "separation", None)
+    ours_sep, theirs_sep = ours.separation, theirs.separation
     if (ours_sep is None) != (theirs_sep is None):
         return False
     if ours_sep is not None and not (

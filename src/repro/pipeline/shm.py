@@ -6,8 +6,8 @@ and layout; workers attach by name, so a task pickles a few dozen bytes
 instead of the array.  The comparison engine shares datasets and fitted
 detectors this way, and the sharded fit its traffic matrix on non-fork
 platforms.  Everything here stays module-level and picklable, and this
-module imports nothing else from the package, so the sharded fit (and
-the service refits behind it) does not load the comparison engine.
+module imports nothing else from the package, so the sharded fit does
+not load the comparison engine.
 """
 
 from __future__ import annotations

@@ -193,8 +193,9 @@ class ServiceConfig:
         return replace(self, **overrides)
 
     def fit_config(self) -> dict:
-        """The fit knobs of :func:`~repro.service.lifecycle.fit_history`
-        and :class:`~repro.service.lifecycle.ModelLifecycleManager`."""
+        """The fit settings of
+        :class:`~repro.service.lifecycle.ModelLifecycleManager` (and of
+        the :class:`~repro.core.detection.SPEDetector` it fits)."""
         return {
             "confidence": self.confidence,
             "threshold_sigma": self.threshold_sigma,

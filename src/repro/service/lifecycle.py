@@ -16,8 +16,8 @@ transitions:
     incrementally, and the tiles are what the separation pass scores.
 ``refit``
     Fit a candidate from a history snapshot via
-    :meth:`TemporalCoordinator.fit_from_stats
-    <repro.pipeline.sharded.TemporalCoordinator.fit_from_stats>`, then
+    :meth:`SPEDetector.fit_from_stats
+    <repro.core.detection.SPEDetector.fit_from_stats>`, then
     *atomically* swap it in: the swap is a single reference assignment
     under the manager lock, recorded with the exact row boundary, so a
     concurrent ingest scores either entirely under the old version or
@@ -48,13 +48,11 @@ from repro.core.suffstats import (
     RowStore,
 )
 from repro.exceptions import CheckpointError, ModelError, ServiceError
-from repro.pipeline.sharded import TemporalCoordinator
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
     "ModelLifecycleManager",
     "ModelVersion",
-    "fit_history",
     "warmup_history",
 ]
 
@@ -206,43 +204,6 @@ class ModelLifecycleManager:
             )
             return self._current
 
-    @classmethod
-    def from_fitted(
-        cls,
-        detector: SPEDetector,
-        history: RowStore,
-        trained_rows: int,
-        **kwargs,
-    ) -> "ModelLifecycleManager":
-        """Adopt an externally fitted version-1 model.
-
-        :func:`~repro.service.tenants.bootstrap_lifecycles` fits every
-        tenant's first version *outside* its manager, in-process or on a
-        shared worker pool; this constructor installs the result with
-        the same bookkeeping :meth:`bootstrap` would have produced.  The
-        detector
-        must have been fitted on the first ``trained_rows`` rows of
-        ``history`` (a :meth:`RowStore.snapshot
-        <repro.core.suffstats.RowStore.snapshot>`), so a later
-        :meth:`refit` or :meth:`restore` reproduces it bit-identically.
-        The manager takes ownership of ``history``.  ``kwargs`` are the
-        constructor's fit knobs.
-        """
-        manager = cls(**kwargs)
-        if trained_rows < 2:
-            raise ServiceError(
-                f"a fitted history needs >= 2 rows, got {trained_rows}"
-            )
-        with manager._lock:
-            manager._history = history
-            manager._current = ModelVersion(
-                version=1,
-                detector=detector,
-                trained_rows=int(trained_rows),
-                activated_at_row=history.rows,
-            )
-        return manager
-
     def history_snapshot(self) -> HistorySnapshot:
         """Consistent snapshot of the whole history.
 
@@ -279,7 +240,8 @@ class ModelLifecycleManager:
 
     # ------------------------------------------------------------------
     def fit_config(self) -> dict:
-        """The fit knobs of :func:`fit_history`, as this manager holds them."""
+        """The :class:`~repro.core.detection.SPEDetector` settings this
+        manager fits with."""
         return {
             "confidence": self.confidence,
             "threshold_sigma": self.threshold_sigma,
@@ -292,7 +254,10 @@ class ModelLifecycleManager:
     def _fit_candidate(self, snapshot: HistorySnapshot) -> SPEDetector:
         if self.refit_hook is not None:
             self.refit_hook()
-        return fit_history(self.fit_config(), snapshot)
+        # Only the snapshot is read, never the live history it came from.
+        return SPEDetector(**self.fit_config()).fit_from_stats(
+            snapshot.stats, snapshot.tiles
+        )
 
     def fit_candidate(self) -> tuple[SPEDetector, int]:
         """Fit a candidate model from a consistent history snapshot.
@@ -462,22 +427,6 @@ class ModelLifecycleManager:
                 activated_at_row=current["activated_at_row"],
             )
         return manager
-
-
-def fit_history(config: dict, snapshot: HistorySnapshot) -> SPEDetector:
-    """Fit a detector from a history snapshot under ``config``'s knobs.
-
-    The one fit of service bootstraps, refits and restores and of
-    pooled tenant bootstraps (module-level, so a worker pool can run
-    it): the statistics come with the snapshot, and the 3σ separation
-    pass scores its tiles, one
-    :func:`~repro.core.subspace.score_moments` call each.  Only the
-    snapshot is read, never the live history it came from.
-    """
-    fit = TemporalCoordinator(workers=1, **config).fit_from_stats(
-        snapshot.stats, snapshot.tiles
-    )
-    return fit.detector
 
 
 def warmup_history(warmup: np.ndarray) -> RowStore:

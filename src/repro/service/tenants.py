@@ -18,11 +18,13 @@ deliberately lacks:
   writes every tenant under :func:`tenant_checkpoint_path` inside one
   directory, so concurrent tenant checkpoints never clobber each other
   and :meth:`~MultiTenantService.restore` brings every tenant back
-  bit-identically;
-* **pooled bootstraps** — :func:`bootstrap_lifecycles` fits every
-  tenant's first model version, in-process or on one shared supervised
-  pool whose per-task fault account keeps a crashed tenant's loss its
-  own.
+  bit-identically; two engines configured with one checkpoint file are
+  refused.
+
+:meth:`~MultiTenantService.from_warmups` builds each engine with
+:meth:`DetectionService.from_warmup
+<repro.service.engine.DetectionService.from_warmup>`, so a tenant's
+first model version is fitted as a single service's is.
 """
 
 from __future__ import annotations
@@ -34,28 +36,17 @@ from urllib.parse import quote, unquote
 import numpy as np
 
 from repro.exceptions import FleetError, ServiceError
-from repro.pipeline.supervision import (
-    FaultReport,
-    PoolRun,
-    SupervisedPool,
-    TaskFault,
-)
 from repro.service.engine import (
     BlockResult,
     DetectionService,
     RowOutcome,
     ServiceConfig,
 )
-from repro.service.lifecycle import (
-    ModelLifecycleManager,
-    fit_history,
-    warmup_history,
-)
+from repro.service.lifecycle import warmup_history
 from repro.service.metrics import MetricsRegistry
 
 __all__ = [
     "MultiTenantService",
-    "bootstrap_lifecycles",
     "tenant_checkpoint_path",
     "tenant_checkpoints",
 ]
@@ -93,84 +84,6 @@ def _validate_tenant_id(tenant_id) -> str:
     return tenant_id
 
 
-def _fit_tenant_task(payload):
-    """Pool task: :func:`~repro.service.lifecycle.fit_history` of one
-    tenant's ``(knobs, snapshot)``."""
-    return fit_history(*payload)
-
-
-def _fit_in_process(payloads: list) -> PoolRun:
-    """The pool's outcome without processes: a fit that raises is lost."""
-    results, faults = [], []
-    for task, payload in enumerate(payloads):
-        try:
-            results.append(_fit_tenant_task(payload))
-        except Exception as err:  # noqa: BLE001 - lost, as in the pool
-            results.append(None)
-            faults.append(TaskFault(
-                task=task, attempt=1, kind="error", worker=0,
-                detail=f"{type(err).__name__}: {err}",
-            ))
-    report = FaultReport(
-        tasks=len(payloads),
-        attempts=len(payloads),
-        lost_tasks=tuple(fault.task for fault in faults),
-        faults=tuple(faults),
-    )
-    return PoolRun(results=results, report=report)
-
-
-def bootstrap_lifecycles(
-    warmups: Mapping[str, np.ndarray],
-    config: ServiceConfig | None = None,
-    *,
-    workers: int = 1,
-    fault_plan=None,
-    max_retries: int = 0,
-) -> tuple[dict[str, ModelLifecycleManager], FaultReport]:
-    """Fit version 1 of one lifecycle per tenant from its warmup.
-
-    Each warmup becomes a tile-packed history, :func:`~repro.service.
-    lifecycle.fit_history` fits its snapshot — the fit
-    :meth:`~repro.service.lifecycle.ModelLifecycleManager.bootstrap`
-    runs — and :meth:`~repro.service.lifecycle.ModelLifecycleManager.
-    from_fitted` installs the detector, so a lifecycle never depends on
-    where it was fitted.  The fits run in-process unless ``workers > 1``
-    or a ``fault_plan`` asks for one shared
-    :class:`~repro.pipeline.supervision.SupervisedPool` (stage
-    ``"tenant-fit"``; task ``i`` is the ``i``-th tenant of ``warmups``,
-    with ``max_retries`` extra attempts).
-
-    Returns the lifecycles of the tenants whose fit landed, in warmup
-    order, and the run's fault account.  A tenant whose fit is lost — it
-    raised, or its worker died on every attempt — is left out and its
-    task listed in ``report.lost_tasks``; every other tenant gets the
-    lifecycle it would get alone.
-    """
-    config = config or ServiceConfig()
-    knobs = config.fit_config()
-    histories = {
-        _validate_tenant_id(tenant_id): warmup_history(warmup)
-        for tenant_id, warmup in warmups.items()
-    }
-    payloads = [(knobs, history.snapshot()) for history in histories.values()]
-    if workers > 1 or fault_plan is not None:
-        with SupervisedPool(
-            workers=workers, max_retries=max_retries, fault_plan=fault_plan
-        ) as pool:
-            run = pool.run(_fit_tenant_task, payloads, stage="tenant-fit")
-    else:
-        run = _fit_in_process(payloads)
-    lifecycles = {
-        tenant_id: ModelLifecycleManager.from_fitted(
-            detector, history, history.rows, **knobs
-        )
-        for (tenant_id, history), detector in zip(histories.items(), run.results)
-        if detector is not None
-    }
-    return lifecycles, run.report
-
-
 class MultiTenantService:
     """One detection engine per tenant behind shared routes and metrics."""
 
@@ -182,8 +95,21 @@ class MultiTenantService:
         if not services:
             raise ServiceError("a multi-tenant service needs >= 1 tenant")
         self._services: dict[str, DetectionService] = {}
+        # Each engine's close() writes its own checkpoint file: two
+        # tenants on one file would silently keep only the last writer.
+        owners: dict[Path, str] = {}
         for tenant_id, service in services.items():
             self._services[_validate_tenant_id(tenant_id)] = service
+            path = service.config.checkpoint_path
+            if path is None:
+                continue
+            owner = owners.setdefault(Path(path).resolve(), tenant_id)
+            if owner != tenant_id:
+                raise ServiceError(
+                    f"tenants {owner!r} and {tenant_id!r} share the "
+                    f"checkpoint path {path}; give each tenant its own "
+                    "(checkpoint_dir namespaces them)"
+                )
         self.checkpoint_dir = (
             None if checkpoint_dir is None else Path(checkpoint_dir)
         )
@@ -219,22 +145,22 @@ class MultiTenantService:
     ) -> "MultiTenantService":
         """Bootstrap one engine per tenant from per-tenant warmups.
 
-        The lifecycles come from :func:`bootstrap_lifecycles`, in
-        process; a tenant whose fit raises is named in a
-        :class:`~repro.exceptions.ServiceError`.  Every engine shares
-        ``config`` except the checkpoint path, which is
+        Each engine is :meth:`DetectionService.from_warmup
+        <repro.service.engine.DetectionService.from_warmup>` of its
+        warmup, in warmup order.  A bad tenant id, or a warmup that
+        bootstrap would refuse, raises its own typed error before any
+        tenant is fitted; tenants whose fit raises are named, with their
+        causes, in one :class:`~repro.exceptions.ServiceError`.  Every
+        engine shares ``config`` except the checkpoint path, which is
         tenant-namespaced under ``checkpoint_dir`` so the engines' own
         checkpoint-on-close writes can never collide.
         """
         config = config or ServiceConfig()
-        lifecycles, report = bootstrap_lifecycles(warmups, config)
-        if report.lost_tasks:
-            tenants = list(warmups)
-            lost = [tenants[task] for task in report.lost_tasks]
-            causes = "; ".join(fault.detail for fault in report.faults)
-            raise ServiceError(f"tenant bootstrap lost {lost}: {causes}")
-        services = {}
-        for tenant_id, lifecycle in lifecycles.items():
+        for tenant_id, warmup in warmups.items():  # refuse before any fit
+            _validate_tenant_id(tenant_id)
+            warmup_history(warmup)
+        services, lost = {}, {}
+        for tenant_id, warmup in warmups.items():
             tenant_config = config
             if checkpoint_dir is not None:
                 tenant_config = config.with_overrides(
@@ -242,8 +168,16 @@ class MultiTenantService:
                         tenant_checkpoint_path(checkpoint_dir, tenant_id)
                     )
                 )
-            services[tenant_id] = DetectionService(
-                lifecycle, config=tenant_config
+            try:
+                services[tenant_id] = DetectionService.from_warmup(
+                    warmup, config=tenant_config
+                )
+            except Exception as err:  # noqa: BLE001 - named below
+                lost[tenant_id] = f"{type(err).__name__}: {err}"
+        if lost:
+            raise ServiceError(
+                f"tenant bootstrap lost {list(lost)}: "
+                + "; ".join(lost.values())
             )
         return cls(services, checkpoint_dir=checkpoint_dir)
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core import PCA, SubspaceModel
+from repro.core import PCA, SPEDetector, SubspaceModel
 from repro.core.subspace import score_moments, separate_axes
 from repro.exceptions import ModelError
 
@@ -25,8 +25,7 @@ def structured_data(rng):
 
 @pytest.fixture
 def model(structured_data):
-    pca = PCA().fit(structured_data)
-    return SubspaceModel.from_pca(pca, structured_data)
+    return SPEDetector().fit(structured_data).model
 
 
 class TestSeparation:

@@ -110,34 +110,41 @@ class TestTemporal:
     def test_equivalence_check_rejects_forged_rank(self, tall_block):
         """The exactness gate is not circular: a fit whose rank diverges
         from the monolithic separation rule must fail the checker."""
+        import copy
         from dataclasses import replace
 
-        from repro.core import SPEDetector as SPE
         from repro.core.subspace import SubspaceModel
 
         fit = TemporalCoordinator(num_shards=3, workers=1).fit(tall_block)
+
+        def forged(rank, separation):
+            """The fit with its detector's model swapped for a forgery;
+            the detector's requested settings stay the fit's own."""
+            model = SubspaceModel.with_rank(fit.pca, rank)
+            model.separation = separation
+            detector = copy.copy(fit.detector)
+            detector._model = model
+            return replace(fit, detector=detector)
+
         wrong_rank = fit.detector.normal_rank + 2
-        forged_model = SubspaceModel.with_rank(fit.pca, wrong_rank)
-        forged_detector = SPE.from_model(
-            forged_model, confidence=fit.detector.confidence
+        assert not temporal_fit_matches_monolithic(
+            forged(wrong_rank, fit.separation), tall_block
         )
-        forged = replace(fit, detector=forged_detector)
-        assert not temporal_fit_matches_monolithic(forged, tall_block)
 
         # The separation is compared bit for bit: deviations one ulp
         # off, at the same rank, fail too.
         separation = fit.separation
         deviations = separation.max_deviations.copy()
         deviations[0] = np.nextafter(deviations[0], np.inf)
-        ulp_model = SubspaceModel.with_rank(fit.pca, fit.detector.normal_rank)
-        ulp_model.separation = replace(separation, max_deviations=deviations)
-        ulp_detector = SPE.from_model(
-            ulp_model, confidence=fit.detector.confidence
+        ulp = forged(
+            fit.detector.normal_rank,
+            replace(separation, max_deviations=deviations),
         )
         assert temporal_fit_matches_monolithic(fit, tall_block)
-        assert not temporal_fit_matches_monolithic(
-            replace(fit, detector=ulp_detector), tall_block
+        assert temporal_fit_matches_monolithic(
+            forged(fit.detector.normal_rank, separation), tall_block
         )
+        assert not temporal_fit_matches_monolithic(ulp, tall_block)
 
     @pytest.mark.parametrize("width", [1, 17])
     def test_fit_from_stats_rejects_a_replay_of_another_width(
@@ -165,7 +172,7 @@ class TestTemporal:
         raise before any of them is scored."""
         scored = []
         monkeypatch.setattr(
-            "repro.pipeline.sharded.score_moments",
+            "repro.core.detection.score_moments",
             lambda *args: scored.append(args),
         )
         stats = SufficientStats.from_block(tall_block)
@@ -178,7 +185,7 @@ class TestTemporal:
     ):
         scored = []
         monkeypatch.setattr(
-            "repro.pipeline.sharded.score_moments",
+            "repro.core.detection.score_moments",
             lambda *args: scored.append(args),
         )
         coordinator = TemporalCoordinator(workers=1, normal_rank=3)

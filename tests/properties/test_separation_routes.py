@@ -5,7 +5,7 @@ the tiles in ascending order, so the separation is a pure function of
 the rows, as the PCA is: the monolithic detector, the sharded
 coordinator at any shard and worker count, fits from statistics merged
 over any chunking, service histories built from any request sizes
-(refitted and restored) and pooled tenant bootstraps agree on
+(refitted and restored) and the tenants of a multi-tenant service agree on
 ``max_deviations``, the first anomalous axis, the rank, the threshold,
 the mean and the components.  The histories span two to six tiles,
 so some shards hold several tiles and some none.
@@ -22,7 +22,7 @@ from repro.core import SPEDetector, SufficientStats
 from repro.core.suffstats import DEFAULT_TILE_ROWS, canonical_units
 from repro.pipeline.sharded import TemporalCoordinator
 from repro.service.lifecycle import ModelLifecycleManager
-from repro.service.tenants import bootstrap_lifecycles
+from repro.service.tenants import MultiTenantService
 
 
 @st.composite
@@ -115,11 +115,8 @@ def test_every_fit_route_gives_the_same_separation_bits(block, seed):
             path
         ).current.detector
 
-    lifecycles, report = bootstrap_lifecycles(
-        {"a": block, "b": block[: t // 2]}, workers=2
-    )
-    assert report.clean
-    routes["pooled tenant bootstrap"] = lifecycles["a"].current.detector
+    tenants = MultiTenantService.from_warmups({"a": block, "b": block[: t // 2]})
+    routes["tenant bootstrap"] = tenants.service("a").lifecycle.current.detector
 
     for name, detector in routes.items():
         assert signature(detector) == reference, name

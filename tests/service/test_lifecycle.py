@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import SufficientStats
-from repro.core.detection import SPEDetector
-from repro.core.suffstats import DEFAULT_TILE_ROWS, RowStore
+from repro.core.suffstats import DEFAULT_TILE_ROWS
 from repro.exceptions import ModelError, ServiceError
 from repro.pipeline import DetectionPipeline
 from repro.service import ModelLifecycleManager
@@ -270,7 +269,7 @@ class TestCheckpoint:
     def test_refit_scores_each_tile_once(self, monkeypatch, request_rows):
         """A refit of N history rows makes ceil(N / tile_rows) score-
         moments calls, whatever the request sizes were."""
-        import repro.pipeline.sharded as sharded
+        import repro.core.detection as detection
 
         block = np.random.default_rng(5).normal(size=(5000, 6)) + 50.0
         lifecycle = ModelLifecycleManager()
@@ -278,13 +277,13 @@ class TestCheckpoint:
         for start in range(700, block.shape[0], request_rows):
             lifecycle.append_rows(block[start : start + request_rows])
         calls = []
-        kernel = sharded.score_moments
+        kernel = detection.score_moments
 
         def counted(*args):
             calls.append(args[0].shape[0])
             return kernel(*args)
 
-        monkeypatch.setattr(sharded, "score_moments", counted)
+        monkeypatch.setattr(detection, "score_moments", counted)
         lifecycle.refit()
         assert len(calls) == math.ceil(5000 / DEFAULT_TILE_ROWS)
         assert sum(calls) == 5000
@@ -412,25 +411,20 @@ class TestConcurrentSnapshots:
         """Refits snapshot the history while ingest keeps appending: each
         snapshot holds exactly the rows appended before it, and still
         does after the tiles it viewed have filled and frozen."""
-        block = np.random.default_rng(2).normal(size=(4000, 4))
-        # 64-row tiles, so about 62 of them freeze while snapshots run.
-        history = RowStore(4, tile_rows=64)
-        history.append(block[:10])
-        lifecycle = ModelLifecycleManager.from_fitted(
-            SPEDetector(normal_rank=1).fit(block[:10]),
-            history,
-            trained_rows=10,
-            normal_rank=1,
-        )
+        # About 62 tiles of DEFAULT_TILE_ROWS rows freeze while
+        # snapshots run.
+        block = np.random.default_rng(2).normal(size=(65_536, 4))
+        lifecycle = ModelLifecycleManager(normal_rank=1)
+        lifecycle.bootstrap(block[:10])
         snapshots = []
         done = threading.Event()
         ready = threading.Barrier(4, timeout=30)
 
         def ingest():
             ready.wait()
-            for start in range(10, block.shape[0], 3):
-                lifecycle.append_rows(block[start : start + 3])
-                if start % 300 == 10:  # a mid-tile snapshot, every time
+            for start in range(10, block.shape[0], 48):
+                lifecycle.append_rows(block[start : start + 48])
+                if start % 4800 == 10:  # a mid-tile snapshot, every time
                     snapshots.append(lifecycle.history_snapshot())
             done.set()
 
@@ -454,7 +448,14 @@ class TestConcurrentSnapshots:
         assert not any(thread.is_alive() for thread in threads)
         assert lifecycle.rows == block.shape[0]
         assert snapshots
+        # Every snapshot is alive, so an id names one tile object; each
+        # (tile, first row) pair is compared once.
+        compared = set()
         for taken in snapshots:
-            rows = np.concatenate(taken.tiles)
-            assert rows.shape[0] == taken.stats.count
-            assert np.array_equal(rows, block[: taken.stats.count])
+            start = 0
+            for tile in taken.tiles:
+                if (id(tile), start) not in compared:
+                    assert np.array_equal(tile, block[start : start + len(tile)])
+                    compared.add((id(tile), start))
+                start += len(tile)
+            assert start == taken.stats.count

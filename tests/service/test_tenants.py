@@ -24,7 +24,6 @@ from repro.pipeline.fleet import synthetic_tenant_traffic
 from repro.service import DetectionService, ServiceConfig
 from repro.service.tenants import (
     MultiTenantService,
-    bootstrap_lifecycles,
     tenant_checkpoint_path,
     tenant_checkpoints,
 )
@@ -126,13 +125,29 @@ class TestDirectApi:
             "narrow": synthetic_tenant_traffic("narrow", WARMUP, links=3),
         }
         config = ServiceConfig(normal_rank=5)
-        lifecycles, report = bootstrap_lifecycles(warmups, config)
-        assert list(lifecycles) == ["wide"]
-        assert report.lost_tasks == (1,)
         with pytest.raises(
             ServiceError, match=r"lost \['narrow'\]: ModelError: normal rank"
         ):
             MultiTenantService.from_warmups(warmups, config)
+        # Alone, the other tenant bootstraps under the same settings.
+        alone = MultiTenantService.from_warmups({"wide": warmups["wide"]}, config)
+        assert alone.tenants == ("wide",)
+
+    def test_tenants_sharing_a_checkpoint_path_are_refused(self, tmp_path):
+        """Engines configured with one checkpoint file would each write
+        it on close, and only the last tenant's state would survive."""
+        config = ServiceConfig(checkpoint_path=str(tmp_path / "shared.ckpt"))
+        with pytest.raises(ServiceError, match="share the checkpoint path"):
+            MultiTenantService.from_warmups(
+                tenant_warmups("acme", "umbrella/eu"), config
+            )
+        services = {
+            tenant_id: DetectionService.from_warmup(warmup, config=config)
+            for tenant_id, warmup in tenant_warmups("a", "b").items()
+        }
+        with pytest.raises(ServiceError, match="'a' and 'b' share"):
+            MultiTenantService(services)
+        assert not (tmp_path / "shared.ckpt").exists()
 
 
 class TestHTTPRoutes:
@@ -358,9 +373,9 @@ class TestCheckpointRestore:
             tenant_id: synthetic_tenant_traffic(tenant_id, WARMUP, links=12)
             for tenant_id in ("acme", "umbrella/eu", "ten%ant")
         }
-        lifecycles, _ = bootstrap_lifecycles(warmups, workers=2)
-        for tenant_id, lifecycle in lifecycles.items():
-            lifecycle.checkpoint(
+        writer = MultiTenantService.from_warmups(warmups)
+        for tenant_id in writer.tenants:
+            writer.service(tenant_id).lifecycle.checkpoint(
                 tenant_checkpoint_path(tmp_path, tenant_id),
                 extra={"tenant": tenant_id, "fault_policy": "partial"},
             )
@@ -371,9 +386,7 @@ class TestCheckpointRestore:
             for tenant_id in warmups
         }
         expected = {
-            tenant_id: DetectionService(lifecycles[tenant_id])
-            .ingest_block(block)
-            .outcomes
+            tenant_id: writer.ingest_block(tenant_id, block).outcomes
             for tenant_id, block in blocks.items()
         }
         assert all(

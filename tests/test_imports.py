@@ -26,7 +26,7 @@ import repro.pipeline
 #: Modules the serving path never needs: scipy (a package is loaded
 #: whenever any of its modules is), the graph library, and the
 #: comparison, validation, scenario, baseline, detector-registry and
-#: fleet-harness code.
+#: synthetic-tenant-traffic code.
 NOT_SERVED = (
     "scipy",
     "networkx",
@@ -78,6 +78,25 @@ def loaded(modules: set[str], names) -> list[str]:
 def test_service_path_loads_nothing_it_does_not_serve(code):
     modules, _ = fresh(code)
     assert loaded(modules, NOT_SERVED) == []
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import repro.service",
+        "from repro.service.tenants import MultiTenantService",
+    ],
+)
+def test_serving_path_loads_no_process_pool(code):
+    """The service fits every model in process: it loads no module of
+    the sharded plane, whose coordinators fan out over worker pools."""
+    modules, _ = fresh(code)
+    assert sorted(
+        name
+        for name in modules
+        if name.split(".")[0] == "multiprocessing"
+        or name.startswith("repro.pipeline")
+    ) == []
 
 
 def test_history_reader_loads_no_scipy():
