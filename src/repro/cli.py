@@ -9,7 +9,7 @@ command   what it does
 info      Table-1 summary of one or more preset datasets
 topology  render a backbone topology (paper Fig. 2)
 build     build a preset dataset and save it as ``.npz``
-diagnose  run detect -> identify -> quantify over a saved dataset
+diagnose  run detect -> identify -> quantify over a dataset
 pipeline  run the vectorized DetectionPipeline (batch or streaming)
 compare   rank detectors by AUC over an injection grid (Fig. 10++)
 shard     sharded detection plane: temporal (exact) / spatial (fusion)
@@ -430,18 +430,26 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    from repro.core import AnomalyDiagnoser
+    from repro.pipeline import DetectionPipeline
 
-    dataset = _load_dataset(args.dataset)
-    diagnoser = AnomalyDiagnoser(confidence=args.confidence)
-    diagnoser.fit(dataset.link_traffic, dataset.routing)
-    diagnoses = diagnoser.diagnose(dataset.link_traffic)
-    print(
-        f"dataset {dataset.name}: rank {diagnoser.detector.normal_rank}, "
-        f"threshold {diagnoser.detector.threshold:.3e}, "
-        f"{len(diagnoses)} anomalies at {args.confidence:.4f} confidence"
+    return _diagnosis_report(
+        _load_dataset(args.dataset),
+        DetectionPipeline(confidence=args.confidence),
     )
-    for diagnosis in diagnoses:
+
+
+def _diagnosis_report(dataset, pipeline) -> int:
+    """Fit ``pipeline`` on a dataset, diagnose it in one pass and print
+    the header and one row per anomaly (``diagnose`` and ``pipeline
+    run``)."""
+    pipeline.fit(dataset.link_traffic, routing=dataset.routing)
+    result = pipeline.detect(dataset.link_traffic)
+    print(
+        f"dataset {dataset.name}: rank {pipeline.normal_rank}, "
+        f"threshold {result.threshold:.3e}, {result.num_alarms} anomalies "
+        f"at {result.detection.confidence:.4f} confidence"
+    )
+    for diagnosis in result.diagnoses():
         origin, destination = diagnosis.od_pair
         print(
             f"  bin {diagnosis.time_bin:>4}  {origin}->{destination:<6} "
@@ -456,24 +464,13 @@ def _cmd_pipeline(args) -> int:
 
     dataset = _load_dataset(args.dataset)
     if args.mode == "run":
-        pipeline = DetectionPipeline(
-            confidence=args.confidence, normal_rank=args.rank,
-            dtype=args.dtype,
-        ).fit(dataset.link_traffic, routing=dataset.routing)
-        result = pipeline.detect(dataset.link_traffic)
-        print(
-            f"dataset {dataset.name}: rank {pipeline.normal_rank}, "
-            f"threshold {result.threshold:.3e}, {result.num_alarms} anomalies "
-            f"at {result.detection.confidence:.4f} confidence"
+        return _diagnosis_report(
+            dataset,
+            DetectionPipeline(
+                confidence=args.confidence, normal_rank=args.rank,
+                dtype=args.dtype,
+            ),
         )
-        for diagnosis in result.diagnoses():
-            origin, destination = diagnosis.od_pair
-            print(
-                f"  bin {diagnosis.time_bin:>4}  {origin}->{destination:<6} "
-                f"{diagnosis.estimated_bytes:>+12.3e} bytes  "
-                f"(SPE/threshold {diagnosis.spe / diagnosis.threshold:.1f})"
-            )
-        return 0
 
     warmup = args.warmup_bins
     if not 2 <= warmup < dataset.num_bins:

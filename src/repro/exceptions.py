@@ -49,8 +49,10 @@ class SupervisionError(ReproError):
     """A supervised parallel fit lost work it was not allowed to lose.
 
     Raised when a task exhausts its retry budget under the ``fail-fast``
-    or ``retry`` fault policies, or when so much work is lost that no
-    model can be fitted at all (even under ``partial``).  Carries the
+    or ``retry`` fault policies, when so much work is lost that no
+    model can be fitted at all (even under ``partial``), or when a
+    task's own exception cannot be pickled back to the parent (the
+    message then names its type and text).  Carries the
     :class:`~repro.pipeline.supervision.FaultReport` describing what
     happened as ``report`` when available.
     """

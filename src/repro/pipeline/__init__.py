@@ -24,12 +24,15 @@ quantification — into composable entry points:
 * :class:`~repro.pipeline.supervision.SupervisedPool` /
   :class:`~repro.pipeline.faults.FaultInjector` /
   :func:`~repro.pipeline.chaos.run_chaos_suite` — the fault-tolerance
-  layer: per-task deadlines, bounded retry, worker-death recovery and
+  layer: the one process pool every parallel grid above runs on, with
+  per-task deadlines, bounded retry, worker-death recovery and
   degraded-mode (``partial``) fits, plus the deterministic fault
   injection and chaos harness that exercise them (``repro chaos run``;
-  see ``docs/robustness.md``).
+  see ``docs/robustness.md``).  A task's own exception is raised with
+  its type on every worker layout; only a dead worker or an overrun
+  deadline is a fault.
 
-**Model lifecycles.**  The pipeline offers four ways to keep a model
+**Model lifecycles.**  The pipeline offers three ways to keep a model
 current, from cheapest to most thorough:
 
 1. *fit once* — the paper's weekly regime: one batch fit, applied as a
@@ -38,12 +41,15 @@ current, from cheapest to most thorough:
    window into exponentially weighted moments and refresh the ``m × m``
    eigendecomposition per window (or on an arrival cadence) — the model
    follows drift without ever refitting from scratch;
-3. *periodic refit* — :class:`~repro.core.online.OnlineSubspaceDetector`
-   exposes the same engine per-arrival with a configurable refresh
-   cadence;
-4. *sharded refit* — ``TemporalCoordinator.fit`` rebuilds the model
+   :class:`~repro.core.online.OnlineSubspaceDetector` runs the same
+   fold one row at a time;
+3. *sharded refit* — ``TemporalCoordinator.fit`` rebuilds the model
    from per-chunk sufficient statistics (bit-identical to a monolithic
    fit), out-of-core or fanned out over workers.
+
+The periodic refit on accumulated history belongs to the service
+(:mod:`repro.service`), which refits each version in process with
+:meth:`~repro.core.detection.SPEDetector.fit_from_stats`.
 
 See ``docs/pipeline.md``, ``docs/detectors.md`` and ``docs/sharding.md``
 for the guides.

@@ -3,8 +3,8 @@
 ``repro chaos run`` drives this module: the scenario suite's traces are
 pushed through the temporal parallel fit, the spatial zone fit and the
 service checkpoint/restore cycle while :mod:`repro.pipeline.faults`
-injects one fault at a time — worker crashes, hung tasks, in-kernel
-errors, corrupted checkpoints.  The harness asserts the robustness
+injects one fault at a time — worker crashes, hung tasks, corrupted
+checkpoints: 5 cells per scenario.  The harness asserts the robustness
 contract end to end:
 
 * every run **terminates** with a typed report (no hangs — hung tasks
@@ -60,12 +60,7 @@ __all__ = [
 CHAOS_SCHEMA_VERSION = 1
 
 #: Fault kinds the harness injects, and the planes each one targets.
-CHAOS_FAULTS = (
-    "kill_worker",
-    "hang_task",
-    "fail_task",
-    "corrupt_checkpoint",
-)
+CHAOS_FAULTS = ("kill_worker", "hang_task", "corrupt_checkpoint")
 
 #: Detection-plane entry points the harness drives.
 CHAOS_PLANES = ("temporal", "spatial", "service")
@@ -76,7 +71,6 @@ CHAOS_PLANES = ("temporal", "spatial", "service")
 _FAULT_PLANES = {
     "kill_worker": ("temporal", "spatial"),
     "hang_task": ("temporal", "spatial"),
-    "fail_task": ("temporal", "spatial"),
     "corrupt_checkpoint": ("service",),
 }
 
@@ -228,11 +222,9 @@ def _worker_plan(fault: str, stage: str, policy: str):
     attempts = 1 if policy == "retry" else 99
     if fault == "kill_worker":
         return FaultInjector.kill_worker(task=0, stage=stage, attempts=attempts)
-    if fault == "hang_task":
-        return FaultInjector.hang_task(
-            task=0, stage=stage, attempts=attempts, seconds=60.0
-        )
-    return FaultInjector.fail_task(task=0, stage=stage, attempts=attempts)
+    return FaultInjector.hang_task(
+        task=0, stage=stage, attempts=attempts, seconds=60.0
+    )
 
 
 def _run_temporal(traffic, fault, policy, deadline, workers):

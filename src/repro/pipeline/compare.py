@@ -15,19 +15,20 @@ general workload over the :mod:`repro.detectors` registry with a
   the fitted state is reused to score the scenario trace once, and
   every requested confidence level reads its operating point off those
   same scores — confidences multiply the grid for free.
-* **Shared memory.**  In parallel runs the dataset traffic matrices,
-  routing matrices and pickled fitted-detector state live in
-  :mod:`multiprocessing.shared_memory` blocks; workers attach by name,
-  so stage-2 tasks carry only scenario metadata instead of pickled
-  arrays.  A serial run (``workers=1``) executes the same fit/score
-  functions in-process and produces a byte-identical report — tests
-  assert it, including through the shared-memory path.
-* **Dead workers.**  A worker process that dies mid-task (killed,
+* **One pool.**  Both stages run through
+  :func:`~repro.pipeline.supervision.task_runner`, the runner the
+  sharded fit uses: ``workers=1`` runs them in process, more run them on
+  a :class:`~repro.pipeline.supervision.SupervisedPool`.  Each
+  dataset's traffic and routing matrices reach the workers once, fork-
+  inherited or in shared memory; a score task carries its fitted
+  detector, which the pool's pipe pickles.  Every layout computes on
+  read-only arrays and gives a byte-identical report — tests assert it.
+* **Failures.**  A detector's own exception reaches the caller with its
+  type on every layout.  A worker process that dies mid-task (killed,
   crashed, ``os._exit``) raises
   :class:`~repro.exceptions.SupervisionError` instead of leaving the
-  run waiting on its task; a detector's own exception reaches the
-  caller with its type.  The shared-memory blocks are released either
-  way.
+  run waiting on its task.  The shared-memory segments are released
+  either way.
 
 Scenario traces are derived deterministically from the scenario seed:
 all detectors see byte-identical injected traces regardless of worker
@@ -38,25 +39,21 @@ comparison is quantitative rather than visual.
 
 from __future__ import annotations
 
-import os
-import pickle
 import time
 import zlib
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from repro.datasets.dataset import Dataset
-from repro.exceptions import SupervisionError, ValidationError
-from repro.pipeline.shm import (
-    SharedArray,
-    SharedBlob,
-    attach_array,
-    attach_segment,
-    release,
-    share_array,
-    share_blob,
+from repro.exceptions import ValidationError
+from repro.pipeline.supervision import (
+    raise_if_lost,
+    resolve_arrays,
+    task_runner,
+    worker_count,
 )
 from repro.validation.roc import operating_point, roc_curve
 
@@ -398,10 +395,10 @@ class ComparisonRunner:
         Ground-truth ledger cutoff: events at least this large form the
         baseline truth set.
     workers:
-        Process count; ``None`` picks ``min(score_tasks, cpu_count)``
-        where score tasks are (detector, dataset, scenario) triples;
-        ``1`` runs serially in-process (byte-identical results — tests
-        assert it).
+        Process count, at most one per score task (a (detector,
+        dataset, scenario) triple); ``None`` picks
+        ``min(score_tasks, cpu_count)``; ``1`` runs serially in-process
+        (byte-identical results — tests assert it).
     seed:
         Base seed for the deterministic injection placement.
     detector_kwargs:
@@ -529,311 +526,159 @@ class ComparisonRunner:
             for name in self.detector_names
         ]
         # Resolve every factory up front so unknown names fail loudly in
-        # the parent, not inside a worker.
-        for name in self.detector_names:
-            registry.get_factory(name)
+        # the parent, not inside a worker.  The factory travels with its
+        # fit task so detectors registered at runtime survive
+        # spawn-start workers, which re-import a registry holding only
+        # the built-ins.
+        factories = {
+            name: registry.get_factory(name) for name in self.detector_names
+        }
         # Stage 2 has one task per (pair, scenario), so parallelism is
         # sized to the scoring fan-out, not just the fit fan-out.
-        num_score_tasks = sum(
-            len(scenarios_by_dataset[dataset.name]) for dataset, _ in pairs
-        )
-        workers = self.workers
-        if workers is None:
-            workers = min(num_score_tasks, os.cpu_count() or 1)
+        score_cells = [
+            (pair, scenario)
+            for pair, (dataset, _) in enumerate(pairs)
+            for scenario in scenarios_by_dataset[dataset.name]
+        ]
+        workers = worker_count(self.workers, len(score_cells))
+        # Dataset i's traffic and routing matrices are arrays 2i, 2i+1.
+        arrays = [
+            np.asarray(array, dtype=np.float64)
+            for dataset in self.datasets
+            for array in (dataset.link_traffic, dataset.routing.matrix)
+        ]
+        metas = {
+            dataset.name: _DatasetMeta.of(dataset, slot=2 * index)
+            for index, dataset in enumerate(self.datasets)
+        }
 
-        if workers <= 1 or num_score_tasks == 1:
-            outputs = self._run_serial(pairs, scenarios_by_dataset)
-        else:
-            outputs = self._run_parallel(pairs, scenarios_by_dataset, workers)
+        with task_runner(arrays, workers, max_retries=0) as (shared, run):
+            # Stage 1: every (detector, dataset) pair fits exactly once.
+            fits = run(
+                _fit_detector,
+                [
+                    _FitTask(
+                        factory=factories[name],
+                        detector_kwargs=self.detector_kwargs.get(name, {}),
+                        dataset=metas[dataset.name],
+                        arrays=shared,
+                        confidence=self.confidence,
+                    )
+                    for dataset, name in pairs
+                ],
+                stage="fit",
+            )
+            raise_if_lost(fits, "comparison fit stage", "fail-fast")
+            # Stage 2: each scenario is scored once by its pair's fitted
+            # detector.
+            scores = run(
+                _score_scenario,
+                [
+                    _ScoreTask(
+                        detector=pairs[pair][1],
+                        fitted=fits.results[pair][0],
+                        dataset=metas[pairs[pair][0].name],
+                        arrays=shared,
+                        scenario=scenario,
+                        confidences=self.confidences,
+                        fa_budgets=self.fa_budgets,
+                        min_event_bytes=self.min_event_bytes,
+                    )
+                    for pair, scenario in score_cells
+                ],
+                stage="score",
+            )
+            raise_if_lost(scores, "comparison score stage", "fail-fast")
 
         cells: list[ComparisonCell] = []
-        timings: list[tuple[str, str, float]] = []
-        for (dataset, name), (rows, seconds) in zip(pairs, outputs):
+        seconds = [fit_seconds for _, fit_seconds in fits.results]
+        for (pair, _), (rows, score_seconds) in zip(
+            score_cells, scores.results
+        ):
             cells.extend(rows)
-            timings.append((name, dataset.name, seconds))
+            seconds[pair] += score_seconds
         return ComparisonReport(
             cells=tuple(cells),
             confidence=self.confidence,
             confidences=self.confidences,
             num_fits=len(pairs),
             elapsed_seconds=time.perf_counter() - start,
-            cell_seconds=tuple(timings),
+            cell_seconds=tuple(
+                (name, dataset.name, pair_seconds)
+                for (dataset, name), pair_seconds in zip(pairs, seconds)
+            ),
         )
-
-    # ------------------------------------------------------------------
-    def _fit_task(self, dataset_ref: "_DatasetRef", name: str) -> "_FitTask":
-        # The factory travels with the task so detectors registered at
-        # runtime survive spawn-start workers, which re-import a
-        # registry holding only the built-ins.
-        from repro import detectors as registry
-
-        return _FitTask(
-            detector=name,
-            factory=registry.get_factory(name),
-            detector_kwargs=self.detector_kwargs.get(name, {}),
-            dataset=dataset_ref,
-            confidence=self.confidence,
-        )
-
-    def _score_task(
-        self,
-        dataset_ref: "_DatasetRef",
-        name: str,
-        scenario: ComparisonScenario,
-        model: "SharedBlob | None",
-    ) -> "_ScoreTask":
-        return _ScoreTask(
-            detector=name,
-            dataset=dataset_ref,
-            model=model,
-            scenario=scenario,
-            confidences=self.confidences,
-            fa_budgets=self.fa_budgets,
-            min_event_bytes=self.min_event_bytes,
-        )
-
-    def _run_serial(self, pairs, scenarios_by_dataset):
-        """In-process execution: same fit/score kernels, no pickling."""
-        outputs = []
-        for dataset, name in pairs:
-            ref = _DatasetRef(inline=dataset)
-            fit_start = time.perf_counter()
-            detector = _fit_detector(self._fit_task(ref, name))
-            seconds = time.perf_counter() - fit_start
-            rows: list[ComparisonCell] = []
-            for scenario in scenarios_by_dataset[dataset.name]:
-                task = self._score_task(ref, name, scenario, model=None)
-                scenario_rows, scenario_seconds = _score_scenario(
-                    task, detector
-                )
-                rows.extend(scenario_rows)
-                seconds += scenario_seconds
-            outputs.append((tuple(rows), seconds))
-        return outputs
-
-    def _run_parallel(self, pairs, scenarios_by_dataset, workers):
-        """Two-stage shared-memory execution over a process pool."""
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        segments: list = []  # SharedMemory blocks to unlink at the end
-        try:
-            dataset_refs = {
-                dataset.name: _share_dataset(dataset, segments)
-                for dataset in self.datasets
-            }
-            fit_tasks = [
-                self._fit_task(dataset_refs[dataset.name], name)
-                for dataset, name in pairs
-            ]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                # Stage 1: every (detector, dataset) pair fits exactly
-                # once; the pickled fitted state comes back to the
-                # parent, which parks it in shared memory.
-                fit_outputs = list(pool.map(_run_fit_task, fit_tasks))
-                models: dict[tuple[str, str], SharedBlob] = {}
-                fit_seconds: dict[tuple[str, str], float] = {}
-                for (dataset, name), (blob, seconds) in zip(
-                    pairs, fit_outputs
-                ):
-                    models[(dataset.name, name)] = share_blob(
-                        blob, segments
-                    )
-                    fit_seconds[(dataset.name, name)] = seconds
-                # Stage 2: scoring tasks carry only scenario metadata
-                # plus shared-memory names — no arrays are pickled.
-                score_tasks = [
-                    self._score_task(
-                        dataset_refs[dataset.name],
-                        name,
-                        scenario,
-                        models[(dataset.name, name)],
-                    )
-                    for dataset, name in pairs
-                    for scenario in scenarios_by_dataset[dataset.name]
-                ]
-                score_outputs = list(pool.map(_run_score_task, score_tasks))
-            outputs = []
-            cursor = 0
-            for dataset, name in pairs:
-                rows: list[ComparisonCell] = []
-                seconds = fit_seconds[(dataset.name, name)]
-                for _ in scenarios_by_dataset[dataset.name]:
-                    scenario_rows, scenario_seconds = score_outputs[cursor]
-                    rows.extend(scenario_rows)
-                    seconds += scenario_seconds
-                    cursor += 1
-                outputs.append((tuple(rows), seconds))
-            return outputs
-        except BrokenProcessPool as err:
-            raise SupervisionError(
-                f"a comparison worker died mid-task: {err}"
-            ) from err
-        finally:
-            release(segments)
 
 
 # ----------------------------------------------------------------------
-# Datasets and fitted detectors over shared memory (the segments are
-# :mod:`repro.pipeline.shm`'s).  Everything below must stay module-level
-# and picklable; the worker side caches the unpickled detectors per
-# process.
+# The fit/score kernels and their picklable tasks.  Every layout runs
+# exactly this code on bit-identical read-only inputs, which is what
+# makes the reports byte-identical across worker layouts.
 
 
 @dataclass(frozen=True)
 class _DatasetMeta:
-    """The picklable-in-O(1) part of a dataset a scoring task needs."""
+    """The small, picklable part of a dataset a task needs; its traffic
+    and routing matrices are the run's arrays ``slot`` and ``slot + 1``."""
 
     name: str
     bin_seconds: float
     num_bins: int
-    num_links: int
     num_flows: int
     true_events: tuple
+    slot: int
 
+    @classmethod
+    def of(cls, dataset: Dataset, slot: int) -> "_DatasetMeta":
+        return cls(
+            name=dataset.name,
+            bin_seconds=dataset.bin_seconds,
+            num_bins=dataset.num_bins,
+            num_flows=dataset.num_flows,
+            true_events=tuple(dataset.true_events),
+            slot=slot,
+        )
 
-@dataclass(frozen=True)
-class _DatasetRef:
-    """Either a real in-process dataset or shared-memory coordinates."""
-
-    inline: Dataset | None = None
-    meta: _DatasetMeta | None = None
-    link_traffic: SharedArray | None = None
-    routing_matrix: SharedArray | None = None
-
-
-class _RoutingView:
-    """Duck-types the one routing attribute :func:`scenario_trace` uses."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: np.ndarray) -> None:
-        self.matrix = matrix
-
-
-class _DatasetView:
-    """A :class:`Dataset` stand-in backed by shared-memory arrays."""
-
-    __slots__ = (
-        "name",
-        "bin_seconds",
-        "num_bins",
-        "num_links",
-        "num_flows",
-        "true_events",
-        "link_traffic",
-        "routing",
-    )
-
-    def __init__(
-        self,
-        meta: _DatasetMeta,
-        link_traffic: np.ndarray,
-        routing_matrix: np.ndarray,
-    ) -> None:
-        self.name = meta.name
-        self.bin_seconds = meta.bin_seconds
-        self.num_bins = meta.num_bins
-        self.num_links = meta.num_links
-        self.num_flows = meta.num_flows
-        self.true_events = meta.true_events
-        self.link_traffic = link_traffic
-        self.routing = _RoutingView(routing_matrix)
+    def view(self, arrays) -> SimpleNamespace:
+        """A :class:`Dataset` stand-in over a task's read-only arrays."""
+        traffic, routing = resolve_arrays(arrays)[self.slot : self.slot + 2]
+        return SimpleNamespace(
+            name=self.name,
+            bin_seconds=self.bin_seconds,
+            num_bins=self.num_bins,
+            num_flows=self.num_flows,
+            true_events=self.true_events,
+            link_traffic=traffic,
+            routing=SimpleNamespace(matrix=routing),
+        )
 
 
 @dataclass(frozen=True)
 class _FitTask:
-    detector: str
     factory: Callable
     detector_kwargs: dict
-    dataset: _DatasetRef
+    dataset: _DatasetMeta
+    arrays: object  # the runner's array ref; see resolve_arrays
     confidence: float
 
 
 @dataclass(frozen=True)
 class _ScoreTask:
     detector: str
-    dataset: _DatasetRef
-    model: SharedBlob | None
+    fitted: object
+    dataset: _DatasetMeta
+    arrays: object
     scenario: ComparisonScenario
     confidences: tuple[float, ...]
     fa_budgets: tuple[float, ...]
     min_event_bytes: float
 
 
-#: Per-process cache of unpickled detectors.
-_DETECTOR_CACHE: dict[str, object] = {}
-
-
-def _dataset_meta(dataset: Dataset) -> _DatasetMeta:
-    return _DatasetMeta(
-        name=dataset.name,
-        bin_seconds=dataset.bin_seconds,
-        num_bins=dataset.num_bins,
-        num_links=dataset.num_links,
-        num_flows=dataset.num_flows,
-        true_events=tuple(dataset.true_events),
-    )
-
-
-def _share_dataset(dataset: Dataset, segments: list) -> _DatasetRef:
-    """Park one dataset's big arrays in shared memory (parent side)."""
-    return _DatasetRef(
-        meta=_dataset_meta(dataset),
-        link_traffic=share_array(dataset.link_traffic, segments),
-        routing_matrix=share_array(
-            np.asarray(dataset.routing.matrix, dtype=np.float64), segments
-        ),
-    )
-
-
-def _readonly_view(array: np.ndarray) -> np.ndarray:
-    view = np.asarray(array, dtype=np.float64).view()
-    view.flags.writeable = False
-    return view
-
-
-def _resolve_dataset(ref: _DatasetRef) -> _DatasetView:
-    """The read-only view of a dataset a task should compute on.
-
-    Serial (inline) and parallel (shared-memory) runs both resolve to a
-    :class:`_DatasetView` over read-only arrays, so an input-mutating
-    detector fails loudly — and identically — under every worker
-    layout.
-    """
-    if ref.inline is not None:
-        dataset = ref.inline
-        return _DatasetView(
-            _dataset_meta(dataset),
-            _readonly_view(dataset.link_traffic),
-            _readonly_view(np.asarray(dataset.routing.matrix)),
-        )
-    return _DatasetView(
-        ref.meta,
-        attach_array(ref.link_traffic),
-        attach_array(ref.routing_matrix),
-    )
-
-
-def _resolve_detector(blob: SharedBlob):
-    """Unpickle (and cache per process) a fitted detector blob."""
-    detector = _DETECTOR_CACHE.get(blob.name)
-    if detector is None:
-        segment = attach_segment(blob.name)
-        detector = pickle.loads(bytes(segment.buf[: blob.size]))
-        _DETECTOR_CACHE[blob.name] = detector
-    return detector
-
-
-# ----------------------------------------------------------------------
-# The fit/score kernels.  Serial and parallel runs execute exactly the
-# same code on bit-identical inputs, which is what makes the reports
-# byte-identical across worker layouts.
-
-
-def _fit_detector(task: _FitTask):
-    """Construct and fit one detector on one dataset's clean trace."""
-    dataset = _resolve_dataset(task.dataset)
+def _fit_detector(task: _FitTask) -> tuple[object, float]:
+    """Stage 1: construct and fit one detector on one dataset's clean
+    trace."""
+    start = time.perf_counter()
+    dataset = task.dataset.view(task.arrays)
     kwargs = {
         "confidence": task.confidence,
         "bin_seconds": dataset.bin_seconds,
@@ -841,23 +686,17 @@ def _fit_detector(task: _FitTask):
     kwargs.update(task.detector_kwargs)
     detector = task.factory(**kwargs)
     detector.fit(dataset.link_traffic)
-    return detector
-
-
-def _run_fit_task(task: _FitTask) -> tuple[bytes, float]:
-    """Stage-1 worker entry: fit, then hand the state back pickled."""
-    start = time.perf_counter()
-    detector = _fit_detector(task)
-    blob = pickle.dumps(detector, protocol=pickle.HIGHEST_PROTOCOL)
-    return blob, time.perf_counter() - start
+    return detector, time.perf_counter() - start
 
 
 def _score_scenario(
-    task: _ScoreTask, detector
+    task: _ScoreTask,
 ) -> tuple[tuple[ComparisonCell, ...], float]:
-    """Score one scenario once; read every confidence level off it."""
+    """Stage 2: score one scenario once; read every confidence level
+    off it."""
     start = time.perf_counter()
-    dataset = _resolve_dataset(task.dataset)
+    detector = task.fitted
+    dataset = task.dataset.view(task.arrays)
     trace, truth = scenario_trace(
         dataset, task.scenario, task.min_event_bytes
     )
@@ -891,14 +730,6 @@ def _score_scenario(
             )
         )
     return tuple(rows), time.perf_counter() - start
-
-
-def _run_score_task(
-    task: _ScoreTask,
-) -> tuple[tuple[ComparisonCell, ...], float]:
-    """Stage-2 worker entry: attach shared state, score one scenario."""
-    detector = _resolve_detector(task.model)
-    return _score_scenario(task, detector)
 
 
 # ----------------------------------------------------------------------
@@ -939,7 +770,7 @@ def scenario_trace(
     drawn at distinct time bins outside the ledger truth set, each
     adding ``injection_size`` bytes to one OD flow's links.  ``dataset``
     may be a :class:`~repro.datasets.dataset.Dataset` or the engine's
-    shared-memory view of one.
+    read-only stand-in for one.
     """
     truth = _ledger_bins(dataset, min_event_bytes)
     if scenario.injection_size is None:

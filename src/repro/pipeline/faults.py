@@ -9,9 +9,11 @@ in CI replays exactly:
   :class:`~repro.pipeline.supervision.SupervisedPool` worker at spawn.
   Each action targets one ``(stage, task, attempt)`` coordinate:
   ``crash`` calls ``os._exit`` mid-task, ``hang`` sleeps past the
-  deadline, ``error`` raises inside the kernel.  Keying on the attempt
-  number is what makes "crash once, succeed on retry" expressible —
-  and what keeps an injected crash from looping forever.
+  deadline — the two faults the pool retries or drops.  (A task that
+  raises is not a fault: the pool hands its exception to the caller.)
+  Keying on the attempt number is what makes "crash once, succeed on
+  retry" expressible — and what keeps an injected crash from looping
+  forever.
 * **checkpoint corruption** — :meth:`FaultInjector.corrupt_checkpoint`
   scribbles over the head of a checkpoint file, the corrupt-restore
   scenario.
@@ -27,7 +29,7 @@ from repro.exceptions import ValidationError
 
 __all__ = ["FaultInjector", "FaultPlan", "WorkerFault"]
 
-_WORKER_ACTIONS = ("crash", "hang", "error")
+_WORKER_ACTIONS = ("crash", "hang")
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,7 @@ class WorkerFault:
     """One injected worker fault at a ``(stage, task, attempt)`` spot.
 
     ``stage`` is the pool-run label (``"stats"``, ``"moments"``,
-    ``"zones"``, ``"tenant-fit"``); ``""`` matches every stage.
+    ``"zones"``, ``"fit"``, ``"score"``); ``""`` matches every stage.
     ``attempts`` is how many consecutive attempts the fault fires on, so
     ``attempts=1`` models a transient fault (retry succeeds) and a large
     value models a permanently poisoned task (the ``partial`` policy's
@@ -115,19 +117,6 @@ class FaultInjector:
                     stage=stage,
                     attempts=attempts,
                     seconds=seconds,
-                ),
-            )
-        )
-
-    @staticmethod
-    def fail_task(
-        task: int = 0, stage: str = "", attempts: int = 1
-    ) -> FaultPlan:
-        """Raise inside ``task``'s kernel (clean error, no process death)."""
-        return FaultPlan(
-            faults=(
-                WorkerFault(
-                    task=task, action="error", stage=stage, attempts=attempts
                 ),
             )
         )

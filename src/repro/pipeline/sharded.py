@@ -8,8 +8,9 @@ both axes of the matrix:
 **Temporal sharding** (:class:`TemporalCoordinator`) partitions the
 *rows* (time bins).  Workers compute mergeable sufficient statistics
 (:mod:`repro.core.suffstats`) over their chunks — reading the traffic
-matrix from :mod:`multiprocessing.shared_memory`, never pickling it —
-and the coordinator merges the statistics and fits **once**.  Because
+matrix through :func:`~repro.pipeline.supervision.task_runner`, fork-
+inherited or in shared memory, never pickled — and the coordinator
+merges the statistics and fits **once**.  Because
 the statistics merge exactly (canonical tiles; see the suffstats module
 docs), the fitted PCA is *bit-identical* to the monolithic
 ``PCA(method="gram")`` fit for any shard layout, worker count, or merge
@@ -58,8 +59,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -85,14 +85,13 @@ from repro.core.suffstats import (
     canonical_units,
 )
 from repro.exceptions import ModelError, SupervisionError, ValidationError
-from repro.pipeline.shm import SharedArray, attach_array, release, share_array
 from repro.pipeline.supervision import (
     FAULT_POLICIES,
-    FaultReport,
-    PoolRun,
-    SupervisedPool,
     raise_if_lost,
+    resolve_arrays,
     resolve_policy,
+    task_runner,
+    worker_count,
 )
 
 __all__ = [
@@ -255,108 +254,37 @@ class TemporalShardFit:
 
 @dataclass(frozen=True)
 class _StatsTask:
-    traffic: "np.ndarray | SharedArray | None"  # see _resolve_traffic
+    traffic: object  # the runner's array ref; see resolve_arrays
     start: int
     stop: int
 
 
 @dataclass(frozen=True)
 class _MomentsTask:
-    traffic: "np.ndarray | SharedArray | None"
+    traffic: object
     units: tuple[tuple[int, int], ...]
     mean: np.ndarray
     components: np.ndarray
 
 
-#: Fork-start pools inherit the parent's address space copy-on-write,
-#: so the traffic matrix can travel to the workers through this module
-#: global with zero copies and zero serialization — the parent parks it
-#: here immediately before creating the pool (children snapshot it at
-#: fork) and clears it afterwards.  Non-fork start methods fall back to
-#: an explicit shared-memory segment.
-_INHERITED_TRAFFIC: np.ndarray | None = None
-
-
-def _resolve_traffic(ref: "np.ndarray | SharedArray | None") -> np.ndarray:
-    """The matrix a task reads: its own (in-process), a shared-memory
-    segment, or the fork-inherited matrix (``None``)."""
-    if isinstance(ref, np.ndarray):
-        return ref
-    if ref is not None:
-        return attach_array(ref)
-    if _INHERITED_TRAFFIC is None:  # pragma: no cover - defensive
-        raise ModelError(
-            "worker has no inherited traffic matrix; the pool was not "
-            "fork-started"
-        )
-    return _INHERITED_TRAFFIC
-
-
-def _worker_count(requested: int | None, tasks: int) -> int:
-    """The request (default: one per CPU), at most one worker per task."""
-    import os
-
-    return min(tasks, requested or os.cpu_count() or 1)
-
-
-def _fork_start() -> bool:
-    import multiprocessing
-
-    return multiprocessing.get_start_method() == "fork"
-
-
-@contextmanager
-def _task_runner(
-    coordinator, measurements: np.ndarray, workers: int
-) -> Iterator[tuple[object, Callable[..., PoolRun]]]:
-    """``(traffic, run)`` for fanning tasks out over ``measurements``.
-
-    One worker runs the tasks in-process on the matrix itself.  More
-    start a :class:`SupervisedPool` under the coordinator's fault knobs,
-    whose workers read the matrix without a copy: fork-inherited
-    (``traffic`` is ``None``) or from a shared-memory segment.
-    ``run(fn, tasks, stage)`` returns a :class:`PoolRun`.
-    """
-    global _INHERITED_TRAFFIC
-
-    if workers <= 1:
-
-        def run_here(fn, tasks, stage):
-            return PoolRun(
-                results=[fn(task) for task in tasks],
-                report=FaultReport(tasks=len(tasks), attempts=len(tasks)),
-            )
-
-        yield measurements, run_here
-        return
-    segments: list = []
-    try:
-        if _fork_start():
-            traffic = None
-            _INHERITED_TRAFFIC = measurements
-        else:  # pragma: no cover - non-fork platforms
-            traffic = share_array(measurements, segments)
-        with SupervisedPool(
-            workers,
-            deadline=coordinator.task_deadline,
-            max_retries=(
-                0
-                if coordinator.fault_policy == "fail-fast"
-                else coordinator.max_retries
-            ),
-            backoff_base=coordinator.backoff_base,
-            fault_plan=coordinator.fault_plan,
-        ) as pool:
-            yield traffic, pool.run
-    finally:
-        _INHERITED_TRAFFIC = None
-        release(segments)
+def _pool_settings(coordinator) -> dict:
+    """The supervised pool's settings under a coordinator's fault knobs."""
+    return {
+        "deadline": coordinator.task_deadline,
+        "max_retries": (
+            0
+            if coordinator.fault_policy == "fail-fast"
+            else coordinator.max_retries
+        ),
+        "backoff_base": coordinator.backoff_base,
+        "fault_plan": coordinator.fault_plan,
+    }
 
 
 def _run_stats_task(task: _StatsTask) -> tuple[SufficientStats, float]:
     """Pass-1 kernel: sufficient statistics of one time chunk."""
     begin = time.perf_counter()
-    traffic = _resolve_traffic(task.traffic)
+    (traffic,) = resolve_arrays(task.traffic)
     stats = SufficientStats.from_block(
         traffic[task.start : task.stop], start_row=task.start
     )
@@ -368,7 +296,7 @@ def _run_moments_task(
 ) -> tuple[list[ScoreMoments], float]:
     """Pass-2 kernel: one :func:`score_moments` call per canonical unit."""
     begin = time.perf_counter()
-    traffic = _resolve_traffic(task.traffic)
+    (traffic,) = resolve_arrays(task.traffic)
     parts = [
         score_moments(traffic[lo:hi], task.mean, task.components)
         for lo, hi in task.units
@@ -420,7 +348,10 @@ class TemporalCoordinator:
         ``"retry"`` (bounded retries; a retried-to-success run is
         bit-identical to the fault-free run), or ``"partial"`` (retries
         then fits from the surviving statistics, recording the
-        ``coverage`` fraction in the report).
+        ``coverage`` fraction in the report).  A policy governs worker
+        deaths and deadline overruns only: a task's own exception (a
+        non-finite chunk's :class:`~repro.exceptions.ModelError`, say)
+        is raised as it is, on every layout and under every policy.
     task_deadline:
         Per-task wall-clock budget in seconds for the supervised
         workers; ``None`` disables deadlines.
@@ -487,9 +418,11 @@ class TemporalCoordinator:
             # one flat buffer; only a non-contiguous layout forces a copy.
             measurements = np.ascontiguousarray(measurements)
         bounds = _shard_bounds(measurements.shape[0], self.num_shards)
-        workers = _worker_count(self.workers, len(bounds))
+        workers = worker_count(self.workers, len(bounds))
 
-        with _task_runner(self, measurements, workers) as (traffic, run):
+        with task_runner(
+            (measurements,), workers, **_pool_settings(self)
+        ) as (traffic, run):
             stats_run = run(
                 _run_stats_task,
                 [_StatsTask(traffic, start, stop) for start, stop in bounds],
@@ -1010,7 +943,7 @@ class SpatialShardFit:
 
 @dataclass(frozen=True)
 class _ZoneFitTask:
-    traffic: "np.ndarray | SharedArray | None"
+    traffic: object
     links: np.ndarray
     confidence: float
     threshold_sigma: float
@@ -1019,7 +952,7 @@ class _ZoneFitTask:
 
 def _run_zone_task(task: _ZoneFitTask) -> tuple[SPEDetector, float]:
     begin = time.perf_counter()
-    traffic = _resolve_traffic(task.traffic)
+    (traffic,) = resolve_arrays(task.traffic)
     detector = SPEDetector(
         confidence=task.confidence,
         threshold_sigma=task.threshold_sigma,
@@ -1115,7 +1048,7 @@ class SpatialCoordinator:
             raise ValidationError(
                 f"votes={votes} exceeds the {len(zones)} zones"
             )
-        workers = _worker_count(self.workers, len(zones))
+        workers = worker_count(self.workers, len(zones))
 
         fitted, timings, fault = self._fit_zones(measurements, zones, workers)
 
@@ -1178,10 +1111,9 @@ class SpatialCoordinator:
         return SpatialShardFit(model=model, report=report)
 
     def _fit_zones(self, measurements, zones, workers):
-        with _task_runner(self, measurements, workers) as (
-            traffic,
-            run_tasks,
-        ):
+        with task_runner(
+            (measurements,), workers, **_pool_settings(self)
+        ) as (traffic, run_tasks):
             tasks = [
                 _ZoneFitTask(
                     traffic=traffic,

@@ -1,10 +1,13 @@
-"""Supervised worker pool for the sharded detection plane.
+"""The one process pool of the detection plane's parallel grids.
 
-``multiprocessing.Pool`` gives the coordinators fan-out but no fault
-semantics: a worker that dies mid-task poisons the pool, a task that
-hangs hangs ``pool.map`` forever, and nothing records what went wrong.
-:class:`SupervisedPool` replaces it on the parallel fit paths with the
-supervision loop a production detection plane needs:
+The sharded fit's passes (:mod:`repro.pipeline.sharded`) and the
+comparison grid's fit and score stages (:mod:`repro.pipeline.compare`)
+fan out through :func:`task_runner`: one worker runs the tasks in
+process, in order; more run them on a :class:`SupervisedPool`.
+``multiprocessing.Pool`` gives fan-out but no fault semantics: a worker
+that dies mid-task poisons the pool, a task that hangs hangs
+``pool.map`` forever, and nothing records what went wrong.  The
+supervised pool adds:
 
 * **per-task deadlines** — a task that exceeds its deadline is killed
   (the whole worker process, since a stuck numpy kernel cannot be
@@ -24,12 +27,17 @@ supervision loop a production detection plane needs:
   reassignments, worker deaths, and permanently lost tasks — that the
   coordinators attach to their :class:`~repro.pipeline.sharded.ShardReport`.
 
-Tasks and results travel over per-worker duplex pipes; the traffic
-matrix itself still travels by fork inheritance or shared memory
-exactly as before (see :mod:`repro.pipeline.sharded`), so the
-supervised pool adds only control-plane overhead — the fault-free path
-is benchmarked against the bare pool in
-``benchmarks/bench_fault_overhead.py`` with a ≤10% overhead floor.
+**One fault model.**  A task's own exception is its result, not a
+fault: the parent re-raises it with its type, as the in-process path
+does, under every policy.  Only a worker's death or a deadline overrun
+is a fault, which ``retry`` heals and ``partial`` drops.
+
+Tasks and results travel over per-worker duplex pipes.  The large
+arrays a run reads travel once, without a copy: fork-started workers
+inherit them, and other start methods attach to shared-memory segments
+the runner creates and unlinks.  The fault-free path is benchmarked
+against the bare pool in ``benchmarks/bench_fault_overhead.py`` with a
+≤10% overhead floor.
 
 Fault injection for tests and the chaos harness rides the same
 machinery: a picklable :class:`~repro.pipeline.faults.FaultPlan` is
@@ -42,12 +50,17 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import random
 import time
+import traceback
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
+
+import numpy as np
 
 from repro.exceptions import SupervisionError, ValidationError
 
@@ -58,9 +71,14 @@ __all__ = [
     "PoolRun",
     "SupervisedPool",
     "TaskFault",
+    "resolve_arrays",
+    "task_runner",
+    "worker_count",
 ]
 
-#: Degraded-mode policies of the supervised fit paths.
+#: Degraded-mode policies of the supervised fit paths.  They govern
+#: faults — worker deaths and deadline overruns; a task's own exception
+#: is re-raised under every policy.
 #:
 #: ``fail-fast``
 #:     No retries; the first lost task aborts the fit.
@@ -88,7 +106,7 @@ class TaskFault:
 
     task: int
     attempt: int
-    kind: str  # "timeout" | "worker_death" | "error"
+    kind: str  # "timeout" | "worker_death"
     worker: int
     detail: str = ""
 
@@ -165,9 +183,41 @@ class PoolRun:
     report: FaultReport
 
 
-def _worker_main(conn, worker_id: int, fault_plan) -> None:
+def _raised(err: Exception) -> tuple[str, str, bytes | None]:
+    """A task's exception as it travels to the parent: its type name,
+    its message, and its pickle when it pickles, which carries the
+    worker's traceback as a note."""
+    err.add_note(
+        "raised in a pool worker:\n"
+        + "".join(traceback.format_tb(err.__traceback__)).rstrip()
+    )
+    try:
+        blob = pickle.dumps(err)
+    except Exception:  # noqa: BLE001 - any failure means "does not travel"
+        blob = None
+    return type(err).__qualname__, str(err), blob
+
+
+def _reraise(stage: str, task: int, raised: tuple) -> None:
+    """Raise a task's exception in the parent, with its type when its
+    pickle loads and as a :class:`SupervisionError` naming it otherwise."""
+    name, message, blob = raised
+    try:
+        error = pickle.loads(blob)
+    except Exception:  # noqa: BLE001 - None, a class the parent lacks, or
+        error = None  # an __init__ that takes other arguments than args
+    if isinstance(error, BaseException):
+        raise error
+    raise SupervisionError(
+        f"{stage or 'pool'} task {task} raised {name}: {message} "
+        "(the exception does not pickle, so its type stayed in the worker)"
+    )
+
+
+def _worker_main(conn, fault_plan) -> None:
     """Worker loop: receive ``(stage, task, attempt, fn, payload)``,
-    consult the fault plan, run the kernel, send the outcome back."""
+    consult the fault plan, run the kernel, send the outcome back: the
+    result, or the exception the kernel raised."""
     while True:
         try:
             message = conn.recv()
@@ -181,19 +231,15 @@ def _worker_main(conn, worker_id: int, fault_plan) -> None:
             if action is not None:
                 if action.action == "crash":
                     os._exit(_INJECTED_CRASH_EXIT)
-                if action.action == "hang":
-                    time.sleep(action.seconds)
-                elif action.action == "error":
-                    conn.send((task, attempt, "error", "injected task error"))
-                    continue
+                time.sleep(action.seconds)  # "hang"
         try:
-            result = fn(payload)
-        except BaseException as err:  # noqa: BLE001 - report, don't die
-            conn.send(
-                (task, attempt, "error", f"{type(err).__name__}: {err}")
-            )
-        else:
-            conn.send((task, attempt, "ok", result))
+            outcome = (task, "ok", fn(payload))
+        except Exception as err:  # noqa: BLE001 - the task's own result
+            outcome = (task, "raised", _raised(err))
+        try:
+            conn.send(outcome)
+        except Exception as err:  # noqa: BLE001 - the result does not pickle
+            conn.send((task, "raised", _raised(err)))
 
 
 def backoff_delay(
@@ -212,14 +258,17 @@ class _Worker:
     def __init__(self, worker_id: int, fault_plan) -> None:
         self.id = worker_id
         # The platform's default start method (fork on Linux, matching
-        # the coordinators' zero-copy inheritance).
+        # the runner's zero-copy inheritance).  Not daemonic, so a task
+        # may start a pool of its own (a comparison cell whose detector
+        # fits its zones in parallel); the pool stops every worker on
+        # exit, and a worker whose parent vanished reads EOF and exits.
         parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
         self.conn = parent_conn
         self.process = multiprocessing.Process(
             target=_worker_main,
-            args=(child_conn, worker_id, fault_plan),
+            args=(child_conn, fault_plan),
             name=f"repro-supervised-{worker_id}",
-            daemon=True,
+            daemon=False,
         )
         self.process.start()
         child_conn.close()
@@ -343,7 +392,10 @@ class SupervisedPool:
 
         ``fn`` must be a picklable module-level callable.  ``stage``
         labels the run for fault-plan matching (the coordinators use
-        ``"stats"`` / ``"moments"`` / ``"zones"``).
+        ``"stats"`` / ``"moments"`` / ``"zones"``, the comparison grid
+        ``"fit"`` / ``"score"``).  When tasks raise, the run still
+        resolves every task, then re-raises the exception of the lowest
+        raising task, as an in-order loop would raise it.
         """
         if not self._entered:
             raise SupervisionError(
@@ -354,6 +406,7 @@ class SupervisedPool:
         total = len(payloads)
         results: list = [None] * total
         completed = [False] * total
+        raised: dict[int, tuple] = {}
         faults: list[TaskFault] = []
         lost: list[int] = []
         attempts = timeouts = retries = reassignments = deaths = 0
@@ -397,10 +450,9 @@ class SupervisedPool:
             worker.assignment = (task, attempt, deadline)
             return True
 
-        def fail_attempt(
-            worker: _Worker, kind: str, detail: str, respawn: bool
-        ) -> None:
-            """Account one failed attempt and schedule its retry."""
+        def fail_attempt(worker: _Worker, kind: str, detail: str) -> None:
+            """Account one failed attempt, replace its worker and
+            schedule its retry."""
             nonlocal timeouts, deaths, reassignments
             task, attempt, _ = worker.assignment
             worker.assignment = None
@@ -417,11 +469,10 @@ class SupervisedPool:
                 timeouts += 1
             elif kind == "worker_death":
                 deaths += 1
-            if respawn:
-                self._pool.pop(worker.id, None)
-                worker.kill()
-                self._spawn()
-                reassignments += 1
+            self._pool.pop(worker.id, None)
+            worker.kill()
+            self._spawn()
+            reassignments += 1
             schedule_retry(task, attempt)
 
         while resolved < total:
@@ -489,34 +540,23 @@ class SupervisedPool:
                             worker,
                             "worker_death",
                             "result pipe closed mid-task",
-                            respawn=True,
                         )
                         continue
-                    task, attempt, status, value = message
+                    task, status, value = message
                     worker.assignment = None
-                    if status == "ok":
-                        if not completed[task]:
-                            completed[task] = True
+                    if not completed[task]:
+                        completed[task] = True
+                        resolved += 1
+                        if status == "ok":
                             results[task] = value
-                            resolved += 1
-                    else:
-                        faults.append(
-                            TaskFault(
-                                task=task,
-                                attempt=attempt,
-                                kind="error",
-                                worker=worker.id,
-                                detail=str(value),
-                            )
-                        )
-                        schedule_retry(task, attempt)
+                        else:
+                            raised[task] = value
                 else:  # the process sentinel fired: the worker died
                     exitcode = worker.process.exitcode
                     fail_attempt(
                         worker,
                         "worker_death",
                         f"worker exited with code {exitcode}",
-                        respawn=True,
                     )
 
             now = time.monotonic()
@@ -529,9 +569,11 @@ class SupervisedPool:
                         worker,
                         "timeout",
                         f"task exceeded its {self.deadline:.3g}s deadline",
-                        respawn=True,
                     )
 
+        if raised:
+            first = min(raised)
+            _reraise(stage, first, raised[first])
         report = FaultReport(
             tasks=total,
             attempts=attempts,
@@ -574,3 +616,144 @@ def resolve_policy(policy: str) -> str:
             f"choose from {FAULT_POLICIES}"
         )
     return policy
+
+
+# ----------------------------------------------------------------------
+# The task runner: the in-process loop or the pool, and the arrays'
+# transport to the pool's workers.
+
+
+@dataclass(frozen=True)
+class SharedArray:
+    """Name + layout of a numpy array parked in a shared-memory block."""
+
+    name: str
+    shape: tuple[int, ...]
+    dtype: str
+
+
+#: Segments this process attached, kept open so their buffers stay
+#: valid for every later task that reads them.
+_SEGMENTS: dict[str, object] = {}
+
+#: Fork-start pools inherit the parent's address space copy-on-write,
+#: so a run's arrays reach its workers through this module global with
+#: zero copies and zero serialization: the runner parks them here just
+#: before the pool forks (children snapshot it) and restores the
+#: previous value afterwards, so a worker that runs a pool of its own
+#: keeps its arrays.
+_INHERITED_ARRAYS: tuple[np.ndarray, ...] | None = None
+
+
+def _share_array(array: np.ndarray, segments: list) -> SharedArray:
+    """Copy an array into a fresh shared-memory block (parent side)."""
+    from multiprocessing import shared_memory
+
+    segment = shared_memory.SharedMemory(
+        create=True, size=max(array.nbytes, 1)
+    )
+    segments.append(segment)
+    np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)[...] = array
+    return SharedArray(segment.name, array.shape, str(array.dtype))
+
+
+def _attach_array(ref: SharedArray) -> np.ndarray:
+    """A read-only view of a shared array (worker side)."""
+    from multiprocessing import shared_memory
+
+    segment = _SEGMENTS.get(ref.name)
+    if segment is None:
+        segment = _SEGMENTS[ref.name] = shared_memory.SharedMemory(
+            name=ref.name
+        )
+    return _read_only(
+        np.ndarray(ref.shape, dtype=ref.dtype, buffer=segment.buf)
+    )
+
+
+def _release(segments: list) -> None:
+    """Close and unlink every block the parent created."""
+    for segment in segments:
+        segment.close()
+        try:
+            segment.unlink()
+        except FileNotFoundError:  # pragma: no cover - already gone
+            pass
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    # The arrays are shared across tasks (and, on the pool, across
+    # workers): a task that mutated its input in place would silently
+    # corrupt every later one.  Read-only views turn that into an
+    # immediate ValueError, identically on every worker layout.
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+def _fork_start() -> bool:
+    return multiprocessing.get_start_method() == "fork"
+
+
+def worker_count(requested: int | None, tasks: int) -> int:
+    """The request (default: one per CPU), at most one worker per task."""
+    return min(tasks, requested or os.cpu_count() or 1)
+
+
+def resolve_arrays(ref) -> tuple[np.ndarray, ...]:
+    """The read-only arrays a task reads, from the ``ref`` that
+    :func:`task_runner` yielded: the arrays themselves (in process),
+    shared-memory segments, or the fork-inherited arrays (``None``)."""
+    if ref is None:
+        if _INHERITED_ARRAYS is None:  # pragma: no cover - defensive
+            raise SupervisionError(
+                "worker inherited no arrays; the pool was not fork-started"
+            )
+        return _INHERITED_ARRAYS
+    return tuple(
+        _attach_array(item) if isinstance(item, SharedArray) else item
+        for item in ref
+    )
+
+
+@contextmanager
+def task_runner(
+    arrays: Sequence[np.ndarray], workers: int, **pool
+) -> Iterator[tuple[object, Callable[..., PoolRun]]]:
+    """``(ref, run)`` for fanning tasks out over ``arrays``.
+
+    One worker runs the tasks in process, in order, and a task's
+    exception propagates as raised.  More start a
+    :class:`SupervisedPool` with the ``pool`` settings, whose workers
+    read the arrays without a copy: fork-inherited, or from
+    shared-memory segments unlinked when the runner exits.  Tasks carry
+    ``ref``, and :func:`resolve_arrays` turns it back into the arrays,
+    read-only on every path.  ``run(fn, tasks, stage)`` returns a
+    :class:`PoolRun`.
+    """
+    global _INHERITED_ARRAYS
+
+    arrays = tuple(_read_only(array) for array in arrays)
+    if workers <= 1:
+
+        def run_here(fn, tasks, stage=""):
+            return PoolRun(
+                results=[fn(task) for task in tasks],
+                report=FaultReport(tasks=len(tasks), attempts=len(tasks)),
+            )
+
+        yield arrays, run_here
+        return
+    previous = _INHERITED_ARRAYS
+    segments: list = []
+    try:
+        if _fork_start():
+            ref = None
+            _INHERITED_ARRAYS = arrays
+        else:
+            ref = tuple(_share_array(array, segments) for array in arrays)
+        with SupervisedPool(workers, **pool) as supervised:
+            yield ref, supervised.run
+    finally:
+        _INHERITED_ARRAYS = previous
+        _release(segments)

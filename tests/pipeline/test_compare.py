@@ -213,8 +213,8 @@ class TestComparisonRunner:
 
 
 class TestFitOnceEngine:
-    """PR-3 acceptance: each (detector, dataset) pair fits exactly once,
-    and serial vs parallel (shared-memory) reports are byte-identical."""
+    """Each (detector, dataset) pair fits exactly once, and serial and
+    parallel reports are byte-identical on either transport."""
 
     def test_num_fits_is_one_per_pair(self, small_dataset):
         report = ComparisonRunner(
@@ -236,8 +236,8 @@ class TestFitOnceEngine:
     ):
         """A counting detector proves the exactly-once discipline in
         process (workers=1) and across worker processes (workers=2 with
-        two (detector, dataset) pairs, so the shared-memory fit/score
-        split actually runs)."""
+        two (detector, dataset) pairs, so the pooled fit/score split
+        actually runs)."""
         from repro import detectors
 
         counter = tmp_path / f"fits-{workers}.log"
@@ -265,9 +265,9 @@ class TestFitOnceEngine:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_mutating_detector_fails_loudly(self, small_dataset, workers):
         """Traffic views are read-only under every worker layout: a
-        detector that mutates its input raises identically instead of
-        silently corrupting later cells (serial) or the shared segment
-        (parallel)."""
+        detector that mutates its input raises identically, with its
+        type, instead of silently corrupting later cells (serial) or
+        the workers' shared arrays (parallel)."""
         from repro import detectors
 
         detectors.register(
@@ -284,25 +284,14 @@ class TestFitOnceEngine:
             runner.run()
 
     def test_dead_worker_raises_and_releases_memory(
-        self, small_dataset, monkeypatch
+        self, small_dataset, force_shared_memory
     ):
         """A worker that dies mid-fit raises a typed error within the
         timeout, instead of leaving the run waiting on its task, and
         every shared-memory block the run created is unlinked."""
-        from multiprocessing import shared_memory
-
         from repro import detectors
-        from repro.pipeline import compare
 
-        created = []
-        share_array = compare.share_array
-
-        def recording(array, segments):
-            ref = share_array(array, segments)
-            created.append(ref.name)
-            return ref
-
-        monkeypatch.setattr(compare, "share_array", recording)
+        created = force_shared_memory()
         detectors.register(
             "crashing-fourier", _crashing_factory, overwrite=True
         )
@@ -327,9 +316,44 @@ class TestFitOnceEngine:
         assert not thread.is_alive(), "run() hung on a dead worker"
         assert isinstance(outcome.get("error"), SupervisionError)
         assert created
-        for name in created:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        assert created.all_unlinked()
+
+    def test_shared_memory_transport_gives_the_serial_bytes(
+        self, small_dataset, force_shared_memory
+    ):
+        """The transport of non-fork platforms: the datasets travel in
+        shared-memory segments, the report is byte for byte the serial
+        one, and every segment is unlinked afterwards."""
+        import json
+
+        kwargs = dict(
+            detectors=("subspace", "ewma"),
+            injection_sizes=(3.0e7,),
+            num_injections=6,
+        )
+        serial = ComparisonRunner([small_dataset], workers=1, **kwargs).run()
+        created = force_shared_memory()
+        shared = ComparisonRunner([small_dataset], workers=2, **kwargs).run()
+        # One traffic and one routing matrix.
+        assert len(created) == 2
+        assert created.all_unlinked()
+        assert json.dumps(
+            serial.to_json(include_timings=False), sort_keys=True
+        ) == json.dumps(shared.to_json(include_timings=False), sort_keys=True)
+
+    def test_a_worker_may_start_its_own_pool(self, small_dataset):
+        """A cell whose detector fits its zones on a pool of its own
+        runs inside a comparison worker, as in process."""
+        kwargs = dict(
+            detectors=("sharded-subspace", "ewma"),
+            injection_sizes=(1e8,),
+            num_injections=4,
+            detector_kwargs={"sharded-subspace": {"workers": 2}},
+        )
+        nested = ComparisonRunner([small_dataset], workers=2, **kwargs).run()
+        serial = ComparisonRunner([small_dataset], workers=1, **kwargs).run()
+        assert len(nested) == 4
+        assert nested.cells == serial.cells
 
     def test_serial_and_parallel_json_byte_identical(self, small_dataset):
         import json
@@ -343,15 +367,16 @@ class TestFitOnceEngine:
         serial = ComparisonRunner(
             [small_dataset], workers=1, **kwargs
         ).run()
-        parallel = ComparisonRunner(
-            [small_dataset], workers=4, **kwargs
-        ).run()
-        assert serial.cells == parallel.cells
         a = json.dumps(serial.to_json(include_timings=False), sort_keys=True)
-        b = json.dumps(
-            parallel.to_json(include_timings=False), sort_keys=True
-        )
-        assert a.encode() == b.encode()
+        for workers in (2, 4):
+            parallel = ComparisonRunner(
+                [small_dataset], workers=workers, **kwargs
+            ).run()
+            assert serial.cells == parallel.cells
+            b = json.dumps(
+                parallel.to_json(include_timings=False), sort_keys=True
+            )
+            assert a.encode() == b.encode()
 
     def test_timings_are_reported_but_excluded_on_request(
         self, small_dataset

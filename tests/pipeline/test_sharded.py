@@ -65,6 +65,30 @@ class TestTemporal:
         assert serial.detector.threshold == parallel.detector.threshold
         assert serial.detector.normal_rank == parallel.detector.normal_rank
 
+    def test_shared_memory_transport_gives_the_fork_bits(
+        self, tall_block, force_shared_memory
+    ):
+        """The transport of non-fork platforms: the matrix travels in a
+        shared-memory segment, the fit is bit for bit the fork path's,
+        and the segment is unlinked afterwards."""
+        fork = TemporalCoordinator(num_shards=4, workers=2).fit(tall_block)
+        created = force_shared_memory()
+        shared = TemporalCoordinator(num_shards=4, workers=2).fit(tall_block)
+        assert len(created) == 1
+        assert created.all_unlinked()
+        ours, theirs = shared.detector.model, fork.detector.model
+        assert np.array_equal(ours.pca.mean, theirs.pca.mean)
+        assert np.array_equal(ours.pca.components, theirs.pca.components)
+        assert np.array_equal(
+            ours.pca.captured_variance(), theirs.pca.captured_variance()
+        )
+        assert np.array_equal(
+            ours.separation.max_deviations, theirs.separation.max_deviations
+        )
+        assert shared.detector.normal_rank == fork.detector.normal_rank
+        assert shared.detector.threshold == fork.detector.threshold
+        assert temporal_fit_matches_monolithic(shared, tall_block)
+
     def test_shard_count_does_not_change_the_model(self, tall_block):
         fits = [
             TemporalCoordinator(num_shards=n, workers=1).fit(tall_block)

@@ -8,6 +8,7 @@ spectrum, rank, threshold) rather than summaries.
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from repro.exceptions import ModelError, SupervisionError, ValidationError
 from repro.pipeline.faults import FaultInjector, FaultPlan, WorkerFault
 from repro.pipeline.sharded import SpatialCoordinator, TemporalCoordinator
 from repro.pipeline.supervision import (
+    FAULT_POLICIES,
     FaultReport,
     SupervisedPool,
     TaskFault,
@@ -30,6 +32,30 @@ def _square(value):
 
 def _explode(value):
     raise RuntimeError(f"kernel error on {value}")
+
+
+def _explode_odd(value):
+    if value % 2:
+        raise ValueError(f"odd {value}")
+    return value
+
+
+class _Unpicklable(Exception):
+    """Its ``__init__`` takes two arguments, so its pickle, which calls
+    the class with the one message argument, does not load."""
+
+    def __init__(self, what, value):
+        super().__init__(f"{what} {value}")
+
+
+def _raise_unpicklable(value):
+    raise _Unpicklable("no way back for", value)
+
+
+def _raise_holding_a_lock(value):
+    error = RuntimeError(f"no way back for {value}")
+    error.lock = threading.Lock()  # a lock does not pickle
+    raise error
 
 
 @pytest.fixture(scope="module")
@@ -99,29 +125,66 @@ class TestSupervisedPool:
         assert [f.kind for f in run.report.faults] == ["timeout"]
 
     def test_kernel_error_is_typed_and_retried(self):
-        plan = FaultInjector.fail_task(task=2, stage="stats", attempts=1)
+        """A kernel whose worker dies is a typed fault, retried on a
+        fresh worker."""
+        plan = FaultInjector.kill_worker(task=2, stage="stats", attempts=1)
         with SupervisedPool(
             workers=2, fault_plan=plan, backoff_base=0.01
         ) as pool:
             run = pool.run(_square, [1, 2, 3], stage="stats")
         assert run.results == [1, 4, 9]
-        assert [f.kind for f in run.report.faults] == ["error"]
+        (fault,) = run.report.faults
+        assert (fault.task, fault.attempt, fault.kind) == (
+            2, 1, "worker_death"
+        )
+        assert run.report.retries == 1
+        assert run.report.attempts == 4
 
     def test_exhausted_retries_lose_the_task_not_the_run(self):
-        plan = FaultInjector.fail_task(task=0, stage="stats", attempts=99)
+        plan = FaultInjector.kill_worker(task=0, stage="stats", attempts=99)
         with SupervisedPool(
             workers=1, max_retries=1, fault_plan=plan, backoff_base=0.01
         ) as pool:
             run = pool.run(_square, [5, 6], stage="stats")
         assert run.results == [None, 36]
         assert run.report.lost_tasks == (0,)
+        assert run.report.worker_deaths == 2
 
     def test_caller_errors_surface_with_the_task_payload(self):
-        with SupervisedPool(workers=1, max_retries=0) as pool:
-            run = pool.run(_explode, [42], stage="stats")
-        assert run.results == [None]
-        assert run.report.lost_tasks == (0,)
-        assert "kernel error on 42" in run.report.faults[0].detail
+        """A task's own exception is its result: the parent raises it
+        with its type and message, retrying nothing, and the pool
+        stays usable."""
+        with SupervisedPool(workers=1, max_retries=2) as pool:
+            with pytest.raises(RuntimeError) as raised:
+                pool.run(_explode, [42], stage="stats")
+            assert pool.run(_square, [3]).results == [9]
+        assert str(raised.value) == "kernel error on 42"
+        # The worker's traceback travels with it, as a note.
+        assert "in _explode" in "".join(raised.value.__notes__)
+
+    def test_the_first_raising_task_is_raised(self):
+        """Every task resolves, then the lowest raising task's exception
+        is raised, as an in-order loop would raise it."""
+        with SupervisedPool(workers=2) as pool:
+            with pytest.raises(ValueError) as raised:
+                pool.run(_explode_odd, [0, 1, 2, 3, 4, 5])
+        assert str(raised.value) == "odd 1"
+
+    @pytest.mark.parametrize(
+        "kernel, name",
+        [
+            (_raise_unpicklable, "_Unpicklable"),
+            (_raise_holding_a_lock, "RuntimeError"),
+        ],
+    )
+    def test_an_unpicklable_exception_arrives_named(self, kernel, name):
+        """An exception whose pickle does not load, or that does not
+        pickle at all, arrives named by its type and message."""
+        with SupervisedPool(workers=1) as pool:
+            with pytest.raises(
+                SupervisionError, match=f"{name}: no way back for 7"
+            ):
+                pool.run(kernel, [7], stage="stats")
 
     def test_hang_plan_without_deadline_is_rejected(self):
         plan = FaultInjector.hang_task(task=0)
@@ -167,10 +230,12 @@ class TestFaultReport:
             tasks=1,
             attempts=2,
             retries=1,
-            faults=(TaskFault(task=0, attempt=1, kind="error", worker=3),),
+            faults=(
+                TaskFault(task=0, attempt=1, kind="worker_death", worker=3),
+            ),
         )
         payload = json.loads(json.dumps(report.to_json()))
-        assert payload["faults"][0]["kind"] == "error"
+        assert payload["faults"][0]["kind"] == "worker_death"
         assert payload["retries"] == 1
 
     def test_raise_if_lost_honors_policy(self):
@@ -197,6 +262,9 @@ class TestFaultReport:
         assert plan.action_for("stats", 1, 1) is None
         with pytest.raises(ValidationError):
             WorkerFault(task=0, action="melt")
+        # A raising task is not a fault, so there is no action for it.
+        with pytest.raises(ValidationError):
+            WorkerFault(task=0, action="error")
 
 
 class TestTemporalFaultPolicies:
@@ -324,6 +392,41 @@ class TestSpatialZoneLoss:
         )
 
 
+@pytest.fixture(scope="module")
+def nan_block():
+    """5,000 x 8 rows with one NaN, at row 3,000 of link 0."""
+    rng = np.random.default_rng(31)
+    block = rng.uniform(1e6, 2e6, size=(5000, 8))
+    block[3000, 0] = np.nan
+    return block
+
+
+class TestTypedErrorsOnEveryLayout:
+    """A task's own exception is raised with its type and message on
+    every worker layout and under every fault policy: no policy retries
+    it, drops its shard or returns a fit without it."""
+
+    @pytest.mark.parametrize("policy", FAULT_POLICIES)
+    @pytest.mark.parametrize("plane", ["temporal", "spatial"])
+    def test_a_non_finite_row_raises_the_same_model_error(
+        self, nan_block, plane, policy
+    ):
+        errors = []
+        for workers in (1, 2):
+            settings = dict(
+                workers=workers, fault_policy=policy, backoff_base=0.01
+            )
+            if plane == "temporal":
+                coordinator = TemporalCoordinator(num_shards=4, **settings)
+            else:
+                coordinator = SpatialCoordinator(num_zones=2, **settings)
+            with pytest.raises(ModelError) as raised:
+                coordinator.fit(nan_block)
+            errors.append(raised.value)
+        assert [type(error) for error in errors] == [ModelError, ModelError]
+        assert str(errors[0]) == str(errors[1])
+
+
 class TestChaosHarness:
     def test_retry_matrix_smoke(self):
         from repro.pipeline.chaos import run_chaos_suite
@@ -332,7 +435,7 @@ class TestChaosHarness:
             policy="retry",
             max_scenarios=1,
             deadline=2.0,
-            faults=("kill_worker", "fail_task", "corrupt_checkpoint"),
+            faults=("kill_worker", "corrupt_checkpoint"),
             probe_degraded_recall=False,
         )
         assert report.all_ok, report.table()
@@ -348,7 +451,7 @@ class TestChaosHarness:
             policy="partial",
             max_scenarios=1,
             deadline=2.0,
-            faults=("fail_task", "kill_worker"),
+            faults=("kill_worker",),
             probe_degraded_recall=False,
         )
         assert report.all_ok, report.table()
@@ -397,8 +500,10 @@ class TestChaosHarness:
             run_chaos_suite(faults=("melt_cpu",))
         with pytest.raises(ValidationError):
             run_chaos_suite(planes=("orbital",))
-        # The chunk-stream plane and its fault kinds are gone.
-        with pytest.raises(ValidationError):
-            run_chaos_suite(faults=("drop_chunk",))
+        # The chunk-stream plane, its fault kinds and the raising-task
+        # kind are gone.
+        for gone in ("drop_chunk", "fail_task"):
+            with pytest.raises(ValidationError):
+                run_chaos_suite(faults=(gone,))
         with pytest.raises(ValidationError):
             run_chaos_suite(planes=("stream",))
