@@ -1,24 +1,22 @@
-"""Scoring latency: the fused score→threshold→separate kernel.
+"""Scoring latency: per-row scoring against the chunked kernel.
 
-The scoring hot path used to be three separate passes per bin — SPE
-projection, threshold comparison, separation-moments fold — each
-materializing its own temporaries.  :func:`repro.core.subspace.\
-score_block` fuses the three into one chunked sweep that never holds a
-full ``(t, m)`` residual.  This bench pins the win in the unit the
-always-on service budgets by: **wall-clock per bin**.
+Every scoring caller — ``SPEDetector.detect``, the streaming tracker,
+the service's ``ingest_block`` — gets SPE and alarm flags from
+:func:`repro.core.subspace.score_block`, one chunked sweep that never
+holds a full ``(t, m)`` residual.  This bench pins its win over scoring
+row by row in the unit the always-on service budgets by: **wall-clock
+per bin**.
 
-* **unfused** — the per-row sequence the per-module API encourages and
-  the service ran before the fusion: ``model.spe(row)``, a Python
-  threshold compare, one ``score_moments`` fold.  Each row is timed
+* **unfused** — the per-row sequence the per-module API encourages:
+  ``model.spe(row)`` and a Python threshold compare.  Each row is timed
   individually, so the p50/p99 are true per-bin latencies.
-* **fused** — ``score_block`` with threshold and components, chunked;
-  per-bin latency is each chunk's wall-clock amortized over its rows.
+* **fused** — ``model.score_block(chunk, threshold)`` over chunks of
+  ``CHUNK_ROWS`` rows, SPE and flags from one call; per-bin latency is
+  each chunk's wall-clock amortized over its rows.
 
 Acceptance floor: fused must clear **2x** the unfused p50 per-bin
-latency (it typically lands near 3x).  Also recorded, informational
-only: the block-mode comparison (three vectorized passes vs one fused
-call over the whole block), the float32 fused latency, and the same
-fused sweep reading a ``.npy`` memmap zero-copy.
+latency.  Also recorded, informational only: the float32 fused latency
+and the same fused sweep reading a ``.npy`` memmap zero-copy.
 
 BLAS threading is pinned to one thread per process (set below, before
 numpy loads), so the per-bin figures measure the kernel, not the
@@ -49,7 +47,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.detection import SPEDetector
-from repro.core.subspace import score_moments
 from repro.datasets.io import save_traffic_memmap, traffic_chunks
 
 MIN_PER_BIN_SPEEDUP = 2.0
@@ -98,21 +95,15 @@ def measure_latency(score_rows: int = SCORE_ROWS) -> dict:
     detector, block = _build_world(score_rows)
     model = detector.model
     threshold = float(detector.threshold)
-    mean = model.pca.mean
-    components = model.pca.components
 
-    # --- unfused: the historical per-row, three-stage sequence --------
+    # --- unfused: per-row SPE and compare -----------------------------
     unfused_samples = np.empty(score_rows)
     unfused_begin = time.perf_counter()
-    folded = None
     alarms_unfused = 0
     for index in range(score_rows):
         row = block[index]
         begin = time.perf_counter()
-        spe = float(model.spe(row))
-        flag = spe > threshold
-        moments = score_moments(row[None, :], mean, components)
-        folded = moments if folded is None else folded.merge(moments)
+        flag = float(model.spe(row)) > threshold
         unfused_samples[index] = time.perf_counter() - begin
         alarms_unfused += int(flag)
     unfused_total = time.perf_counter() - unfused_begin
@@ -121,52 +112,26 @@ def measure_latency(score_rows: int = SCORE_ROWS) -> dict:
     chunk_samples = []
     fused_begin = time.perf_counter()
     alarms_fused = 0
-    fused_moments = None
     for start in range(0, score_rows, CHUNK_ROWS):
         chunk = block[start : start + CHUNK_ROWS]
         begin = time.perf_counter()
-        scored = model.score_block(
-            chunk, threshold=threshold, components=components
-        )
+        scored = model.score_block(chunk, threshold=threshold)
         elapsed = time.perf_counter() - begin
         chunk_samples.append(elapsed / chunk.shape[0])
         alarms_fused += int(np.count_nonzero(scored.flags))
-        fused_moments = (
-            scored.moments
-            if fused_moments is None
-            else fused_moments.merge(scored.moments)
-        )
     fused_total = time.perf_counter() - fused_begin
     fused_samples = np.asarray(chunk_samples)
 
-    # Equal-work sanity: both paths flag the same bins and fold the
-    # same moments before any number is reported.
+    # Equal-work sanity: both paths flag the same bins before any
+    # number is reported.
     if alarms_unfused != alarms_fused:
         raise AssertionError("fused and unfused paths disagree on alarms")
-    if folded.count != fused_moments.count:
-        raise AssertionError("fused and unfused moment folds disagree")
-
-    # --- informational: whole-block two-pass vs one fused call --------
-    def block_unfused():
-        spe = model.spe(block)
-        flags = spe > threshold
-        return score_moments(block, mean, components), flags
-
-    def block_fused():
-        return model.score_block(
-            block, threshold=threshold, components=components
-        )
-
-    block_unfused_s = _time(block_unfused)
-    block_fused_s = _time(block_fused)
 
     # --- informational: float32 fused sweep ---------------------------
     model32 = type(model)(model.pca, model.normal_rank)
     model32.dtype = np.dtype(np.float32)
     float32_s = _time(
-        lambda: model32.score_block(
-            block, threshold=threshold, components=components
-        )
+        lambda: model32.score_block(block, threshold=threshold)
     )
 
     # --- informational: the same fused sweep over a .npy memmap -------
@@ -177,9 +142,7 @@ def measure_latency(score_rows: int = SCORE_ROWS) -> dict:
             raise AssertionError("memmap chunk source returned a copy")
         begin = time.perf_counter()
         for chunk in chunks():
-            model.score_block(
-                chunk, threshold=threshold, components=components
-            )
+            model.score_block(chunk, threshold=threshold)
         memmap_total = time.perf_counter() - begin
 
     unfused_p50, unfused_p99 = _percentiles(unfused_samples)
@@ -195,9 +158,6 @@ def measure_latency(score_rows: int = SCORE_ROWS) -> dict:
         "unfused_rows_per_s": score_rows / unfused_total,
         "fused_rows_per_s": score_rows / fused_total,
         "per_bin_speedup": unfused_p50 / fused_p50,
-        "block_unfused_s": block_unfused_s,
-        "block_fused_s": block_fused_s,
-        "block_speedup": block_unfused_s / block_fused_s,
         "float32_per_bin_s": float32_s / score_rows,
         "memmap_rows_per_s": score_rows / memmap_total,
     }
@@ -226,9 +186,6 @@ def json_payload(stats: dict) -> dict:
         },
         "per_bin_speedup": stats["per_bin_speedup"],
         "informational": {
-            "block_two_pass_seconds": stats["block_unfused_s"],
-            "block_fused_seconds": stats["block_fused_s"],
-            "block_speedup": stats["block_speedup"],
             "float32_fused_per_bin_seconds": stats["float32_per_bin_s"],
         },
     }
@@ -248,7 +205,6 @@ def render(stats: dict) -> str:
             f"fused+memmap {stats['memmap_rows_per_s']:>10.0f} rows/sec",
             f"per-bin p50 speedup: {stats['per_bin_speedup']:.1f}x "
             f"(floor {MIN_PER_BIN_SPEEDUP:.0f}x)",
-            f"block-mode speedup (informational): {stats['block_speedup']:.2f}x",
             f"float32 fused per-bin (informational): "
             f"{stats['float32_per_bin_s'] * 1e6:.2f} us",
         ]

@@ -102,7 +102,7 @@ def _full_matrix_fit(block: np.ndarray, threshold_sigma: float = 3.0):
     deviations = np.where(live, peaks / np.where(stds > 0, stds, 1.0), 0.0)
     tripped = np.nonzero(deviations >= threshold_sigma)[0]
     rank = int(np.clip(m if not tripped.size else tripped[0], 1, m))
-    model = SubspaceModel.with_rank(pca, rank)
+    model = SubspaceModel(pca, rank)
     return rank, q_threshold(model.residual_eigenvalues(), confidence=0.999)
 
 

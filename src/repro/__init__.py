@@ -34,7 +34,6 @@ __getattr__, __dir__ = lazy_exports(
             "Diagnosis",
             "DetectionResult",
             "MultiscaleDetector",
-            "OnlineSubspaceDetector",
             "SPEDetector",
             "SubspaceModel",
             "detectability_thresholds",
@@ -70,7 +69,6 @@ __all__ = [
     "DetectionResult",
     "AnomalyDiagnoser",
     "Diagnosis",
-    "OnlineSubspaceDetector",
     "MultiscaleDetector",
     "q_threshold",
     "quantify",

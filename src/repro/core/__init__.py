@@ -44,7 +44,6 @@ from repro.core.identification import (
 from repro.core.quantification import quantify, quantify_multi
 from repro.core.diagnosis import AnomalyDiagnoser, Diagnosis
 from repro.core.detectability import detectability_thresholds, DetectabilityReport
-from repro.core.online import OnlineSubspaceDetector
 from repro.core.incremental import IncrementalSubspaceTracker, principal_angles
 from repro.core.multiscale import MultiscaleDetector, haar_dwt, haar_idwt
 from repro.core.routing_anomalies import (
@@ -81,7 +80,6 @@ __all__ = [
     "Diagnosis",
     "detectability_thresholds",
     "DetectabilityReport",
-    "OnlineSubspaceDetector",
     "IncrementalSubspaceTracker",
     "principal_angles",
     "MultiscaleDetector",

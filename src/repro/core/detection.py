@@ -241,7 +241,7 @@ class SPEDetector:
                 max_normal_rank=self.max_normal_rank,
             )
             rank = separation.normal_rank
-        model = SubspaceModel.with_rank(pca, rank)
+        model = SubspaceModel(pca, rank)
         model.separation = separation
         self._model = model
         self._threshold = q_threshold(

@@ -13,11 +13,10 @@ the ``t × m`` SVD) only every ``refresh_interval`` arrivals.  Between
 refreshes, each arrival costs one matrix-vector product, exactly the
 online regime the paper describes.
 
-A refresh is lazy: it snapshots the covariance and the eigensolve (and
-Q-limit) runs on the first read of the model, so a caller that folds
-several windows between reads pays for no eigensolve it never reads.
-Every read sees exactly the model an eager refresh would have produced
-at the same point, since the solve runs on the snapshot.
+A refresh point runs its eigensolve (and Q-limit) at once, so every
+read of the model is the spectrum of the covariance at the last refresh
+point.  Only finite rows are scored or folded: a non-finite arrival
+raises :class:`~repro.exceptions.ModelError` and changes nothing.
 
 :func:`principal_angles` quantifies subspace drift — the paper's
 stability claim ("reasonably stable from week to week") in degrees.
@@ -30,6 +29,7 @@ import numpy as np
 from repro._util import ensure_matrix
 from repro.core.qstatistic import q_threshold
 from repro.core.subspace import score_block
+from repro.core.suffstats import require_finite_rows
 from repro.exceptions import ModelError, NotFittedError
 
 __all__ = ["IncrementalSubspaceTracker", "covariance_spectrum", "principal_angles"]
@@ -79,8 +79,6 @@ class IncrementalSubspaceTracker:
         Arrivals between eigendecomposition refreshes (1 = every sample,
         ``None`` = never refresh automatically — the model stays at its
         warm-up basis until a block fold asks for a refresh explicitly).
-        A refresh snapshots the covariance; its eigensolve runs on the
-        next read of the model (see the module docstring).
     confidence:
         Confidence level for the Q-statistic limit.
     """
@@ -109,8 +107,6 @@ class IncrementalSubspaceTracker:
 
         self._mean: np.ndarray | None = None
         self._cov: np.ndarray | None = None
-        # Covariance at the last refresh point, until its eigensolve runs.
-        self._pending: np.ndarray | None = None
         self._basis: np.ndarray | None = None  # (m, r) normal basis
         self._axes: np.ndarray | None = None  # Pᵀ, C-contiguous (r, m)
         self._eigenvalues: np.ndarray | None = None  # descending, length m
@@ -123,6 +119,7 @@ class IncrementalSubspaceTracker:
         measurements = np.asarray(measurements, dtype=np.float64)
         if measurements.ndim != 2 or measurements.shape[0] < 2:
             raise ModelError("warm-up needs a (t >= 2, m) matrix")
+        require_finite_rows(measurements)
         m = measurements.shape[1]
         if self.normal_rank > m:
             raise ModelError(
@@ -164,31 +161,21 @@ class IncrementalSubspaceTracker:
         return self
 
     def _refresh(self) -> None:
-        """Mark a refresh point; the eigensolve waits for the next read."""
-        self._pending = self._cov.copy()
-        self._since_refresh = 0
-
-    def _solve(self) -> None:
-        """Eigendecompose the pending snapshot into basis and Q-limit."""
-        eigenvalues, eigenvectors = covariance_spectrum(self._pending)
+        """Eigendecompose the covariance into basis and Q-limit, and
+        restart the refresh cadence."""
+        eigenvalues, eigenvectors = covariance_spectrum(self._cov)
         self._eigenvalues = eigenvalues
         self._basis = eigenvectors[:, : self.normal_rank]
         self._axes = np.ascontiguousarray(self._basis.T)
         self._threshold = q_threshold(
             eigenvalues[self.normal_rank :], confidence=self.confidence
         )
-        self._pending = None
+        self._since_refresh = 0
 
     # ------------------------------------------------------------------
     def _require_ready(self) -> None:
         if self._mean is None:
             raise NotFittedError("warm_up must be called before streaming")
-
-    def _require_model(self) -> None:
-        """Ready check plus the eigensolve of a pending refresh point."""
-        self._require_ready()
-        if self._pending is not None:
-            self._solve()
 
     @property
     def mean(self) -> np.ndarray:
@@ -199,19 +186,19 @@ class IncrementalSubspaceTracker:
     @property
     def normal_basis(self) -> np.ndarray:
         """Current normal-subspace basis ``P`` (``(m, r)``)."""
-        self._require_model()
+        self._require_ready()
         return self._basis.copy()
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """Current covariance eigenvalues, descending."""
-        self._require_model()
+        self._require_ready()
         return self._eigenvalues.copy()
 
     @property
     def threshold(self) -> float:
         """Current SPE limit ``δ²_α``."""
-        self._require_model()
+        self._require_ready()
         return self._threshold
 
     @property
@@ -227,12 +214,7 @@ class IncrementalSubspaceTracker:
         )
 
     # ------------------------------------------------------------------
-    def spe(self, measurement: np.ndarray) -> float:
-        """SPE of one vector under the current model (no state update).
-
-        A one-row :meth:`spe_block`: the same bits the row gets inside
-        any block.
-        """
+    def _as_row(self, measurement: np.ndarray) -> np.ndarray:
         self._require_ready()
         measurement = np.asarray(measurement, dtype=np.float64)
         if measurement.shape != self._mean.shape:
@@ -240,18 +222,29 @@ class IncrementalSubspaceTracker:
                 f"measurement has shape {measurement.shape}, expected "
                 f"{self._mean.shape}"
             )
-        return float(self.spe_block(measurement[None, :])[0])
+        return measurement
+
+    def spe(self, measurement: np.ndarray) -> float:
+        """SPE of one vector under the current model (no state update).
+
+        A one-row :meth:`spe_block`: the same bits the row gets inside
+        any block.
+        """
+        return float(self.spe_block(self._as_row(measurement)[None, :])[0])
 
     def update(self, measurement: np.ndarray) -> tuple[float, bool]:
         """Score one arrival, then fold it into the running statistics.
 
-        Returns ``(spe, is_anomalous)`` under the pre-update model.
+        Returns ``(spe, is_anomalous)`` under the pre-update model.  A
+        non-finite arrival raises :class:`~repro.exceptions.ModelError`
+        before it is scored, and the tracker is left unchanged.
         """
+        measurement = self._as_row(measurement)
+        require_finite_rows(measurement)
         spe = self.spe(measurement)
         is_anomalous = spe > self._threshold
 
         eta = self.forgetting
-        measurement = np.asarray(measurement, dtype=np.float64)
         self._mean = (1.0 - eta) * self._mean + eta * measurement
         deviation = measurement - self._mean
         self._cov = (1.0 - eta) * self._cov + eta * np.outer(deviation, deviation)
@@ -270,12 +263,12 @@ class IncrementalSubspaceTracker:
         alone, inside any block and at any chunking — a full normal
         subspace scores exactly 0.
         """
-        self._require_model()
         return score_block(
             self._as_block(measurements), self._mean, basis=self._axes
         ).spe
 
     def _as_block(self, measurements: np.ndarray) -> np.ndarray:
+        self._require_ready()
         measurements = ensure_matrix(
             measurements, name="block", error=ModelError,
             check_finite=False,
@@ -315,10 +308,18 @@ class IncrementalSubspaceTracker:
         (spe, flags):
             Per-row SPE under the pre-window model and the boolean
             anomaly indicators ``spe > threshold``.
+
+        Raises
+        ------
+        ModelError:
+            When a row holds a non-finite value; nothing is scored or
+            folded, and the refresh cadence does not move.
         """
-        spe = self.spe_block(measurements)
+        block = self._as_block(measurements)
+        require_finite_rows(block)
+        spe = self.spe_block(block)
         flags = spe > self._threshold
-        self._fold(np.asarray(measurements, dtype=np.float64), refresh)
+        self._fold(block, refresh)
         return spe, flags
 
     def _fold(self, measurements: np.ndarray, refresh: bool) -> None:
@@ -356,6 +357,6 @@ class IncrementalSubspaceTracker:
 
     def drift_from(self, reference_basis: np.ndarray) -> float:
         """Largest principal angle (radians) to a reference normal basis."""
-        self._require_model()
+        self._require_ready()
         angles = principal_angles(self._basis, reference_basis)
         return float(angles.max()) if angles.size else 0.0

@@ -12,7 +12,7 @@ The resulting :class:`SubspaceModel` owns the projectors
 decomposition ``y = ŷ + ỹ`` of §5.1.
 
 Scoring never applies the ``m × m`` projector.  Every SPE route — the
-model, the drift tracker and the service engines — runs one rank-``r``
+model, the streaming tracker and the service engines — runs one rank-``r``
 kernel, ``ỹ = c − (c P) Pᵀ`` with ``c = y − ȳ`` (:func:`score_block`),
 at ``2·r·m`` multiply-adds per row instead of ``m²``.
 """
@@ -45,7 +45,7 @@ __all__ = [
     "tile_moments",
 ]
 
-#: Rows processed per pass of the fused scoring kernel.  Large enough
+#: Rows processed per pass of the scoring kernel.  Large enough
 #: that every interactive caller (one service row, a 36-bin streaming
 #: window, a scenario block) lands in a single chunk, small enough that
 #: the kernel's temporaries stay a few MB regardless of block size.
@@ -229,7 +229,7 @@ def score_moments(
 
 @dataclass(frozen=True)
 class ScoreBlockResult:
-    """Outcome of one fused :func:`score_block` pass.
+    """Outcome of one :func:`score_block` pass.
 
     Attributes
     ----------
@@ -238,14 +238,10 @@ class ScoreBlockResult:
     flags:
         ``spe > threshold`` per row; ``None`` when no threshold was
         supplied.
-    moments:
-        Per-axis score moments folded across the whole block; ``None``
-        when no ``components`` were supplied.
     """
 
     spe: np.ndarray
     flags: np.ndarray | None
-    moments: ScoreMoments | None
 
 
 _SCORING_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
@@ -279,19 +275,17 @@ def score_block(
     *,
     basis: np.ndarray,
     threshold: float | None = None,
-    components: np.ndarray | None = None,
     dtype: np.dtype | type = np.float64,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
 ) -> ScoreBlockResult:
-    """The fused scoring kernel: SPE → threshold → separation, one pass.
+    """The scoring kernel: SPE and threshold flags in one chunked pass.
 
     Processes ``measurements`` in chunks of ``chunk_rows`` rows and, per
-    chunk, computes the residual, its per-row energy (SPE), the
-    Q-threshold comparison, and the per-axis score moments the 3σ
-    separation rule consumes — so the largest temporary is
-    ``(chunk_rows, m)`` no matter how many rows the block has.  With a
-    memory-mapped block, each chunk is a view: nothing bigger than one
-    chunk is ever resident.
+    chunk, computes the residual and its per-row energy (SPE) — so the
+    largest temporary is ``(chunk_rows, m)`` no matter how many rows the
+    block has.  With a memory-mapped block, each chunk is a view:
+    nothing bigger than one chunk is ever resident.  The flags are
+    ``SPE > threshold`` when a ``threshold`` is given.
 
     ``basis`` is ``Pᵀ``, the ``(r, m)`` normal axes as rows.  Per chunk,
     with ``c = y − ȳ``::
@@ -312,9 +306,7 @@ def score_block(
     precision: rows are centered in float64 first (so the large-number
     cancellation of ``y − ȳ`` never happens in float32), then cast, as
     is ``Pᵀ``.  SPE is returned as float64 either way; its float32-mode
-    error is bounded by :func:`float32_spe_band`.  Moments are always
-    computed in float64 — they are fit-time statistics, not hot-path
-    outputs.
+    error is bounded by :func:`float32_spe_band`.
     """
     measurements = ensure_matrix(
         measurements, name="measurements", error=ModelError,
@@ -341,21 +333,15 @@ def score_block(
     full_rank = axes.shape[0] == m
 
     t = measurements.shape[0]
-    spe = np.zeros(t) if full_rank else np.empty(t)
-    moments = None if components is None else _moments_identity(
-        np.asarray(components).shape[1]
-    )
-    for start in range(0, t, chunk_rows):
-        chunk = measurements[start : start + chunk_rows]
-        centered = chunk - mean
-        if not full_rank:
-            spe[start : start + chunk.shape[0]] = _residual_energy(
+    spe = np.zeros(t)
+    if not full_rank:
+        for start in range(0, t, chunk_rows):
+            centered = measurements[start : start + chunk_rows] - mean
+            spe[start : start + centered.shape[0]] = _residual_energy(
                 centered.astype(dtype, copy=False), axes
             )
-        if moments is not None and chunk.shape[0]:
-            moments = moments.merge(_fold_scores(centered @ components))
     flags = None if threshold is None else spe > threshold
-    return ScoreBlockResult(spe=spe, flags=flags, moments=moments)
+    return ScoreBlockResult(spe=spe, flags=flags)
 
 
 def float32_spe_band(
@@ -466,7 +452,7 @@ def separate_axes_from_moments(
 class SubspaceModel:
     """Projectors onto the normal and anomalous subspaces (§5.1).
 
-    Build with :meth:`with_rank`; a fitted
+    Build with an explicitly chosen normal rank; a fitted
     :class:`~repro.core.detection.SPEDetector` holds the model its
     separation rule chose.
     """
@@ -502,12 +488,6 @@ class SubspaceModel:
         else:
             self._c = self._p @ self._p.T
             self._c_tilde = np.eye(m) - self._c
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def with_rank(cls, pca: PCA, normal_rank: int) -> "SubspaceModel":
-        """Construct with an explicitly chosen normal rank."""
-        return cls(pca, normal_rank)
 
     # ------------------------------------------------------------------
     @property
@@ -579,7 +559,7 @@ class SubspaceModel:
         guarantee to keep per-row ingest alarms exactly equal to a batch
         :meth:`~repro.pipeline.pipeline.DetectionPipeline.detect` over
         the assembled matrix (pinned by the scoring-invariance property
-        tests).  The same contract is what lets the fused
+        tests).  The same contract is what lets the
         :func:`score_block` kernel process arbitrary row chunks (an
         out-of-core block never materializes) without moving a bit.
         """
@@ -594,24 +574,21 @@ class SubspaceModel:
         self,
         measurements: np.ndarray,
         threshold: float | None = None,
-        components: np.ndarray | None = None,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
     ) -> ScoreBlockResult:
-        """Fused SPE/threshold/separation pass under this model.
+        """SPE and threshold flags under this model, one chunked pass.
 
         One call to the :func:`score_block` kernel with this model's
-        axes ``Pᵀ`` (and scoring dtype): SPE for every row, alarm flags
-        when a ``threshold`` is given, and mergeable score moments when
-        ``components`` are given — all in one chunked pass with no
-        full-block temporary.  Float64 results are bit-identical to
-        :meth:`spe` + elementwise comparison + :func:`score_moments`.
+        axes ``Pᵀ`` (and scoring dtype): SPE for every row and alarm
+        flags when a ``threshold`` is given, with no full-block
+        temporary.  Bit-identical to :meth:`spe` + elementwise
+        comparison.
         """
         return score_block(
             measurements,
             self._mean,
             basis=self._axes,
             threshold=threshold,
-            components=components,
             dtype=self.dtype,
             chunk_rows=chunk_rows,
         )

@@ -71,6 +71,7 @@ __all__ = [
     "RowStore",
     "SufficientStats",
     "canonical_units",
+    "require_finite_rows",
 ]
 
 #: Canonical tile height.  Part of a statistic's identity: only stats
@@ -480,6 +481,14 @@ class HistorySnapshot:
     tiles: tuple[np.ndarray, ...]
 
 
+def require_finite_rows(rows: np.ndarray) -> None:
+    """Raise :class:`~repro.exceptions.ModelError` unless every value of
+    ``rows`` is finite: the check a history append and a tracker fold
+    run before they change any state."""
+    if not np.isfinite(rows).all():
+        raise ModelError("rows contain non-finite values")
+
+
 class RowStore:
     """Append-only history rows, packed into canonical tiles.
 
@@ -518,8 +527,7 @@ class RowStore:
                 f"rows of shape {block.shape} do not fit a history of "
                 f"{self.num_columns} columns"
             )
-        if not np.isfinite(block).all():
-            raise ModelError("rows contain non-finite values")
+        require_finite_rows(block)
         position = 0
         while position < block.shape[0]:
             take = min(

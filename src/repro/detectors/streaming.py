@@ -11,11 +11,10 @@ separation) and seeds the tracker from the batch moments; ``score`` is
 the tracker's SPE under the warmed-up basis (stateless — the live,
 folding surface is :meth:`streaming`).
 
-Registered as ``streaming-subspace`` with the ``online-subspace`` alias:
-both the per-arrival adapter (:class:`~repro.core.online.
-OnlineSubspaceDetector`) and the windowed pipeline resolve to this same
-engine, and the contract suite pins their scores to each other so the
-two streaming surfaces cannot drift apart again.
+Registered as ``streaming-subspace`` with the ``online-subspace`` and
+``incremental-subspace`` aliases; the contract suite pins its scores to
+the tracker's own so the registry and streaming surfaces cannot drift
+apart.
 """
 
 from __future__ import annotations

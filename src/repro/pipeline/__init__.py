@@ -39,10 +39,10 @@ current, from cheapest to most thorough:
    fixed projection (``DetectionPipeline.fit`` + ``detect``);
 2. *exponential fold* — ``stream`` / ``StreamingDetector`` fold each
    window into exponentially weighted moments and refresh the ``m × m``
-   eigendecomposition per window (or on an arrival cadence) — the model
-   follows drift without ever refitting from scratch;
-   :class:`~repro.core.online.OnlineSubspaceDetector` runs the same
-   fold one row at a time;
+   eigendecomposition per window, or every ``refresh_interval``
+   arrivals with ``process_window(..., refresh=False)`` (one-row
+   windows are per-arrival processing) — the model follows drift
+   without ever refitting from scratch;
 3. *sharded refit* — ``TemporalCoordinator.fit`` rebuilds the model
    from per-chunk sufficient statistics (bit-identical to a monolithic
    fit), out-of-core or fanned out over workers.

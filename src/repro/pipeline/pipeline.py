@@ -21,11 +21,11 @@ wires those stages into one object with three entry points:
     :class:`~repro.core.incremental.IncrementalSubspaceTracker`.
 
 Those entry points cover one model lifecycle each; the pipeline package
-supports four (see :mod:`repro.pipeline`): fit-once batch application,
-the exponential fold of ``stream`` (drift-tracking refreshes, no
-from-scratch refit inside the stream), the periodic refresh cadence of
-:class:`~repro.core.online.OnlineSubspaceDetector`, and full sharded
-refits via :class:`~repro.pipeline.sharded.TemporalCoordinator`, whose
+supports three (see :mod:`repro.pipeline`): fit-once batch application,
+the exponential fold of ``stream`` (drift-tracking refreshes per window
+or on an arrival cadence, no from-scratch refit inside the stream), and
+full sharded refits via
+:class:`~repro.pipeline.sharded.TemporalCoordinator`, whose
 merged-statistics fit is bit-identical to refitting here on the
 concatenated history.
 

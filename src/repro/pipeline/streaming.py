@@ -14,6 +14,11 @@ from scratch:
   :class:`~repro.core.incremental.IncrementalSubspaceTracker`, and the
   eigendecomposition (an ``m × m`` problem) refreshes once per window.
 
+For arrival-at-a-time processing, feed one-row windows with
+``refresh=False``: the refresh then keeps the tracker's
+``refresh_interval`` cadence in arrivals, and ``tracker.since_refresh``
+is the model's age.
+
 Flagged arrivals are identified and quantified against the *current*
 basis when a routing matrix is supplied, using the same closed-form
 scores as the batch path.
@@ -87,8 +92,8 @@ class StreamingDetector:
 
     Construct via :meth:`from_moments` (used by
     :meth:`DetectionPipeline.streaming
-    <repro.pipeline.pipeline.DetectionPipeline.streaming>`) or
-    :meth:`from_history` (warm up on a raw measurement block).
+    <repro.pipeline.pipeline.DetectionPipeline.streaming>`) or around a
+    tracker warmed up on a raw measurement block.
 
     Parameters
     ----------
@@ -137,25 +142,6 @@ class StreamingDetector:
             confidence=confidence,
             refresh_interval=refresh_interval,
         ).warm_up_from_moments(mean, covariance)
-        return cls(tracker, routing=routing)
-
-    @classmethod
-    def from_history(
-        cls,
-        measurements: np.ndarray,
-        normal_rank: int,
-        forgetting: float = 1.0 / 1008.0,
-        confidence: float = 0.999,
-        routing: RoutingMatrix | None = None,
-        refresh_interval: int | None = 36,
-    ) -> "StreamingDetector":
-        """Seed streaming from a historical measurement block."""
-        tracker = IncrementalSubspaceTracker(
-            normal_rank=normal_rank,
-            forgetting=forgetting,
-            confidence=confidence,
-            refresh_interval=refresh_interval,
-        ).warm_up(measurements)
         return cls(tracker, routing=routing)
 
     # ------------------------------------------------------------------
@@ -213,8 +199,10 @@ class StreamingDetector:
         the exponentially weighted moments and refreshes the
         eigendecomposition once.  With ``refresh=False`` the refresh
         instead keeps the tracker's own ``refresh_interval`` cadence (in
-        arrivals) — the per-arrival adapters use this to decouple window
-        size from refresh schedule.
+        arrivals), which decouples window size from refresh schedule:
+        one-row windows with ``refresh=False`` are per-arrival
+        processing.  A window with a non-finite value raises
+        :class:`~repro.exceptions.ModelError` and changes nothing.
         """
         measurements = ensure_matrix(
             measurements, name="window", error=ModelError, check_finite=False,

@@ -53,6 +53,7 @@ __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
     "ModelLifecycleManager",
     "ModelVersion",
+    "check_warmup",
     "warmup_history",
 ]
 
@@ -429,8 +430,10 @@ class ModelLifecycleManager:
         return manager
 
 
-def warmup_history(warmup: np.ndarray) -> RowStore:
-    """The tile-packed history of a ``(t, m)`` warmup of >= 2 rows."""
+def check_warmup(warmup: np.ndarray) -> np.ndarray:
+    """``warmup`` as a ``(t, m)`` array of >= 2 rows, or the
+    :class:`~repro.exceptions.ServiceError` bootstrap raises; its
+    finiteness is checked where the rows are appended."""
     warmup = ensure_matrix(
         warmup, name="warmup", error=ServiceError, check_finite=False
     )
@@ -438,6 +441,12 @@ def warmup_history(warmup: np.ndarray) -> RowStore:
         raise ServiceError(
             f"warmup needs at least 2 rows, got {warmup.shape[0]}"
         )
+    return warmup
+
+
+def warmup_history(warmup: np.ndarray) -> RowStore:
+    """The tile-packed history of a ``(t, m)`` warmup of >= 2 rows."""
+    warmup = check_warmup(warmup)
     history = RowStore(warmup.shape[1])
     history.append(warmup)
     return history

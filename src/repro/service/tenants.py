@@ -35,6 +35,7 @@ from urllib.parse import quote, unquote
 
 import numpy as np
 
+from repro.core.suffstats import require_finite_rows
 from repro.exceptions import FleetError, ServiceError
 from repro.service.engine import (
     BlockResult,
@@ -42,7 +43,7 @@ from repro.service.engine import (
     RowOutcome,
     ServiceConfig,
 )
-from repro.service.lifecycle import warmup_history
+from repro.service.lifecycle import check_warmup
 from repro.service.metrics import MetricsRegistry
 
 __all__ = [
@@ -158,7 +159,7 @@ class MultiTenantService:
         config = config or ServiceConfig()
         for tenant_id, warmup in warmups.items():  # refuse before any fit
             _validate_tenant_id(tenant_id)
-            warmup_history(warmup)
+            require_finite_rows(check_warmup(warmup))
         services, lost = {}, {}
         for tenant_id, warmup in warmups.items():
             tenant_config = config

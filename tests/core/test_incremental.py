@@ -106,8 +106,31 @@ class TestTracker:
             IncrementalSubspaceTracker(normal_rank=1, refresh_interval=0)
         with pytest.raises(NotFittedError):
             IncrementalSubspaceTracker(normal_rank=1).spe(np.ones(3))
+        with pytest.raises(ModelError, match="non-finite"):
+            IncrementalSubspaceTracker(normal_rank=1).warm_up(
+                np.array([[1.0, 2.0], [np.nan, 3.0], [2.0, 1.0]])
+            )
 
     def test_rank_exceeding_dimension_rejected(self, rng):
         tracker = IncrementalSubspaceTracker(normal_rank=10)
         with pytest.raises(ModelError):
             tracker.warm_up(rng.normal(size=(20, 4)))
+
+
+class TestSubspaceStability:
+    """§7.1: the subspace model is reasonably stable over time."""
+
+    def test_threshold_stable_across_windows_at_fixed_rank(self, sprint1):
+        """At a fixed normal rank, thresholds fitted on the two
+        half-weeks stay within a small factor (the halves differ in
+        weekday/weekend mix, so exact equality is not expected)."""
+        first = SPEDetector(normal_rank=3).fit(sprint1.link_traffic[:504])
+        second = SPEDetector(normal_rank=3).fit(sprint1.link_traffic[504:])
+        assert 0.2 < first.threshold / second.threshold < 5.0
+
+    def test_normal_subspace_stable_across_windows(self, sprint1):
+        """The projection P P^T itself barely moves between half-weeks:
+        principal angles between the two normal subspaces stay small."""
+        first = PCA().fit(sprint1.link_traffic[:504]).components[:, :3]
+        second = PCA().fit(sprint1.link_traffic[504:]).components[:, :3]
+        assert np.cos(principal_angles(first, second)).min() > 0.8

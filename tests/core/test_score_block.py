@@ -1,10 +1,10 @@
-"""The fused score→threshold→separate kernel (:func:`score_block`).
+"""The scoring kernel (:func:`score_block`): SPE and flags, one pass.
 
-The kernel replaces three separate passes — SPE projection, threshold
-comparison, separation-moments fold — with one chunked sweep.  These
-tests pin its contracts: bit-identity with the rank-``r`` residual
-formula ``ỹ = c − (c P) Pᵀ``, chunking invariance, independence from
-the basis array's memory layout, and the float32 error band.
+These tests pin its contracts: bit-identity with the rank-``r``
+residual formula ``ỹ = c − (c P) Pᵀ``, chunking invariance,
+independence from the basis array's memory layout, and the float32
+error band.  Separation moments are a separate pass,
+:func:`score_moments` once per canonical tile, pinned at the end.
 """
 
 import numpy as np
@@ -16,9 +16,12 @@ from repro.core.subspace import (
     ScoreMoments,
     SubspaceModel,
     float32_spe_band,
+    fold_moments,
     score_block,
     score_moments,
+    tile_moments,
 )
+from repro.core.suffstats import DEFAULT_TILE_ROWS
 from repro.exceptions import ModelError
 
 
@@ -56,7 +59,6 @@ class TestFusionBitIdentity:
         result = score_block(block, model.pca.mean, basis=axes)
         assert np.array_equal(result.spe, expected)
         assert result.flags is None
-        assert result.moments is None
         # The same residual the projector gives, to rounding.
         residual = model.residual(block)
         assert np.allclose(
@@ -70,18 +72,6 @@ class TestFusionBitIdentity:
         result = detector.model.score_block(block, threshold=threshold)
         assert np.array_equal(result.flags, result.spe > threshold)
         assert result.flags.any() and not result.flags.all()
-
-    def test_moments_match_separate_fold_single_chunk(self, world):
-        detector, block = world
-        model = detector.model
-        components = model.pca.components
-        fused = model.score_block(block, components=components).moments
-        separate = score_moments(block, model.pca.mean, components)
-        assert fused.count == separate.count
-        assert np.array_equal(fused.sums, separate.sums)
-        assert np.array_equal(fused.squares, separate.squares)
-        assert np.array_equal(fused.minima, separate.minima)
-        assert np.array_equal(fused.maxima, separate.maxima)
 
     def test_model_spe_routes_through_kernel(self, world):
         detector, block = world
@@ -112,23 +102,6 @@ class TestChunking:
             ).spe
             assert np.array_equal(chunked, reference), chunk_rows
 
-    def test_chunked_moments_fold_is_exact_in_count_and_extrema(self, world):
-        detector, block = world
-        model = detector.model
-        components = model.pca.components
-        whole = model.score_block(block, components=components).moments
-        chunked = model.score_block(
-            block, components=components, chunk_rows=11
-        ).moments
-        assert chunked.count == whole.count
-        assert np.array_equal(chunked.minima, whole.minima)
-        assert np.array_equal(chunked.maxima, whole.maxima)
-        # Partial sums re-associate the reduction; equality is only up
-        # to rounding, which is why every current caller stays within
-        # one DEFAULT_CHUNK_ROWS chunk.
-        assert np.allclose(chunked.sums, whole.sums, rtol=1e-12)
-        assert np.allclose(chunked.squares, whole.squares, rtol=1e-12)
-
     def test_basis_layout_does_not_move_bits(self, world):
         """A strided view of Pᵀ scores like its C-contiguous copy."""
         detector, block = world
@@ -143,13 +116,9 @@ class TestChunking:
         detector, _ = world
         model = detector.model
         empty = np.empty((0, model.pca.num_components))
-        result = model.score_block(
-            empty, threshold=1.0, components=model.pca.components
-        )
+        result = model.score_block(empty, threshold=1.0)
         assert result.spe.shape == (0,)
         assert result.flags.shape == (0,)
-        assert result.moments.count == 0
-        assert np.all(np.isinf(result.moments.minima))
 
 
 class TestValidation:
@@ -249,3 +218,62 @@ class TestMomentsIdentity:
         assert merged.count == folded.count
         assert np.array_equal(merged.sums, folded.sums)
         assert np.array_equal(merged.minima, folded.minima)
+
+
+def assert_same_moments(got, want):
+    assert got.count == want.count
+    assert np.array_equal(got.sums, want.sums)
+    assert np.array_equal(got.squares, want.squares)
+    assert np.array_equal(got.minima, want.minima)
+    assert np.array_equal(got.maxima, want.maxima)
+
+
+class TestTileMoments:
+    """Every fit folds one :func:`score_moments` call per canonical
+    tile, in ascending row order."""
+
+    def test_one_tile_is_one_score_moments_call(self, world):
+        detector, block = world
+        pca = detector.model.pca
+        assert block.shape[0] <= DEFAULT_TILE_ROWS
+        assert_same_moments(
+            tile_moments(pca, block),
+            score_moments(block, pca.mean, pca.components),
+        )
+
+    def test_tiles_fold_in_ascending_row_order(self, world):
+        detector, _ = world
+        pca = detector.model.pca
+        rng = np.random.default_rng(11)
+        rows = pca.mean + rng.normal(
+            size=(2 * DEFAULT_TILE_ROWS + 100, pca.mean.size)
+        )
+        expected = fold_moments(
+            (
+                score_moments(
+                    rows[lo : lo + DEFAULT_TILE_ROWS], pca.mean, pca.components
+                )
+                for lo in range(0, rows.shape[0], DEFAULT_TILE_ROWS)
+            ),
+            pca.num_components,
+        )
+        assert_same_moments(tile_moments(pca, rows), expected)
+
+    def test_chunked_moments_fold_is_exact_in_count_and_extrema(self, world):
+        detector, block = world
+        pca = detector.model.pca
+        whole = score_moments(block, pca.mean, pca.components)
+        chunked = fold_moments(
+            (
+                score_moments(block[lo : lo + 11], pca.mean, pca.components)
+                for lo in range(0, block.shape[0], 11)
+            ),
+            pca.num_components,
+        )
+        assert chunked.count == whole.count
+        assert np.array_equal(chunked.minima, whole.minima)
+        assert np.array_equal(chunked.maxima, whole.maxima)
+        # Partial sums re-associate the reduction; equality is only up
+        # to rounding, which is why the tile size is fixed.
+        assert np.allclose(chunked.sums, whole.sums, rtol=1e-12)
+        assert np.allclose(chunked.squares, whole.squares, rtol=1e-12)

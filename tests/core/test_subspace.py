@@ -137,16 +137,16 @@ class TestProjectors:
         c = model.normal_projector
         assert np.linalg.matrix_rank(c) == model.normal_rank
 
-    def test_with_rank_constructor(self, structured_data):
+    def test_explicit_rank_constructor(self, structured_data):
         pca = PCA().fit(structured_data)
-        model = SubspaceModel.with_rank(pca, 2)
+        model = SubspaceModel(pca, 2)
         assert model.normal_rank == 2
         assert model.normal_basis.shape == (8, 2)
 
     def test_rank_out_of_range(self, structured_data):
         pca = PCA().fit(structured_data)
         with pytest.raises(ModelError):
-            SubspaceModel.with_rank(pca, 9)
+            SubspaceModel(pca, 9)
 
 
 class TestDecomposition:

@@ -3,16 +3,15 @@
 Beyond the generic detector contract (tests/detectors/test_contracts.py
 runs automatically over every registry entry), these pin the *identity*
 guarantees: the spatial detector is exactly the pipeline's fusion plane,
-and the three streaming surfaces — the registry detector, the windowed
-StreamingDetector and the per-arrival OnlineSubspaceDetector — are one
-engine and cannot drift apart.
+and the registry's streaming detector is the tracker behind the
+windowed StreamingDetector, so the two cannot drift apart.
 """
 
 import numpy as np
 import pytest
 
 from repro import detectors
-from repro.core import OnlineSubspaceDetector, q_threshold
+from repro.core import q_threshold
 from repro.detectors import ShardedSubspaceDetector, StreamingSubspaceDetector
 from repro.exceptions import ModelError
 from repro.pipeline.sharded import SpatialCoordinator
@@ -122,25 +121,6 @@ class TestStreamingSurfacesCannotDrift:
         assert detector.threshold_at(0.999) == q_threshold(
             tracker.eigenvalues[tracker.normal_rank :], confidence=0.999
         )
-
-    def test_online_adapter_equals_streaming_detector(self, block):
-        """Row-by-row OnlineSubspaceDetector == one-row-window
-        StreamingDetector, bit for bit (the consolidation contract)."""
-        train, test = block[:400], block[400:]
-        online = OnlineSubspaceDetector(window_bins=400, refit_interval=24)
-        online.warm_up(train)
-        outcomes = online.process_block(test)
-
-        registry = StreamingSubspaceDetector(
-            forgetting=1.0 / 400
-        ).fit(train)
-        streaming = registry.streaming()
-        streaming.tracker.refresh_interval = 24
-        for outcome, row in zip(outcomes, test):
-            window = streaming.process_window(row[None, :], refresh=False)
-            assert outcome.spe == window.spe[0]
-            assert outcome.threshold == window.threshold
-            assert outcome.is_anomalous == bool(window.flags[0])
 
     def test_score_does_not_mutate_state(self, block):
         detector = StreamingSubspaceDetector().fit(block)

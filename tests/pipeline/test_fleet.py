@@ -9,6 +9,7 @@ refitting; bad tenants, warmups and rows are typed rejections.
 import numpy as np
 import pytest
 
+from repro.core.suffstats import RowStore
 from repro.exceptions import IngestError, ModelError, ServiceError
 from repro.pipeline.fleet import synthetic_tenant_traffic
 from repro.service.tenants import MultiTenantService
@@ -100,6 +101,23 @@ class TestGuardrails:
         assert isinstance(result.rejected, IngestError)
         assert result.accepted == 0
         assert front.service("acme-00").lifecycle.rows == WARMUP
+
+    def test_each_tenant_history_is_built_once(self, monkeypatch):
+        """Checking the warmups before any fit builds no history: a
+        three-tenant bootstrap builds one ``RowStore`` per tenant."""
+        built = []
+        construct = RowStore.__init__
+
+        def counting(store, *args, **kwargs):
+            built.append(store)
+            construct(store, *args, **kwargs)
+
+        monkeypatch.setattr(RowStore, "__init__", counting)
+        front = MultiTenantService.from_warmups(warmups(3))
+        assert len(built) == 3
+        assert [front.service(t).lifecycle.rows for t in front.tenants] == [
+            WARMUP
+        ] * 3
 
     def test_non_finite_rows_never_reach_a_pending_history(self):
         poisoned = warmups(2)

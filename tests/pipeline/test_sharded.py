@@ -144,7 +144,7 @@ class TestTemporal:
         def forged(rank, separation):
             """The fit with its detector's model swapped for a forgery;
             the detector's requested settings stay the fit's own."""
-            model = SubspaceModel.with_rank(fit.pca, rank)
+            model = SubspaceModel(fit.pca, rank)
             model.separation = separation
             detector = copy.copy(fit.detector)
             detector._model = model

@@ -1,10 +1,14 @@
-"""Streaming pipeline: windowed scoring, folds, and live alarms."""
+"""Streaming pipeline: windowed scoring, folds, and live alarms.
+
+Arrival-at-a-time processing is the same engine fed one-row windows
+with ``refresh=False``; :class:`TestPerArrival` pins it.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.incremental import IncrementalSubspaceTracker
-from repro.exceptions import ModelError
+from repro.exceptions import ModelError, NotFittedError
 from repro.pipeline import DetectionPipeline, StreamingDetector
 
 
@@ -51,8 +55,10 @@ class TestStreamWindows:
 
     def test_detection_only_without_routing(self, fitted):
         dataset, warmup, _ = fitted
-        detector = StreamingDetector.from_history(
-            dataset.link_traffic[:warmup], normal_rank=3
+        detector = StreamingDetector(
+            IncrementalSubspaceTracker(normal_rank=3).warm_up(
+                dataset.link_traffic[:warmup]
+            )
         )
         window = detector.process_window(dataset.link_traffic[warmup : warmup + 12])
         assert window.flow_indices.size == 0
@@ -62,8 +68,9 @@ class TestStreamWindows:
         self, blind_routing
     ):
         warmup, routing, block = blind_routing
-        detector = StreamingDetector.from_history(
-            warmup, normal_rank=2, routing=routing
+        detector = StreamingDetector(
+            IncrementalSubspaceTracker(normal_rank=2).warm_up(warmup),
+            routing=routing,
         )
         window = detector.process_window(block)
         assert window.anomalous_bins.tolist() == [1]
@@ -196,7 +203,7 @@ class TestStreamingEdgeCases:
         The default ``refresh=True`` path used to re-run the eigensolver
         on the unchanged covariance and zero ``since_refresh``, silently
         postponing the next *scheduled* refresh every time an idle
-        service processed an empty window.
+        stream processed an empty window.
         """
         dataset, warmup, pipeline = fitted
         detector = pipeline.streaming(refresh_interval=5)
@@ -219,10 +226,10 @@ class TestStreamingEdgeCases:
     def test_refresh_interval_one_refreshes_after_every_single_row(
         self, fitted
     ):
-        """Pin the service's steady state: per-row feeds with
-        ``refresh_interval=1`` refresh after *every* arrival, and each
-        row is scored under the model refreshed at the previous one —
-        bit-identical to forcing ``refresh=True`` per row."""
+        """Per-row feeds with ``refresh_interval=1`` refresh after
+        *every* arrival, and each row is scored under the model
+        refreshed at the previous one — bit-identical to forcing
+        ``refresh=True`` per row."""
         dataset, warmup, pipeline = fitted
         cadence = pipeline.streaming(refresh_interval=1)
         forced = pipeline.streaming(refresh_interval=1)
@@ -254,12 +261,207 @@ class TestStreamingEdgeCases:
         exactly zero: no alarms from 1e-16 numerical dust (regression
         for the degenerate-rank fix)."""
         dataset, warmup, _ = fitted
-        detector = StreamingDetector.from_history(
-            dataset.link_traffic[:warmup],
-            normal_rank=dataset.num_links,
+        detector = StreamingDetector(
+            IncrementalSubspaceTracker(normal_rank=dataset.num_links).warm_up(
+                dataset.link_traffic[:warmup]
+            ),
             routing=dataset.routing,
         )
         window = detector.process_window(dataset.link_traffic[warmup:])
         assert window.threshold == 0.0
         assert np.array_equal(window.spe, np.zeros(window.spe.shape))
         assert window.num_alarms == 0
+
+
+def assert_same_window(got, want):
+    assert got.start_index == want.start_index
+    assert got.threshold == want.threshold
+    for field in (
+        "spe", "flags", "anomalous_bins", "flow_indices", "estimated_bytes"
+    ):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert got.od_pairs == want.od_pairs
+
+
+def assert_same_tracker(got, want):
+    assert got.since_refresh == want.since_refresh
+    assert got.threshold == want.threshold
+    assert np.array_equal(got.mean, want.mean)
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert np.array_equal(got.normal_basis, want.normal_basis)
+
+
+class TestPerArrival:
+    """One-row windows with ``refresh=False``: the refresh keeps the
+    tracker's ``refresh_interval`` cadence in arrivals, and
+    ``tracker.since_refresh`` is the model's age."""
+
+    def test_requires_warm_up(self, sprint1):
+        detector = StreamingDetector(IncrementalSubspaceTracker(normal_rank=3))
+        with pytest.raises(NotFittedError):
+            detector.process_window(sprint1.link_traffic[:1], refresh=False)
+
+    def test_processes_and_counts(self, sprint1):
+        """Each one-row window starts at its arrival index, and its
+        alarm is reported under that index."""
+        pipeline = DetectionPipeline().fit(sprint1.link_traffic[:288])
+        detector = pipeline.streaming(forgetting=1.0 / 288, refresh_interval=None)
+        windows = [
+            detector.process_window(row[None, :], refresh=False)
+            for row in sprint1.link_traffic[288:432]
+        ]
+        assert [window.start_index for window in windows] == list(range(144))
+        assert [window.flags.size for window in windows] == [1] * 144
+        assert detector.arrivals == 144
+        alarms = [int(b) for window in windows for b in window.anomalous_bins]
+        assert alarms == [i for i, w in enumerate(windows) if w.flags[0]]
+
+    def test_model_age_resets_every_refresh_interval(self, sprint1):
+        pipeline = DetectionPipeline().fit(sprint1.link_traffic[:288])
+        detector = pipeline.streaming(forgetting=1.0 / 288, refresh_interval=50)
+        ages = []
+        for row in sprint1.link_traffic[288:408]:
+            ages.append(detector.tracker.since_refresh)
+            detector.process_window(row[None, :], refresh=False)
+        assert ages == [index % 50 for index in range(120)]
+        assert detector.arrivals == 120
+
+    def test_spike_on_one_flow_is_identified_with_its_bytes(self, sprint1):
+        pipeline = DetectionPipeline().fit(
+            sprint1.link_traffic[:504], routing=sprint1.routing
+        )
+        detector = pipeline.streaming(
+            forgetting=1.0 / 504, refresh_interval=None
+        )
+        flow = sprint1.routing.od_index("lon", "mad")
+        spiked = sprint1.link_traffic[600] + 6e7 * sprint1.routing.column(flow)
+        window = detector.process_window(spiked[None, :], refresh=False)
+        assert window.flags.tolist() == [True]
+        assert window.flow_indices.tolist() == [flow]
+        assert window.od_pairs == (("lon", "mad"),)
+        assert window.estimated_bytes[0] == pytest.approx(6e7, rel=0.35)
+
+    def test_no_identification_without_routing(self, sprint1):
+        pipeline = DetectionPipeline().fit(sprint1.link_traffic[:504])
+        detector = pipeline.streaming(
+            forgetting=1.0 / 504, refresh_interval=None
+        )
+        flow = sprint1.routing.od_index("lon", "mad")
+        spiked = sprint1.link_traffic[600] + 8e7 * sprint1.routing.column(flow)
+        window = detector.process_window(spiked[None, :], refresh=False)
+        assert window.anomalous_bins.tolist() == [0]
+        assert window.flow_indices.size == 0
+        assert window.od_pairs == ()
+
+    def test_alarms_match_batch_detect_without_refreshes(self, sprint1):
+        """With refreshes disabled the basis stays at the warm-up model:
+        alarms match batch ``detect``, and scores stay within the small
+        drift of the exponentially folded mean."""
+        train = sprint1.link_traffic[:504]
+        test = sprint1.link_traffic[504:648]
+        pipeline = DetectionPipeline().fit(train)
+        expected = pipeline.detect(test)
+        detector = pipeline.streaming(
+            forgetting=1.0 / 504, refresh_interval=None
+        )
+        windows = [
+            detector.process_window(row[None, :], refresh=False)
+            for row in test
+        ]
+        flags = np.concatenate([window.flags for window in windows])
+        spe = np.concatenate([window.spe for window in windows])
+        assert np.array_equal(flags, expected.flags)
+        assert np.allclose(spe, expected.spe, rtol=0.05)
+        assert detector.tracker.since_refresh == test.shape[0]
+        assert detector.threshold == pytest.approx(pipeline.threshold, rel=1e-9)
+
+
+    def test_one_row_windows_track_per_row_updates(self, sprint1):
+        """The two per-arrival surfaces keep one cadence: one-row
+        windows and ``tracker.update`` refresh at the same arrivals and
+        raise the same alarms, with scores equal to rounding."""
+        pipeline = DetectionPipeline().fit(sprint1.link_traffic[:288])
+        windowed = pipeline.streaming(forgetting=1.0 / 288, refresh_interval=24)
+        per_row = pipeline.streaming(forgetting=1.0 / 288, refresh_interval=24)
+        for row in sprint1.link_traffic[288:432]:
+            window = windowed.process_window(row[None, :], refresh=False)
+            spe, is_anomalous = per_row.tracker.update(row)
+            assert window.spe[0] == pytest.approx(spe, rel=1e-9)
+            assert bool(window.flags[0]) == is_anomalous
+            assert (
+                windowed.tracker.since_refresh == per_row.tracker.since_refresh
+            )
+        assert windowed.threshold == pytest.approx(per_row.threshold, rel=1e-9)
+
+    def test_vector_shape_validation(self, sprint1):
+        """An arrival is a one-row window: a bare vector or a row of the
+        wrong width is refused, and nothing is counted."""
+        pipeline = DetectionPipeline().fit(sprint1.link_traffic[:288])
+        detector = pipeline.streaming()
+        row = sprint1.link_traffic[300]
+        with pytest.raises(ModelError):
+            detector.process_window(row, refresh=False)
+        with pytest.raises(ModelError):
+            detector.process_window(row[None, :-1], refresh=False)
+        assert detector.arrivals == 0
+        assert detector.tracker.since_refresh == 0
+
+
+class TestNonFiniteRows:
+    """A non-finite row is refused before it is scored or folded, so
+    one bad window cannot poison the moments of every later one."""
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+    def test_bad_window_raises_and_changes_nothing(self, fitted, bad_value):
+        dataset, warmup, pipeline = fitted
+        rows = dataset.link_traffic[warmup : warmup + 40]
+        detector = pipeline.streaming(refresh_interval=8)
+        clean = pipeline.streaming(refresh_interval=8)
+        detector.process_window(rows[:5], refresh=False)
+        clean.process_window(rows[:5], refresh=False)
+
+        bad = rows[5:15].copy()
+        bad[4, 7] = bad_value
+        with pytest.raises(ModelError, match="non-finite"):
+            detector.process_window(bad)
+        with pytest.raises(ModelError, match="non-finite"):
+            detector.process_window(bad[4:5], refresh=False)
+        assert detector.arrivals == clean.arrivals == 5
+        assert_same_tracker(detector.tracker, clean.tracker)
+
+        for start, stop in ((5, 20), (20, 40)):
+            assert_same_window(
+                detector.process_window(rows[start:stop], refresh=False),
+                clean.process_window(rows[start:stop], refresh=False),
+            )
+        assert_same_tracker(detector.tracker, clean.tracker)
+
+    def test_bad_arrival_raises_and_changes_nothing(self, fitted):
+        dataset, warmup, pipeline = fitted
+        rows = dataset.link_traffic[warmup : warmup + 12]
+        tracker = pipeline.streaming(refresh_interval=4).tracker
+        clean = pipeline.streaming(refresh_interval=4).tracker
+        for row in rows[:3]:
+            tracker.update(row)
+            clean.update(row)
+        bad = rows[3].copy()
+        bad[0] = np.nan
+        with pytest.raises(ModelError, match="non-finite"):
+            tracker.update(bad)
+        assert_same_tracker(tracker, clean)
+        for row in rows[3:]:
+            assert tracker.update(row) == clean.update(row)
+        assert_same_tracker(tracker, clean)
+
+    def test_stateless_scoring_still_scores_nan(self, fitted):
+        """``spe``/``spe_block`` change no state, so they score a NaN
+        row as batch ``detect`` does: a NaN SPE, no alarm."""
+        dataset, warmup, pipeline = fitted
+        tracker = pipeline.streaming().tracker
+        block = dataset.link_traffic[warmup : warmup + 3].copy()
+        block[1, 0] = np.nan
+        spe = tracker.spe_block(block)
+        assert np.isnan(spe[1]) and np.isfinite(spe[[0, 2]]).all()
+        assert np.isnan(tracker.spe(block[1]))
+        batch = pipeline.detect(block)
+        assert np.isnan(batch.spe[1]) and not batch.flags[1]

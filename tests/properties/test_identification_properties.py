@@ -35,7 +35,7 @@ def fitted_world(draw):
         + 1000.0
     )
     pca = PCA().fit(data)
-    model = SubspaceModel.with_rank(pca, 2)
+    model = SubspaceModel(pca, 2)
     return model, routing, data, rng
 
 
@@ -136,7 +136,7 @@ def identification_cases(draw):
     # Mostly a split subspace; rank 0 (no normal subspace) and rank m
     # (no residual subspace, nothing visible) now and then.
     rank = draw(st.one_of(st.integers(1, m - 1), st.sampled_from([0, m])))
-    model = SubspaceModel.with_rank(PCA().fit(data), rank)
+    model = SubspaceModel(PCA().fit(data), rank)
     n = draw(st.integers(1, 8))
     theta = rng.normal(size=(m, n))
     basis = model.normal_basis
@@ -193,7 +193,7 @@ def test_state_arrays_are_read_only_views():
     """The cached arrays cannot be written, and building a state leaves
     the caller's direction matrix writeable."""
     rng = np.random.default_rng(3)
-    model = SubspaceModel.with_rank(PCA().fit(rng.normal(size=(30, 5))), 2)
+    model = SubspaceModel(PCA().fit(rng.normal(size=(30, 5))), 2)
     theta = rng.normal(size=(5, 4))
     theta /= np.linalg.norm(theta, axis=0)
     state = IdentificationState(model, theta, [("a", "b")] * 4)

@@ -52,7 +52,7 @@ def test_projection_energy_split(data, rank_seed):
     """||y - mean||^2 = ||y_hat||^2 + ||y_tilde||^2 for every rank."""
     pca = PCA().fit(data)
     rank = rank_seed % (pca.num_components + 1)
-    model = SubspaceModel.with_rank(pca, rank)
+    model = SubspaceModel(pca, rank)
     modeled, residual = model.decompose(data)
     total = model.state_magnitude(data)
     split = np.einsum("ij,ij->i", modeled, modeled) + np.einsum(
@@ -67,7 +67,7 @@ def test_projection_energy_split(data, rank_seed):
 def test_projectors_idempotent_and_complementary(data, rank_seed):
     pca = PCA().fit(data)
     rank = rank_seed % (pca.num_components + 1)
-    model = SubspaceModel.with_rank(pca, rank)
+    model = SubspaceModel(pca, rank)
     c = model.normal_projector
     c_tilde = model.anomalous_projector
     assert np.allclose(c @ c, c, atol=1e-8)
@@ -80,11 +80,11 @@ def test_projectors_idempotent_and_complementary(data, rank_seed):
 @given(matrices())
 def test_spe_nonnegative_and_zero_at_full_rank(data):
     pca = PCA().fit(data)
-    model_full = SubspaceModel.with_rank(pca, pca.num_components)
+    model_full = SubspaceModel(pca, pca.num_components)
     spe_full = model_full.spe(data)
     scale = max(float(np.max(np.abs(data))), 1.0)
     assert np.all(np.asarray(spe_full) <= 1e-12 * scale**2 + 1e-6)
-    model_zero = SubspaceModel.with_rank(pca, 0)
+    model_zero = SubspaceModel(pca, 0)
     spe_zero = model_zero.spe(data)
     assert np.all(np.asarray(spe_zero) >= -1e-9)
 
@@ -107,9 +107,9 @@ def test_spe_scale_equivariance(data, scale):
     pca_a = PCA().fit(data)
     eigenvalues = pca_a.eigenvalues()
     assume(eigenvalues[0] - eigenvalues[1] > 1e-6 * eigenvalues[0])
-    model_a = SubspaceModel.with_rank(pca_a, 1)
+    model_a = SubspaceModel(pca_a, 1)
     pca_b = PCA().fit(data * scale)
-    model_b = SubspaceModel.with_rank(pca_b, 1)
+    model_b = SubspaceModel(pca_b, 1)
     spe_a = np.asarray(model_a.spe(data))
     spe_b = np.asarray(model_b.spe(data * scale))
     ref = max(float(spe_a.max()), 1e-9)
@@ -126,7 +126,7 @@ def test_training_spe_total_scales_quadratically(data, scale):
     totals = []
     for block in (data, data * scale):
         pca = PCA().fit(block)
-        total = float(np.sum(SubspaceModel.with_rank(pca, 1).spe(block)))
+        total = float(np.sum(SubspaceModel(pca, 1).spe(block)))
         tail = float(pca.captured_variance()[1:].sum())
         # Rounding dust scales with the raw magnitudes, not the spread.
         dust = 1e-9 * float(np.sum(block**2))
